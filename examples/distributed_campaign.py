@@ -85,7 +85,7 @@ def main():
     with SimCluster(5, script=script) as cluster:
         report = run_distributed(
             tasks, cluster.endpoints(), base_seed=BASE_SEED, lease_s=0.3,
-            on_event=lambda kind, detail: events.append(kind),
+            on_event=lambda kind, task_id, detail: events.append(kind),
         )
     reassigned = sum(r.reassignments for r in report.records)
     print(f"  lease expired on n1 (state: {report.node_states['n1']}), "

@@ -85,8 +85,9 @@ def main():
     plan = FaultPlan(seed=11)
     for eid in ("table2", "fig05", "fig11"):
         plan.fail_at(f"experiment:{eid}", call=1, exc=TransientFault)
-    report = run_all(quick=True, fault_plan=plan, max_retries=2,
-                     report=True, sleep=lambda s: None)
+    with plan.active():
+        report = run_all(quick=True, max_retries=2, report=True,
+                         sleep=lambda s: None)
     print(f"all {len(report.results)} experiments completed despite "
           f"{len(report.attempt_failures)} injected first-attempt failure(s)")
     for line in report.summary_lines():

@@ -150,7 +150,8 @@ def build_parser():
     p_exp.add_argument("--max-retries", type=int, default=0,
                        help="retries per experiment for transient failures")
     p_exp.add_argument("--timeout-s", type=float, default=None,
-                       help="per-experiment soft timeout in seconds")
+                       help="per-attempt soft timeout in seconds; a timed-out "
+                            "attempt is a transient failure (with --nodes too)")
     p_exp.add_argument("--seed", type=int, default=0,
                        help="base seed for per-attempt seed rotation")
     p_exp.add_argument("--profile", nargs="?", const="", default=None,
@@ -174,18 +175,15 @@ def build_parser():
                        help='distribute over worker nodes: "sim:3" for a '
                             'simulated cluster, or "host:port,..." for '
                             '"repro dist serve" workers')
-    p_exp.add_argument("--lease-s", type=float, default=10.0,
+    p_exp.add_argument("--lease-s", type=float, default=None,
                        help="with --nodes: per-task lease renewed by worker "
                             "heartbeats (default 10s)")
-    p_exp.add_argument("--task-timeout-s", type=float, default=None,
-                       help="with --nodes: hard per-attempt cap, catches "
-                            "workers that heartbeat but never finish")
     p_exp.add_argument("--authkey", default=None,
                        help="with --nodes: shared secret for the socket "
                             "transport (or $REPRO_DIST_AUTHKEY)")
     p_exp.add_argument("--flight", default=None, metavar="PATH",
-                       help="with --nodes: stream a flight recording of the "
-                            "campaign here (live-tailable with "
+                       help="stream a flight recording of the campaign here "
+                            "(local or --nodes; live-tailable with "
                             '"repro dist top PATH --follow"; persisted '
                             "atomically on exit, crash, or SIGTERM)")
 
@@ -564,6 +562,10 @@ def _cmd_experiments(args):
 
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
+    if not args.nodes and (args.lease_s is not None or args.authkey is not None):
+        print("error: --lease-s and --authkey apply only with --nodes",
+              file=sys.stderr)
+        return 2
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     if args.batch is not None:
@@ -588,58 +590,36 @@ def _cmd_experiments(args):
             memory=args.profile_memory,
             argv=sys.argv[1:],
         )
-    supervised = (
-        args.checkpoint_dir is not None or args.max_retries > 0
-        or args.timeout_s is not None
-    )
     with profiler:
-        if args.nodes:
-            from repro.dist.campaign import run_suite
-
-            campaign = run_suite(
-                args.nodes,
-                quick=args.quick,
-                only=only,
-                base_seed=args.seed,
-                max_retries=args.max_retries,
-                lease_s=args.lease_s,
-                task_timeout_s=args.task_timeout_s,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                authkey=_dist_authkey(args),
-                flight_path=args.flight,
-            )
-            results = campaign.results
-        elif not supervised:
-            results = run_all(quick=args.quick, only=only, workers=args.workers)
-            campaign = None
-        else:
-            campaign = run_all(
-                quick=args.quick,
-                only=only,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                max_retries=args.max_retries,
-                timeout_s=args.timeout_s,
-                base_seed=args.seed,
-                report=True,
-                workers=args.workers,
-            )
-            results = campaign.results
-    if only is None and (campaign is None or campaign.ok):
+        campaign = run_all(
+            quick=args.quick,
+            only=only,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            max_retries=args.max_retries,
+            timeout_s=args.timeout_s,
+            base_seed=args.seed,
+            report=True,
+            workers=args.workers,
+            nodes=args.nodes,
+            lease_s=args.lease_s,
+            authkey=_dist_authkey(args),
+            flight_path=args.flight,
+        )
+    results = campaign.results
+    if only is None and campaign.ok:
         # The full-suite comparison table needs every experiment's result.
         for line in summary_lines(results):
             print(line)
     else:
         for eid in sorted(results):
             print(f"completed: {eid}")
-    if campaign is not None:
-        for line in campaign.summary_lines():
-            print(line)
+    for line in campaign.summary_lines():
+        print(line)
     if args.profile is not None:
         _LOGGER.info("wrote run report to %s", args.run_report,
                      extra={"out": args.run_report})
-    return 0 if campaign is None or campaign.ok else 1
+    return 0 if campaign.ok else 1
 
 
 def _demo_net_spec(args):

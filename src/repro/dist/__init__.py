@@ -17,13 +17,15 @@ Layers (each importable on its own):
   (:mod:`multiprocessing.connection`) and the in-memory simulated
   fabric with injectable latency/partitions/death;
 - :mod:`repro.dist.worker` -- the worker loop and ``repro dist serve``;
-- :mod:`repro.dist.coordinator` -- leases, reassignment, retry,
-  fallback; :func:`run_distributed`;
+- :mod:`repro.dist.coordinator` -- leases, heartbeats and
+  reassignment around the :mod:`repro.resilience.runner` attempt
+  policy, report and executor; :func:`run_distributed`;
 - :mod:`repro.dist.simcluster` -- N simulated nodes + seeded
   :class:`FaultScript` chaos, the harness behind the chaos wall and
   the scheduler benchmarks;
 - :mod:`repro.dist.campaign` -- experiment-suite and fGn task lists,
-  ``"sim:3"`` / ``"host:port,..."`` node specs, :func:`run_suite`;
+  ``"sim:3"`` / ``"host:port,..."`` node specs (the suite itself runs
+  through ``repro.experiments.runner.run_all(nodes=...)``);
 - :mod:`repro.dist.top` -- ``repro dist top``, the live console over
   the campaign's streamed flight recording.
 
@@ -36,9 +38,8 @@ from repro.dist.campaign import (
     fgn_tasks,
     open_endpoints,
     parse_nodes,
-    run_suite,
 )
-from repro.dist.coordinator import DistError, DistReport, TaskFailure, TaskRecord, run_distributed
+from repro.dist.coordinator import DistError, run_distributed
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     ArtifactMiss,
@@ -58,12 +59,9 @@ __all__ = [
     "ArtifactMiss",
     "ChannelClosed",
     "DistError",
-    "DistReport",
     "FaultEvent",
     "FaultScript",
     "SimCluster",
-    "TaskFailure",
-    "TaskRecord",
     "TaskSpec",
     "TopView",
     "WorkerLoop",
@@ -79,7 +77,6 @@ __all__ = [
     "register_task_kind",
     "resolve_payload",
     "run_distributed",
-    "run_suite",
     "run_top",
     "serve",
 ]

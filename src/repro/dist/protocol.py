@@ -55,8 +55,9 @@ __all__ = [
     "task_kinds",
 ]
 
-PROTOCOL_VERSION = 1
-"""Carried in the hello handshake; mismatched peers refuse to pair."""
+PROTOCOL_VERSION = 2
+"""Carried in the hello handshake; mismatched peers refuse to pair.
+Version 2: assignments carry the ``timeout_s`` the worker enforces."""
 
 
 class ArtifactMiss(RuntimeError):
@@ -322,9 +323,21 @@ def make_hello(node, pid):
             "pid": int(pid)}
 
 
-def make_task_message(task, seed, attempt, lease_s):
+def make_task_message(task, seed, attempt, lease_s, timeout_s=None):
+    """An assignment; ``timeout_s`` is the attempt's soft timeout (or ``None``)."""
     return {"type": "task", "task": task.to_wire(), "seed": int(seed),
-            "attempt": int(attempt), "lease_s": float(lease_s)}
+            "attempt": int(attempt), "lease_s": float(lease_s),
+            "timeout_s": None if timeout_s is None else float(timeout_s)}
+
+
+def _piggyback(doc, spans=None, seq=None, metrics=None):
+    """Attach a worker's span subtree and cumulative metric scrape."""
+    if spans:
+        doc["spans"] = list(spans)
+    if metrics:
+        doc["seq"] = int(seq if seq is not None else 0)
+        doc["metrics"] = metrics
+    return doc
 
 
 def make_heartbeat(node, task_id, attempt, seq=None, metrics=None):
@@ -336,49 +349,28 @@ def make_heartbeat(node, task_id, attempt, seq=None, metrics=None):
     at most once, so duplicated or reordered heartbeats behind a healed
     partition never double-count.
     """
-    doc = {"type": "heartbeat", "node": str(node), "task_id": str(task_id),
-           "attempt": int(attempt)}
-    if metrics:
-        doc["seq"] = int(seq if seq is not None else 0)
-        doc["metrics"] = metrics
-    return doc
+    return _piggyback({"type": "heartbeat", "node": str(node),
+                       "task_id": str(task_id), "attempt": int(attempt)},
+                      seq=seq, metrics=metrics)
 
 
 def make_result(node, task_id, attempt, payload, wall_time, spans=None,
                 seq=None, metrics=None):
     """A completed attempt; may carry the worker's span subtree and a
     final cumulative metric scrape alongside the payload."""
-    doc = {"type": "result", "node": str(node), "task_id": str(task_id),
-           "attempt": int(attempt), "ok": True, "payload": payload,
-           "wall_time": float(wall_time)}
-    if spans:
-        doc["spans"] = list(spans)
-    if metrics:
-        doc["seq"] = int(seq if seq is not None else 0)
-        doc["metrics"] = metrics
-    return doc
+    return _piggyback({"type": "result", "node": str(node),
+                       "task_id": str(task_id), "attempt": int(attempt),
+                       "ok": True, "payload": payload,
+                       "wall_time": float(wall_time)}, spans, seq, metrics)
 
 
-def make_error(node, task_id, attempt, exc, wall_time, transient, spans=None,
-               seq=None, metrics=None):
-    import traceback as traceback_module
+def make_error(node, task_id, attempt, exc, wall_time, spans=None, seq=None,
+               metrics=None):
+    """A failed attempt; the error is classified by the local supervisor's
+    :func:`~repro.resilience.runner.error_doc`."""
+    from repro.resilience.runner import error_doc
 
-    doc = {
-        "type": "result", "node": str(node), "task_id": str(task_id),
-        "attempt": int(attempt), "ok": False,
-        "error": {
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": "".join(
-                traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-            "transient": bool(transient),
-        },
-        "wall_time": float(wall_time),
-    }
-    if spans:
-        doc["spans"] = list(spans)
-    if metrics:
-        doc["seq"] = int(seq if seq is not None else 0)
-        doc["metrics"] = metrics
-    return doc
+    return _piggyback({"type": "result", "node": str(node),
+                       "task_id": str(task_id), "attempt": int(attempt),
+                       "ok": False, "error": error_doc(exc),
+                       "wall_time": float(wall_time)}, spans, seq, metrics)

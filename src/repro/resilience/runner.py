@@ -12,7 +12,9 @@ in experiment 15 of 21 used to discard hours of completed work.
   ``TimeoutError``, :class:`~repro.resilience.faults.TransientFault`
   and other ``RuntimeError``/``OSError``) are retried up to
   ``max_retries`` times on a rotated seed with capped exponential
-  backoff; deterministic defects (``ValueError`` etc.) fail once;
+  backoff; deterministic defects (``ValueError`` etc.) fail once.
+  :func:`attempt_failed` is that policy, and the distributed
+  coordinator (:mod:`repro.dist.coordinator`) calls it too;
 - **soft timeouts**: each attempt runs on a worker thread and is
   abandoned (recorded as a ``TimeoutError`` failure) after
   ``timeout_s`` -- soft because Python cannot safely kill a thread, so
@@ -35,6 +37,7 @@ identical streams.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -52,6 +55,8 @@ from repro.qa.golden import digests_match, summarize
 from repro.resilience.faults import TransientFault, active_plan, reach
 
 __all__ = [
+    "BACKOFF_BASE_S",
+    "BACKOFF_CAP_S",
     "CHECKPOINT_VERSION",
     "TRANSIENT_TYPES",
     "CampaignReport",
@@ -59,7 +64,12 @@ __all__ = [
     "ExperimentFailure",
     "ExperimentRecord",
     "ExperimentSpec",
+    "attempt_failed",
+    "call_with_timeout",
+    "campaign_flight",
+    "error_doc",
     "leaked_threads",
+    "open_store",
     "run_campaign",
 ]
 
@@ -84,6 +94,10 @@ TRANSIENT_TYPES = (MemoryError, TimeoutError, OSError, TransientFault, RuntimeEr
 """Exception types retried by default: resource pressure, timeouts and
 runtime flakes.  ``ValueError``/``TypeError`` (bad configuration or a
 genuine defect) fail an experiment on the first attempt."""
+
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 5.0
+"""Retry backoff: ``min(BACKOFF_BASE_S * 2**attempt, BACKOFF_CAP_S)`` seconds."""
 
 _LEAKED_LOCK = threading.Lock()
 _LEAKED_THREADS = set()
@@ -151,9 +165,11 @@ class ExperimentSpec:
 class ExperimentFailure:
     """Structured record of one failed attempt.
 
-    ``leaked_thread`` is set on soft-timeout failures: the name of the
-    abandoned worker thread that was still executing the attempt when
-    the supervisor gave up on it (see :func:`leaked_threads`).
+    ``node`` names where the attempt ran (``"local"`` in-process, else
+    the worker node).  ``leaked_thread`` is set on soft-timeout
+    failures: the name of the abandoned thread that was still executing
+    the attempt when the supervisor gave up on it (see
+    :func:`leaked_threads`).
     """
 
     experiment_id: str
@@ -165,25 +181,33 @@ class ExperimentFailure:
     wall_time: float
     transient: bool
     leaked_thread: str | None = None
+    node: str = "local"
 
     def describe(self):
         kind = "transient" if self.transient else "terminal"
+        where = "" if self.node == "local" else f" on {self.node}"
         leak = f", leaked thread {self.leaked_thread}" if self.leaked_thread else ""
         return (
-            f"{self.experiment_id} attempt {self.attempt + 1}: "
+            f"{self.experiment_id} attempt {self.attempt + 1}{where}: "
             f"{self.error_type}: {self.message} ({kind}, {self.wall_time:.2f}s{leak})"
         )
 
 
 @dataclasses.dataclass
 class ExperimentRecord:
-    """Outcome of one experiment across all its attempts."""
+    """Outcome of one experiment across all its attempts.
+
+    ``reassignments`` counts the times a lost worker node's attempt was
+    handed to another node (always 0 in-process).
+    """
 
     experiment_id: str
     status: str  # "completed" | "resumed" | "failed"
     attempts: int
     wall_time: float
     seed: int | None = None
+    node: str = "local"
+    reassignments: int = 0
 
 
 @dataclasses.dataclass
@@ -194,14 +218,21 @@ class CampaignReport:
     restored from checkpoint); ``failures`` the terminal failures;
     ``attempt_failures`` every failed attempt including those later
     retried to success -- under an injected fault plan this lists
-    exactly the injected faults.
+    exactly the injected faults.  A distributed campaign also fills
+    ``node_states`` (``{node: "alive" | "dead"}``), ``duplicates``
+    (late results for already-finished tasks) and
+    ``degraded_to_local`` (every node was lost and the rest ran
+    in-process).
     """
 
-    results: dict
-    records: list
-    failures: list
-    attempt_failures: list
-    resumed: list
+    results: dict = dataclasses.field(default_factory=dict)
+    records: list = dataclasses.field(default_factory=list)
+    failures: list = dataclasses.field(default_factory=list)
+    attempt_failures: list = dataclasses.field(default_factory=list)
+    resumed: list = dataclasses.field(default_factory=list)
+    node_states: dict = dataclasses.field(default_factory=dict)
+    duplicates: int = 0
+    degraded_to_local: bool = False
 
     @property
     def ok(self):
@@ -215,6 +246,13 @@ class CampaignReport:
             f"{len(self.attempt_failures)} failed attempt(s), "
             f"{len(self.failures)} terminal failure(s))"
         ]
+        dead = sorted(n for n, s in self.node_states.items() if s == "dead")
+        if dead:
+            reassigned = sum(r.reassignments for r in self.records)
+            lines.append(f"  nodes lost: {', '.join(dead)} "
+                         f"({reassigned} reassignment(s))")
+        if self.degraded_to_local:
+            lines.append("  degraded to local serial execution after losing all nodes")
         for failure in self.attempt_failures:
             lines.append(f"  attempt failed: {failure.describe()}")
         for record in self.records:
@@ -348,7 +386,7 @@ class CheckpointStore:
         return sorted(p.stem for p in self.root.glob("*.json") if p.stem != "campaign")
 
 
-def _call_with_timeout(spec, seed, timeout_s):
+def call_with_timeout(spec, seed, timeout_s):
     """Run one attempt, optionally under a soft timeout.
 
     Contract -- the timeout is *soft*, and callers must know what that
@@ -407,47 +445,160 @@ def _call_with_timeout(spec, seed, timeout_s):
     return box["result"]
 
 
+def error_doc(exc):
+    """The JSON-able description of the exception a failed attempt raised.
+
+    Transience is classified here, with :data:`TRANSIENT_TYPES`, so a
+    worker node that ships this dict over the wire reaches the same
+    verdict the local supervisor does.
+    """
+    return {
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": "".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+        "transient": isinstance(exc, TRANSIENT_TYPES),
+        "leaked_thread": getattr(exc, "leaked_thread", None),
+    }
+
+
+def attempt_failed(experiment_id, node, attempt, seed, error, wall_time, *,
+                   max_retries, notify):
+    """The one retry policy: settle a failed attempt, wherever it ran.
+
+    ``error`` is the raised exception or a worker's :func:`error_doc`.
+    Builds the :class:`ExperimentFailure`, logs it, records the
+    ``task_retry``/``task_failed`` flight event and calls ``notify``.
+    Returns ``(failure, backoff_s)``: a transient failure with attempts
+    left backs off ``min(BACKOFF_BASE_S * 2**attempt, BACKOFF_CAP_S)``
+    seconds; ``backoff_s`` is ``None`` when the failure is terminal.
+    """
+    doc = error if isinstance(error, dict) else error_doc(error)
+    failure = ExperimentFailure(
+        experiment_id=experiment_id, attempt=attempt,
+        error_type=doc["error_type"], message=doc["message"],
+        traceback=doc.get("traceback", ""), seed=seed, wall_time=wall_time,
+        transient=bool(doc["transient"]),
+        leaked_thread=doc.get("leaked_thread"), node=node,
+    )
+    attempts_allowed = int(max_retries) + 1
+    extra = {"experiment": experiment_id, "node": node, "attempt": attempt + 1,
+             "error_type": failure.error_type,
+             "timeout": failure.error_type == "TimeoutError",
+             "wall_s": round(wall_time, 3)}
+    if failure.transient and attempt + 1 < attempts_allowed:
+        # Emitted the moment the attempt fails, before any backoff: a
+        # live tail of the log shows the retry as it happens.
+        _LOGGER.warning(
+            "experiment %s attempt %d/%d failed on %s (%s: %s); retrying",
+            experiment_id, attempt + 1, attempts_allowed, node,
+            failure.error_type, failure.message, extra=extra,
+        )
+        obs_flight.recorder().record(
+            "task_retry", task_id=experiment_id, node=node,
+            attempt=attempt + 1, error_type=failure.error_type,
+        )
+        notify("retry", experiment_id, failure.describe())
+        return failure, min(BACKOFF_BASE_S * 2.0 ** attempt, BACKOFF_CAP_S)
+    _LOGGER.error(
+        "experiment %s failed terminally on %s, attempt %d/%d (%s: %s)",
+        experiment_id, node, attempt + 1, attempts_allowed,
+        failure.error_type, failure.message, extra=extra,
+    )
+    obs_flight.recorder().record(
+        "task_failed", task_id=experiment_id, node=node, attempt=attempt,
+        seed=seed, error_type=failure.error_type,
+    )
+    notify("failed", experiment_id, failure.describe())
+    return failure, None
+
+
+@contextlib.contextmanager
+def campaign_flight(flight_path, **start):
+    """One campaign's flight recording, persisted on every way out.
+
+    With ``flight_path`` an always-on recorder streams there and is
+    armed to persist on a crash or SIGTERM; without it events land in
+    the gated default recorder.  Records ``campaign_start`` (with the
+    ``start`` fields) and, if the block raises, ``campaign_aborted``.
+    """
+    if flight_path is not None:
+        flight = obs_flight.configure(path=flight_path).arm()
+    else:
+        flight = obs_flight.recorder()
+    flight.record("campaign_start", **start)
+    try:
+        yield flight
+    except BaseException:
+        flight.record("campaign_aborted", tasks=start.get("tasks"))
+        raise
+    finally:
+        # persist() is a no-op without a path.
+        flight.persist()
+        if flight_path is not None:
+            flight.disarm()
+
+
 @dataclasses.dataclass
 class _SpecOutcome:
-    """Everything one spec's execution produced, merged in spec order."""
+    """Everything one experiment produced, merged in spec order.
+
+    ``record`` stays ``None`` until the experiment is resumed, completed
+    or failed terminally; a failed one's last attempt failure is the
+    terminal one.
+    """
 
     experiment_id: str
-    record: ExperimentRecord
+    record: ExperimentRecord | None = None
     result: object = None
-    has_result: bool = False
-    resumed: bool = False
     attempt_failures: list = dataclasses.field(default_factory=list)
-    terminal_failure: object = None
     terminal_exc: object = None
 
 
+def _resumed(store, eid):
+    """A digest-verified checkpoint of ``eid`` as an outcome, else ``None``."""
+    loaded = store.load(eid)
+    if loaded is None:
+        return None
+    result, meta = loaded
+    return _SpecOutcome(eid, ExperimentRecord(
+        eid, "resumed", int(meta.get("attempts", 1)),
+        float(meta.get("wall_time", 0.0)), meta.get("seed"),
+    ), result)
+
+
+def _merge(report, outcome):
+    """Fold one finished outcome into ``report``; callers go in spec order."""
+    eid, status = outcome.experiment_id, outcome.record.status
+    if status == "failed":
+        report.failures.append(outcome.attempt_failures[-1])
+    else:
+        report.results[eid] = outcome.result
+    if status == "resumed":
+        report.resumed.append(eid)
+    report.attempt_failures.extend(outcome.attempt_failures)
+    report.records.append(outcome.record)
+
+
 def _run_spec(spec, *, store, resume, base_seed, max_retries, timeout_s,
-              transient_types, backoff_base, backoff_cap, sleep, notify):
+              sleep, notify, first_attempt=0):
     """Run one experiment to completion/failure; no shared-state writes.
 
-    All campaign-report mutation happens in :func:`run_campaign` in spec
-    order, so this function can execute on a worker thread without
-    making the report depend on scheduling.
+    All campaign-report mutation happens in the caller in spec order,
+    so this function can execute on a worker thread without making the
+    report depend on scheduling.  Attempts start at ``first_attempt``
+    (the coordinator's local fallback continues a task's attempt count).
     """
     eid = spec.experiment_id
-    if store is not None and resume:
-        loaded = store.load(eid)
-        if loaded is not None:
-            result, meta = loaded
-            notify("resumed", eid)
-            return _SpecOutcome(
-                experiment_id=eid,
-                record=ExperimentRecord(
-                    eid, "resumed", int(meta.get("attempts", 1)),
-                    float(meta.get("wall_time", 0.0)), meta.get("seed"),
-                ),
-                result=result, has_result=True, resumed=True,
-            )
-    notify("start", eid)
-    outcome = _SpecOutcome(experiment_id=eid, record=None)
-    attempts_allowed = int(max_retries) + 1
+    resumed = _resumed(store, eid) if store is not None and resume else None
+    if resumed is not None:
+        notify("resumed", eid, "")
+        return resumed
+    notify("start", eid, "")
+    outcome = _SpecOutcome(eid)
     total_wall = 0.0
-    for attempt in range(attempts_allowed):
+    for attempt in range(first_attempt, int(max_retries) + 1):
         # Retries rotate the seed by construction, so a statistical
         # fluke (or an injected fault keyed to one stream) does not repeat.
         seed = derive_task_seed(base_seed, attempt, label=eid)
@@ -455,87 +606,56 @@ def _run_spec(spec, *, store, resume, base_seed, max_retries, timeout_s,
         try:
             with trace.span(f"experiment.{eid}", attempt=attempt, seed=seed):
                 reach(f"experiment:{eid}")
-                result = _call_with_timeout(spec, seed, timeout_s)
+                result = call_with_timeout(spec, seed, timeout_s)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
             wall = time.perf_counter() - start
             total_wall += wall
-            transient = isinstance(exc, transient_types)
-            failure = ExperimentFailure(
-                experiment_id=eid,
-                attempt=attempt,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback="".join(
-                    traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-                seed=seed,
-                wall_time=wall,
-                transient=transient,
-                leaked_thread=getattr(exc, "leaked_thread", None),
+            failure, backoff = attempt_failed(
+                eid, "local", attempt, seed, exc, wall,
+                max_retries=max_retries, notify=notify,
             )
             outcome.attempt_failures.append(failure)
-            if transient and attempt + 1 < attempts_allowed:
-                # Emitted the moment the attempt fails, not at campaign
-                # end: a live tail of the log shows the retry as it
-                # happens, with the experiment and attempt attached.
-                _LOGGER.warning(
-                    "experiment %s attempt %d/%d failed (%s: %s); retrying",
-                    eid, attempt + 1, attempts_allowed,
-                    failure.error_type, failure.message,
-                    extra={"experiment": eid, "attempt": attempt + 1,
-                           "error_type": failure.error_type,
-                           "timeout": isinstance(exc, TimeoutError),
-                           "wall_s": round(wall, 3)},
-                )
-                obs_flight.recorder().record(
-                    "task_retry", task_id=eid, node="local",
-                    attempt=attempt + 1, error_type=failure.error_type,
-                )
-                notify("retry", eid, failure.describe())
-                sleep(min(backoff_base * 2.0 ** attempt, backoff_cap))
+            if backoff is not None:
+                sleep(backoff)
                 continue
-            outcome.terminal_failure = failure
             outcome.terminal_exc = exc
             outcome.record = ExperimentRecord(eid, "failed", attempt + 1, total_wall, seed)
-            _LOGGER.error(
-                "experiment %s failed terminally on attempt %d/%d (%s: %s)",
-                eid, attempt + 1, attempts_allowed,
-                failure.error_type, failure.message,
-                extra={"experiment": eid, "attempt": attempt + 1,
-                       "error_type": failure.error_type,
-                       "timeout": isinstance(exc, TimeoutError),
-                       "wall_s": round(wall, 3)},
-            )
-            obs_flight.recorder().record(
-                "task_failed", task_id=eid, node="local", attempt=attempt,
-                seed=seed, error_type=failure.error_type,
-            )
-            notify("failed", eid, failure.describe())
             break
-        else:
-            wall = time.perf_counter() - start
-            total_wall += wall
-            outcome.result = result
-            outcome.has_result = True
-            outcome.record = ExperimentRecord(eid, "completed", attempt + 1, total_wall, seed)
-            if store is not None:
-                store.save(eid, result, seed, attempt + 1, total_wall)
-            obs_flight.recorder().record(
-                "task_completed", task_id=eid, node="local", attempt=attempt,
-                seed=seed,
-            )
-            notify("completed", eid)
-            break
+        total_wall += time.perf_counter() - start
+        outcome.result = result
+        outcome.record = ExperimentRecord(eid, "completed", attempt + 1, total_wall, seed)
+        if store is not None:
+            store.save(eid, result, seed, attempt + 1, total_wall)
+        obs_flight.recorder().record(
+            "task_completed", task_id=eid, node="local", attempt=attempt,
+            seed=seed,
+        )
+        notify("completed", eid, "")
+        break
     return outcome
+
+
+def open_store(checkpoint_dir, resume, manifest):
+    """The campaign's :class:`CheckpointStore` (``None`` without a directory).
+
+    Resuming against a directory whose manifest differs raises
+    ``ValueError``; the manifest is then (re)written.
+    """
+    if checkpoint_dir is None:
+        return None
+    store = CheckpointStore(checkpoint_dir)
+    if resume:
+        store.check_manifest(manifest)
+    store.write_manifest(manifest)
+    return store
 
 
 def run_campaign(specs, *, base_seed=0, max_retries=0, timeout_s=None,
                  checkpoint_dir=None, resume=True, manifest=None,
-                 transient_types=TRANSIENT_TYPES, backoff_base=0.05,
-                 backoff_cap=5.0, sleep=time.sleep, fail_fast=False,
-                 on_event=None, workers=1):
+                 sleep=time.sleep, fail_fast=False, on_event=None, workers=1,
+                 flight_path=None):
     """Drive ``specs`` (ordered :class:`ExperimentSpec`) to a report.
 
     Parameters
@@ -544,11 +664,11 @@ def run_campaign(specs, *, base_seed=0, max_retries=0, timeout_s=None,
         Campaign seed; each attempt's seed is derived from it together
         with the experiment id and attempt number.
     max_retries:
-        Extra attempts granted to *transient* failures (see
-        ``transient_types``); non-transient exceptions fail terminally
-        on the first attempt.
+        Extra attempts granted to failures of a :data:`TRANSIENT_TYPES`
+        type; other exceptions fail terminally on the first attempt.
     timeout_s:
-        Per-attempt soft timeout in seconds (``None`` disables).
+        Per-attempt soft timeout in seconds (``None`` disables); a
+        timed-out attempt is a transient ``TimeoutError``.
     checkpoint_dir:
         Directory for :class:`CheckpointStore` persistence; ``None``
         disables checkpointing.
@@ -558,13 +678,12 @@ def run_campaign(specs, *, base_seed=0, max_retries=0, timeout_s=None,
     manifest:
         JSON-able campaign fingerprint; resuming against a directory
         whose manifest differs raises ``ValueError``.
-    backoff_base, backoff_cap, sleep:
-        Exponential backoff between retries:
-        ``min(backoff_base * 2**attempt, backoff_cap)`` seconds, via
-        ``sleep`` (injectable so tests run instantly).
+    sleep:
+        Called with each retry's backoff (see :func:`attempt_failed`);
+        injectable so tests run instantly.
     fail_fast:
         Re-raise the first terminal failure immediately instead of
-        recording it and continuing (the legacy ``run_all`` contract).
+        recording it and continuing.
     on_event:
         Optional ``fn(kind, experiment_id, detail)`` progress callback
         (kinds: ``start``, ``resumed``, ``completed``, ``retry``,
@@ -581,6 +700,9 @@ def run_campaign(specs, *, base_seed=0, max_retries=0, timeout_s=None,
         have run; an active :class:`~repro.resilience.faults.FaultPlan`
         forces serial execution so k-th-call fault sites keep their
         meaning.
+    flight_path:
+        Stream an always-on flight recording of the campaign to this
+        path (see :func:`campaign_flight`).
     """
     specs = [
         spec if isinstance(spec, ExperimentSpec) else ExperimentSpec(*spec)
@@ -591,63 +713,45 @@ def run_campaign(specs, *, base_seed=0, max_retries=0, timeout_s=None,
         if spec.experiment_id in seen:
             raise ValueError(f"duplicate experiment id {spec.experiment_id!r}")
         seen.add(spec.experiment_id)
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        if resume:
-            store.check_manifest(manifest)
-        store.write_manifest(manifest)
+    store = open_store(checkpoint_dir, resume, manifest)
 
-    def _notify(kind, experiment_id, detail=""):
+    def _notify(kind, experiment_id, detail):
         if on_event is not None:
             on_event(kind, experiment_id, detail)
 
-    report = CampaignReport(results={}, records=[], failures=[],
-                            attempt_failures=[], resumed=[])
+    report = CampaignReport()
 
-    def _merge(outcome):
-        if outcome.has_result:
-            report.results[outcome.experiment_id] = outcome.result
-        if outcome.resumed:
-            report.resumed.append(outcome.experiment_id)
-        report.attempt_failures.extend(outcome.attempt_failures)
-        if outcome.terminal_failure is not None:
-            report.failures.append(outcome.terminal_failure)
-        report.records.append(outcome.record)
+    def _run(spec):
+        return _run_spec(
+            spec, store=store, resume=resume, base_seed=base_seed,
+            max_retries=max_retries, timeout_s=timeout_s, sleep=sleep,
+            notify=_notify,
+        )
 
-    run_kwargs = dict(
-        store=store, resume=resume, base_seed=base_seed,
-        max_retries=max_retries, timeout_s=timeout_s,
-        transient_types=transient_types, backoff_base=backoff_base,
-        backoff_cap=backoff_cap, sleep=sleep, notify=_notify,
-    )
     workers = int(workers) if workers is not None else 1
     if workers > 1 and active_plan() is not None:
         _LOGGER.info("fault plan active; campaign running serially")
         workers = 1
-    if workers <= 1:
-        for spec in specs:
-            outcome = _run_spec(spec, **run_kwargs)
-            _merge(outcome)
+    with campaign_flight(flight_path, tasks=len(specs), workers=workers,
+                         base_seed=base_seed) as flight, \
+            contextlib.ExitStack() as stack:
+        if workers <= 1:
+            outcomes = map(_run, specs)  # lazy: fail_fast stops the campaign
+        else:
+            # Threaded campaign: every experiment's seeds derive from its
+            # id, so results are scheduling-independent; the report is
+            # merged in spec order, making it (and the checkpoint
+            # digests) identical to the serial report.
+            from concurrent.futures import ThreadPoolExecutor
+
+            outcomes = stack.enter_context(ThreadPoolExecutor(
+                max_workers=min(workers, len(specs) or 1),
+                thread_name_prefix="campaign",
+            )).map(_run, specs)
+        for outcome in outcomes:
+            _merge(report, outcome)
             if fail_fast and outcome.terminal_exc is not None:
                 raise outcome.terminal_exc
-        return report
-
-    # Threaded campaign: every experiment's seeds derive from its id, so
-    # results are scheduling-independent; the report is merged in spec
-    # order, making it (and the checkpoint digests) identical to the
-    # serial report.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(
-        max_workers=min(workers, len(specs) or 1),
-        thread_name_prefix="campaign",
-    ) as executor:
-        outcomes = list(executor.map(lambda s: _run_spec(s, **run_kwargs), specs))
-    for outcome in outcomes:
-        _merge(outcome)
-    if fail_fast:
-        for outcome in outcomes:
-            if outcome.terminal_exc is not None:
-                raise outcome.terminal_exc
+        flight.record("campaign_finished", completed=len(report.results),
+                      tasks=len(specs), failures=len(report.failures))
     return report

@@ -483,6 +483,45 @@ class TestExperimentsResilienceFlags:
         assert args.checkpoint_dir is None
         assert args.resume is False
         assert args.max_retries == 0
+        assert args.lease_s is None
+
+
+class TestExperimentsTransportFlags:
+    """Every supervisor flag takes effect on both transports; the
+    node-only flags are refused without ``--nodes``."""
+
+    @pytest.mark.parametrize("flag", [["--lease-s", "5"], ["--authkey", "s3cret"]])
+    def test_node_flags_without_nodes_exit_2(self, flag, capsys):
+        assert main(["experiments", "--quick", *flag]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --lease-s and --authkey apply only with --nodes"]
+
+    def test_timeout_applies_on_nodes(self, tmp_path, capsys):
+        # fig15 takes ~0.5 s, far beyond a 10 ms timeout: the worker
+        # abandons the attempt and reports a TimeoutError instead of
+        # silently running it to completion.
+        code = main(["experiments", "--quick", "--nodes", "sim:1", "--profile",
+                     "fig15", "--run-report", str(tmp_path / "run.json"),
+                     "--timeout-s", "0.01", "--quiet"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAILED: fig15" in out and "TimeoutError" in out
+
+    def test_flight_applies_to_local_workers(self, tmp_path, capsys):
+        from repro.dist.top import TopView, read_events
+        from repro.obs import flight as obs_flight
+
+        flight = tmp_path / "flight.jsonl"
+        try:
+            code = main(["experiments", "--quick", "--workers", "2", "--profile",
+                         "fig11", "--run-report", str(tmp_path / "run.json"),
+                         "--flight", str(flight), "--quiet"])
+        finally:
+            obs_flight.configure()  # restore the gated default recorder
+        assert code == 0
+        view = TopView().feed_all(read_events(flight))
+        assert view.finished == "campaign_finished"
+        assert view.completed == 1 and view.nodes["local"].completed == 1
 
 
 class TestNetCommand:

@@ -122,7 +122,7 @@ class TestChaosWall:
         with SimCluster(n_nodes, script=script) as cluster:
             report = run_distributed(
                 _tasks(), cluster.endpoints(), base_seed=BASE_SEED,
-                lease_s=0.3, task_timeout_s=3.0, checkpoint_dir=ckpt,
+                lease_s=0.3, timeout_s=2.7, checkpoint_dir=ckpt,
             )
         assert script.fired, (
             f"fault script {script.events} never fired (seed {fault_seed})"
@@ -177,7 +177,7 @@ class TestKillResumeMigration:
         with SimCluster(3, script=script) as cluster:
             report = run_distributed(
                 _tasks(), cluster.endpoints(),
-                base_seed=BASE_SEED, lease_s=0.3, task_timeout_s=3.0,
+                base_seed=BASE_SEED, lease_s=0.3, timeout_s=2.7,
                 checkpoint_dir=ckpt,
             )
         assert {e.kind for e in script.fired} == {"partition", "kill"}, fault_seed
@@ -215,7 +215,7 @@ class TestFlightDeterminism:
                 with SimCluster(n_nodes, script=script) as cluster:
                     report = run_distributed(
                         _tasks(), cluster.endpoints(), base_seed=BASE_SEED,
-                        lease_s=0.3, task_timeout_s=3.0,
+                        lease_s=0.3, timeout_s=2.7,
                         flight_path=str(flight_path),
                     )
                 assert report.ok, report.failures

@@ -90,8 +90,8 @@ class TestKillAndResume:
     def test_resume_refuses_drifted_configuration(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         plan = FaultPlan().fail_at("experiment:table3", call=1, exc=ValueError)
-        report = run_all(quick=True, checkpoint_dir=str(ckpt), report=True,
-                         fault_plan=plan)
+        with plan.active():
+            report = run_all(quick=True, checkpoint_dir=str(ckpt), report=True)
         assert not report.ok  # table3 failed terminally, rest completed
         with pytest.raises(ValueError, match="different campaign"):
             run_all(quick=True, sim_frames=5_000, checkpoint_dir=str(ckpt),
@@ -106,8 +106,9 @@ class TestInjectedTransients:
         plan = FaultPlan(seed=11)
         for eid in targets:
             plan.fail_at(f"experiment:{eid}", call=1, exc=TransientFault)
-        report = run_all(quick=True, fault_plan=plan, max_retries=2,
-                         report=True, sleep=lambda s: None)
+        with plan.active():
+            report = run_all(quick=True, max_retries=2, report=True,
+                             sleep=lambda s: None)
         assert report.ok
         assert len(report.results) == 25
         # The failure report lists exactly the injected faults.

@@ -95,7 +95,7 @@ class TestSupervisor:
         slept = []
         report = run_campaign(
             [ExperimentSpec("flaky", flaky)],
-            max_retries=2, backoff_base=0.05, sleep=slept.append,
+            max_retries=2, sleep=slept.append,
         )
         assert report.ok
         assert report.results["flaky"] == "done"
