@@ -297,20 +297,35 @@ def pool_map(fn, items, *, workers=1, base_seed=None, common=None,
     return results
 
 
+STALL_S = 10.0
+"""Seconds a pool with a dead worker may go without returning a result
+before it is abandoned and its unfinished tasks rerun serially."""
+
+
 def _run_batch(fn, items, seeds, batch, spec, workers, results):
-    """Run one executor over ``batch``; returns indexes left unfinished."""
+    """Run one executor over ``batch``; returns indexes left unfinished.
+
+    A worker SIGKILLed mid-protocol (holding a queue lock, or halfway
+    through writing a result) can leave the executor waiting forever
+    instead of raising ``BrokenProcessPool``.  So every result wait is
+    bounded by :data:`STALL_S`; a wait that times out while a worker is
+    dead abandons the pool, and a pool that lost a worker is never
+    joined, only killed.
+    """
+    import concurrent.futures
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context("fork")
     unfinished = []
-    with ProcessPoolExecutor(
+    executor = ProcessPoolExecutor(
         max_workers=min(workers, len(batch)),
         mp_context=context,
         initializer=_child_init,
         initargs=(spec,),
-    ) as executor:
+    )
+    try:
         futures = {}
         for position, index in enumerate(batch):
             payload = (index, fn, items[index], seeds[index])
@@ -320,17 +335,62 @@ def _run_batch(fn, items, seeds, batch, spec, workers, results):
                 unfinished.extend(batch[position:])
                 break
             futures[future] = (index, time.perf_counter())
-        for future, (index, submitted) in futures.items():
+        waiting = list(futures.items())
+        for position, (future, (index, submitted)) in enumerate(waiting):
             try:
-                got_index, value, dump = future.result()
+                got_index, value, dump = _await_result(future, executor)
             except BrokenProcessPool:
                 unfinished.append(index)
                 continue
+            except concurrent.futures.TimeoutError:
+                _LOGGER.warning(
+                    "process pool stalled %.0f s after a worker died; abandoning it",
+                    STALL_S, extra={"remaining": len(waiting) - position},
+                )
+                unfinished.extend(i for _, (i, _) in waiting[position:])
+                break
             _WAIT.observe(time.perf_counter() - submitted)
             metrics.merge_dump(dump)
             _TASKS["parallel"].inc()
             results[got_index] = value
+    finally:
+        if unfinished:
+            _abandon(executor)
+        else:
+            executor.shutdown(wait=True)
     return sorted(unfinished)
+
+
+def _workers_of(executor):
+    # ProcessPoolExecutor keeps its worker processes in a private dict;
+    # nothing public says whether one died or lets the parent kill it.
+    return list((executor._processes or {}).values())
+
+
+def _await_result(future, executor):
+    """``future.result()``, raising ``TimeoutError`` once the pool is wedged.
+
+    A healthy pool is waited on indefinitely, however slow its tasks.
+    """
+    import concurrent.futures
+
+    while True:
+        try:
+            return future.result(timeout=STALL_S)
+        except concurrent.futures.TimeoutError:
+            if all(process.exitcode is None for process in _workers_of(executor)):
+                continue
+            raise
+
+
+def _abandon(executor):
+    """Stop a pool that lost a worker without joining it: kill what is left."""
+    processes = _workers_of(executor)
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.kill()
+    for process in processes:
+        process.join(timeout=STALL_S)
 
 
 class _Missing:

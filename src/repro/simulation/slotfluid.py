@@ -17,17 +17,33 @@ Keeping the loop here means the paths cannot drift.
 
 :func:`slot_step` is the scalar one-slot update (the network simulator
 advances hop state one event at a time and needs the served volume for
-forwarding); :func:`fold_slots` is the tight batch loop over a list of
-arrivals used by the batch and streaming simulators.  A property test
-pins ``fold_slots`` to repeated ``slot_step`` applications.
+forwarding); :func:`fold_slots` is the batch loop over a list of
+arrivals, in Python: the oracle the compiled fold is tested against and
+its fallback.  A property test pins ``fold_slots`` to repeated
+``slot_step`` applications.
 
-:func:`run_slots` is the array-shaped entry point: it converts an
-``ndarray`` with ``tolist()`` and folds it with :func:`fold_slots`.
+:func:`run_slots` is the array-shaped entry point.  It folds through
+``slotfluid.c``, the same loop in C, which gcc builds on the first call
+(``-O2 -ffp-contract=off``) into this package's ``__pycache__`` and
+ctypes loads; with the same IEEE double operations in the same order
+its results equal :func:`fold_slots` bit for bit.  When the build or
+load fails, one WARNING is logged and :func:`fold_slots` runs instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+import fcntl
+import hashlib
+import os
+import subprocess
+import sysconfig
+import threading
+from pathlib import Path
+
 import numpy as np
+
+from repro.obs import log as obs_log
 
 __all__ = [
     "SlotFluidState",
@@ -120,17 +136,129 @@ def fold_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
 
 def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
               loss_series=None):
-    """Fold an array of arrivals; the array-shaped entry to :func:`fold_slots`.
+    """Fold an array of arrivals; :func:`fold_slots` on the compiled loop.
 
     The one path every array-shaped caller goes through
     (:func:`repro.simulation.queue.simulate_queue`, the streaming fold,
-    the FIFO discipline's batched path, the fleet simulator): an
-    ``ndarray`` is converted with ``tolist()`` and folded by
-    :func:`fold_slots`, so the result is bit-identical to a
-    :func:`slot_step` loop for any chunk partition.
+    the FIFO discipline's batched path, the fleet simulator).
+    ``values`` is any 1-D array-like; it is folded as float64.  The
+    arguments and the returned ``(backlog, lost, peak, total)`` tuple of
+    floats are those of :func:`fold_slots`, and so are the results, bit
+    for bit, for any chunk partition.  ``loss_series`` must be a
+    writable, C-contiguous float64 array at least as long as ``values``;
+    anything else raises ``ValueError`` before a slot is folded.
     """
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return fold_slots(
-        values, capacity, buffer_bytes, state=state, loss_series=loss_series
-    )
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"arrivals must be one-dimensional, got shape {a.shape}")
+    if loss_series is not None:
+        _check_loss_series(loss_series, a.size)
+    fold = _kernel if _kernel is not None else _load_kernel()
+    if not fold:
+        return fold_slots(a.tolist(), capacity, buffer_bytes, state=state,
+                          loss_series=loss_series)
+    out = _State(*state)
+    fold(a.ctypes.data, a.size, capacity, buffer_bytes, out,
+         None if loss_series is None else loss_series.ctypes.data)
+    return tuple(out)
+
+
+def _check_loss_series(loss_series, n):
+    """Refuse a loss buffer the C loop could not write ``n`` slots into."""
+    if not isinstance(loss_series, np.ndarray) or loss_series.dtype != np.float64:
+        got = getattr(loss_series, "dtype", type(loss_series).__name__)
+        raise ValueError(f"loss_series must be a float64 ndarray, got {got}")
+    if loss_series.ndim != 1 or loss_series.size < n:
+        raise ValueError(
+            f"loss_series of shape {loss_series.shape} cannot hold {n} slots"
+        )
+    if not loss_series.flags.c_contiguous:
+        raise ValueError("loss_series must be C-contiguous")
+    if not loss_series.flags.writeable:
+        raise ValueError("loss_series is read-only")
+
+
+# ----------------------------------------------------------------------
+# The compiled fold: built on first use, loaded through ctypes
+# ----------------------------------------------------------------------
+_LOGGER = obs_log.get_logger("simulation")
+_SOURCE = Path(__file__).with_name("slotfluid.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_CC = "gcc"
+# -ffp-contract=off forbids fusing a*b+c into one rounding; no
+# -ffast-math and no -march=native, so the loop keeps IEEE semantics
+# and the build is the same on every x86-64 host.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_State = ctypes.c_double * 4  # (backlog, lost, peak, total), in and out
+
+# The loaded fold; False once loading failed, None until first use.
+_kernel = None
+_kernel_lock = threading.Lock()
+
+
+def _reset_lock_after_fork():
+    # A fork taken while another thread held the lock would leave the
+    # child's copy locked forever; the child loads for itself instead.
+    global _kernel_lock
+    _kernel_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
+def _library_path():
+    """The cached build, named by a hash of source, compiler, flags and platform."""
+    key = hashlib.sha256("\0".join([
+        _SOURCE.read_text(), _CC, " ".join(_CFLAGS), sysconfig.get_platform(),
+    ]).encode()).hexdigest()[:16]
+    return _CACHE_DIR / f"slotfluid-{key}.so"
+
+
+def _build(path):
+    """Compile ``slotfluid.c`` to ``path``; a file lock serialises processes."""
+    path.parent.mkdir(exist_ok=True)
+    with open(path.with_suffix(".lock"), "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            if path.exists():  # another process finished it while we waited
+                return
+            partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run(
+                    [_CC, *_CFLAGS, "-o", str(partial), str(_SOURCE)],
+                    check=True, capture_output=True, text=True,
+                )
+                os.replace(partial, path)
+            finally:
+                partial.unlink(missing_ok=True)
+        finally:
+            # Unlock explicitly: a child forked meanwhile shares this
+            # descriptor, and closing ours alone would keep it locked.
+            fcntl.flock(lock, fcntl.LOCK_UN)
+
+
+def _load_kernel():
+    """Build (once per cache key) and load the C fold; False if unavailable."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is not None:
+            return _kernel
+        try:
+            path = _library_path()
+            if not path.exists():
+                _build(path)
+            fold = ctypes.CDLL(str(path)).slotfluid_fold
+        except (OSError, subprocess.CalledProcessError) as exc:
+            lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
+            _LOGGER.warning(
+                "slot-fluid C kernel unavailable (%s); folding in Python",
+                lines[0] if lines else type(exc).__name__,
+            )
+            _kernel = False
+            return _kernel
+        fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
+                         ctypes.c_double, _State, ctypes.c_void_p)
+        fold.restype = None
+        _kernel = fold
+        return _kernel

@@ -448,7 +448,17 @@ class TestProfileFlags:
         assert doc["metrics"]['repro_stream_samples_total{stage="transform"}'][
             "value"] == 8192.0
 
-    def test_experiments_profile_single_experiment(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def cold_reference_trace(self):
+        """The profile must see the trace being built: clear the memo around the test."""
+        from repro.experiments.data import reference_trace
+
+        reference_trace.cache_clear()
+        yield
+        reference_trace.cache_clear()
+
+    def test_experiments_profile_single_experiment(self, tmp_path, capsys, monkeypatch,
+                                                   cold_reference_trace):
         monkeypatch.chdir(tmp_path)
         run = tmp_path / "run.json"
         code = main([

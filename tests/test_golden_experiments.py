@@ -90,6 +90,15 @@ def test_experiment_matches_golden(name, small_trace, golden):
     golden.check(name, EXPERIMENTS[name](small_trace))
 
 
+@pytest.mark.parametrize("name", ["fig14_qc", "fig17_loss_process", "fig_alloc_smg"])
+def test_python_fold_fallback_matches_golden(name, small_trace, golden, monkeypatch):
+    """With the compiled kernel gone, ``run_slots`` folds in Python: same digests."""
+    from repro.simulation import slotfluid
+
+    monkeypatch.setattr(slotfluid, "_kernel", False)
+    golden.check(name, EXPERIMENTS[name](small_trace))
+
+
 def test_every_experiment_module_has_a_digest():
     """New fig*/table* modules must register a golden digest here."""
     modules = {

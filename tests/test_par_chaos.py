@@ -9,6 +9,7 @@ byte is flipped, where the kill lands) rotates with the nightly
 ``--qa-seed``.
 """
 
+import faulthandler
 import json
 import multiprocessing
 import os
@@ -47,6 +48,18 @@ def _maybe_die(item):
 
 
 class TestWorkerDeath:
+    @pytest.fixture(autouse=True)
+    def watchdog(self):
+        """Bound each test: dump every thread and exit rather than hang.
+
+        A death the pool cannot recover from would otherwise stall the
+        run forever (pytest-timeout is not a dependency).  The bound
+        leaves room for one ``STALL_S`` wait plus the serial rerun.
+        """
+        faulthandler.dump_traceback_later(120.0, exit=True, file=sys.__stderr__)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
     def test_random_worker_deaths_keep_results_identical(self, chaos_rng):
         values = list(range(24))
         victims = set(chaos_rng.choice(len(values), size=4, replace=False).tolist())

@@ -7,8 +7,9 @@ input space with randomized configurations drawn from the rotating
 
 - random ``(H, n, batch, capacity, buffer)`` queue workloads cut at
   random chunk boundaries, where the slot-fluid fold
-  (:func:`repro.simulation.slotfluid.fold_slots`) resumed from its
-  carried state must equal one whole-series fold exactly;
+  (:func:`repro.simulation.slotfluid.run_slots`) resumed from its
+  carried state must equal one whole-series fold and the Python
+  oracle (:func:`repro.simulation.slotfluid.fold_slots`) exactly;
 - cross-backend equivalence of *batched* output, mirroring
   ``tests/test_qa_backends.py``: ACF, periodogram slope, and
   variance-time Hurst agreement between stacked Paxson and stacked
@@ -23,7 +24,7 @@ import pytest
 from repro.analysis.hurst import variance_time
 from repro.core.batch import batch_fgn
 from repro.qa import stats as qa
-from repro.simulation.slotfluid import fold_slots
+from repro.simulation.slotfluid import fold_slots, run_slots
 from tests.qa_budget import CHECK_ALPHA
 
 HURSTS = (0.6, 0.8, 0.9)
@@ -51,11 +52,12 @@ def _random_workload(rng):
 class TestQueueKernelFuzz:
     def test_random_chunk_boundaries_resume_exactly(self, seeded_rng):
         a, c, q = _random_workload(seeded_rng)
-        whole = fold_slots(a.tolist(), c, q)
+        whole = run_slots(a, c, q)
+        np.testing.assert_array_equal(whole, fold_slots(a.tolist(), c, q))
         cuts = np.sort(seeded_rng.integers(1, a.size, size=4))
         state = (0.0, 0.0, 0.0, 0.0)
         for start, end in zip(np.r_[0, cuts], np.r_[cuts, a.size]):
-            state = fold_slots(a[start:end].tolist(), c, q, state=state)
+            state = run_slots(a[start:end], c, q, state=state)
         np.testing.assert_array_equal(state, whole)
 
 
