@@ -326,7 +326,7 @@ def _run_batch(fn, items, seeds, batch, spec, workers, results):
         initargs=(spec,),
     )
     try:
-        futures = {}
+        waiting = []
         for position, index in enumerate(batch):
             payload = (index, fn, items[index], seeds[index])
             try:
@@ -334,9 +334,8 @@ def _run_batch(fn, items, seeds, batch, spec, workers, results):
             except BrokenProcessPool:
                 unfinished.extend(batch[position:])
                 break
-            futures[future] = (index, time.perf_counter())
-        waiting = list(futures.items())
-        for position, (future, (index, submitted)) in enumerate(waiting):
+            waiting.append((future, index, time.perf_counter()))
+        for position, (future, index, submitted) in enumerate(waiting):
             try:
                 got_index, value, dump = _await_result(future, executor)
             except BrokenProcessPool:
@@ -347,7 +346,7 @@ def _run_batch(fn, items, seeds, batch, spec, workers, results):
                     "process pool stalled %.0f s after a worker died; abandoning it",
                     STALL_S, extra={"remaining": len(waiting) - position},
                 )
-                unfinished.extend(i for _, (i, _) in waiting[position:])
+                unfinished.extend(i for _, i, _ in waiting[position:])
                 break
             _WAIT.observe(time.perf_counter() - submitted)
             metrics.merge_dump(dump)

@@ -129,6 +129,23 @@ class TestPoolMap:
         out = pool_map(_die_in_child, items, workers=2)
         assert out == [i * 10 for i in items]
 
+    def test_wedged_pool_is_abandoned_and_rerun(self, monkeypatch):
+        # The state a worker SIGKILLed mid-protocol can leave: the
+        # executor's manager thread is gone, so no future ever resolves,
+        # and a worker is dead.  The bounded wait must give up on the
+        # pool and finish every task serially instead of hanging.
+        from concurrent.futures import process as futures_process
+
+        from repro.par import pool
+
+        def wedge(manager):
+            next(iter(manager.processes.values())).kill()
+
+        monkeypatch.setattr(futures_process._ExecutorManagerThread, "run", wedge)
+        monkeypatch.setattr(pool, "STALL_S", 0.2)
+        items = list(range(6))
+        assert pool_map(_double, items, workers=2) == [i * 2 for i in items]
+
     def test_task_exception_propagates(self):
         with pytest.raises(RuntimeError, match="task defect"):
             pool_map(_raise_on_three, range(5), workers=2)

@@ -176,10 +176,9 @@ class TestLossSeriesBoundary:
 class TestStateThreading:
     def test_chunked_state_resume(self, rng):
         # Carrying (backlog, lost, peak, total) across arbitrary chunk
-        # boundaries must match one whole-series call and the oracle.
+        # boundaries must match one whole-series call.
         a = rng.gamma(2.0, 10.0, size=30_000)
         whole = run_slots(a, 18.0, 70.0)
-        np.testing.assert_array_equal(whole, fold_slots(a.tolist(), 18.0, 70.0))
         for chunk in (777, 3_333, 8_192):
             state = (0.0, 0.0, 0.0, 0.0)
             for start in range(0, a.size, chunk):
@@ -191,9 +190,6 @@ class TestStateThreading:
         state = (33.0, 12.0, 40.0, 500.0)
         reference, _, _ = _loop_reference(a, 21.0, 80.0, state=state)
         np.testing.assert_array_equal(run_slots(a, 21.0, 80.0, state=state), reference)
-        np.testing.assert_array_equal(
-            reference, fold_slots(a.tolist(), 21.0, 80.0, state=state)
-        )
 
     def test_empty_input_returns_state(self):
         state = (3.0, 1.0, 4.0, 9.0)
