@@ -153,7 +153,9 @@ def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
         raise ValueError(f"arrivals must be one-dimensional, got shape {a.shape}")
     if loss_series is not None:
         _check_loss_series(loss_series, a.size)
-    fold = _kernel if _kernel is not None else _load_kernel()
+    fold = _KERNEL.fold
+    if fold is None:
+        fold = _KERNEL.load()
     if not fold:
         return fold_slots(a.tolist(), capacity, buffer_bytes, state=state,
                           loss_series=loss_series)
@@ -192,19 +194,26 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _State = ctypes.c_double * 4  # (backlog, lost, peak, total), in and out
 
-# The loaded fold; False once loading failed, None until first use.
-_kernel = None
-_kernel_lock = threading.Lock()
 
+class _CompiledFold:
+    """The C fold of this process, built and loaded on first use."""
 
-def _reset_lock_after_fork():
-    # A fork taken while another thread held the lock would leave the
-    # child's copy locked forever; the child loads for itself instead.
-    global _kernel_lock
-    _kernel_lock = threading.Lock()
+    def __init__(self):
+        self.fold = None  # the ctypes function; False once loading failed
+        self.lock = threading.Lock()
+        # A fork taken while another thread held the lock would leave
+        # the child's copy locked forever; the child loads for itself.
+        os.register_at_fork(after_in_child=self._new_lock)
 
+    def _new_lock(self):
+        self.lock = threading.Lock()
 
-os.register_at_fork(after_in_child=_reset_lock_after_fork)
+    def load(self):
+        """Build (once per cache key) and load the C fold; False if unavailable."""
+        with self.lock:
+            if self.fold is None:
+                self.fold = _load_library()
+            return self.fold
 
 
 def _library_path():
@@ -238,27 +247,24 @@ def _build(path):
             fcntl.flock(lock, fcntl.LOCK_UN)
 
 
-def _load_kernel():
-    """Build (once per cache key) and load the C fold; False if unavailable."""
-    global _kernel
-    with _kernel_lock:
-        if _kernel is not None:
-            return _kernel
-        try:
-            path = _library_path()
-            if not path.exists():
-                _build(path)
-            fold = ctypes.CDLL(str(path)).slotfluid_fold
-        except (OSError, subprocess.CalledProcessError) as exc:
-            lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
-            _LOGGER.warning(
-                "slot-fluid C kernel unavailable (%s); folding in Python",
-                lines[0] if lines else type(exc).__name__,
-            )
-            _kernel = False
-            return _kernel
-        fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
-                         ctypes.c_double, _State, ctypes.c_void_p)
-        fold.restype = None
-        _kernel = fold
-        return _kernel
+def _load_library():
+    """The built ``slotfluid_fold`` with its ctypes signature; False on failure."""
+    try:
+        path = _library_path()
+        if not path.exists():
+            _build(path)
+        fold = ctypes.CDLL(str(path)).slotfluid_fold
+    except (OSError, subprocess.CalledProcessError) as exc:
+        lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
+        _LOGGER.warning(
+            "slot-fluid C kernel unavailable (%s); folding in Python",
+            lines[0] if lines else type(exc).__name__,
+        )
+        return False
+    fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
+                     ctypes.c_double, _State, ctypes.c_void_p)
+    fold.restype = None
+    return fold
+
+
+_KERNEL = _CompiledFold()

@@ -95,7 +95,7 @@ def test_python_fold_fallback_matches_golden(name, small_trace, golden, monkeypa
     """With the compiled kernel gone, ``run_slots`` folds in Python: same digests."""
     from repro.simulation import slotfluid
 
-    monkeypatch.setattr(slotfluid, "_kernel", False)
+    monkeypatch.setattr(slotfluid._KERNEL, "fold", False)
     golden.check(name, EXPERIMENTS[name](small_trace))
 
 

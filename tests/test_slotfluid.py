@@ -129,11 +129,11 @@ class TestKernelSelection:
         # With a compiler present the fast path must not silently turn
         # off: the loaded fold is a ctypes function, not False.
         run_slots(np.ones(3), 1.0, 1.0)
-        assert slotfluid._kernel, "gcc is on PATH but run_slots folds in Python"
+        assert slotfluid._KERNEL.fold, "gcc is on PATH but run_slots folds in Python"
 
     def test_missing_compiler_warns_once_and_falls_back(self, rng, tmp_path,
                                                        monkeypatch, caplog):
-        monkeypatch.setattr(slotfluid, "_kernel", None)
+        monkeypatch.setattr(slotfluid._KERNEL, "fold", None)
         monkeypatch.setattr(slotfluid, "_CACHE_DIR", tmp_path)
         monkeypatch.setattr(slotfluid, "_CC", str(tmp_path / "no-such-cc"))
         a = rng.gamma(0.8, 10.0, size=2_000)
@@ -144,7 +144,7 @@ class TestKernelSelection:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "\n" not in warnings[0].getMessage()
-        assert slotfluid._kernel is False
+        assert slotfluid._KERNEL.fold is False
         want, want_losses = _oracle(a, 8.1, 30.0)
         np.testing.assert_array_equal(first, want)
         _assert_same_fold(second, losses, want, want_losses)
