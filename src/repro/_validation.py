@@ -18,6 +18,7 @@ __all__ = [
     "require_in_open_interval",
     "require_in_closed_interval",
     "require_positive_int",
+    "require_nonnegative_int",
     "as_1d_float_array",
     "require_probability",
 ]
@@ -65,6 +66,15 @@ def require_positive_int(value, name):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
+
+
+def require_nonnegative_int(value, name):
+    """Raise unless ``value`` is an integer >= 0; returns it as ``int``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
     return int(value)
 
 

@@ -17,7 +17,7 @@ Usage (also via ``python -m repro``):
     repro obs report run.json
     repro obs export-metrics run.json
     repro obs bench-diff baseline.json BENCH_obs.json --tolerance 0.2
-    repro net topology.json --record-events
+    repro net topology.json
     repro net --demo --frames 4000 --json
     repro doctor trace.dat
 
@@ -220,8 +220,6 @@ def build_parser():
     p_net.add_argument("--workers", type=int, default=1,
                        help="run multiple specs on a process pool; results are "
                             "identical at every worker count")
-    p_net.add_argument("--record-events", action="store_true",
-                       help="record the event trace and report its sha256 digest")
     p_net.add_argument("--json", action="store_true", dest="as_json",
                        help="emit full results as JSON on stdout")
 
@@ -668,8 +666,6 @@ def _net_body(args, run_topology_task, spec_from_json, sweep_topologies):
         names = list(args.specs)
     else:
         raise SystemExit("error: pass topology spec file(s) or --demo")
-    if args.record_events:
-        specs = [{**spec, "record_events": True} for spec in specs]
     if len(specs) > 1:
         results = sweep_topologies(specs, workers=args.workers)
     else:
@@ -684,7 +680,7 @@ def _net_body(args, run_topology_task, spec_from_json, sweep_topologies):
         print()
         return 0
     for name, result in zip(names, results):
-        print(f"{name}: {result['slots']} slots, {result['events']} events")
+        print(f"{name}: {result['slots']} slots")
         rows = [
             [
                 p["port"], p["discipline"],
@@ -706,8 +702,6 @@ def _net_body(args, run_topology_task, spec_from_json, sweep_topologies):
         print(format_table(
             ["flow", "offered(B)", "loss", "delivered", "latency(slots)"], rows
         ))
-        if "event_trace_sha256" in result:
-            print(f"event trace sha256: {result['event_trace_sha256']}")
     return 0
 
 

@@ -2,20 +2,19 @@
 
 The paper studies self-similar VBR video through a *single* finite
 buffer; this package carries the same slot-fluid traffic model through
-arbitrary multi-hop topologies.  The pieces:
+feed-forward multi-hop topologies.  The pieces:
 
-- :mod:`repro.net.scheduler` -- the deterministic discrete-event core
-  (monotonic heap, stable FIFO tie-breaking, optional event trace);
 - :mod:`repro.net.link` / :mod:`repro.net.node` -- topology primitives:
   directed links with capacity and propagation delay, nodes with
   per-port finite buffers and per-hop statistics;
 - :mod:`repro.net.sched` -- pluggable per-hop disciplines (FIFO, strict
   priority, weighted fair queueing) sharing the verified slot-fluid
   drop arithmetic of :func:`repro.simulation.queue.simulate_queue`;
-- :mod:`repro.net.flow` -- traffic sources walking a path in constant
-  memory, with end-to-end delay/loss accounting;
+- :mod:`repro.net.flow` -- traffic sources walking a path, drained
+  once per run, with end-to-end delay/loss accounting;
 - :mod:`repro.net.topology` -- declarative specs, network assembly and
-  the run loop (``repro net`` CLI input format);
+  the engine: ports served in topological order, each folded once over
+  the whole horizon (``repro net`` CLI input format);
 - :mod:`repro.net.sweep` -- parameter sweeps over topologies through
   the :mod:`repro.par` process pool.
 
@@ -33,18 +32,15 @@ from repro.net.sched import (
     Discipline,
     FIFODiscipline,
     PriorityDiscipline,
+    RunResult,
     StepResult,
     WFQDiscipline,
     make_discipline,
 )
-from repro.net.scheduler import PHASE_ARRIVAL, PHASE_SERVICE, EventScheduler
 from repro.net.sweep import run_topology_task, sweep_topologies
 from repro.net.topology import Network, build_network, run_topology, spec_from_json
 
 __all__ = [
-    "EventScheduler",
-    "PHASE_ARRIVAL",
-    "PHASE_SERVICE",
     "Link",
     "Node",
     "Port",
@@ -53,6 +49,7 @@ __all__ = [
     "PriorityDiscipline",
     "WFQDiscipline",
     "StepResult",
+    "RunResult",
     "DISCIPLINES",
     "make_discipline",
     "Flow",

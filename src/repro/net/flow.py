@@ -11,16 +11,24 @@ without materializing the run:
   fully assembled :class:`repro.stream.pipeline.Stream` with marginal
   transforms attached -- again in constant memory.
 
-:class:`FlowStats` accumulates the end-to-end view in O(1) memory:
-offered / delivered / lost volume and byte-weighted emission and
+A run drains each source once, up to the horizon
+(:meth:`Flow.emissions`).  :class:`FlowStats` holds the end-to-end
+view: offered / delivered / lost volume and byte-weighted emission and
 delivery times, whose difference is the fluid mean end-to-end latency.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
-from repro._validation import as_1d_float_array, require_positive_int
+from repro._validation import (
+    as_1d_float_array,
+    require_nonnegative_int,
+    require_positive_int,
+)
+from repro.net.sched import seqsum
 
 __all__ = ["Flow", "FlowStats", "array_slots", "chunk_slots", "stream_slots"]
 
@@ -60,7 +68,7 @@ def chunk_slots(source, n, chunk_size=8_192, rng=None, clip_negative=True):
 
 
 class FlowStats:
-    """End-to-end accounting for one flow, O(1) memory."""
+    """End-to-end accounting for one flow, filled in by :meth:`record`."""
 
     def __init__(self):
         self.offered_bytes = 0.0
@@ -72,23 +80,26 @@ class FlowStats:
         self._offered_time_sum = 0.0
         self._delivered_time_sum = 0.0
 
-    def record_emission(self, slot, volume):
-        self.slots_emitted += 1
-        if volume > 0.0:
-            self.offered_bytes += volume
-            self._offered_time_sum += slot * volume
+    def record(self, start_slot, emitted, delivered, losses):
+        """Account a finished run from its per-slot arrays.
 
-    def record_delivery(self, slot, volume):
-        if volume <= 0.0:
-            return
-        self.delivered_bytes += volume
-        self._delivered_time_sum += slot * volume
-        if self.first_delivery_slot is None:
-            self.first_delivery_slot = slot
-        self.last_delivery_slot = slot
-
-    def record_loss(self, volume):
-        self.lost_bytes += volume
+        ``emitted`` holds the volumes sent from ``start_slot`` on,
+        ``delivered`` the volume reaching the destination in each slot
+        of the horizon, and ``losses`` one row of per-slot drops per
+        hop, hops in link order.  Totals add in slot order -- losses
+        in (slot, link) order -- as a per-slot accumulator would.
+        """
+        sent_at = np.arange(start_slot, start_slot + emitted.size, dtype=float)
+        arrived = np.flatnonzero(delivered > 0.0)
+        self.slots_emitted = emitted.size
+        self.offered_bytes = seqsum(emitted)
+        self._offered_time_sum = seqsum(sent_at * emitted)
+        self.delivered_bytes = seqsum(delivered)
+        self._delivered_time_sum = seqsum(np.arange(delivered.size) * delivered)
+        if arrived.size:
+            self.first_delivery_slot = float(arrived[0])
+            self.last_delivery_slot = float(arrived[-1])
+        self.lost_bytes = seqsum(np.asarray(losses).T)
 
     @property
     def loss_rate(self):
@@ -165,43 +176,30 @@ class Flow:
             )
         if len(set(path)) != len(path):
             raise ValueError(f"flow {name!r} path revisits a node: {path!r}")
-        start_slot = int(start_slot)
-        if start_slot < 0:
-            raise ValueError(f"start_slot must be >= 0, got {start_slot}")
         self.name = name
         self.path = path
         self.priority = int(priority)
         self.weight = float(weight)
-        self.start_slot = start_slot
+        self.start_slot = require_nonnegative_int(start_slot, "start_slot")
         self.stats = FlowStats()
         self._slots = iter(slots)
 
-    @property
-    def ingress(self):
-        """The first node of the path (where emissions enter)."""
-        return self.path[0]
+    def emissions(self, slots):
+        """Drain the volumes this flow emits before the ``slots`` horizon.
 
-    @property
-    def destination(self):
-        """The last node of the path (where fluid is delivered)."""
-        return self.path[-1]
-
-    def next_hop(self, node):
-        """The node after ``node`` on this flow's path (None at the end)."""
-        idx = self.path.index(node)
-        return self.path[idx + 1] if idx + 1 < len(self.path) else None
-
-    def next_volume(self):
-        """The next slot's byte volume, or ``None`` when exhausted."""
-        try:
-            volume = float(next(self._slots))
-        except StopIteration:
-            return None
-        if volume < 0.0 or not np.isfinite(volume):
+        Returns a float64 array of per-slot volumes from ``start_slot``
+        on; it is shorter than the rest of the horizon when the source
+        runs dry first.
+        """
+        n = max(slots - self.start_slot, 0)
+        volumes = np.fromiter(islice(self._slots, n), dtype=float)
+        bad = (volumes < 0.0) | ~np.isfinite(volumes)
+        if bad.any():
+            volume = float(volumes[bad.argmax()])
             raise ValueError(
                 f"flow {self.name!r} emitted an invalid volume {volume!r}"
             )
-        return volume
+        return volumes
 
     def __repr__(self):
         return (

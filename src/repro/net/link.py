@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._validation import require_positive
+from repro._validation import require_nonnegative_int, require_positive
 
 __all__ = ["Link"]
 
@@ -43,11 +43,10 @@ class Link:
             self, "capacity_per_slot",
             require_positive(self.capacity_per_slot, "capacity_per_slot"),
         )
-        delay = self.delay_slots
-        if isinstance(delay, bool) or not isinstance(delay, int):
-            raise TypeError(f"delay_slots must be an integer, got {delay!r}")
-        if delay < 0:
-            raise ValueError(f"delay_slots must be >= 0, got {delay}")
+        object.__setattr__(
+            self, "delay_slots",
+            require_nonnegative_int(self.delay_slots, "delay_slots"),
+        )
 
     @property
     def name(self):

@@ -1,23 +1,25 @@
 """Nodes and their output ports (the queues of the network).
 
 A :class:`Node` owns one finite-buffer output :class:`Port` per egress
-link.  The port is where a hop's queueing happens: arrivals delivered
-during a slot accumulate in the port's pending dict, the port's
-discipline (:mod:`repro.net.sched`) is stepped once per slot, and the
-served fluid is handed to the link.  Each port keeps its own per-hop
+link.  The port is where a hop's queueing happens: its discipline
+(:mod:`repro.net.sched`) serves the per-slot arrivals of every flow
+crossing it over the whole horizon at once, and the served fluid is
+handed to the link.  Each port then reports its own per-hop
 statistics -- served/lost/offered volume, backlog mean and peak, the
 fluid queueing-delay mean and jitter (``backlog / capacity`` after
-each slot) -- plus per-flow accounting, and can optionally record the
-full backlog / departure / loss series for trajectory-level tests and
-the Hurst-across-hops experiment.
+each slot) -- plus per-flow accounting, and keeps the backlog /
+departure / loss series of its run for trajectory-level tests and the
+Hurst-across-hops experiment.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro._validation import require_nonnegative
-from repro.net.sched import make_discipline
+from repro.net.sched import flow_sum, make_discipline, seqsum
 
 __all__ = ["Node", "Port"]
 
@@ -25,8 +27,7 @@ __all__ = ["Node", "Port"]
 class Port:
     """One output queue: a discipline plus per-hop accounting."""
 
-    def __init__(self, node, link, discipline_name, buffer_bytes,
-                 record_series=False):
+    def __init__(self, node, link, discipline_name, buffer_bytes):
         self.node = node
         self.link = link
         self.name = link.name
@@ -34,114 +35,59 @@ class Port:
         self.discipline = make_discipline(
             discipline_name, link.capacity_per_slot, buffer_bytes
         )
-        self.pending = {}
-        self.slots = 0
-        self.offered_bytes = 0.0
-        self.served_bytes = 0.0
-        self.lost_bytes = 0.0
-        self.peak_backlog = 0.0
-        self._backlog_sum = 0.0
-        self._delay_sum = 0.0
-        self._delay_sq_sum = 0.0
-        self.flow_offered = {}
-        self.flow_served = {}
-        self.flow_lost = {}
-        self.backlog_series = [] if record_series else None
-        self.departure_series = [] if record_series else None
-        self.loss_series = [] if record_series else None
+        self.result = None
+        self._stats = None
 
-    def deliver(self, flow, volume):
-        """Accumulate fluid arriving for ``flow`` during the current slot."""
-        self.pending[flow] = self.pending.get(flow, 0.0) + volume
-        self.offered_bytes += volume
-        self.flow_offered[flow] = self.flow_offered.get(flow, 0.0) + volume
+    def run(self, arrivals):
+        """Serve the horizon; returns the discipline's :class:`~repro.net.sched.RunResult`.
 
-    def service(self):
-        """Run one slot of the discipline; returns its StepResult."""
-        result = self.discipline.step(self.pending)
-        self.pending = {}
-        self.slots += 1
-        self.served_bytes += result.served_total
-        self.lost_bytes += result.lost_total
-        backlog = result.backlog
-        if backlog > self.peak_backlog:
-            self.peak_backlog = backlog
-        self._backlog_sum += backlog
-        delay = backlog / self.link.capacity_per_slot
-        self._delay_sum += delay
-        self._delay_sq_sum += delay * delay
-        for flow, volume in result.served.items():
-            self.flow_served[flow] = self.flow_served.get(flow, 0.0) + volume
-        for flow, volume in result.lost.items():
-            self.flow_lost[flow] = self.flow_lost.get(flow, 0.0) + volume
-        if self.backlog_series is not None:
-            self.backlog_series.append(backlog)
-            self.departure_series.append(result.served_total)
-            self.loss_series.append(result.lost_total)
+        ``arrivals`` has one row of per-slot volumes per registered
+        flow, in registration order.  The result is kept as
+        ``self.result``; every statistic of :meth:`summary` adds its
+        per-slot terms in slot order, as a per-slot accumulator would.
+        """
+        result = self.discipline.run(arrivals)
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        capacity = self.link.capacity_per_slot
+        slots = result.backlog.size
+        delay = result.backlog / capacity
+        mean_delay = seqsum(delay) / slots
+        var = seqsum(delay * delay) / slots - mean_delay * mean_delay
+        offered = seqsum(flow_sum(arrivals))
+        served = seqsum(result.served_total)
+        lost = seqsum(result.lost_total)
+        self.result = result
+        self._stats = {
+            "slots": slots,
+            "offered_bytes": offered,
+            "served_bytes": served,
+            "lost_bytes": lost,
+            "loss_rate": lost / offered if offered > 0 else 0.0,
+            "final_backlog": self.discipline.backlog,
+            "peak_backlog": float(np.max(result.backlog, initial=0.0)),
+            "mean_backlog": seqsum(result.backlog) / slots,
+            "mean_delay_slots": mean_delay,
+            "delay_jitter_slots": math.sqrt(var) if var > 0.0 else 0.0,
+            "utilization": served / (capacity * slots),
+            "flows": {
+                flow: {
+                    "offered_bytes": seqsum(arrivals[i]),
+                    "served_bytes": seqsum(result.served[i]),
+                    "lost_bytes": seqsum(result.lost[i]),
+                }
+                for i, flow in enumerate(self.discipline.flows)
+            },
+        }
         return result
 
-    @property
-    def final_backlog(self):
-        """Bytes left in the port buffer after the last slot."""
-        return self.discipline.backlog
-
-    @property
-    def loss_rate(self):
-        """Lost-to-offered byte ratio at this hop."""
-        return self.lost_bytes / self.offered_bytes if self.offered_bytes > 0 else 0.0
-
-    @property
-    def mean_backlog(self):
-        """Mean post-service backlog over the run."""
-        return self._backlog_sum / self.slots if self.slots else 0.0
-
-    @property
-    def mean_delay_slots(self):
-        """Mean fluid queueing delay (``backlog / capacity``) in slots."""
-        return self._delay_sum / self.slots if self.slots else 0.0
-
-    @property
-    def delay_jitter_slots(self):
-        """Standard deviation of the per-slot queueing delay."""
-        if not self.slots:
-            return 0.0
-        mean = self._delay_sum / self.slots
-        var = self._delay_sq_sum / self.slots - mean * mean
-        return math.sqrt(var) if var > 0.0 else 0.0
-
-    @property
-    def utilization(self):
-        """Served volume over total service opportunity."""
-        if not self.slots:
-            return 0.0
-        return self.served_bytes / (self.link.capacity_per_slot * self.slots)
-
     def summary(self):
-        """Per-hop metrics as a plain JSON-able dict."""
+        """Per-hop metrics of the run as a plain JSON-able dict."""
         return {
             "port": self.name,
             "discipline": self.discipline_name,
             "capacity_per_slot": self.link.capacity_per_slot,
             "buffer_bytes": self.discipline.buffer_bytes,
-            "slots": self.slots,
-            "offered_bytes": self.offered_bytes,
-            "served_bytes": self.served_bytes,
-            "lost_bytes": self.lost_bytes,
-            "loss_rate": self.loss_rate,
-            "final_backlog": self.final_backlog,
-            "peak_backlog": self.peak_backlog,
-            "mean_backlog": self.mean_backlog,
-            "mean_delay_slots": self.mean_delay_slots,
-            "delay_jitter_slots": self.delay_jitter_slots,
-            "utilization": self.utilization,
-            "flows": {
-                flow: {
-                    "offered_bytes": self.flow_offered.get(flow, 0.0),
-                    "served_bytes": self.flow_served.get(flow, 0.0),
-                    "lost_bytes": self.flow_lost.get(flow, 0.0),
-                }
-                for flow in self.discipline.flows
-            },
+            **self._stats,
         }
 
     def __repr__(self):
@@ -163,7 +109,7 @@ class Node:
         self.discipline_name = discipline
         self.ports = {}
 
-    def attach(self, link, record_series=False):
+    def attach(self, link):
         """Create the output port for an egress ``link``; returns it."""
         if link.src != self.name:
             raise ValueError(
@@ -171,10 +117,7 @@ class Node:
             )
         if link.dst in self.ports:
             raise ValueError(f"node {self.name!r} already has a port to {link.dst!r}")
-        port = Port(
-            self.name, link, self.discipline_name, self.buffer_bytes,
-            record_series=record_series,
-        )
+        port = Port(self.name, link, self.discipline_name, self.buffer_bytes)
         self.ports[link.dst] = port
         return port
 

@@ -1,21 +1,23 @@
 """Per-hop scheduling disciplines: FIFO, strict priority, weighted fair.
 
 Every output port of a :class:`repro.net.node.Node` owns one
-discipline instance.  A discipline is advanced one slot at a time:
-:meth:`~Discipline.step` takes the per-flow fluid volumes that arrived
-during the slot and returns what was served (forwarded downstream),
-what was dropped, and the backlog left behind -- per flow and in
-aggregate.
+discipline instance.  :meth:`~Discipline.run` serves a whole horizon
+at once: it takes the per-slot arrivals of every registered flow and
+returns, per slot, what was served (forwarded downstream), what was
+dropped and the backlog left behind -- per flow and in aggregate.
 
 All three disciplines share the drop/backlog arithmetic of the
 verified single-queue simulator through
 :mod:`repro.simulation.slotfluid`:
 
-- :class:`FIFODiscipline` *is* the slot-fluid recursion.  With a
-  single flow its backlog and loss trajectory is bit-for-bit identical
-  to :func:`repro.simulation.queue.simulate_queue` (a tier-1 invariant
-  test pins this); with several flows the aggregate follows the same
-  recursion and service/loss are apportioned by fluid share.
+- :class:`FIFODiscipline` *is* the slot-fluid recursion: one
+  :func:`~repro.simulation.slotfluid.run_slots` fold of the aggregate
+  arrivals, with the served volume derived slot by slot from the
+  backlog series.  With a single flow its backlog and loss trajectory
+  is bit-for-bit identical to
+  :func:`repro.simulation.queue.simulate_queue` (a tier-1 invariant
+  test pins this); with several flows service and loss are then
+  apportioned by fluid share.
 - :class:`PriorityDiscipline` serves classes in strict priority order
   and, under buffer pressure, pushes out low-priority fluid first --
   the multi-hop generalization of
@@ -26,27 +28,53 @@ verified single-queue simulator through
   weighted fair queueing) and drops overflow in proportion to each
   class's share of the buffer, again via the shared clamp.
 
+Priority and WFQ are defined one slot at a time (:meth:`step`); their
+:meth:`~Discipline.run` loops that step over the horizon.
+
 Flows are registered once (:meth:`~Discipline.register`) before the
-run; registration order is the deterministic tie-break for equal
-priorities and the summation order for aggregates.
+run; registration order is the row order of the arrival and result
+arrays, the deterministic tie-break for equal priorities and the
+summation order for aggregates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro._validation import require_nonnegative, require_positive
-from repro.simulation.slotfluid import clamp_backlog, run_slots, slot_step
+from repro.simulation.slotfluid import clamp_backlog, run_slots
 
 __all__ = [
     "StepResult",
+    "RunResult",
     "Discipline",
     "FIFODiscipline",
     "PriorityDiscipline",
     "WFQDiscipline",
     "make_discipline",
     "DISCIPLINES",
+    "flow_sum",
+    "seqsum",
 ]
+
+
+def seqsum(values):
+    """Left-to-right float sum: the order a per-slot accumulator adds in.
+
+    ``np.sum`` adds pairwise and rounds differently; every total the
+    network reports is this sequential sum.
+    """
+    acc = np.add.accumulate(np.asarray(values, dtype=np.float64).ravel())
+    return float(acc[-1]) if acc.size else 0.0
+
+
+def flow_sum(arrivals):
+    """Per-slot total of a (flows, slots) array, added in flow order."""
+    if not len(arrivals):
+        return np.zeros(arrivals.shape[1])
+    return np.add.accumulate(arrivals, axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -67,6 +95,26 @@ class StepResult:
 
     lost_total: float
     """Aggregate bytes dropped this slot."""
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Outcome of a whole run at one port, as per-slot arrays."""
+
+    served: np.ndarray
+    """Bytes forwarded downstream, shape (flows, slots)."""
+
+    lost: np.ndarray
+    """Bytes dropped, shape (flows, slots)."""
+
+    backlog: np.ndarray
+    """Aggregate backlog left after each slot."""
+
+    served_total: np.ndarray
+    """Aggregate bytes forwarded in each slot."""
+
+    lost_total: np.ndarray
+    """Aggregate bytes dropped in each slot."""
 
 
 @dataclass
@@ -107,9 +155,39 @@ class Discipline:
         """Aggregate bytes currently buffered."""
         return sum(cls.backlog for cls in self._classes.values())
 
-    def step(self, arrivals):
-        """Advance one slot; ``arrivals`` maps flow name -> bytes."""
-        raise NotImplementedError
+    def run(self, arrivals):
+        """Serve every slot of ``arrivals``; returns a :class:`RunResult`.
+
+        ``arrivals`` has one row per registered flow, in registration
+        order, and one column per slot.  This base version applies the
+        subclass's one-slot :meth:`step` to each column in turn.
+        """
+        arrivals = self._check_rows(arrivals)
+        flows = self.flows
+        row = {flow: i for i, flow in enumerate(flows)}
+        served = np.zeros_like(arrivals)
+        lost = np.zeros_like(arrivals)
+        n = arrivals.shape[1]
+        backlog, served_total, lost_total = np.empty(n), np.empty(n), np.empty(n)
+        for t, column in enumerate(arrivals.T.tolist()):
+            result = self.step(dict(zip(flows, column)))
+            for flow, volume in result.served.items():
+                served[row[flow], t] = volume
+            for flow, volume in result.lost.items():
+                lost[row[flow], t] = volume
+            backlog[t] = result.backlog
+            served_total[t] = result.served_total
+            lost_total[t] = result.lost_total
+        return RunResult(served, lost, backlog, served_total, lost_total)
+
+    def _check_rows(self, arrivals):
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        if arrivals.ndim != 2 or len(arrivals) != len(self._classes):
+            raise ValueError(
+                f"arrivals need one row per registered flow "
+                f"({len(self._classes)}), got shape {arrivals.shape}"
+            )
+        return arrivals
 
     def _check_arrivals(self, arrivals):
         for flow in arrivals:
@@ -120,10 +198,13 @@ class Discipline:
 class FIFODiscipline(Discipline):
     """Single shared queue: the slot-fluid recursion itself.
 
-    The aggregate backlog follows the *exact* arithmetic of
-    :func:`repro.simulation.queue.simulate_queue` (the single-flow path
-    forwards and drops the recursion's own volumes, so a one-flow
-    one-hop topology reproduces the reference simulator bit for bit).
+    The aggregate backlog is one
+    :func:`~repro.simulation.slotfluid.run_slots` fold, the *exact*
+    arithmetic of :func:`repro.simulation.queue.simulate_queue`; the
+    served volume of each slot follows from the backlog before it as in
+    :func:`~repro.simulation.slotfluid.slot_step`.  A single flow is
+    forwarded and dropped the recursion's own volumes, so a one-flow
+    one-hop topology reproduces the reference simulator bit for bit.
     With several flows, service and loss are split in proportion to
     each flow's share of the fluid present during the slot.
     """
@@ -136,83 +217,48 @@ class FIFODiscipline(Discipline):
     def backlog(self):
         return self._backlog
 
-    def step_many(self, values):
-        """Advance many slots at once for a single-flow port.
+    def run(self, arrivals):
+        arrivals = self._check_rows(arrivals)
+        c = self.capacity_per_slot
+        total = flow_sum(arrivals)
+        n = total.size
+        backlog, lost_total = np.empty(n), np.zeros(n)
+        start = self._backlog
+        self._backlog = run_slots(
+            total, c, self.buffer_bytes, state=(start, 0.0, start, 0.0),
+            loss_series=lost_total, backlog_series=backlog,
+        )[0]
+        before = np.concatenate(([start], backlog[:-1]))
+        # slot_step's served volume: all present fluid when the queue
+        # drains (b + (a - c) < 0), the full capacity otherwise.
+        served_total = np.where(before + (total - c) < 0.0, before + total, c)
+        if len(arrivals) == 1:
+            self._classes[self.flows[0]].backlog = self._backlog
+            return RunResult(served_total[None], lost_total[None], backlog,
+                             served_total, lost_total)
+        served, lost = self._apportion(arrivals, (before + total).tolist(),
+                                       served_total.tolist(), lost_total.tolist())
+        return RunResult(served, lost, backlog, served_total, lost_total)
 
-        ``values`` is the per-slot arrival array for the port's one
-        registered flow; the port's backlog is advanced through
-        :func:`repro.simulation.slotfluid.run_slots`, which reproduces a
-        ``step()`` loop bit for bit.  Per-slot served volumes are not
-        materialized -- this is the bulk path for hops whose downstream
-        effects are not being traced slot by slot.  Returns a dict with
-        the aggregate ``backlog``, ``lost``, ``peak`` and ``offered``
-        totals over the advanced slots.
-        """
-        classes = self._classes
-        if len(classes) != 1:
-            raise ValueError(
-                f"step_many needs exactly one registered flow, "
-                f"got {len(classes)}"
-            )
-        backlog, lost, peak, offered = run_slots(
-            values, self.capacity_per_slot, self.buffer_bytes,
-            state=(self._backlog, 0.0, self._backlog, 0.0),
-        )
-        self._backlog = backlog
-        (cls,) = classes.values()
-        cls.backlog = backlog
-        return {"backlog": backlog, "lost": lost, "peak": peak,
-                "offered": offered}
-
-    def step(self, arrivals):
-        self._check_arrivals(arrivals)
-        classes = self._classes
-        if len(classes) == 1:
-            # Exact path: one flow owns the queue, no apportionment.
-            (flow, cls), = classes.items()
-            arrival = arrivals.get(flow, 0.0)
-            self._backlog, served, lost = slot_step(
-                self._backlog, arrival, self.capacity_per_slot, self.buffer_bytes
-            )
-            cls.backlog = self._backlog
-            return StepResult(
-                served={flow: served} if served > 0.0 else {},
-                lost={flow: lost} if lost > 0.0 else {},
-                backlog=self._backlog,
-                served_total=served,
-                lost_total=lost,
-            )
-        # Aggregate recursion first (canonical trajectory), then fluid-
-        # share apportionment across the registered flows.
-        available = {
-            flow: cls.backlog + arrivals.get(flow, 0.0)
-            for flow, cls in classes.items()
-        }
-        arrival_total = sum(arrivals.get(flow, 0.0) for flow in classes)
-        prev_backlog = self._backlog
-        self._backlog, served_total, lost_total = slot_step(
-            prev_backlog, arrival_total, self.capacity_per_slot, self.buffer_bytes
-        )
-        total_available = prev_backlog + arrival_total
-        served = {}
-        lost = {}
-        if total_available > 0.0:
-            for flow, cls in classes.items():
-                share = available[flow] / total_available
-                s = served_total * share
-                drop = lost_total * share
-                if s > 0.0:
-                    served[flow] = s
-                if drop > 0.0:
-                    lost[flow] = drop
-                cls.backlog = max(available[flow] - s - drop, 0.0)
-        return StepResult(
-            served=served,
-            lost=lost,
-            backlog=self._backlog,
-            served_total=served_total,
-            lost_total=lost_total,
-        )
+    def _apportion(self, arrivals, present, served_total, lost_total):
+        """Split each slot's service and loss by the flows' fluid shares."""
+        classes = list(self._classes.values())
+        held = [cls.backlog for cls in classes]
+        served = np.zeros_like(arrivals)
+        lost = np.zeros_like(arrivals)
+        for t, column in enumerate(arrivals.T.tolist()):
+            if present[t] > 0.0:
+                for i, arrival in enumerate(column):
+                    available = held[i] + arrival
+                    share = available / present[t]
+                    s = served_total[t] * share
+                    drop = lost_total[t] * share
+                    served[i, t] = s
+                    lost[i, t] = drop
+                    held[i] = max(available - s - drop, 0.0)
+        for cls, backlog in zip(classes, held):
+            cls.backlog = backlog
+        return served, lost
 
 
 class PriorityDiscipline(Discipline):

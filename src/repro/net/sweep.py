@@ -23,9 +23,9 @@ def run_topology_task(spec):
 def sweep_topologies(specs, workers=1):
     """Run every spec in ``specs``; returns results in spec order.
 
-    ``workers > 1`` fans the specs across processes.  Record flags are
-    honoured per spec (``record_series`` / ``record_events`` keys), so
-    a sweep can mix cheap summary runs with fully traced ones.
+    ``workers > 1`` fans the specs across processes.  The
+    ``record_series`` key is honoured per spec, so a sweep can mix
+    summary runs with runs that return every port's series.
     """
     specs = list(specs)
     if not specs:

@@ -1,7 +1,7 @@
 """Topology assembly and the simulation run loop.
 
-:class:`Network` wires nodes, links and flows together and drives them
-through the deterministic event core; :func:`run_topology` does the
+:class:`Network` wires nodes, links and flows together and serves
+every port over the whole horizon; :func:`run_topology` does the
 same from a small declarative spec (a plain dict, or the parsed form
 of a JSON file -- the ``repro net`` CLI input):
 
@@ -35,24 +35,28 @@ Every random draw happens in a seeded
 generator owned by the flow, so a spec is a complete, reproducible
 description of a run: same spec, same bytes.
 
-Within one slot the event order is fixed: all deliveries (phase 0,
-emissions and link arrivals) land in port buffers first, then every
-port serves once (phase 1) in topology order.  Fluid served at slot
-``t`` over a link with delay ``d`` joins the downstream port at slot
-``t + 1 + d``.  The run stops at the ``slots`` horizon; fluid still in
-flight or buffered is reported as backlog, not loss.
+The run is array-at-a-time.  Each flow's source is drained once into
+an emission array; the ports are then served in topological order --
+every port after all the ports that feed it -- each folded once over
+the whole horizon.  A port's arrivals are emission arrays, or the
+served arrays of the upstream ports shifted by the link latency:
+fluid served at slot ``t`` over a link with delay ``d`` joins the
+downstream port at slot ``t + 1 + d``.  Only feed-forward topologies
+run; a spec whose flows route ports in a cycle is rejected.  The run
+stops at the ``slots`` horizon; fluid still in flight or buffered is
+reported as backlog, not loss.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 
-from repro._validation import require_positive_int
+import numpy as np
+
+from repro._validation import require_nonnegative_int, require_positive_int
 from repro.net.flow import Flow, array_slots, stream_slots
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.scheduler import PHASE_ARRIVAL, EventScheduler
 from repro.obs import log as obs_log
 from repro.obs import metrics, trace
 
@@ -80,15 +84,16 @@ _LOST = metrics.registry().counter(
 
 
 class Network:
-    """An assembled topology, ready to run once.
+    """An assembled feed-forward topology, ready to run once.
 
     ``nodes``/``links``/``flows`` are lists of the respective objects;
-    insertion order is the deterministic service and registration
-    order.  A network instance is single-use: build, run, read results.
+    insertion order is the deterministic registration order, and link
+    order is the order of :attr:`ports`.  A network instance is
+    single-use: build, run, read results.  Flows that route ports in a
+    cycle raise ``ValueError`` naming the cycle's ports.
     """
 
-    def __init__(self, nodes, links, flows, record_series=False,
-                 record_events=False):
+    def __init__(self, nodes, links, flows, record_series=False):
         self.nodes = {}
         for node in nodes:
             if node.name in self.nodes:
@@ -102,10 +107,9 @@ class Network:
                     raise ValueError(
                         f"link {link.name} references unknown node {end!r}"
                     )
-            self.ports.append(
-                self.nodes[link.src].attach(link, record_series=record_series)
-            )
+            self.ports.append(self.nodes[link.src].attach(link))
         self.flows = {}
+        self._routes = {}
         for flow in flows:
             if flow.name in self.flows:
                 raise ValueError(f"duplicate flow name {flow.name!r}")
@@ -115,118 +119,119 @@ class Network:
                     raise ValueError(
                         f"flow {flow.name!r} path visits unknown node {name!r}"
                     )
-            for here, nxt in zip(flow.path[:-1], flow.path[1:]):
-                port = self.nodes[here].port_to(nxt)
+            route = [
+                self.nodes[here].port_to(nxt)
+                for here, nxt in zip(flow.path[:-1], flow.path[1:])
+            ]
+            for port in route:
                 port.discipline.register(
                     flow.name, priority=flow.priority, weight=flow.weight
                 )
-        self.scheduler = EventScheduler(record_trace=record_events)
+            self._routes[flow.name] = route
+        self.record_series = record_series
+        self._order = self._port_order()
         self._ran = False
 
-    # -- event callbacks ------------------------------------------------
+    def _port_order(self):
+        """The ports, each after every port that feeds it; raises on a cycle."""
+        feeds = {port: [] for port in self.ports}
+        for route in self._routes.values():
+            for upstream, port in zip(route, route[1:]):
+                feeds[port].append(upstream)
+        order, done = [], set()
 
-    def _emit(self, flow):
-        volume = flow.next_volume()
-        if volume is None:
-            return
-        slot = self.scheduler.now
-        flow.stats.record_emission(slot, volume)
-        if volume > 0.0:
-            port = self.nodes[flow.ingress].port_to(flow.next_hop(flow.ingress))
-            port.deliver(flow.name, volume)
-        self.scheduler.schedule(
-            slot + 1.0, self._emit, flow,
-            phase=PHASE_ARRIVAL, label=f"emit:{flow.name}",
-        )
+        def visit(port, downstream):
+            if port in done:
+                return
+            if port in downstream:
+                cycle = downstream[downstream.index(port):][::-1]
+                raise ValueError(
+                    "port graph has a cycle through "
+                    + ", ".join(p.name for p in cycle)
+                )
+            for upstream in feeds[port]:
+                visit(upstream, downstream + [port])
+            done.add(port)
+            order.append(port)
 
-    def _deliver(self, flow, node_name, volume):
-        if node_name == flow.destination:
-            flow.stats.record_delivery(self.scheduler.now, volume)
-            return
-        port = self.nodes[node_name].port_to(flow.next_hop(node_name))
-        port.deliver(flow.name, volume)
-
-    def _service(self, port, horizon):
-        result = port.service()
-        slot = self.scheduler.now
-        arrival_time = slot + port.link.latency_slots
-        for flow_name, volume in result.served.items():
-            self.scheduler.schedule(
-                arrival_time, self._deliver,
-                self.flows[flow_name], port.link.dst, volume,
-                phase=PHASE_ARRIVAL, label=f"arrive:{flow_name}@{port.link.dst}",
-            )
-        for flow_name, volume in result.lost.items():
-            self.flows[flow_name].stats.record_loss(volume)
-        if slot + 1.0 < horizon:
-            self.scheduler.schedule(
-                slot + 1.0, self._service, port, horizon,
-                label=f"serve:{port.name}",
-            )
-
-    # -- running --------------------------------------------------------
+        for port in self.ports:
+            visit(port, [])
+        return order
 
     def run(self, slots):
         """Drive every flow and port for ``slots`` slots; returns results.
 
-        The result is a plain dict: per-port and per-flow summaries,
-        event counts, and -- when recording was requested -- per-hop
-        series and the sha256 of the event trace.
+        The result is a plain dict: per-port and per-flow summaries
+        and -- when series recording was requested -- each port's
+        backlog, departure and loss series.
         """
         slots = require_positive_int(slots, "slots")
         if self._ran:
             raise RuntimeError("a Network instance runs exactly once")
         self._ran = True
-        for flow in self.flows.values():
-            self.scheduler.schedule(
-                float(flow.start_slot), self._emit, flow,
-                phase=PHASE_ARRIVAL, label=f"emit:{flow.name}",
-            )
-        for port in self.ports:
-            self.scheduler.schedule(
-                0.0, self._service, port, float(slots),
-                label=f"serve:{port.name}",
-            )
         with trace.span(
             "net.run", nodes=len(self.nodes), links=len(self.links),
             flows=len(self.flows), slots=slots,
         ):
-            self.scheduler.run(until=float(slots))
-        served = sum(port.served_bytes for port in self.ports)
-        lost = sum(port.lost_bytes for port in self.ports)
-        _SLOTS.inc(sum(port.slots for port in self.ports))
+            self._serve(slots)
+        ports = {port.name: port.summary() for port in self.ports}
+        served = sum(p["served_bytes"] for p in ports.values())
+        lost = sum(p["lost_bytes"] for p in ports.values())
+        _SLOTS.inc(slots * len(self.ports))
         _SERVED.inc(served)
         _LOST.inc(lost)
         _LOGGER.info(
-            "net run: %d slots, %d events, %d port(s), %d flow(s), "
+            "net run: %d slots, %d port(s), %d flow(s), "
             "%.0f B served, %.0f B lost",
-            slots, self.scheduler.events_dispatched, len(self.ports),
-            len(self.flows), served, lost,
-            extra={"slots": slots, "events": self.scheduler.events_dispatched},
+            slots, len(self.ports), len(self.flows), served, lost,
+            extra={"slots": slots},
         )
         result = {
             "slots": slots,
-            "events": self.scheduler.events_dispatched,
-            "ports": {port.name: port.summary() for port in self.ports},
+            "ports": ports,
             "flows": {name: flow.stats.summary() for name, flow in self.flows.items()},
         }
-        if self.ports and self.ports[0].backlog_series is not None:
-            import numpy as np
-
+        if self.record_series:
             result["series"] = {
                 port.name: {
-                    "backlog": np.asarray(port.backlog_series),
-                    "departures": np.asarray(port.departure_series),
-                    "loss": np.asarray(port.loss_series),
+                    "backlog": port.result.backlog,
+                    "departures": port.result.served_total,
+                    "loss": port.result.lost_total,
                 }
                 for port in self.ports
             }
-        if self.scheduler.trace is not None:
-            digest = hashlib.sha256()
-            for event in self.scheduler.trace:
-                digest.update(repr(event).encode())
-            result["event_trace_sha256"] = digest.hexdigest()
         return result
+
+    def _serve(self, slots):
+        """Fold every port once over the horizon, in topological order."""
+        emitted = {}
+        arriving = {}  # (flow name, port) -> per-slot arrivals
+        delivered = {}
+        losses = {name: {} for name in self.flows}
+        for name, flow in self.flows.items():
+            volumes = emitted[name] = flow.emissions(slots)
+            first = np.zeros(slots)
+            first[flow.start_slot : flow.start_slot + volumes.size] = volumes
+            arriving[name, self._routes[name][0]] = first
+        for port in self._order:
+            flows = port.discipline.flows
+            rows = [arriving.pop((name, port)) for name in flows]
+            result = port.run(np.reshape(rows, (len(flows), slots)))
+            latency = port.link.latency_slots
+            for row, name in enumerate(flows):
+                onward = np.zeros(slots)
+                if latency < slots:
+                    onward[latency:] = result.served[row, : slots - latency]
+                route = self._routes[name]
+                hop = route.index(port)
+                if hop + 1 < len(route):
+                    arriving[name, route[hop + 1]] = onward
+                else:
+                    delivered[name] = onward
+                losses[name][port] = result.lost[row]
+        for name, flow in self.flows.items():
+            hops = [losses[name][port] for port in self.ports if port in losses[name]]
+            flow.stats.record(flow.start_slot, emitted[name], delivered[name], hops)
 
 
 # -- declarative specs --------------------------------------------------
@@ -250,8 +255,6 @@ def _flow_source(source, slots, start_slot):
         )
         return array_slots(trace_obj.frame_bytes[:n])
     if kind == "fgn":
-        import numpy as np
-
         from repro.stream.sources import make_source
 
         batch = source.get("batch")
@@ -287,60 +290,73 @@ def _flow_source(source, slots, start_slot):
     )
 
 
-def build_network(spec, record_series=None, record_events=None):
+def _entries(spec, key):
+    """The spec's ``key`` section: a non-empty list of JSON objects."""
+    entries = spec.get(key)
+    if not entries:
+        raise ValueError(f'spec must declare at least one entry under "{key}"')
+    if not isinstance(entries, list):
+        raise ValueError(f'spec "{key}" must be a list, got {entries!r}')
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be an object, got {entry!r}")
+    return entries
+
+
+def _build(key, make, spec):
+    """``make(entry)`` for each entry of a section; bad types are bad specs."""
+    built = []
+    for i, entry in enumerate(_entries(spec, key)):
+        try:
+            built.append(make(entry))
+        except TypeError as exc:
+            raise ValueError(f"{key}[{i}]: {exc}") from None
+    return built
+
+
+def build_network(spec, record_series=None):
     """Assemble a :class:`Network` from a declarative spec dict."""
     if not isinstance(spec, dict):
         raise TypeError(f"spec must be a dict, got {type(spec).__name__}")
-    for key in ("nodes", "links", "flows"):
-        if not spec.get(key):
-            raise ValueError(f'spec must declare at least one entry under "{key}"')
     slots = require_positive_int(spec.get("slots", 0), "slots")
     if record_series is None:
         record_series = bool(spec.get("record_series", False))
-    if record_events is None:
-        record_events = bool(spec.get("record_events", False))
-    nodes = [
-        Node(
-            entry["name"],
-            entry.get("buffer_bytes", 0.0),
-            discipline=entry.get("discipline", "fifo"),
-        )
-        for entry in spec["nodes"]
-    ]
-    links = [
-        Link(
-            entry["src"], entry["dst"], entry["capacity_per_slot"],
-            delay_slots=int(entry.get("delay_slots", 0)),
-        )
-        for entry in spec["links"]
-    ]
-    flows = []
-    for entry in spec["flows"]:
-        start_slot = int(entry.get("start_slot", 0))
-        flows.append(Flow(
-            entry["name"],
-            entry["path"],
+
+    def node(entry):
+        return Node(entry["name"], entry.get("buffer_bytes", 0.0),
+                    discipline=entry.get("discipline", "fifo"))
+
+    def link(entry):
+        return Link(entry["src"], entry["dst"], entry["capacity_per_slot"],
+                    delay_slots=entry.get("delay_slots", 0))
+
+    def flow(entry):
+        path = entry["path"]
+        if not isinstance(path, list):
+            raise TypeError(f"path must be a list of node names, got {path!r}")
+        start_slot = require_nonnegative_int(entry.get("start_slot", 0), "start_slot")
+        return Flow(
+            entry["name"], path,
             _flow_source(entry["source"], slots, start_slot),
             priority=int(entry.get("priority", 0)),
             weight=float(entry.get("weight", 1.0)),
             start_slot=start_slot,
-        ))
+        )
+
     return Network(
-        nodes, links, flows,
-        record_series=record_series, record_events=record_events,
+        _build("nodes", node, spec), _build("links", link, spec),
+        _build("flows", flow, spec), record_series=record_series,
     )
 
 
-def run_topology(spec, record_series=None, record_events=None):
+def run_topology(spec, record_series=None):
     """Build the network described by ``spec`` and run it.
 
     Returns the :meth:`Network.run` result dict, extended with the
     spec's optional ``slot_seconds`` so downstream consumers can
     convert slot delays to wall time.
     """
-    network = build_network(
-        spec, record_series=record_series, record_events=record_events
-    )
+    network = build_network(spec, record_series=record_series)
     result = network.run(require_positive_int(spec.get("slots", 0), "slots"))
     if "slot_seconds" in spec:
         result["slot_seconds"] = float(spec["slot_seconds"])

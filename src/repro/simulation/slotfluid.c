@@ -8,13 +8,14 @@
  *
  * state is (backlog, lost, peak, total), read on entry and written on
  * return; loss, when not NULL, receives overflow[t] on overflow slots
- * and is left untouched elsewhere.  The caller checks that loss holds
+ * and is left untouched elsewhere; trail, when not NULL, receives the
+ * post-clamp backlog of every slot.  The caller checks that each holds
  * at least n doubles.
  */
 #include <stddef.h>
 
 void slotfluid_fold(const double *a, ptrdiff_t n, double c, double q,
-                    double *state, double *loss)
+                    double *state, double *loss, double *trail)
 {
     double backlog = state[0], lost = state[1], peak = state[2], total = state[3];
     for (ptrdiff_t t = 0; t < n; t++) {
@@ -32,6 +33,8 @@ void slotfluid_fold(const double *a, ptrdiff_t n, double c, double q,
         }
         if (backlog > peak)
             peak = backlog;
+        if (trail)
+            trail[t] = backlog;
     }
     state[0] = backlog;
     state[1] = lost;

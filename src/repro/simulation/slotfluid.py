@@ -15,9 +15,10 @@ network simulators, so every implementation must compute
 ``b + (a - c)`` (not ``(b + a) - c``) and clamp in the same order.
 Keeping the loop here means the paths cannot drift.
 
-:func:`slot_step` is the scalar one-slot update (the network simulator
-advances hop state one event at a time and needs the served volume for
-forwarding); :func:`fold_slots` is the batch loop over a list of
+:func:`slot_step` is the scalar one-slot update, spelling out the
+served volume a network hop forwards (the FIFO discipline derives the
+same volume from the fold's backlog series); :func:`fold_slots` is the
+batch loop over a list of
 arrivals, in Python: the oracle the compiled fold is tested against and
 its fallback.  A property test pins ``fold_slots`` to repeated
 ``slot_step`` applications.
@@ -91,7 +92,7 @@ def slot_step(backlog, arrival, capacity, buffer_bytes):
 
 
 def fold_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
-               loss_series=None):
+               loss_series=None, backlog_series=None):
     """Fold the recursion over ``values``; returns the advanced state.
 
     ``values`` is a plain list of floats (callers convert via
@@ -102,25 +103,13 @@ def fold_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
     left-to-right order so any chunk partition reproduces every
     statistic bit-for-bit.  When ``loss_series`` (a numpy array at
     least as long as ``values``) is given, per-slot losses are written
-    into it from index 0.
+    into it from index 0; ``backlog_series`` likewise receives every
+    slot's post-clamp backlog.
     """
     backlog, lost, peak, total = state
     c = capacity
     q = buffer_bytes
-    if loss_series is not None:
-        for t, arrival in enumerate(values):
-            total += arrival
-            backlog += arrival - c
-            if backlog > q:
-                overflow = backlog - q
-                lost += overflow
-                loss_series[t] = overflow
-                backlog = q
-            elif backlog < 0.0:
-                backlog = 0.0
-            if backlog > peak:
-                peak = backlog
-    else:
+    if loss_series is None and backlog_series is None:
         for arrival in values:
             total += arrival
             backlog += arrival - c
@@ -131,53 +120,71 @@ def fold_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
                 backlog = 0.0
             if backlog > peak:
                 peak = backlog
+        return backlog, lost, peak, total
+    for t, arrival in enumerate(values):
+        total += arrival
+        backlog += arrival - c
+        if backlog > q:
+            overflow = backlog - q
+            lost += overflow
+            if loss_series is not None:
+                loss_series[t] = overflow
+            backlog = q
+        elif backlog < 0.0:
+            backlog = 0.0
+        if backlog > peak:
+            peak = backlog
+        if backlog_series is not None:
+            backlog_series[t] = backlog
     return backlog, lost, peak, total
 
 
 def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
-              loss_series=None):
+              loss_series=None, backlog_series=None):
     """Fold an array of arrivals; :func:`fold_slots` on the compiled loop.
 
     The one path every array-shaped caller goes through
     (:func:`repro.simulation.queue.simulate_queue`, the streaming fold,
-    the FIFO discipline's batched path, the fleet simulator).
+    the FIFO discipline of every network port, the fleet simulator).
     ``values`` is any 1-D array-like; it is folded as float64.  The
     arguments and the returned ``(backlog, lost, peak, total)`` tuple of
     floats are those of :func:`fold_slots`, and so are the results, bit
-    for bit, for any chunk partition.  ``loss_series`` must be a
-    writable, C-contiguous float64 array at least as long as ``values``;
-    anything else raises ``ValueError`` before a slot is folded.
+    for bit, for any chunk partition.  ``loss_series`` and
+    ``backlog_series`` must each be a writable, C-contiguous float64
+    array at least as long as ``values``; anything else raises
+    ``ValueError`` before a slot is folded.
     """
     a = np.ascontiguousarray(values, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"arrivals must be one-dimensional, got shape {a.shape}")
-    if loss_series is not None:
-        _check_loss_series(loss_series, a.size)
+    for name, series in (("loss_series", loss_series),
+                         ("backlog_series", backlog_series)):
+        if series is not None:
+            _check_series(series, a.size, name)
     fold = _KERNEL.fold
     if fold is None:
         fold = _KERNEL.load()
     if not fold:
         return fold_slots(a.tolist(), capacity, buffer_bytes, state=state,
-                          loss_series=loss_series)
+                          loss_series=loss_series, backlog_series=backlog_series)
     out = _State(*state)
     fold(a.ctypes.data, a.size, capacity, buffer_bytes, out,
-         None if loss_series is None else loss_series.ctypes.data)
+         None if loss_series is None else loss_series.ctypes.data,
+         None if backlog_series is None else backlog_series.ctypes.data)
     return tuple(out)
 
 
-def _check_loss_series(loss_series, n):
-    """Refuse a loss buffer the C loop could not write ``n`` slots into."""
-    if not isinstance(loss_series, np.ndarray) or loss_series.dtype != np.float64:
-        got = getattr(loss_series, "dtype", type(loss_series).__name__)
-        raise ValueError(f"loss_series must be a float64 ndarray, got {got}")
-    if loss_series.ndim != 1 or loss_series.size < n:
-        raise ValueError(
-            f"loss_series of shape {loss_series.shape} cannot hold {n} slots"
-        )
-    if not loss_series.flags.c_contiguous:
-        raise ValueError("loss_series must be C-contiguous")
-    if not loss_series.flags.writeable:
-        raise ValueError("loss_series is read-only")
+def _check_series(series, n, name):
+    """Refuse an output buffer the C loop could not write ``n`` slots into."""
+    if not isinstance(series, np.ndarray) or series.dtype != np.float64:
+        got = getattr(series, "dtype", type(series).__name__)
+        raise ValueError(f"{name} must be a float64 ndarray, got {got}")
+    if series.ndim != 1 or series.size < n:
+        raise ValueError(f"{name} of shape {series.shape} cannot hold {n} slots")
+    if not series.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+    if not series.flags.writeable:
+        raise ValueError(f"{name} is read-only")
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +269,7 @@ def _load_library():
         )
         return False
     fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
-                     ctypes.c_double, _State, ctypes.c_void_p)
+                     ctypes.c_double, _State, ctypes.c_void_p, ctypes.c_void_p)
     fold.restype = None
     return fold
 

@@ -540,7 +540,6 @@ class TestNetCommand:
         assert args.command == "net"
         assert args.demo is True
         assert args.workers == 1
-        assert args.record_events is False
 
     def test_requires_spec_or_demo(self, capsys):
         with pytest.raises(SystemExit):
@@ -566,12 +565,12 @@ class TestNetCommand:
         }
         path = tmp_path / "topo.json"
         path.write_text(json_mod.dumps(spec))
-        assert main(["net", str(path), "--record-events", "--json", "--quiet"]) == 0
+        assert main(["net", str(path), "--json", "--quiet"]) == 0
         doc = json_mod.loads(capsys.readouterr().out)
         assert doc["spec"] == str(path)
         assert doc["ports"]["a->b"]["lost_bytes"] == 0.0
         assert doc["flows"]["f"]["delivered_fraction"] > 0.9
-        assert len(doc["event_trace_sha256"]) == 64
+        assert set(doc) == {"spec", "slots", "ports", "flows"}
 
     def test_multiple_specs_sweep(self, tmp_path, capsys):
         import json as json_mod
@@ -612,6 +611,51 @@ class TestNetCommand:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"links": [{"src": "a", "dst": "b", "capacity_per_slot": 5.0,
+                     "delay_slots": 1.5}]},
+         "links[0]: delay_slots must be an integer, got 1.5"),
+        ({"flows": [{"name": "f", "path": ["a", "b"], "start_slot": 2.9,
+                     "source": {"kind": "array", "values": [1.0]}}]},
+         "flows[0]: start_slot must be an integer, got 2.9"),
+        ({"nodes": ["a", {"name": "b"}]}, "nodes[0] must be an object, got 'a'"),
+        ({"flows": [{"name": "f", "path": "ab",
+                     "source": {"kind": "array", "values": [1.0]}}]},
+         "flows[0]: path must be a list of node names, got 'ab'"),
+        ({"links": [{"src": "a", "dst": "b", "capacity_per_slot": 5.0},
+                    {"src": "b", "dst": "a", "capacity_per_slot": 5.0}],
+          "flows": [{"name": n, "path": p,
+                     "source": {"kind": "array", "values": [1.0]}}
+                    for n, p in (("f", ["a", "b", "a"]), ("g", ["b", "a"]))]},
+         "path revisits a node"),
+        ({"nodes": [{"name": n} for n in "abc"],
+          "links": [{"src": s, "dst": d, "capacity_per_slot": 5.0}
+                    for s, d in ("ab", "bc", "ca")],
+          "flows": [{"name": p, "path": list(p),
+                     "source": {"kind": "array", "values": [1.0]}}
+                    for p in ("abc", "bca", "cab")]},
+         "port graph has a cycle through"),
+    ], ids=["fractional-delay", "fractional-start", "string-node",
+            "string-path", "revisit", "cycle"])
+    def test_invalid_spec_value_is_one_error_line(self, tmp_path, capsys,
+                                                   change, message):
+        import json as json_mod
+
+        spec = {
+            "slots": 10,
+            "nodes": [{"name": "a", "buffer_bytes": 4.0}, {"name": "b"}],
+            "links": [{"src": "a", "dst": "b", "capacity_per_slot": 5.0}],
+            "flows": [{"name": "f", "path": ["a", "b"],
+                       "source": {"kind": "array", "values": [1.0]}}],
+            **change,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json_mod.dumps(spec))
+        assert main(["net", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_missing_spec_file_is_user_error(self, tmp_path, capsys):
         assert main(["net", str(tmp_path / "nope.json"), "--quiet"]) == 2

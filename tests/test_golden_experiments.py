@@ -90,7 +90,9 @@ def test_experiment_matches_golden(name, small_trace, golden):
     golden.check(name, EXPERIMENTS[name](small_trace))
 
 
-@pytest.mark.parametrize("name", ["fig14_qc", "fig17_loss_process", "fig_alloc_smg"])
+@pytest.mark.parametrize("name", [
+    "fig14_qc", "fig17_loss_process", "fig_alloc_smg", "fig_net_hurst_hops",
+])
 def test_python_fold_fallback_matches_golden(name, small_trace, golden, monkeypatch):
     """With the compiled kernel gone, ``run_slots`` folds in Python: same digests."""
     from repro.simulation import slotfluid

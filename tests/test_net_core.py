@@ -1,79 +1,15 @@
-"""repro.net core: event scheduler, disciplines, slot-fluid helper."""
+"""repro.net core: disciplines, slot-fluid helper."""
 
 import numpy as np
 import pytest
 
 from repro.net import (
-    EventScheduler,
     FIFODiscipline,
-    PHASE_ARRIVAL,
     PriorityDiscipline,
     WFQDiscipline,
     make_discipline,
 )
 from repro.simulation.slotfluid import clamp_backlog, fold_slots, slot_step
-
-
-class TestEventScheduler:
-    def test_dispatches_in_time_order(self):
-        sched = EventScheduler()
-        seen = []
-        for t in (3.0, 1.0, 2.0):
-            sched.schedule(t, seen.append, t)
-        sched.run()
-        assert seen == [1.0, 2.0, 3.0]
-
-    def test_fifo_tie_break_at_equal_time(self):
-        sched = EventScheduler()
-        seen = []
-        for i in range(50):
-            sched.schedule(1.0, seen.append, i)
-        sched.run()
-        assert seen == list(range(50))
-
-    def test_arrival_phase_precedes_service_phase(self):
-        sched = EventScheduler()
-        seen = []
-        sched.schedule(1.0, seen.append, "service")
-        sched.schedule(1.0, seen.append, "arrival", phase=PHASE_ARRIVAL)
-        sched.run()
-        assert seen == ["arrival", "service"]
-
-    def test_events_scheduled_during_run_are_honoured(self):
-        sched = EventScheduler()
-        seen = []
-
-        def chain(k):
-            seen.append(k)
-            if k < 4:
-                sched.schedule(sched.now + 1.0, chain, k + 1)
-
-        sched.schedule(0.0, chain, 0)
-        sched.run()
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_until_horizon_is_exclusive(self):
-        sched = EventScheduler()
-        seen = []
-        for t in (0.0, 1.0, 2.0):
-            sched.schedule(t, seen.append, t)
-        sched.run(until=2.0)
-        assert seen == [0.0, 1.0]
-
-    def test_scheduling_into_the_past_raises(self):
-        sched = EventScheduler()
-        sched.schedule(2.0, lambda: None)
-        sched.run()
-        with pytest.raises(ValueError, match="past"):
-            sched.schedule(1.0, lambda: None)
-
-    def test_trace_records_dispatch_order(self):
-        sched = EventScheduler(record_trace=True)
-        sched.schedule(1.0, lambda: None, label="b")
-        sched.schedule(0.0, lambda: None, label="a")
-        sched.run()
-        assert [e[3] for e in sched.trace] == ["a", "b"]
-        assert sched.events_dispatched == 2
 
 
 class TestSlotFluidHelpers:
@@ -105,29 +41,30 @@ class TestDisciplines:
         c, q = 1_100.0, 3_000.0
         disc = FIFODiscipline(c, q)
         disc.register("f")
+        result = disc.run(arrivals[None])
         backlog = 0.0
-        for a in arrivals:
-            expect_backlog, expect_served, expect_lost = slot_step(backlog, a, c, q)
-            result = disc.step({"f": float(a)})
-            assert result.backlog == expect_backlog
-            assert result.served_total == expect_served
-            assert result.lost_total == expect_lost
-            backlog = expect_backlog
+        for t, a in enumerate(arrivals):
+            backlog, expect_served, expect_lost = slot_step(backlog, a, c, q)
+            assert result.backlog[t] == backlog
+            assert result.served_total[t] == result.served[0, t] == expect_served
+            assert result.lost_total[t] == result.lost[0, t] == expect_lost
+        assert disc.backlog == backlog
 
     def test_fifo_multi_flow_conserves_and_apportions(self):
         disc = FIFODiscipline(10.0, 5.0)
         disc.register("a")
         disc.register("b")
-        result = disc.step({"a": 12.0, "b": 6.0})
+        result = disc.run([[12.0], [6.0]])
         # Aggregate follows the recursion: serve 10, keep 5, drop 3.
-        assert result.served_total == 10.0
-        assert result.backlog == 5.0
-        assert result.lost_total == pytest.approx(3.0)
+        assert result.served_total[0] == 10.0
+        assert result.backlog[0] == 5.0
+        assert result.lost_total[0] == pytest.approx(3.0)
         # Proportional split: a has 2/3 of the fluid.
-        assert result.served["a"] == pytest.approx(result.served["b"] * 2.0)
+        assert result.served[0, 0] == pytest.approx(result.served[1, 0] * 2.0)
+        assert result.lost[:, 0].sum() == pytest.approx(3.0)
         offered = 18.0
         accounted = (
-            result.served_total + result.lost_total + disc.backlog
+            result.served_total[0] + result.lost_total[0] + disc.backlog
         )
         assert accounted == pytest.approx(offered)
 
@@ -159,9 +96,35 @@ class TestDisciplines:
         assert result.served["b"] == pytest.approx(10.0)
 
     def test_unregistered_flow_is_rejected(self):
-        disc = make_discipline("fifo", 10.0, 5.0)
+        disc = make_discipline("priority", 10.0, 5.0)
         with pytest.raises(KeyError, match="never registered"):
             disc.step({"ghost": 1.0})
+        # Whole-horizon runs take one arrival row per registered flow.
+        fifo = make_discipline("fifo", 10.0, 5.0)
+        fifo.register("f")
+        with pytest.raises(ValueError, match="one row per registered flow"):
+            fifo.run(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", ["priority", "wfq"])
+    def test_run_is_the_step_loop(self, rng, name):
+        arrivals = rng.gamma(2.0, 400.0, size=(2, 150))
+        stepped = make_discipline(name, 1_300.0, 2_000.0)
+        whole = make_discipline(name, 1_300.0, 2_000.0)
+        for disc in (stepped, whole):
+            disc.register("x", priority=1, weight=1.0)
+            disc.register("y", priority=0, weight=3.0)
+        result = whole.run(arrivals)
+        for t in range(arrivals.shape[1]):
+            step = stepped.step({"x": arrivals[0, t], "y": arrivals[1, t]})
+            assert result.served[:, t].tolist() == [
+                step.served.get(f, 0.0) for f in ("x", "y")
+            ]
+            assert result.lost[:, t].tolist() == [
+                step.lost.get(f, 0.0) for f in ("x", "y")
+            ]
+            assert result.backlog[t] == step.backlog
+            assert result.served_total[t] == step.served_total
+            assert result.lost_total[t] == step.lost_total
 
     def test_duplicate_registration_is_rejected(self):
         disc = make_discipline("wfq", 10.0, 5.0)

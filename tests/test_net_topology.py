@@ -1,10 +1,142 @@
 """repro.net topology: the anchor invariant, conservation, specs, sweeps."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.net import Link, Node, build_network, run_topology, sweep_topologies
 from repro.simulation.queue import simulate_queue
+
+PARITY_PATH = Path(__file__).with_name("net_event_engine_parity.json")
+
+
+def parity_specs():
+    """The corpus the per-slot event engine's outputs were recorded on.
+
+    Single-flow tandems of 1-3 hops over every link delay 0-3 and
+    buffers of none, some and effectively infinite, one with its links
+    listed against the path; late starts and
+    short sources; two- and three-flow single hops under every
+    discipline; and merges where two flows meet at a shared port
+    through links of different latency (with one idle port).
+    """
+    rng = np.random.default_rng(15)
+    values = rng.gamma(2.0, 500.0, size=240).tolist()
+    other = rng.gamma(2.0, 400.0, size=240).tolist()
+    third = rng.gamma(1.5, 300.0, size=240).tolist()
+
+    def source(vals):
+        return {"kind": "array", "values": vals}
+
+    specs = {}
+    for hops in (1, 2, 3):
+        names = "abcd"[: hops + 1]
+        for delay in range(4):
+            for q in (0.0, 2_500.0, 1e12):
+                specs[f"tandem-h{hops}-d{delay}-q{q:g}"] = {
+                    "slots": 240,
+                    "nodes": [{"name": n, "buffer_bytes": q} for n in names],
+                    "links": [
+                        {"src": names[i], "dst": names[i + 1],
+                         "capacity_per_slot": 1_050.0 * 0.95**i,
+                         "delay_slots": (delay + i) % 4}
+                        for i in range(hops)
+                    ],
+                    "flows": [{"name": "f", "path": list(names),
+                               "source": source(values)}],
+                    "record_series": delay % 2 == 0,
+                }
+    # Links listed against the path (per-flow loss adds in link order),
+    # bufferless, so most slots drop at several hops at once.
+    specs["reversed-links"] = {
+        "slots": 240,
+        "nodes": [{"name": n, "buffer_bytes": 0.0} for n in "abcd"],
+        "links": [
+            {"src": "c", "dst": "d", "capacity_per_slot": 913.7},
+            {"src": "b", "dst": "c", "capacity_per_slot": 961.3,
+             "delay_slots": 1},
+            {"src": "a", "dst": "b", "capacity_per_slot": 1_003.9},
+        ],
+        "flows": [{"name": "f", "path": list("abcd"), "source": source(values)}],
+    }
+    tandem = specs["tandem-h2-d1-q2500"]
+    specs["late-short"] = {
+        **tandem,
+        "flows": [{"name": "f", "path": ["a", "b", "c"], "start_slot": 17,
+                   "source": source([0.0] * 5 + values[:95])}],
+        "record_series": True,
+    }
+    specs["late-cut"] = {
+        **specs["tandem-h1-d2-q2500"],
+        "flows": [{"name": "f", "path": ["a", "b"], "start_slot": 230,
+                   "source": source(values)}],
+    }
+    specs["never-starts"] = {
+        **specs["tandem-h1-d0-q2500"],
+        "flows": [{"name": "f", "path": ["a", "b"], "start_slot": 300,
+                   "source": source(values)}],
+    }
+    for disc in ("fifo", "priority", "wfq"):
+        specs[f"two-flow-{disc}"] = {
+            "slots": 240,
+            "nodes": [{"name": "a", "buffer_bytes": 3_000.0, "discipline": disc},
+                      {"name": "b", "buffer_bytes": 0.0}],
+            "links": [{"src": "a", "dst": "b", "capacity_per_slot": 1_900.0}],
+            "flows": [
+                {"name": "hi", "path": ["a", "b"], "priority": 0,
+                 "weight": 2.0, "source": source(values)},
+                {"name": "lo", "path": ["a", "b"], "priority": 1,
+                 "weight": 1.0, "start_slot": 3, "source": source(other)},
+            ],
+            "record_series": True,
+        }
+        specs[f"merge-{disc}"] = {
+            "slots": 240,
+            "nodes": [{"name": n, "buffer_bytes": 2_000.0, "discipline": disc}
+                      for n in "acbd"],
+            "links": [
+                {"src": "a", "dst": "b", "capacity_per_slot": 1_200.0},
+                {"src": "c", "dst": "b", "capacity_per_slot": 1_100.0,
+                 "delay_slots": 2},
+                {"src": "b", "dst": "d", "capacity_per_slot": 1_800.0,
+                 "delay_slots": 1},
+                {"src": "d", "dst": "a", "capacity_per_slot": 500.0},
+            ],
+            "flows": [
+                {"name": "f1", "path": ["a", "b", "d"], "weight": 1.0,
+                 "source": source(values)},
+                {"name": "f2", "path": ["c", "b", "d"], "priority": 1,
+                 "weight": 3.0, "start_slot": 4, "source": source(other)},
+            ],
+            "record_series": True,
+        }
+    specs["three-flow-fifo"] = {
+        **specs["two-flow-fifo"],
+        "flows": [
+            {"name": n, "path": ["a", "b"], "source": source(v)}
+            for n, v in (("x", values), ("y", other), ("z", third))
+        ],
+    }
+    return specs
+
+
+def parity_record(result):
+    """A run's outputs in stored form: scalars verbatim, series hashed."""
+    record = {key: result[key] for key in ("slots", "ports", "flows")}
+    if "series" in result:
+        record["series"] = {
+            port: {
+                name: hashlib.sha256(
+                    np.asarray(values, dtype=np.float64).tobytes()
+                ).hexdigest()
+                for name, values in series.items()
+            }
+            for port, series in result["series"].items()
+        }
+    return record
 
 
 def single_hop_spec(values, capacity, buffer_bytes, **extra):
@@ -200,3 +332,111 @@ class TestSweep:
 
     def test_sweep_empty_is_empty(self):
         assert sweep_topologies([]) == []
+
+
+class TestEventEngineParity:
+    """The array engine against outputs recorded on the per-slot event engine.
+
+    ``net_event_engine_parity.json`` holds, for every spec of
+    :func:`parity_specs`, what the event-heap engine this one replaced
+    reported: every port and flow summary verbatim and each recorded
+    series as the sha256 of its float64 bytes.  Everything compares
+    exactly except two port fields on ports that several flows reach:
+    ``offered_bytes`` adds the slot's deliveries in flow registration
+    order, where the heap added them in dispatch order, so it and the
+    ``loss_rate`` derived from it may differ in the last place
+    (``rel=1e-12``).
+    """
+
+    EXPECTED = json.loads(PARITY_PATH.read_text())
+
+    def test_corpus_is_the_recorded_one(self):
+        assert sorted(parity_specs()) == sorted(self.EXPECTED)
+
+    @pytest.mark.parametrize("name", sorted(parity_specs()))
+    def test_outputs_match_the_event_engine(self, name):
+        spec = parity_specs()[name]
+        got = parity_record(run_topology(spec))
+        want = self.EXPECTED[name]
+        assert got["slots"] == want["slots"]
+        assert got.get("series") == want.get("series")
+        assert got["flows"] == want["flows"]
+        for flow in got["flows"].values():
+            for key in ("first_delivery_slot", "last_delivery_slot"):
+                assert flow[key] is None or type(flow[key]) is float
+        # Ports report in link order (the recording sorted its keys).
+        links = [f"{link['src']}->{link['dst']}" for link in spec["links"]]
+        assert list(got["ports"]) == links
+        assert sorted(got["ports"]) == list(want["ports"])
+        for port, summary in got["ports"].items():
+            expected = dict(want["ports"][port])
+            if len(summary["flows"]) > 1:
+                for key in ("offered_bytes", "loss_rate"):
+                    assert summary[key] == pytest.approx(
+                        expected.pop(key), rel=1e-12, abs=0.0
+                    )
+                    del summary[key]
+            assert summary == expected
+
+
+class TestFeedForward:
+    @staticmethod
+    def _ring_spec():
+        # Three flows whose two-hop routes chain a->b, b->c, c->a.
+        return {
+            "slots": 10,
+            "nodes": [{"name": n, "buffer_bytes": 5.0} for n in "abc"],
+            "links": [
+                {"src": s, "dst": d, "capacity_per_slot": 10.0}
+                for s, d in (("a", "b"), ("b", "c"), ("c", "a"))
+            ],
+            "flows": [
+                {"name": f"f{i}", "path": list(path),
+                 "source": {"kind": "array", "values": [1.0] * 10}}
+                for i, path in enumerate(("abc", "bca", "cab"))
+            ],
+        }
+
+    def test_cyclic_port_graph_is_rejected(self):
+        with pytest.raises(ValueError, match="cycle") as info:
+            run_topology(self._ring_spec())
+        message = str(info.value)
+        assert "\n" not in message
+        for port in ("a->b", "b->c", "c->a"):
+            assert port in message
+
+    def test_ring_without_a_closing_flow_runs(self):
+        spec = self._ring_spec()
+        spec["flows"].pop()
+        result = run_topology(spec)
+        # Two store-and-forward hops: slots 0-7 arrive by the horizon.
+        assert result["flows"]["f0"]["delivered_bytes"] == 8.0
+
+
+class TestSpecValues:
+    """Spec values reach the typed checks instead of being coerced."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda s: s["links"][0].update(delay_slots=1.5),
+         r"links\[0\]: delay_slots must be an integer, got 1.5"),
+        (lambda s: s["flows"][0].update(start_slot=2.9),
+         r"flows\[0\]: start_slot must be an integer, got 2.9"),
+        (lambda s: s["nodes"].__setitem__(0, "a"),
+         r"nodes\[0\] must be an object, got 'a'"),
+        (lambda s: s["flows"][0].update(path="ab"),
+         r"flows\[0\]: path must be a list of node names, got 'ab'"),
+    ], ids=["fractional-delay", "fractional-start", "string-node", "string-path"])
+    def test_bad_value_is_a_one_line_value_error(self, mutate, message):
+        spec = single_hop_spec([1.0, 2.0], 10.0, 5.0)
+        mutate(spec)
+        with pytest.raises(ValueError, match=message) as info:
+            run_topology(spec)
+        assert "\n" not in str(info.value)
+
+    def test_integral_values_pass_through(self):
+        spec = single_hop_spec([1.0, 2.0, 3.0, 4.0, 5.0], 10.0, 5.0)
+        spec["links"][0]["delay_slots"] = np.int64(1)
+        spec["flows"][0]["start_slot"] = 1
+        flow = run_topology(spec)["flows"]["f"]
+        assert flow["slots_emitted"] == 4
+        assert flow["first_delivery_slot"] == 3.0

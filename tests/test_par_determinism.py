@@ -235,11 +235,11 @@ class TestNetSweepInvariance:
                 ],
                 "flows": [{"name": "f", "path": ["a", "b", "c"],
                            "source": {"kind": "array", "values": arrivals}}],
-                "record_events": True,
+                "record_series": True,
             })
         return specs
 
-    def test_event_traces_and_metrics_identical_across_workers(self):
+    def test_series_and_metrics_identical_across_workers(self):
         from repro.net import sweep_topologies
 
         def dump(results):
@@ -247,10 +247,12 @@ class TestNetSweepInvariance:
             return json.dumps(
                 [
                     {
-                        "trace": r["event_trace_sha256"],
+                        "series": {
+                            port: {k: v.tolist() for k, v in series.items()}
+                            for port, series in r["series"].items()
+                        },
                         "ports": r["ports"],
                         "flows": r["flows"],
-                        "events": r["events"],
                     }
                     for r in results
                 ],

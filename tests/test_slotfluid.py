@@ -7,7 +7,7 @@ oracle) must reproduce the recursion spelled out slot by slot through
 backlog trajectory, not just the summary tuple.  The compiled fold must
 equal the oracle bit for bit on clamp-dense inputs, the state tuple must
 resume across arbitrary chunk boundaries, and the FIFO discipline's
-batched path must equal its own ``step()`` loop.
+whole-horizon run must equal a ``slot_step`` loop.
 """
 
 import logging
@@ -73,6 +73,14 @@ def _assert_same_fold(got, losses, want, want_losses):
     assert losses.tobytes() == want_losses.tobytes()
 
 
+def _oracle_trail(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0)):
+    """``fold_slots`` with a backlog series: the state and the trail."""
+    trail = np.full(len(values), np.nan)
+    got = fold_slots(values.tolist(), capacity, buffer_bytes, state=state,
+                     backlog_series=trail)
+    return got, trail
+
+
 class TestCompiledMatchesOracle:
     """The compiled fold against ``fold_slots``, bit for bit.
 
@@ -105,6 +113,38 @@ class TestCompiledMatchesOracle:
             state = run_slots(a[start : start + chunk], c, q, state=state,
                               loss_series=losses[start : start + chunk])
         _assert_same_fold(state, losses, *want)
+
+    @pytest.mark.parametrize("q_means", [0.0, 0.5, np.inf])
+    def test_backlog_series_clamp_dense(self, rng, q_means):
+        a = rng.gamma(0.8, 1e3, size=20_000)
+        mean = float(a.mean())
+        c, q = mean * 1.003, q_means * mean
+        state = (min(q, 0.7 * mean), 2e3, mean, 1e6)
+        want, want_trail = _oracle_trail(a, c, q, state=state)
+        trail = np.full(a.size, np.nan)
+        got = run_slots(a, c, q, state=state, backlog_series=trail)
+        _assert_same_fold(got, trail, want, want_trail)
+        # Both series at once: the same trail, and the loss oracle's series.
+        trail, losses = np.full(a.size, np.nan), np.zeros(a.size)
+        got = run_slots(a, c, q, state=state, loss_series=losses,
+                        backlog_series=trail)
+        _assert_same_fold(got, trail, want, want_trail)
+        _assert_same_fold(got, losses, *_oracle(a, c, q, state=state))
+        _, _, ref_trail = _loop_reference(a, c, q, state=state)
+        assert trail.tobytes() == ref_trail.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 777, 65_536])
+    def test_backlog_series_chunk_partitions(self, rng, chunk):
+        n = 3_000 if chunk == 1 else 150_000
+        a = rng.gamma(0.8, 1e3, size=n)
+        c, q = 1.005 * float(a.mean()), 2_000.0
+        start_state = (300.0, 5.0, 900.0, 7e4)
+        want = _oracle_trail(a, c, q, state=start_state)
+        state, trail = start_state, np.full(n, np.nan)
+        for start in range(0, n, chunk):
+            state = run_slots(a[start : start + chunk], c, q, state=state,
+                              backlog_series=trail[start : start + chunk])
+        _assert_same_fold(state, trail, *want)
 
     @pytest.mark.parametrize("kind", ["list", "int64", "float32", "strided", "empty"])
     def test_input_types(self, rng, kind):
@@ -172,6 +212,22 @@ class TestLossSeriesBoundary:
         assert "\n" not in str(info.value)
         np.testing.assert_array_equal(bad, before)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros(4), "backlog_series of shape \\(4,\\) cannot hold 5 slots"),
+        (np.zeros(5, dtype=np.float32), "backlog_series must be a float64"),
+        (np.zeros(10)[::2], "backlog_series must be C-contiguous"),
+        (_read_only(5), "backlog_series is read-only"),
+    ], ids=["short", "float32", "strided", "read-only"])
+    def test_bad_backlog_series_raises_before_folding(self, bad, message):
+        before = bad.copy()
+        losses = np.zeros(5)
+        with pytest.raises(ValueError, match=message) as info:
+            run_slots(np.full(5, 10.0), 2.0, 5.0, loss_series=losses,
+                      backlog_series=bad)
+        assert "\n" not in str(info.value)
+        np.testing.assert_array_equal(bad, before)
+        assert not losses.any()
+
 
 class TestStateThreading:
     def test_chunked_state_resume(self, rng):
@@ -196,28 +252,27 @@ class TestStateThreading:
         assert run_slots(np.empty(0), 5.0, 10.0, state=state) == state
 
 
-class TestFifoStepMany:
-    def test_fifo_step_many_matches_step_loop(self, rng):
+class TestFifoRun:
+    def test_fifo_run_matches_slot_step_loop(self, rng):
         a = _integer_arrivals(rng, 6_000, scale=30)
-        loop = FIFODiscipline(14.0, 48.0)
-        loop.register("video")
-        lost = 0.0
-        peak = 0.0
-        for arrival in a:
-            result = loop.step({"video": float(arrival)})
-            lost += result.lost_total
-            peak = max(peak, result.backlog)
-        bulk = FIFODiscipline(14.0, 48.0)
-        bulk.register("video")
-        got = bulk.step_many(a)
-        assert got["backlog"] == loop.backlog
-        assert got["lost"] == lost
-        assert got["peak"] == peak
-        assert got["offered"] == float(a.sum())
+        disc = FIFODiscipline(14.0, 48.0)
+        disc.register("video")
+        result = disc.run(a[None])
+        backlog = 0.0
+        served, lost, trajectory = [], [], []
+        for arrival in a.tolist():
+            backlog, s, drop = slot_step(backlog, arrival, 14.0, 48.0)
+            served.append(s)
+            lost.append(drop)
+            trajectory.append(backlog)
+        assert disc.backlog == backlog
+        assert result.backlog.tolist() == trajectory
+        assert result.served_total.tolist() == result.served[0].tolist() == served
+        assert result.lost_total.tolist() == result.lost[0].tolist() == lost
 
-    def test_fifo_step_many_requires_single_flow(self):
+    def test_fifo_run_needs_one_row_per_flow(self):
         port = FIFODiscipline(10.0, 10.0)
         port.register("a")
         port.register("b")
-        with pytest.raises(ValueError, match="exactly one registered flow"):
-            port.step_many(np.zeros(4))
+        with pytest.raises(ValueError, match="one row per registered flow"):
+            port.run(np.zeros(4))
