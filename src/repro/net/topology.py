@@ -180,7 +180,7 @@ class Network:
         _SLOTS.inc(slots * len(self.ports))
         _SERVED.inc(served)
         _LOST.inc(lost)
-        _LOGGER.info(
+        _LOGGER.debug(
             "net run: %d slots, %d port(s), %d flow(s), "
             "%.0f B served, %.0f B lost",
             slots, len(self.ports), len(self.flows), served, lost,

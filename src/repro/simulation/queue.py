@@ -15,7 +15,9 @@ model at slice granularity preserves the Q-C behaviour.
 For the *zero-loss* requirement an exact O(n) analysis is available:
 the buffer never overflows iff the maximum drawdown of the net-input
 random walk is at most ``Q`` (:func:`max_backlog`), which turns the
-zero-loss capacity search into a fast vectorized bisection.
+zero-loss capacity search into a bisection on one compiled pass per
+step (:func:`repro.simulation.slotfluid.run_drawdown`, equal bit for
+bit to the numpy expression it replaced).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro._validation import as_1d_float_array, require_nonnegative, require_positive
 from repro.obs import metrics, trace
-from repro.simulation.slotfluid import run_slots
+from repro.simulation.slotfluid import run_drawdown, run_slots
 
 __all__ = ["QueueResult", "simulate_queue", "max_backlog", "zero_loss_capacity"]
 
@@ -120,7 +122,7 @@ def simulate_queue(arrivals, capacity_per_slot, buffer_bytes, return_series=Fals
 
 
 def max_backlog(arrivals, capacity_per_slot):
-    """Largest backlog of the *infinite*-buffer queue (vectorized O(n)).
+    """Largest backlog of the *infinite*-buffer queue (compiled O(n)).
 
     Equals the maximum drawdown of the net-input walk
     ``S_t = sum_{u<=t} (a_u - c)``: ``max_t (S_t - min(0, min_{u<=t} S_u))``.
@@ -129,9 +131,7 @@ def max_backlog(arrivals, capacity_per_slot):
     """
     a = as_1d_float_array(arrivals, "arrivals")
     c = require_positive(capacity_per_slot, "capacity_per_slot")
-    s = np.cumsum(a - c)
-    running_min = np.minimum(np.minimum.accumulate(s), 0.0)
-    return float(np.max(s - running_min, initial=0.0))
+    return run_drawdown(a, c)
 
 
 def zero_loss_capacity(arrivals, buffer_bytes, rel_tol=1e-4):
@@ -139,27 +139,27 @@ def zero_loss_capacity(arrivals, buffer_bytes, rel_tol=1e-4):
 
     Bisection on :func:`max_backlog`, which is monotone non-increasing
     in the capacity.  The search runs between the mean rate (below
-    which the queue is unstable) and the peak slot arrival (at which a
-    single slot can never overflow an empty buffer, hence zero loss for
-    any ``Q >= 0``).
+    which the queue is unstable) and the peak slot arrival: at
+    ``c = max(a)`` every step ``a_t - c <= 0``, so the walk never rises
+    and the drawdown is exactly 0.  ``arrivals`` is validated once; each
+    step is one :func:`~repro.simulation.slotfluid.run_drawdown` pass.
     """
-    a = as_1d_float_array(arrivals, "arrivals")
+    a = np.ascontiguousarray(as_1d_float_array(arrivals, "arrivals"))
     q = require_nonnegative(buffer_bytes, "buffer_bytes")
     lo = float(np.mean(a))
     hi = float(np.max(a))
     if lo <= 0:
         raise ValueError("arrivals must have positive mean")
-    if max_backlog(a, hi) <= q:
-        # Tighten from the peak downwards.
-        pass
-    else:  # pragma: no cover - peak capacity always achieves zero loss
-        raise RuntimeError("peak capacity fails to achieve zero loss")
-    if max_backlog(a, lo) <= q:
-        return lo
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if max_backlog(a, mid) <= q:
-            hi = mid
-        else:
-            lo = mid
+    with trace.span("queue.zero_loss_search", n=a.size) as span:
+        steps = 1
+        if run_drawdown(a, lo) <= q:
+            hi = lo  # the mean rate already suffices: nothing to search
+        while (hi - lo) > rel_tol * hi:
+            mid = 0.5 * (lo + hi)
+            steps += 1
+            if run_drawdown(a, mid) <= q:
+                hi = mid
+            else:
+                lo = mid
+        span.set(steps=steps)
     return hi

@@ -29,6 +29,13 @@ its fallback.  A property test pins ``fold_slots`` to repeated
 ctypes loads; with the same IEEE double operations in the same order
 its results equal :func:`fold_slots` bit for bit.  When the build or
 load fails, one WARNING is logged and :func:`fold_slots` runs instead.
+
+The zero-loss analysis needs no fold at all: the infinite-buffer peak
+backlog is the maximum drawdown of the net-input walk.
+:func:`max_drawdown` is that as a numpy expression, and
+:func:`run_drawdown` computes it in one pass of the same ``.so``
+(``slotfluid_drawdown``), equal to the numpy expression bit for bit;
+the numpy expression is its fallback and its oracle.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ __all__ = [
     "slot_step",
     "fold_slots",
     "run_slots",
+    "max_drawdown",
+    "run_drawdown",
 ]
 
 
@@ -163,7 +172,7 @@ def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
             _check_series(series, a.size, name)
     fold = _KERNEL.fold
     if fold is None:
-        fold = _KERNEL.load()
+        fold = _KERNEL.load().fold
     if not fold:
         return fold_slots(a.tolist(), capacity, buffer_bytes, state=state,
                           loss_series=loss_series, backlog_series=backlog_series)
@@ -172,6 +181,34 @@ def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
          None if loss_series is None else loss_series.ctypes.data,
          None if backlog_series is None else backlog_series.ctypes.data)
     return tuple(out)
+
+
+def max_drawdown(a, capacity):
+    """Largest backlog of the infinite-buffer queue, as a numpy expression.
+
+    The maximum drawdown of ``S_t = sum_{u<=t} (a_u - c)``:
+    ``max(0, max_t (S_t - min(0, min_{u<=t} S_u)))``, for a 1-D float64
+    array ``a``.  The oracle of :func:`run_drawdown` and its fallback.
+    """
+    s = np.cumsum(a - capacity)
+    running_min = np.minimum(np.minimum.accumulate(s), 0.0)
+    return float(np.max(s - running_min, initial=0.0))
+
+
+def run_drawdown(values, capacity):
+    """:func:`max_drawdown` in one compiled pass, equal to it bit for bit.
+
+    ``values`` is any 1-D array-like, taken as float64; callers validate
+    it (:func:`repro.simulation.queue.max_backlog` does), so a
+    bisection can validate once and call this every step.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    drawdown = _KERNEL.drawdown
+    if drawdown is None:
+        drawdown = _KERNEL.load().drawdown
+    if not drawdown:
+        return max_drawdown(a, capacity)
+    return drawdown(a.ctypes.data, a.size, capacity)
 
 
 def _check_series(series, n, name):
@@ -188,7 +225,7 @@ def _check_series(series, n, name):
 
 
 # ----------------------------------------------------------------------
-# The compiled fold: built on first use, loaded through ctypes
+# The compiled kernels: built on first use, loaded through ctypes
 # ----------------------------------------------------------------------
 _LOGGER = obs_log.get_logger("simulation")
 _SOURCE = Path(__file__).with_name("slotfluid.c")
@@ -202,11 +239,13 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _State = ctypes.c_double * 4  # (backlog, lost, peak, total), in and out
 
 
-class _CompiledFold:
-    """The C fold of this process, built and loaded on first use."""
+class _CompiledKernels:
+    """The C fold and drawdown of this process, built and loaded on first use."""
 
     def __init__(self):
-        self.fold = None  # the ctypes function; False once loading failed
+        # The ctypes functions; None until loaded, False once loading failed.
+        self.fold = None
+        self.drawdown = None
         self.lock = threading.Lock()
         # A fork taken while another thread held the lock would leave
         # the child's copy locked forever; the child loads for itself.
@@ -216,11 +255,15 @@ class _CompiledFold:
         self.lock = threading.Lock()
 
     def load(self):
-        """Build (once per cache key) and load the C fold; False if unavailable."""
+        """Build (once per cache key) and load both kernels; returns ``self``.
+
+        Each attribute is then a ctypes function, or False if the
+        library is unavailable.
+        """
         with self.lock:
-            if self.fold is None:
-                self.fold = _load_library()
-            return self.fold
+            if self.fold is None or self.drawdown is None:
+                self.fold, self.drawdown = _load_library()
+        return self
 
 
 def _library_path():
@@ -255,23 +298,27 @@ def _build(path):
 
 
 def _load_library():
-    """The built ``slotfluid_fold`` with its ctypes signature; False on failure."""
+    """``(fold, drawdown)`` with their ctypes signatures; ``(False, False)`` on failure."""
     try:
         path = _library_path()
         if not path.exists():
             _build(path)
-        fold = ctypes.CDLL(str(path)).slotfluid_fold
+        library = ctypes.CDLL(str(path))
+        fold, drawdown = library.slotfluid_fold, library.slotfluid_drawdown
     except (OSError, subprocess.CalledProcessError) as exc:
         lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
         _LOGGER.warning(
-            "slot-fluid C kernel unavailable (%s); folding in Python",
+            "slot-fluid C kernel unavailable (%s); folding in Python, "
+            "drawdown in numpy",
             lines[0] if lines else type(exc).__name__,
         )
-        return False
+        return False, False
     fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
                      ctypes.c_double, _State, ctypes.c_void_p, ctypes.c_void_p)
     fold.restype = None
-    return fold
+    drawdown.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double)
+    drawdown.restype = ctypes.c_double
+    return fold, drawdown
 
 
-_KERNEL = _CompiledFold()
+_KERNEL = _CompiledKernels()

@@ -91,13 +91,16 @@ def test_experiment_matches_golden(name, small_trace, golden):
 
 
 @pytest.mark.parametrize("name", [
-    "fig14_qc", "fig17_loss_process", "fig_alloc_smg", "fig_net_hurst_hops",
+    "fig14_qc", "fig15_smg", "fig16_model_vs_trace", "fig17_loss_process",
+    "fig_alloc_smg", "fig_net_hurst_hops",
 ])
 def test_python_fold_fallback_matches_golden(name, small_trace, golden, monkeypatch):
-    """With the compiled kernel gone, ``run_slots`` folds in Python: same digests."""
+    """With the compiled kernels gone, ``run_slots`` folds in Python and the
+    zero-loss drawdown runs in numpy: same digests."""
     from repro.simulation import slotfluid
 
     monkeypatch.setattr(slotfluid._KERNEL, "fold", False)
+    monkeypatch.setattr(slotfluid._KERNEL, "drawdown", False)
     golden.check(name, EXPERIMENTS[name](small_trace))
 
 

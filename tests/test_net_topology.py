@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,20 @@ class TestSingleQueueAnchor:
         assert port["lost_bytes"] == ref.lost_bytes
         assert port["final_backlog"] == ref.final_backlog
         assert port["peak_backlog"] == ref.peak_backlog
+
+
+class TestRunLog:
+    """One summary line per ``Network.run``, at DEBUG: a campaign runs dozens."""
+
+    @pytest.mark.parametrize("level, logged", [(logging.INFO, False),
+                                               (logging.DEBUG, True)])
+    def test_net_run_summary_is_debug_only(self, caplog, level, logged):
+        spec = single_hop_spec([5.0, 20.0, 0.0], 10.0, 100.0)
+        with caplog.at_level(level, logger="repro.net"):
+            run_topology(spec)
+        lines = [r for r in caplog.records if r.getMessage().startswith("net run:")]
+        assert len(lines) == int(logged)
+        assert all(r.levelno == logging.DEBUG for r in lines)
 
 
 class TestConservation:

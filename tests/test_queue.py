@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
+from repro.obs import trace
 from repro.simulation.queue import max_backlog, simulate_queue, zero_loss_capacity
 
 
@@ -121,6 +123,24 @@ class TestZeroLossCapacity:
         c_large = zero_loss_capacity(small_series, 2_000_000.0)
         assert c_large <= c_small
 
+    def test_one_span_per_search(self, rng):
+        a = rng.uniform(0, 10, size=3_000)
+        trace.reset()
+        try:
+            with obs.enabled():
+                zero_loss_capacity(a, buffer_bytes=20.0, rel_tol=1e-3)
+                zero_loss_capacity(a, buffer_bytes=1e9)
+            roots = trace.snapshot()
+        finally:
+            trace.reset()
+        assert [root["name"] for root in roots] == ["queue.zero_loss_search"] * 2
+        bisected, at_mean = (root["attrs"] for root in roots)
+        assert not any(root.get("children") for root in roots)
+        # About log2((peak - mean) / (rel_tol * c)) halvings, plus the
+        # check at the mean.
+        assert bisected["n"] == 3_000 and 8 <= bisected["steps"] <= 12
+        assert at_mean == {"n": 3_000, "steps": 1}
+
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), c=st.floats(1.0, 20.0), q=st.floats(0.0, 100.0))
@@ -136,8 +156,32 @@ def test_queue_conservation_property(seed, c, q):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), c=st.floats(5.0, 30.0))
 def test_drawdown_equals_infinite_buffer_peak_property(seed, c):
-    """Property: the vectorized drawdown equals the loop simulation."""
+    """Property: the drawdown equals the loop simulation."""
     a = np.random.default_rng(seed).uniform(0, 25, size=400)
     assert max_backlog(a, c) == pytest.approx(
         simulate_queue(a, c, 1e15).peak_backlog, rel=1e-9, abs=1e-9
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 3_000),
+    kind=st.sampled_from(["uniform", "gamma", "integer", "pareto"]),
+)
+def test_peak_capacity_has_zero_drawdown_property(seed, n, kind):
+    """Property: at ``c = max(a)`` no step rises, so the drawdown is exactly +0.0.
+
+    This is why ``zero_loss_capacity`` can start its bisection at the
+    peak without checking it.
+    """
+    rng = np.random.default_rng(seed)
+    a = {
+        "uniform": lambda: rng.uniform(0, 25, size=n),
+        "gamma": lambda: rng.gamma(0.8, 1e4, size=n),
+        "integer": lambda: rng.integers(1, 40, size=n).astype(float),
+        "pareto": lambda: (rng.pareto(1.3, size=n) + 1.0) * 100.0,
+    }[kind]()
+    got = max_backlog(a, float(a.max()))
+    assert got == 0.0
+    assert np.float64(got).tobytes() == np.float64(0.0).tobytes()

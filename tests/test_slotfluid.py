@@ -7,7 +7,9 @@ oracle) must reproduce the recursion spelled out slot by slot through
 backlog trajectory, not just the summary tuple.  The compiled fold must
 equal the oracle bit for bit on clamp-dense inputs, the state tuple must
 resume across arbitrary chunk boundaries, and the FIFO discipline's
-whole-horizon run must equal a ``slot_step`` loop.
+whole-horizon run must equal a ``slot_step`` loop.  The compiled
+zero-loss drawdown (``run_drawdown``) must equal its numpy oracle
+(``max_drawdown``) bit for bit.
 """
 
 import logging
@@ -18,7 +20,14 @@ import pytest
 
 from repro.net.sched import FIFODiscipline
 from repro.simulation import slotfluid
-from repro.simulation.slotfluid import fold_slots, run_slots, slot_step
+from repro.simulation.queue import max_backlog, zero_loss_capacity
+from repro.simulation.slotfluid import (
+    fold_slots,
+    max_drawdown,
+    run_drawdown,
+    run_slots,
+    slot_step,
+)
 
 
 def _loop_reference(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0)):
@@ -163,6 +172,72 @@ class TestCompiledMatchesOracle:
         assert all(type(x) is float for x in got)
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _drawdown_series(rng, kind, n):
+    return {
+        "gamma": lambda: rng.gamma(0.8, 1e4, size=n),
+        "integer": lambda: _integer_arrivals(rng, n).astype(float),
+        "pareto": lambda: (rng.pareto(1.3, size=n) + 1.0) * 100.0,
+        "constant": lambda: np.full(n, 7.3),
+    }[kind]()
+
+
+class TestCompiledDrawdownMatchesOracle:
+    """``run_drawdown`` against the numpy ``max_drawdown``, bytewise."""
+
+    @pytest.mark.parametrize("kind", ["gamma", "integer", "pareto", "constant"])
+    @pytest.mark.parametrize("n", [1, 2, 57, 4_000, 50_000])
+    def test_capacity_sweep(self, rng, kind, n):
+        a = _drawdown_series(rng, kind, n)
+        mean = float(a.mean())
+        capacities = [mean, float(a.max()), float(a[0]),
+                      *(mean * rng.uniform(0.7, 1.5, size=12))]
+        for c in capacities:
+            assert _bits(run_drawdown(a, c)) == _bits(max_drawdown(a, c)), c
+
+    def test_one_element(self):
+        assert run_drawdown(np.array([5.0]), 2.0) == 3.0
+        assert _bits(run_drawdown(np.array([2.0]), 5.0)) == _bits(0.0)
+
+    @pytest.mark.parametrize("kind", ["gamma", "integer", "pareto", "constant"])
+    def test_capacity_equal_to_first_arrival(self, rng, kind):
+        # The walk starts at a[0] - c == +0.0: seeding it with -0.0, or
+        # a max that kept a -0.0, would differ from numpy in the sign bit.
+        a = _drawdown_series(rng, kind, 3_000)
+        c = float(a[0])
+        assert _bits(run_drawdown(a, c)) == _bits(max_drawdown(a, c))
+        assert _bits(run_drawdown(a[:1], c)) == _bits(0.0)
+
+    def test_empty_series(self):
+        assert _bits(run_drawdown(np.empty(0), 3.0)) == _bits(max_drawdown(np.empty(0), 3.0))
+
+    def test_random_cases(self, rng):
+        mismatches = 0
+        for _ in range(300):
+            kind = rng.choice(["gamma", "integer", "pareto", "constant"])
+            a = _drawdown_series(rng, kind, int(rng.integers(1, 5_000)))
+            c = float(a.mean()) * rng.uniform(0.7, 1.5)
+            mismatches += _bits(run_drawdown(a, c)) != _bits(max_drawdown(a, c))
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("kind", ["list", "int64", "float32", "strided"])
+    def test_input_types_through_max_backlog(self, rng, kind):
+        base = rng.gamma(0.8, 50.0, size=4_000)
+        values = {
+            "list": base.tolist(),
+            "int64": base.astype(np.int64),
+            "float32": base.astype(np.float32),
+            "strided": base[::2],
+        }[kind]
+        as_float = np.asarray(values, dtype=np.float64)
+        c = float(as_float.mean()) * 1.01
+        assert _bits(max_backlog(values, c)) == _bits(max_drawdown(as_float, c))
+        assert type(max_backlog(values, c)) is float
+
+
 class TestKernelSelection:
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
     def test_compiled_kernel_is_in_use(self):
@@ -170,24 +245,45 @@ class TestKernelSelection:
         # off: the loaded fold is a ctypes function, not False.
         run_slots(np.ones(3), 1.0, 1.0)
         assert slotfluid._KERNEL.fold, "gcc is on PATH but run_slots folds in Python"
+        assert slotfluid._KERNEL.drawdown, "gcc is on PATH but the drawdown runs in numpy"
 
     def test_missing_compiler_warns_once_and_falls_back(self, rng, tmp_path,
                                                        monkeypatch, caplog):
         monkeypatch.setattr(slotfluid._KERNEL, "fold", None)
+        monkeypatch.setattr(slotfluid._KERNEL, "drawdown", None)
         monkeypatch.setattr(slotfluid, "_CACHE_DIR", tmp_path)
         monkeypatch.setattr(slotfluid, "_CC", str(tmp_path / "no-such-cc"))
         a = rng.gamma(0.8, 10.0, size=2_000)
         with caplog.at_level(logging.WARNING, logger="repro.simulation"):
+            backlog = max_backlog(a, 8.1)
             first = run_slots(a, 8.1, 30.0)
             losses = np.zeros(a.size)
             second = run_slots(a, 8.1, 30.0, loss_series=losses)
+            capacity = zero_loss_capacity(a, 30.0)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "\n" not in warnings[0].getMessage()
         assert slotfluid._KERNEL.fold is False
+        assert slotfluid._KERNEL.drawdown is False
         want, want_losses = _oracle(a, 8.1, 30.0)
         np.testing.assert_array_equal(first, want)
         _assert_same_fold(second, losses, want, want_losses)
+        assert _bits(backlog) == _bits(max_drawdown(a, 8.1))
+        assert _bits(capacity) == _bits(_numpy_zero_loss_capacity(a, 30.0))
+
+
+def _numpy_zero_loss_capacity(a, q, rel_tol=1e-4):
+    """The bisection of ``zero_loss_capacity`` on the numpy drawdown."""
+    lo, hi = float(np.mean(a)), float(np.max(a))
+    if max_drawdown(a, lo) <= q:
+        return lo
+    while (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if max_drawdown(a, mid) <= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestLossSeriesBoundary:
