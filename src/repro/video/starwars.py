@@ -78,12 +78,19 @@ STARWARS_PARAMETERS = {
 
 
 def _ar1_path(n, phi, rng):
-    """Unit-variance stationary AR(1) path of length ``n`` (vectorized)."""
-    from scipy import signal
+    """Unit-variance stationary AR(1) path of length ``n``.
 
+    A plain ``y[t] = x[t] + phi * y[t-1]`` loop.  It gives the same bits
+    as ``scipy.signal.lfilter([1], [1, -phi], x)``, whose transposed
+    direct form adds an exact ``0.0 * x[t-1]`` term, and it keeps
+    ``scipy.signal`` out of every campaign's imports.
+    """
     eps = rng.normal(0.0, np.sqrt(1.0 - phi**2), size=n)
     eps[0] = rng.normal(0.0, 1.0)
-    return signal.lfilter([1.0], [1.0, -phi], eps)
+    y = eps.tolist()
+    for t in range(1, n):
+        y[t] = y[t] + phi * y[t - 1]
+    return np.array(y)
 
 
 def _landmark_boosts(n_frames, frame_rate):

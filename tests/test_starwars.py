@@ -1,9 +1,13 @@
 """Tests for the calibrated Star-Wars-like trace synthesizer."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import signal
 
-from repro.video.starwars import STARWARS_PARAMETERS, synthesize_starwars_trace
+from repro.experiments.data import reference_trace
+from repro.video.starwars import STARWARS_PARAMETERS, _ar1_path, synthesize_starwars_trace
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +118,33 @@ class TestStructure:
     def test_parameters_dict_complete(self):
         for key in ("n_frames", "mean_frame_bytes", "std_frame_bytes", "hurst", "tail_shape"):
             assert key in STARWARS_PARAMETERS
+
+
+def lfilter_ar1_path(n, phi, rng):
+    """The former ``_ar1_path``: same two draws, then ``scipy.signal.lfilter``."""
+    eps = rng.normal(0.0, np.sqrt(1.0 - phi**2), size=n)
+    eps[0] = rng.normal(0.0, 1.0)
+    return signal.lfilter([1.0], [1.0, -phi], eps)
+
+
+class TestAR1Path:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 40_000])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.9, 0.97, 0.999])
+    def test_recursion_matches_lfilter_bitwise(self, phi, n):
+        mismatches = []
+        for seed in range(60):
+            y = _ar1_path(n, phi, np.random.default_rng(seed))
+            oracle = lfilter_ar1_path(n, phi, np.random.default_rng(seed))
+            if (y.dtype, y.shape, y.tobytes()) != (oracle.dtype, oracle.shape, oracle.tobytes()):
+                mismatches.append(seed)
+        assert mismatches == []
+
+    def test_reference_trace_bytes_pinned(self):
+        """sha256 of ``reference_trace(2000)``, recorded with the lfilter path."""
+        t = reference_trace(n_frames=2000)
+        assert hashlib.sha256(t.frame_bytes.tobytes()).hexdigest() == (
+            "fa26ab58add7fcf906897a32bbb79ab533d412b8311b697741952d777b525519"
+        )
+        assert hashlib.sha256(t.slice_bytes.tobytes()).hexdigest() == (
+            "be4d916b764aa3c63b3a41559c3e6df052ff78e749aede6647b6f4c59943e134"
+        )
