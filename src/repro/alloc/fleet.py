@@ -27,7 +27,7 @@ accumulators, exactly the streaming discipline of ``repro.stream``.
 Determinism: every random draw descends from
 ``derive_task_seed(derive_task_seed(fleet_seed, user, label="alloc.user"),
 epoch, label="alloc.epoch")`` -- per-(user, epoch), independent of worker
-count, chunking, ``REPRO_BATCH`` and allocator choice.  The result
+count, chunking and allocator choice.  The result
 digest is a sha256 over the raw float bytes of the per-user statistics,
 so "bit-identical" is checkable with a string compare.
 """

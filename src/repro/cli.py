@@ -117,9 +117,6 @@ def build_parser():
                        help="synthesis block for the approximate backends")
     p_str.add_argument("--overlap", type=int, default=1_024,
                        help="cross-fade overlap between synthesis blocks")
-    p_str.add_argument("--batch", type=int, default=None, metavar="B",
-                       help="blocks pre-synthesized per stacked FFT "
-                            "(bit-identical output; default 1 or $REPRO_BATCH)")
     p_str.add_argument("--sources", type=int, default=1,
                        help="independent sources generated on a worker pool and summed")
     p_str.add_argument("--seed", type=int, default=0)
@@ -162,9 +159,6 @@ def build_parser():
                        help="manifest path for --profile (default run.json)")
     p_exp.add_argument("--profile-memory", action="store_true",
                        help="with --profile, also record tracemalloc peaks (slower)")
-    p_exp.add_argument("--batch", type=int, default=None, metavar="B",
-                       help="default rows per stacked fGn synthesis for the "
-                            "run (golden digests are batch-invariant)")
     p_exp.add_argument("--workers", type=int, default=1,
                        help="experiments run concurrently through the supervisor; "
                             "results are identical at every worker count")
@@ -425,8 +419,6 @@ def _cmd_stream(args):
         raise SystemExit("--samples must be >= 1")
     if args.chunk < 1:
         raise SystemExit("--chunk must be >= 1")
-    if args.batch is not None and args.batch < 1:
-        raise SystemExit("--batch must be >= 1")
     _configure_cache(args)
 
     profiler = contextlib.nullcontext()
@@ -437,7 +429,7 @@ def _cmd_stream(args):
                 "samples": args.samples, "chunk": args.chunk,
                 "backend": args.backend, "hurst": args.hurst,
                 "sources": args.sources, "gaussian": bool(args.gaussian),
-                "table": bool(args.table), "batch": args.batch,
+                "table": bool(args.table),
             },
             seed=args.seed,
             path=args.run_report,
@@ -470,7 +462,6 @@ def _stream_body(args):
         return make_source(
             args.backend, hurst=args.hurst,
             block_size=args.block_size, overlap=args.overlap,
-            batch=args.batch,
         )
 
     if args.sources > 1:
@@ -566,12 +557,6 @@ def _cmd_experiments(args):
         return 2
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    if args.batch is not None:
-        if args.batch < 1:
-            raise SystemExit("--batch must be >= 1")
-        from repro.par.batch import set_default_batch
-
-        set_default_batch(args.batch)
     _configure_cache(args)
     only = args.profile if args.profile else None
     profiler = contextlib.nullcontext()
@@ -582,7 +567,7 @@ def _cmd_experiments(args):
                     "checkpoint_dir": args.checkpoint_dir,
                     "max_retries": args.max_retries,
                     "timeout_s": args.timeout_s,
-                    "workers": args.workers, "batch": args.batch},
+                    "workers": args.workers},
             seed=args.seed,
             path=args.run_report,
             memory=args.profile_memory,

@@ -13,18 +13,14 @@ amortizing the cached spectral profile, the Gaussian draws, and the
 FFT dispatch overhead over the whole batch (see ``docs/performance.md``
 and the ``batched_synthesis_speedup_b64`` entry of BENCH_stream.json).
 
-Two seeding modes cover the two callers:
-
-- **Independent rows** (default): row ``i`` draws from
-  ``default_rng(derive_task_seed(seed, i, label="batch"))`` -- the same
-  sha256 scheme :func:`repro.par.shard.shard_fgn` uses for its shards,
-  so batching commutes with the parallel pool's per-task seeding.
-  Explicit per-row seeds may be given via ``seeds=``.
-- **Shared stream** (``rng=``): all rows draw *sequentially* from one
-  generator, in exactly the order B consecutive single-trace
-  ``generate(n, rng=rng)`` calls would -- the mode the streaming block
-  source uses to pre-synthesize blocks ahead without changing a bit of
-  its output.
+Rows are seeded independently: row ``i`` draws from
+``default_rng(derive_task_seed(seed, i, label="batch"))`` -- the same
+sha256 scheme :func:`repro.par.shard.shard_fgn` uses for its shards --
+or from explicit per-row seeds given via ``seeds=``.  Callers that own a
+long-lived generator (or want rows drawn one after another from one
+stream) call :func:`batch_generate` with their own per-row rngs;
+``batch_generate(gen, n, [rng] * B)`` reproduces B consecutive
+``gen.generate(n, rng=rng)`` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -71,22 +67,6 @@ def batch_row_seeds(seed, batch):
     from repro.par.pool import derive_task_seed
 
     return [derive_task_seed(seed, i, label="batch") for i in range(batch)]
-
-
-def _row_rngs(batch, seed, seeds, rng):
-    if rng is not None:
-        if seeds is not None:
-            raise ValueError("pass either rng= (shared stream) or seeds=, not both")
-        return [rng] * batch
-    if seeds is None:
-        seeds = batch_row_seeds(seed, batch)
-    seeds = list(seeds)
-    if len(seeds) != batch:
-        raise ValueError(f"need {batch} row seeds, got {len(seeds)}")
-    # Generator(PCG64(s)) draws bit-identically to default_rng(s) at a
-    # third of the construction cost -- the construction is per row, so
-    # it shows up at dispatch-bound batch sizes.
-    return [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
 
 
 def _batch_paxson(generator, n, rngs):
@@ -142,22 +122,20 @@ def _batch_davies_harte(generator, n, rngs):
 
 
 def batch_generate(generator, n, rngs):
-    """Stacked synthesis against an *existing* generator instance.
+    """Stacked synthesis against an existing generator instance.
 
-    The streaming block source owns a long-lived generator whose cached
-    spectral profile must survive across calls; this entry point runs
-    the stacked FFT kernel with that instance instead of building a
-    fresh one per batch.  ``rngs`` is one generator per row (repeat one
-    instance for the sequential shared-stream mode).  Row ``i`` is
-    bit-identical to ``generator.generate(n, rng=rngs[i])``.
+    ``rngs`` is one generator per row (repeat one instance to draw the
+    rows one after another from a single stream).  Row ``i`` is
+    bit-identical to ``generator.generate(n, rng=rngs[i])``; the
+    generator's cached spectral profile is reused across calls.
     """
     from repro.core.daviesharte import DaviesHarteGenerator
     from repro.core.paxson import PaxsonGenerator
 
     if isinstance(generator, DaviesHarteGenerator):
-        kernel = _batch_davies_harte
+        backend, kernel = "davies-harte", _batch_davies_harte
     elif isinstance(generator, PaxsonGenerator):
-        kernel = _batch_paxson
+        backend, kernel = "paxson", _batch_paxson
     else:
         raise TypeError(
             f"generator must be a PaxsonGenerator or DaviesHarteGenerator, "
@@ -167,15 +145,14 @@ def batch_generate(generator, n, rngs):
     rngs = list(rngs)
     if not rngs:
         raise ValueError("rngs must name at least one row")
-    with trace.span("batch.fgn", backend=type(generator).__name__,
-                    n=n, batch=len(rngs)):
+    with trace.span("batch.fgn", backend=backend, n=n, batch=len(rngs)):
         x = kernel(generator, n, rngs)
     _ROWS.inc(len(rngs))
     return x
 
 
 def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
-              seeds=None, rng=None):
+              seeds=None):
     """Synthesize ``batch`` independent fGn traces as a ``(batch, n)`` array.
 
     Parameters
@@ -193,13 +170,7 @@ def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
         ``derive_task_seed(seed, i, label="batch")``.
     seeds:
         Explicit per-row integer seeds (length ``batch``), overriding
-        the derivation -- used by the sharded pool, whose rows are
-        seeded by *shard* index.
-    rng:
-        A shared ``numpy.random.Generator``: rows draw sequentially from
-        it, reproducing B consecutive single-trace ``generate`` calls
-        bit for bit (the streaming block sources' mode).  Mutually
-        exclusive with ``seeds``.
+        the derivation.
 
     Every row is bit-identical to the corresponding single-trace
     ``PaxsonGenerator``/``DaviesHarteGenerator`` call -- the batched FFT
@@ -209,21 +180,19 @@ def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
     n = require_positive_int(n, "n")
     batch = _require_batch(batch, n)
     if backend == "paxson":
-        from repro.core.paxson import PaxsonGenerator
-
-        generator = PaxsonGenerator(hurst, variance=variance)
-        kernel = _batch_paxson
+        from repro.core.paxson import PaxsonGenerator as generator_cls
     elif backend == "davies-harte":
-        from repro.core.daviesharte import DaviesHarteGenerator
-
-        generator = DaviesHarteGenerator(hurst, variance=variance)
-        kernel = _batch_davies_harte
+        from repro.core.daviesharte import DaviesHarteGenerator as generator_cls
     else:
         raise ValueError(
             f"backend must be one of {BATCH_BACKENDS}, got {backend!r}"
         )
-    rngs = _row_rngs(batch, seed, seeds, rng)
-    with trace.span("batch.fgn", backend=backend, n=n, batch=batch):
-        x = kernel(generator, n, rngs)
-    _ROWS.inc(batch)
-    return x
+    generator = generator_cls(hurst, variance=variance)
+    seeds = batch_row_seeds(seed, batch) if seeds is None else list(seeds)
+    if len(seeds) != batch:
+        raise ValueError(f"need {batch} row seeds, got {len(seeds)}")
+    # Generator(PCG64(s)) draws bit-identically to default_rng(s) at a
+    # third of the construction cost -- the construction is per row, so
+    # it shows up at dispatch-bound batch sizes.
+    rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    return batch_generate(generator, n, rngs)

@@ -29,11 +29,11 @@ of a JSON file -- the ``repro net`` CLI input):
 Source kinds: ``array`` (explicit per-slot values), ``trace`` (the
 calibrated Star-Wars-like synthesizer), ``fgn`` (a constant-memory
 :mod:`repro.stream` source, optionally pushed through the paper's
-Gamma/Pareto marginal; an optional ``batch`` key pre-synthesizes that
-many blocks per stacked FFT, changing nothing in the emitted bytes).
-Every random draw happens in a seeded
+Gamma/Pareto marginal).  Every random draw happens in a seeded
 generator owned by the flow, so a spec is a complete, reproducible
-description of a run: same spec, same bytes.
+description of a run: same spec, same bytes.  A key the builder does
+not read -- a misspelling, say -- makes the spec invalid rather than
+being ignored.
 
 The run is array-at-a-time.  Each flow's source is drained once into
 an emission array; the ports are then served in topological order --
@@ -257,13 +257,11 @@ def _flow_source(source, slots, start_slot):
     if kind == "fgn":
         from repro.stream.sources import make_source
 
-        batch = source.get("batch")
         src = make_source(
             source.get("backend", "paxson"),
             hurst=float(source.get("hurst", 0.8)),
             block_size=int(source.get("block_size", 65_536)),
             overlap=int(source.get("overlap", 1_024)),
-            batch=None if batch is None else int(batch),
         )
         rng = np.random.default_rng(int(source.get("seed", 0)))
         chunk = int(source.get("chunk", 8_192))
@@ -288,6 +286,41 @@ def _flow_source(source, slots, start_slot):
     raise ValueError(
         f'source kind must be "array", "trace" or "fgn", got {kind!r}'
     )
+
+
+# The keys the builder reads at each level of a spec; any other key is
+# rejected, so a misspelt key cannot silently fall back to a default.
+_SPEC_KEYS = {"slots", "slot_seconds", "record_series", "nodes", "links", "flows"}
+_ENTRY_KEYS = {
+    "nodes": {"name", "buffer_bytes", "discipline"},
+    "links": {"src", "dst", "capacity_per_slot", "delay_slots"},
+    "flows": {"name", "path", "source", "priority", "weight", "start_slot"},
+}
+_SOURCE_KEYS = {
+    "array": {"kind", "slots", "values"},
+    "trace": {"kind", "slots", "frames", "seed"},
+    "fgn": {"kind", "slots", "backend", "hurst", "block_size", "overlap",
+            "seed", "chunk", "marginal"},
+}
+
+
+def _reject_unknown_keys(entry, allowed, where):
+    unknown = set(entry) - allowed
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+
+
+def _check_keys(spec):
+    """Raise ``ValueError`` naming the first entry with a key nothing reads."""
+    _reject_unknown_keys(spec, _SPEC_KEYS, "spec")
+    for key, allowed in _ENTRY_KEYS.items():
+        for i, entry in enumerate(_entries(spec, key)):
+            _reject_unknown_keys(entry, allowed, f"{key}[{i}]")
+    for i, entry in enumerate(spec["flows"]):
+        source = entry.get("source")
+        kind = source.get("kind") if isinstance(source, dict) else None
+        if isinstance(kind, str) and kind in _SOURCE_KEYS:
+            _reject_unknown_keys(source, _SOURCE_KEYS[kind], f"flows[{i}].source")
 
 
 def _entries(spec, key):
@@ -319,6 +352,7 @@ def build_network(spec, record_series=None):
     if not isinstance(spec, dict):
         raise TypeError(f"spec must be a dict, got {type(spec).__name__}")
     slots = require_positive_int(spec.get("slots", 0), "slots")
+    _check_keys(spec)
     if record_series is None:
         record_series = bool(spec.get("record_series", False))
 

@@ -8,11 +8,6 @@ Three pieces, each importable on its own:
 - :mod:`repro.par.shard` — shard-parallel fGn generation
   (`shard_fgn`) whose output is a pure function of the parameters and
   seed, never of the worker count;
-- :mod:`repro.par.batch` — batch-per-worker fleet synthesis
-  (`batch_fgn_pool`) stacking several traces per pool task through
-  :func:`repro.core.batch.batch_fgn`, plus the process-wide
-  ``batch=None`` default (`default_batch` / `set_default_batch`,
-  seeded from ``REPRO_BATCH``);
 - :mod:`repro.par.cache` — content-addressed, digest-verified on-disk
   cache for expensive intermediates (circulant eigenvalues, Paxson
   spectral densities, fARIMA autocorrelation tables, synthesized
@@ -27,30 +22,22 @@ generators, so eagerly importing submodules here would cycle.
 from __future__ import annotations
 
 __all__ = [
-    "batch",
     "cache",
     "pool",
     "shard",
     "pool_map",
     "derive_task_seed",
     "shard_fgn",
-    "batch_fgn_pool",
-    "default_batch",
-    "set_default_batch",
     "ContentCache",
 ]
 
 _LAZY = {
-    "batch": ("repro.par.batch", None),
     "cache": ("repro.par.cache", None),
     "pool": ("repro.par.pool", None),
     "shard": ("repro.par.shard", None),
     "pool_map": ("repro.par.pool", "pool_map"),
     "derive_task_seed": ("repro.par.pool", "derive_task_seed"),
     "shard_fgn": ("repro.par.shard", "shard_fgn"),
-    "batch_fgn_pool": ("repro.par.batch", "batch_fgn_pool"),
-    "default_batch": ("repro.par.batch", "default_batch"),
-    "set_default_batch": ("repro.par.batch", "set_default_batch"),
     "ContentCache": ("repro.par.cache", "ContentCache"),
 }
 

@@ -38,8 +38,12 @@ from repro._validation import (
     require_positive,
     require_positive_int,
 )
+from repro.core.daviesharte import DaviesHarteGenerator
+from repro.core.hosking import HoskingGenerator
+from repro.core.paxson import PaxsonGenerator
 from repro.obs import metrics, trace
 from repro.par.pool import pool_map
+from repro.stream.sources import blend_weights
 
 __all__ = ["SHARD_BACKENDS", "shard_fgn", "shard_plan", "blend_weights"]
 
@@ -61,18 +65,6 @@ def shard_plan(n, shard_size):
     ]
 
 
-def blend_weights(overlap):
-    """The seam cross-fade weights ``(w_old, w_new)``.
-
-    Identical to :class:`repro.stream.sources.BlockFGNSource`:
-    ``w_old = cos(pi t / 2)``, ``w_new = sin(pi t / 2)`` on the interior
-    grid ``t = (1..overlap) / (overlap + 1)``, so ``w_old^2 + w_new^2 = 1``
-    and blending two independent Gaussians preserves the variance.
-    """
-    t = np.arange(1, int(overlap) + 1, dtype=float) / (int(overlap) + 1)
-    return np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * t)
-
-
 def _synthesize_shard(item, task_seed):
     """Pool task: one shard's raw samples from the serial generator.
 
@@ -81,12 +73,6 @@ def _synthesize_shard(item, task_seed):
     on the shard index alone.
     """
     backend, hurst, variance, raw_len = item
-    # Imported here (not at module top) so forked workers resolve the
-    # generator against their own interpreter state and the par package
-    # never eagerly drags core modules in at import time.
-    from repro.core.daviesharte import DaviesHarteGenerator
-    from repro.core.paxson import PaxsonGenerator
-
     cls = DaviesHarteGenerator if backend == "davies-harte" else PaxsonGenerator
     rng = np.random.default_rng(task_seed)
     raw = cls(hurst, variance=variance).generate(raw_len, rng=rng)
@@ -94,27 +80,8 @@ def _synthesize_shard(item, task_seed):
     return raw
 
 
-def _synthesize_shard_batch(item, common):
-    """Pool task: a stacked batch of equal-length shards.
-
-    ``item`` is ``(raw_len, seeds)`` with one sha256-derived seed per
-    shard; :func:`repro.core.batch.batch_fgn` guarantees each row is
-    bit-identical to the single-shard call under the same seed, so
-    batching shards per worker never changes the assembled path.
-    """
-    from repro.core.batch import batch_fgn
-
-    raw_len, seeds = item
-    rows = batch_fgn(
-        raw_len, common["hurst"], len(seeds),
-        backend=common["backend"], variance=common["variance"], seeds=seeds,
-    )
-    _SHARDS.inc(len(seeds))
-    return rows
-
-
 def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
-              shard_size=65_536, overlap=1_024, workers=1, batch=None):
+              shard_size=65_536, overlap=1_024, workers=1):
     """Generate an fGn path of length ``n``, sharded across workers.
 
     Parameters
@@ -137,12 +104,6 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
     workers:
         Process count for shard synthesis (via
         :func:`repro.par.pool.pool_map`).
-    batch:
-        Shards synthesized per pool task as one stacked 2-D FFT
-        (``None`` uses :func:`repro.par.batch.default_batch`).  Shard
-        ``i`` keeps its ``derive_task_seed(seed, i, label="shard")``
-        rng whatever the grouping, so ``batch`` — like ``workers`` —
-        changes wall-clock time and nothing else.
 
     Returns the assembled float64 path of exactly ``n`` samples.
     """
@@ -162,52 +123,22 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
     if backend == "hosking":
         # Exact conditional recursion: serial by construction, identical
         # to hosking_farima(n, hurst, variance, rng=default_rng(seed)).
-        from repro.core.hosking import HoskingGenerator
-
         with trace.span("par.shard_fgn", backend=backend, n=n, shards=1):
             rng = np.random.default_rng(int(seed))
             path = HoskingGenerator(hurst=hurst, variance=variance).generate(n, rng=rng)
         _SHARDS.inc()
         return path
 
-    from repro.par.batch import resolve_batch
-
-    batch = resolve_batch(batch)
     plan = shard_plan(n, shard_size)
     with trace.span("par.shard_fgn", backend=backend, n=n, shards=len(plan)):
-        if batch == 1:
-            items = [
-                (backend, float(hurst), float(variance), length + overlap)
-                for _, length in plan
-            ]
-            raws = pool_map(
-                _synthesize_shard, items,
-                workers=workers, base_seed=int(seed), label="shard",
-            )
-        else:
-            # Group consecutive equal-length shards (every shard but a
-            # short final one shares raw_len) into stacked batches; the
-            # per-shard seeds ride inside the items, bit-identical to
-            # the ones pool_map would derive on the batch=1 path.
-            from repro.par.pool import derive_task_seed
-
-            groups = []
-            for shard_i, (_, length) in enumerate(plan):
-                raw_len = length + overlap
-                shard_seed = derive_task_seed(int(seed), shard_i, label="shard")
-                if (groups and groups[-1][0] == raw_len
-                        and len(groups[-1][1]) < batch):
-                    groups[-1][1].append(shard_seed)
-                else:
-                    groups.append((raw_len, [shard_seed]))
-            stacks = pool_map(
-                _synthesize_shard_batch, groups,
-                workers=workers,
-                common={"hurst": float(hurst), "variance": float(variance),
-                        "backend": backend},
-                label="shard_batch",
-            )
-            raws = [row for stack in stacks for row in stack]
+        items = [
+            (backend, float(hurst), float(variance), length + overlap)
+            for _, length in plan
+        ]
+        raws = pool_map(
+            _synthesize_shard, items,
+            workers=workers, base_seed=int(seed), label="shard",
+        )
         w_old, w_new = blend_weights(overlap)
         out = np.empty(n)
         prev_tail = None

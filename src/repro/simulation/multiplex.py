@@ -101,43 +101,31 @@ def multiplex_many(series, lag_sets, workers=1):
 
 
 def multiplex_fgn(n, hurst, n_sources, *, backend="paxson", variance=1.0,
-                  seed=0, batch=None, marginal=None):
+                  seed=0, marginal=None):
     """Aggregate arrivals from ``n_sources`` *independent* fGn sources.
 
     The lagged-copy construction above follows the paper exactly; this
-    is the model-driven alternative the batch layer makes cheap: each
-    source is a fresh fGn path (synthesized ``batch`` rows at a time
-    through :func:`repro.core.batch.batch_fgn`; ``None`` uses
-    :func:`repro.par.batch.default_batch`), optionally pushed through a
-    marginal distribution (e.g. the paper's Gamma/Pareto hybrid via
-    :func:`repro.core.transform.marginal_transform`), and the sources
-    are summed.  Source ``i`` always draws from
-    ``default_rng(derive_task_seed(seed, i, label="batch"))`` and the
-    sum accumulates in source order, so the aggregate is **bit-identical
-    for every batch size** — the tier-1 wall pins this.
+    is the model-driven alternative: each source is a fresh fGn path
+    (one :func:`repro.core.batch.batch_fgn` row), optionally pushed
+    through a marginal distribution (e.g. the paper's Gamma/Pareto
+    hybrid via :func:`repro.core.transform.marginal_transform`), and
+    the sources are summed in source order.  Source ``i`` draws from
+    ``default_rng(derive_task_seed(seed, i, label="batch"))``, so the
+    aggregate is row-for-row the sum of ``batch_fgn(n, hurst,
+    n_sources, seed=seed)``.
     """
     from repro.core.batch import batch_fgn, batch_row_seeds
-    from repro.par.batch import resolve_batch
+    from repro.core.transform import marginal_transform
 
     n = require_positive_int(n, "n")
     n_sources = require_positive_int(n_sources, "n_sources")
-    batch = resolve_batch(batch)
-    seeds = batch_row_seeds(seed, n_sources)
     out = np.zeros(n)
-    for start in range(0, n_sources, batch):
-        rows = batch_fgn(
-            n, hurst, len(seeds[start : start + batch]),
-            backend=backend, variance=variance,
-            seeds=seeds[start : start + batch],
-        )
-        for row in rows:
-            if marginal is not None:
-                from repro.core.transform import marginal_transform
-
-                row = marginal_transform(row, marginal)
-            # Accumulate strictly in source order: any batch split then
-            # performs the identical sequence of += operations.
-            out += row
+    for row_seed in batch_row_seeds(seed, n_sources):
+        row = batch_fgn(n, hurst, 1, backend=backend, variance=variance,
+                        seeds=[row_seed])[0]
+        if marginal is not None:
+            row = marginal_transform(row, marginal)
+        out += row
     return out
 
 

@@ -130,17 +130,16 @@ def required_capacity(
     return hi
 
 
-def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, batch, seed_label,
-                      start=0):
+def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
     """Independent-source aggregate arrivals, one per draw.
 
     ``fgn_sources`` holds the model parameters (``hurst`` required;
-    ``backend``, ``variance``, ``seed``, ``marginal`` or affine
-    ``mean``/``std`` optional); each draw batch-synthesizes
+    ``backend``, ``variance``, ``seed``, and either ``marginal`` or
+    affine ``mean``/``std`` optional); each draw synthesizes
     ``n_sources`` fresh fGn paths through
     :func:`repro.simulation.multiplex.multiplex_fgn` under a
     sha256-derived per-draw seed, so the sets are a pure function of
-    the parameters — independent of ``batch`` and ``workers``.
+    the parameters — independent of ``workers``.
     """
     from repro.par.pool import derive_task_seed
 
@@ -153,6 +152,10 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, batch, seed_label,
     variance = float(params.pop("variance", 1.0))
     seed = int(params.pop("seed", 0))
     marginal = params.pop("marginal", None)
+    if marginal is not None and ("mean" in params or "std" in params):
+        raise ValueError(
+            "fgn_sources takes a marginal or an affine mean/std, not both"
+        )
     mean = float(params.pop("mean", 0.0))
     std = float(params.pop("std", 1.0))
     if params:
@@ -163,7 +166,7 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, batch, seed_label,
             n, hurst, n_sources,
             backend=backend, variance=variance,
             seed=derive_task_seed(seed, start + draw, label=seed_label),
-            batch=batch, marginal=marginal,
+            marginal=marginal,
         )
         if marginal is None:
             # Affine per-source scaling commutes with the sum
@@ -231,7 +234,6 @@ def qc_curve(
     capacity_span=(1.01, 1.0),
     workers=1,
     fgn_sources=None,
-    batch=None,
 ):
     """Compute a Q-C curve for ``n_sources`` multiplexed copies.
 
@@ -269,16 +271,13 @@ def qc_curve(
         the curve is bit-identical at every worker count.
     fgn_sources:
         Replace the paper's lagged-copy multiplexing with ``n_sources``
-        *independent* batch-synthesized fGn sources per draw (a dict
-        for :func:`_fgn_arrival_sets`: ``hurst`` required; ``backend``,
-        ``variance``, ``seed``, ``marginal`` — e.g. the Gamma/Pareto
-        hybrid — or affine ``mean``/``std`` optional).  ``series``
-        still anchors the capacity grid.  The caller's ``rng`` is not
-        consumed: the draws are seeded from ``fgn_sources["seed"]``.
-    batch:
-        Rows per stacked synthesis for ``fgn_sources`` mode (``None``
-        uses :func:`repro.par.batch.default_batch`); never affects the
-        curve's values.
+        *independent* fGn sources per draw (a dict for
+        :func:`_fgn_arrival_sets`: ``hurst`` required; ``backend``,
+        ``variance``, ``seed``, and either ``marginal`` — e.g. the
+        Gamma/Pareto hybrid — or affine ``mean``/``std`` optional).
+        ``series`` still anchors the capacity grid.  The caller's
+        ``rng`` is not consumed: the draws are seeded from
+        ``fgn_sources["seed"]``.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -290,7 +289,7 @@ def qc_curve(
     n_draws = 1 if n_sources == 1 else n_lag_draws
     if fgn_sources is not None:
         arrival_sets = _fgn_arrival_sets(
-            fgn_sources, arr.size, n_sources, n_draws, batch, "qc.fgn"
+            fgn_sources, arr.size, n_sources, n_draws, "qc.fgn"
         )
     else:
         lag_sets = [
@@ -425,7 +424,6 @@ def smg_curve(
     rel_tol=1e-4,
     workers=1,
     fgn_sources=None,
-    batch=None,
 ):
     """Statistical-multiplexing-gain curve (Fig. 15).
 
@@ -443,12 +441,11 @@ def smg_curve(
     bit-identical at every worker count.
 
     ``fgn_sources`` switches from lagged copies of ``series`` to
-    independent batch-synthesized fGn sources per draw (same dict as
-    :func:`qc_curve`; ``series`` still anchors the mean/peak capacity
-    bracket).  Draws are seeded ``derive_task_seed(seed, draw_index,
-    label="smg.fgn")`` with ``draw_index`` running across the ``N``
-    values in order, and ``batch`` only groups the stacked FFTs, so the
-    curve is a pure function of the dict — same at every ``batch`` and
+    independent fGn sources per draw (same dict as :func:`qc_curve`;
+    ``series`` still anchors the mean/peak capacity bracket).  Draws
+    are seeded ``derive_task_seed(seed, draw_index, label="smg.fgn")``
+    with ``draw_index`` running across the ``N`` values in order, so
+    the curve is a pure function of the dict — same at every
     ``workers``.
     """
     arr = as_1d_float_array(series, "series")
@@ -468,7 +465,7 @@ def smg_curve(
         n_draws = 1 if n == 1 else n_lag_draws
         if fgn_sources is not None:
             prebuilt = _fgn_arrival_sets(
-                fgn_sources, arr.size, n, n_draws, batch, "smg.fgn",
+                fgn_sources, arr.size, n, n_draws, "smg.fgn",
                 start=draw_index,
             )
             draw_index += n_draws

@@ -40,8 +40,22 @@ __all__ = [
     "HoskingSource",
     "BlockFGNSource",
     "ArraySource",
+    "blend_weights",
     "make_source",
 ]
+
+
+def blend_weights(overlap):
+    """The seam cross-fade weights ``(w_old, w_new)``.
+
+    ``w_old = cos(pi t / 2)``, ``w_new = sin(pi t / 2)`` on the interior
+    grid ``t = (1..overlap) / (overlap + 1)``, so ``w_old^2 + w_new^2 = 1``
+    and blending two independent Gaussians preserves the variance.
+    :class:`BlockFGNSource` joins consecutive blocks with them, and
+    :func:`repro.par.shard.shard_fgn` consecutive shards.
+    """
+    t = np.arange(1, int(overlap) + 1, dtype=float) / (int(overlap) + 1)
+    return np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * t)
 
 
 class ChunkSource:
@@ -136,23 +150,14 @@ class BlockFGNSource(ChunkSource):
     backend:
         ``"davies-harte"`` (exact per block) or ``"paxson"``
         (approximate per block, about half the FFT work).
-    batch:
-        Blocks pre-synthesized per underlying FFT call, as one stacked
-        2-D pass through :func:`repro.core.batch.batch_generate`
-        (``None`` uses :func:`repro.par.batch.default_batch`).  The
-        rows draw *sequentially* from the stream's rng, in exactly the
-        order ``batch`` consecutive single-block calls would, so the
-        emitted samples are **bit-identical** for every batch size —
-        batching only amortizes FFT dispatch and the Gaussian draws.
 
-    Memory is O(batch * (block_size + overlap)) regardless of run
-    length; both backends cache their spectral profile for the fixed
-    block size, so the steady-state cost is one stacked FFT per
-    ``batch * block_size`` samples.
+    Memory is O(block_size + overlap) regardless of run length; both
+    backends cache their spectral profile for the fixed block size, so
+    the steady-state cost is one FFT per ``block_size`` samples.
     """
 
     def __init__(self, hurst, variance=1.0, block_size=65_536, overlap=1_024,
-                 backend="paxson", batch=None):
+                 backend="paxson"):
         self.block_size = require_positive_int(block_size, "block_size")
         self.overlap = int(overlap)
         if not 0 <= self.overlap < self.block_size:
@@ -169,44 +174,26 @@ class BlockFGNSource(ChunkSource):
         self.backend = backend
         self.hurst = float(hurst)
         self.variance = require_positive(variance, "variance")
-        from repro.par.batch import resolve_batch
-
-        self.batch = resolve_batch(batch)
-        # Complementary cos/sin fade weights: w_old^2 + w_new^2 = 1, so
-        # blending two independent Gaussians preserves the variance.
-        t = np.arange(1, self.overlap + 1, dtype=float) / (self.overlap + 1)
-        self._w_old = np.cos(0.5 * np.pi * t)
-        self._w_new = np.sin(0.5 * np.pi * t)
+        self._w_old, self._w_new = blend_weights(self.overlap)
 
     def _native_chunks(self, n, rng):
         raw_len = self.block_size + self.overlap
         tail = None
         while True:
-            if self.batch == 1:
-                blocks = (self._generator.generate(raw_len, rng=rng),)
-            else:
-                # Shared-rng stacked synthesis: row i consumes exactly
-                # the Gaussian draws single-block call i would, so the
-                # stitched stream is bit-identical at any batch size.
-                from repro.core.batch import batch_generate
-
-                blocks = batch_generate(
-                    self._generator, raw_len, [rng] * self.batch
+            block = self._generator.generate(raw_len, rng=rng)
+            head = block[: self.block_size].copy()
+            if tail is not None and self.overlap:
+                head[: self.overlap] = (
+                    self._w_old * tail + self._w_new * head[: self.overlap]
                 )
-            for block in blocks:
-                head = block[: self.block_size].copy()
-                if tail is not None and self.overlap:
-                    head[: self.overlap] = (
-                        self._w_old * tail + self._w_new * head[: self.overlap]
-                    )
-                tail = block[self.block_size :]
-                yield head
+            tail = block[self.block_size :]
+            yield head
 
     def __repr__(self):
         return (
             f"BlockFGNSource(hurst={self.hurst:.4g}, variance={self.variance:.4g}, "
             f"block_size={self.block_size}, overlap={self.overlap}, "
-            f"backend={self.backend!r}, batch={self.batch})"
+            f"backend={self.backend!r})"
         )
 
 
@@ -234,23 +221,19 @@ class ArraySource(ChunkSource):
         raise NotImplementedError
 
 
-def make_source(backend, hurst=0.8, variance=1.0, block_size=65_536, overlap=1_024,
-                batch=None):
+def make_source(backend, hurst=0.8, variance=1.0, block_size=65_536, overlap=1_024):
     """Build a chunk source by backend name.
 
     ``"hosking"`` gives the exact resumable recursion;
     ``"davies-harte"`` and ``"paxson"`` give constant-memory
-    block-overlap sources with the respective per-block synthesizer,
-    pre-synthesizing ``batch`` blocks per stacked FFT (bit-identical
-    output at any batch; ``batch`` is ignored by ``"hosking"``, whose
-    full-path recursion cannot batch).
+    block-overlap sources with the respective per-block synthesizer.
     """
     if backend == "hosking":
         return HoskingSource(hurst=hurst, variance=variance)
     if backend in _BACKENDS:
         return BlockFGNSource(
             hurst, variance=variance, block_size=block_size, overlap=overlap,
-            backend=backend, batch=batch,
+            backend=backend,
         )
     raise ValueError(
         f'backend must be "hosking", "davies-harte" or "paxson", got {backend!r}'

@@ -12,8 +12,7 @@ not statistically:
   compensation ulp;
 - **oracle dominance**: the clairvoyant allocator's fleet-total loss
   lower-bounds every causal policy on the same seeded fleet;
-- **determinism**: result digests are identical at workers {1, 2, 5}
-  and under a non-default ``REPRO_BATCH``.
+- **determinism**: result digests are identical at workers {1, 2, 5}.
 
 Plus exact unit coverage for the float machinery
 (:func:`~repro.alloc.exact_sum`, :func:`~repro.alloc.partition_exact`,
@@ -42,7 +41,6 @@ from repro.alloc import (
     user_epoch_seed,
 )
 from repro.alloc.allocators import _absorb_residue
-from repro.par.batch import set_default_batch
 
 CAUSAL = ("static", "harvest", "trade")
 
@@ -157,14 +155,9 @@ class TestOracleDominance:
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(ALLOCATORS))
-    def test_digest_identical_across_worker_counts_and_batch(self, fleet, name):
+    def test_digest_identical_across_worker_counts(self, fleet, name):
         digests = {simulate_fleet(fleet, name, workers=w).digest()
                    for w in (1, 2, 5)}
-        prev = set_default_batch(7)
-        try:
-            digests.add(simulate_fleet(fleet, name, workers=2).digest())
-        finally:
-            set_default_batch(prev)
         assert len(digests) == 1, name
 
     def test_user_epoch_seeds_are_unique_and_stable(self):

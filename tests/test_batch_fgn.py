@@ -5,11 +5,10 @@ pocketfft runs each row with the same 1-D plan a single-trace call
 would use, so every row must equal the corresponding
 ``PaxsonGenerator``/``DaviesHarteGenerator`` sample **bit for bit** --
 not approximately.  These tests pin that per backend, Hurst value,
-batch size and odd/even length, then walk the identity up the stack:
-the pooled fan-out (``batch_fgn_pool``, ``shard_fgn(batch=...)``), the
-independent-source multiplexer, and the streaming block source must
-all be pure execution strategies -- ``batch`` and ``workers`` change
-wall-clock time and nothing else.
+batch size and odd/even length, then show that the callers which
+synthesize one trace at a time -- ``shard_fgn``, the
+independent-source multiplexer and the streaming block source -- would
+emit the same bytes with their traces stacked B rows per FFT.
 """
 
 import numpy as np
@@ -18,16 +17,15 @@ import pytest
 from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
-from repro.par.batch import batch_fgn_pool, default_batch, set_default_batch
-from repro.par.pool import derive_task_seed
-from repro.par.shard import shard_fgn
+from repro.core.transform import marginal_transform
+from repro.par.shard import shard_fgn, shard_plan
 from repro.simulation.multiplex import multiplex_fgn
 from repro.stream.sources import make_source
+from tests.test_fgn_parity import shard_seeds, stitch
 
 BACKENDS = {"paxson": PaxsonGenerator, "davies-harte": DaviesHarteGenerator}
 HURSTS = (0.5, 0.7, 0.9)
 BATCHES = (1, 2, 7)
-WORKER_COUNTS = (1, 2, 5)
 
 
 class TestRowBitIdentity:
@@ -53,9 +51,9 @@ class TestRowBitIdentity:
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_shared_rng_mode_matches_sequential_calls(self, backend):
-        rows = batch_fgn(300, 0.7, 4, backend=backend,
-                         rng=np.random.default_rng(42))
         generator = BACKENDS[backend](0.7)
+        shared = np.random.default_rng(42)
+        rows = batch_generate(generator, 300, [shared] * 4)
         rng = np.random.default_rng(42)
         for i in range(4):
             np.testing.assert_array_equal(rows[i], generator.generate(300, rng=rng))
@@ -100,10 +98,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="need 3 row seeds, got 2"):
             batch_fgn(128, 0.8, 3, seeds=[1, 2])
 
-    def test_rng_and_seeds_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            batch_fgn(128, 0.8, 2, seeds=[1, 2], rng=np.random.default_rng(0))
-
     def test_batch_generate_rejects_foreign_generators(self):
         with pytest.raises(TypeError, match="PaxsonGenerator"):
             batch_generate(object(), 128, [np.random.default_rng(0)])
@@ -113,71 +107,51 @@ class TestValidation:
             batch_generate(PaxsonGenerator(0.8), 128, [])
 
 
-class TestDefaultBatch:
-    def test_set_and_restore(self):
-        previous = set_default_batch(4)
-        try:
-            assert default_batch() == 4
-        finally:
-            set_default_batch(previous)
-        assert default_batch() == previous
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="batch"):
-            set_default_batch(0)
-
-
 class TestPooledBatching:
-    """batch/workers grouping never changes the stacked rows."""
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_batch_fgn_pool_invariance(self, batch, workers):
-        reference = batch_fgn(400, 0.8, 5, seed=13)
-        rows = batch_fgn_pool(400, 0.8, 5, seed=13, batch=batch, workers=workers)
-        np.testing.assert_array_equal(rows, reference)
+    """Stacking shards B per FFT never changes ``shard_fgn``'s path."""
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("batch", BATCHES)
     def test_shard_fgn_batch_invariance(self, backend, batch):
-        # Odd boundaries: short final shard with a cross-fade seam.
-        reference = shard_fgn(
-            10_001, 0.8, backend=backend, seed=5,
-            shard_size=3000, overlap=100, workers=1, batch=1,
+        # Odd boundaries: three full shards, then a short one; only
+        # equal-length shards share a stack.
+        plan = shard_plan(10_001, 3000)
+        seeds = shard_seeds(5, len(plan))
+        raws = []
+        for raw_len, group in ((3100, seeds[:3]), (1101, seeds[3:])):
+            for start in range(0, len(group), batch):
+                rows = group[start : start + batch]
+                raws.extend(batch_fgn(raw_len, 0.8, len(rows), backend=backend,
+                                      seeds=rows))
+        np.testing.assert_array_equal(
+            shard_fgn(10_001, 0.8, backend=backend, seed=5, shard_size=3000, overlap=100),
+            stitch(raws, [length for _, length in plan], 100),
         )
-        for workers in WORKER_COUNTS:
-            np.testing.assert_array_equal(
-                shard_fgn(
-                    10_001, 0.8, backend=backend, seed=5,
-                    shard_size=3000, overlap=100, workers=workers, batch=batch,
-                ),
-                reference,
-            )
-
-    def test_pool_rows_carry_the_shardlike_seed_scheme(self):
-        rows = batch_fgn_pool(200, 0.8, 3, seed=21, batch=2)
-        for i in range(3):
-            row_seed = derive_task_seed(21, i, label="batch")
-            reference = PaxsonGenerator(0.8).generate(
-                200, rng=np.random.default_rng(row_seed)
-            )
-            np.testing.assert_array_equal(rows[i], reference)
 
 
 class TestMultiplexFGN:
+    """The aggregate equals the stacked rows of ``batch_fgn`` summed in order."""
+
+    @staticmethod
+    def stacked_sum(n, n_sources, seed, batch, marginal=None):
+        seeds = batch_row_seeds(seed, n_sources)
+        out = np.zeros(n)
+        for start in range(0, n_sources, batch):
+            group = seeds[start : start + batch]
+            for row in batch_fgn(n, 0.8, len(group), seeds=group):
+                out += row if marginal is None else marginal_transform(row, marginal)
+        return out
+
     @pytest.mark.parametrize("batch", BATCHES)
     def test_aggregate_is_batch_invariant(self, batch):
-        reference = multiplex_fgn(600, 0.8, 5, seed=3, batch=1)
         np.testing.assert_array_equal(
-            multiplex_fgn(600, 0.8, 5, seed=3, batch=batch), reference
+            multiplex_fgn(600, 0.8, 5, seed=3), self.stacked_sum(600, 5, 3, batch)
         )
 
     def test_marginal_mode_is_batch_invariant(self, paper_marginal):
-        reference = multiplex_fgn(400, 0.8, 4, seed=8, batch=1,
-                                  marginal=paper_marginal)
         np.testing.assert_array_equal(
-            multiplex_fgn(400, 0.8, 4, seed=8, batch=4, marginal=paper_marginal),
-            reference,
+            multiplex_fgn(400, 0.8, 4, seed=8, marginal=paper_marginal),
+            self.stacked_sum(400, 4, 8, 4, marginal=paper_marginal),
         )
 
 
@@ -185,16 +159,15 @@ class TestStreamingSourceBatch:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("batch", BATCHES)
     def test_block_source_emits_identical_samples(self, backend, batch):
-        def samples(b):
-            source = make_source(backend, hurst=0.8, block_size=1_024,
-                                 overlap=64, batch=b)
-            rng = np.random.default_rng(31)
-            return np.concatenate(list(source.chunks(5_000, 700, rng=rng)))
-
-        np.testing.assert_array_equal(samples(batch), samples(1))
-
-    def test_hosking_ignores_batch(self):
-        source = make_source("hosking", hurst=0.8, batch=8)
-        rng = np.random.default_rng(2)
-        chunks = list(source.chunks(256, 100, rng=rng))
-        assert sum(c.size for c in chunks) == 256
+        # Blocks drawn B per stacked FFT from the stream's one rng, in order.
+        source = make_source(backend, hurst=0.8, block_size=1_024, overlap=64)
+        samples = np.concatenate(
+            list(source.chunks(5_000, 700, rng=np.random.default_rng(31)))
+        )
+        generator, rng = BACKENDS[backend](0.8), np.random.default_rng(31)
+        raws = []
+        while len(raws) < 5:
+            raws.extend(batch_generate(generator, 1_024 + 64, [rng] * batch))
+        np.testing.assert_array_equal(
+            samples, stitch(raws, [1_024] * len(raws), 64)[:5_000]
+        )

@@ -187,22 +187,6 @@ class TestStreamCommand:
         with pytest.raises(SystemExit):
             main(["stream", "--samples", "0"])
 
-    def test_rejects_bad_batch(self):
-        # Clean SystemExit, not a ValueError traceback from make_source.
-        with pytest.raises(SystemExit, match="--batch"):
-            main(["stream", "--samples", "1000", "--batch", "0"])
-        with pytest.raises(SystemExit, match="--batch"):
-            main(["experiments", "--quick", "--batch", "0"])
-
-    def test_batched_stream_bit_identical(self, tmp_path):
-        """--batch is a pure execution strategy: same bytes out."""
-        a, b = tmp_path / "a.npy", tmp_path / "b.npy"
-        base = ["stream", "--samples", "5000", "--chunk", "1024",
-                "--backend", "paxson"]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--batch", "4", "--out", str(b)]) == 0
-        np.testing.assert_array_equal(np.load(a), np.load(b))
-
 
 class TestStreamCommandRegressions:
     """Regression coverage for `repro stream` plumbing: the SIGPIPE
@@ -636,8 +620,10 @@ class TestNetCommand:
                      "source": {"kind": "array", "values": [1.0]}}
                     for p in ("abc", "bca", "cab")]},
          "port graph has a cycle through"),
+        ({"nodes": [{"name": "a", "buffer_byts": 4.0}, {"name": "b"}]},
+         "nodes[0]: unknown keys ['buffer_byts']"),
     ], ids=["fractional-delay", "fractional-start", "string-node",
-            "string-path", "revisit", "cycle"])
+            "string-path", "revisit", "cycle", "unknown-key"])
     def test_invalid_spec_value_is_one_error_line(self, tmp_path, capsys,
                                                    change, message):
         import json as json_mod

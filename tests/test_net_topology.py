@@ -455,3 +455,48 @@ class TestSpecValues:
         flow = run_topology(spec)["flows"]["f"]
         assert flow["slots_emitted"] == 4
         assert flow["first_delivery_slot"] == 3.0
+
+
+class TestSpecKeys:
+    """A key the builder does not read is a bad spec, not a silent default."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda s: s.update(slot_secnds=1 / 24), r"spec: unknown keys \['slot_secnds'\]"),
+        (lambda s: s["nodes"][0].update(buffer_byts=64.0),
+         r"nodes\[0\]: unknown keys \['buffer_byts'\]"),
+        (lambda s: s["links"][0].update(delay=1), r"links\[0\]: unknown keys \['delay'\]"),
+        (lambda s: s["flows"][0].update(prio=1, wieght=2.0),
+         r"flows\[0\]: unknown keys \['prio', 'wieght'\]"),
+        (lambda s: s["flows"][0]["source"].update(value=[1.0]),
+         r"flows\[0\]\.source: unknown keys \['value'\]"),
+        (lambda s: s["flows"][0].update(source={"kind": "trace", "frame": 10}),
+         r"flows\[0\]\.source: unknown keys \['frame'\]"),
+        (lambda s: s["flows"][0].update(source={"kind": "fgn", "hurts": 0.95, "sead": 5}),
+         r"flows\[0\]\.source: unknown keys \['hurts', 'sead'\]"),
+        (lambda s: s["flows"][0].update(source={"kind": "fgn", "batch": 8}),
+         r"flows\[0\]\.source: unknown keys \['batch'\]"),
+    ], ids=["top-level", "node", "link", "flow", "array-source", "trace-source",
+            "fgn-source", "fgn-batch"])
+    def test_unknown_key_is_a_one_line_value_error(self, mutate, message):
+        spec = single_hop_spec([1.0, 2.0], 10.0, 5.0)
+        mutate(spec)
+        with pytest.raises(ValueError, match=message) as info:
+            build_network(spec)
+        assert "\n" not in str(info.value)
+
+    def test_every_key_the_builder_reads_is_accepted(self):
+        spec = single_hop_spec([1.0, 2.0], 10.0, 5.0, slot_seconds=1 / 24,
+                               record_series=True)
+        spec["nodes"][0]["discipline"] = "fifo"
+        spec["links"][0]["delay_slots"] = 1
+        spec["flows"][0].update(priority=0, weight=1.0, start_slot=0)
+        spec["flows"][0]["source"]["slots"] = 2
+        spec["flows"] += [
+            {"name": "t", "path": ["a", "b"],
+             "source": {"kind": "trace", "slots": 2, "frames": 200, "seed": 1}},
+            {"name": "g", "path": ["a", "b"],
+             "source": {"kind": "fgn", "slots": 2, "backend": "paxson", "hurst": 0.8,
+                        "block_size": 64, "overlap": 8, "seed": 1, "chunk": 2,
+                        "marginal": {"mean": 1.0, "std": 0.1}}},
+        ]
+        assert run_topology(spec)["slot_seconds"] == 1 / 24

@@ -19,6 +19,7 @@ from repro.par.shard import blend_weights, shard_fgn, shard_plan
 from repro.resilience.runner import ExperimentSpec, run_campaign
 from repro.simulation.multiplex import multiplex_many, multiplex_series, random_lags
 from repro.simulation.qc import qc_curve, smg_curve
+from tests.test_fgn_parity import sha256
 
 WORKER_COUNTS = (1, 2, 5)
 
@@ -118,38 +119,40 @@ class TestGridSweeps:
             np.testing.assert_array_equal(curve.tmax_ms, reference.tmax_ms)
 
     def test_qc_curve_fgn_sources_batch_and_worker_invariance(self, qc_series):
-        def sweep(workers, batch):
+        # The pin was recorded when qc_curve still took batch=, at batch
+        # 1, 2 and 7 alike.
+        def sweep(workers):
             return qc_curve(
                 qc_series, 1.0 / 24.0, n_sources=5, target_loss=1e-3,
-                n_points=4, fgn_sources=dict(self.FGN_SOURCES), batch=batch,
+                n_points=4, fgn_sources=dict(self.FGN_SOURCES),
                 rng=np.random.default_rng(workers), workers=workers,
             )
 
-        reference = sweep(1, 1)
-        for workers in WORKER_COUNTS[1:]:
-            for batch in (2, 7):
-                curve = sweep(workers, batch)
-                np.testing.assert_array_equal(
-                    curve.buffer_bytes, reference.buffer_bytes
-                )
-                np.testing.assert_array_equal(curve.tmax_ms, reference.tmax_ms)
+        for workers in WORKER_COUNTS:
+            curve = sweep(workers)
+            assert sha256(
+                curve.capacity_per_source, curve.buffer_bytes, curve.tmax_ms
+            ) == "81825ba7363b3d413e5de693ebf5e6aaa8689e004364a620e303db698091b034"
 
     def test_smg_curve_fgn_sources_batch_and_worker_invariance(self, qc_series):
-        def sweep(workers, batch):
+        # Pinned like the Q-C curve above, at every old batch size.
+        def sweep(workers):
             return smg_curve(
                 qc_series, 1.0 / 24.0, n_values=(1, 2, 5), target_loss=1e-3,
-                n_lag_draws=2, fgn_sources=dict(self.FGN_SOURCES), batch=batch,
+                n_lag_draws=2, fgn_sources=dict(self.FGN_SOURCES),
                 rel_tol=1e-3, workers=workers,
             )
 
-        reference = sweep(1, 1)
-        for workers in WORKER_COUNTS[1:]:
-            for batch in (2, 7):
-                result = sweep(workers, batch)
-                np.testing.assert_array_equal(
-                    result["capacity_per_source"],
-                    reference["capacity_per_source"],
-                )
+        for workers in WORKER_COUNTS:
+            assert sha256(sweep(workers)["capacity_per_source"]) == (
+                "a1723b44911fff5049db407fc91bcc3307175177d281b166e66b8a2fbd629a54"
+            )
+
+    def test_fgn_sources_refuse_marginal_with_mean_or_std(self, qc_series, paper_marginal):
+        for key in ("mean", "std"):
+            sources = {"hurst": 0.8, "marginal": paper_marginal, key: 1.0}
+            with pytest.raises(ValueError, match="not both"):
+                qc_curve(qc_series, 1.0 / 24.0, n_sources=2, fgn_sources=sources)
 
     def test_smg_curve_worker_invariance(self, qc_series):
         def sweep(workers):

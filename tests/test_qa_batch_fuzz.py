@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.hurst import variance_time
-from repro.core.batch import batch_fgn
+from repro.core.batch import batch_fgn, batch_generate
+from repro.core.daviesharte import DaviesHarteGenerator
+from repro.core.paxson import PaxsonGenerator
 from repro.qa import stats as qa
 from repro.simulation.slotfluid import fold_slots, run_slots
 from tests.qa_budget import CHECK_ALPHA
@@ -63,7 +65,8 @@ class TestQueueKernelFuzz:
 
 def _batched_paths(backend, hurst, rng, n=N_SAMPLES, n_paths=N_PATHS):
     """N_PATHS independent rows synthesized through the stacked kernel."""
-    rows = batch_fgn(n, hurst, n_paths, backend=backend, rng=rng)
+    generator_cls = {"paxson": PaxsonGenerator, "davies-harte": DaviesHarteGenerator}
+    rows = batch_generate(generator_cls[backend](hurst), n, [rng] * n_paths)
     return list(rows)
 
 
