@@ -40,6 +40,7 @@ import sys
 
 import numpy as np
 
+from repro.core.fgn import FGN_BACKENDS
 from repro.obs import log as obs_log
 
 __all__ = ["main", "build_parser"]
@@ -110,8 +111,7 @@ def build_parser():
                        help="total samples to emit")
     p_str.add_argument("--chunk", type=int, default=65_536,
                        help="samples per chunk (the memory bound)")
-    p_str.add_argument("--backend", choices=("hosking", "davies-harte", "paxson"),
-                       default="paxson")
+    p_str.add_argument("--backend", choices=tuple(FGN_BACKENDS), default="paxson")
     p_str.add_argument("--hurst", type=float, default=0.8)
     p_str.add_argument("--block-size", type=int, default=65_536,
                        help="synthesis block for the approximate backends")

@@ -8,14 +8,15 @@ produced in two steps:
 
 1. generate a Gaussian fractional ARIMA(0, d, 0) sequence with
    ``d = H - 1/2`` (Hosking's exact algorithm, or the fast
-   Davies-Harte fractional-Gaussian-noise generator as an extension);
+   Davies-Harte or Paxson fractional-Gaussian-noise generators as an
+   extension; :mod:`repro.core.fgn` resolves them by name);
 2. distort the marginals point-wise with
    ``Y_k = Finv_GammaPareto(F_Normal(X_k))`` (eq. 13), which preserves
    the ordering (and hence, to excellent approximation, the measured
    Hurst parameter) while imposing the heavy-tailed marginal.
 """
 
-from repro.core.batch import BATCH_BACKENDS, batch_fgn, batch_generate, batch_row_seeds
+from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
 from repro.core.fractional import (
     d_from_hurst,
     hurst_from_d,
@@ -39,7 +40,6 @@ from repro.core.spectral import SpectralGenerator, spectral_fgn, fgn_spectral_de
 from repro.core.markov_fluid import MarkovFluidModel
 
 __all__ = [
-    "BATCH_BACKENDS",
     "batch_fgn",
     "batch_generate",
     "batch_row_seeds",

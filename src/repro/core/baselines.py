@@ -27,8 +27,7 @@ from repro._validation import (
     require_positive,
     require_positive_int,
 )
-from repro.core.daviesharte import DaviesHarteGenerator
-from repro.core.hosking import HoskingGenerator
+from repro.core.fgn import fgn_backend, fgn_generator
 
 __all__ = [
     "IIDGammaParetoModel",
@@ -81,17 +80,12 @@ class GaussianFarimaModel:
         self.mean = require_positive(mean, "mean")
         self.std = require_positive(std, "std")
         self.hurst = require_in_open_interval(hurst, "hurst", 0.0, 1.0)
-        if generator not in ("hosking", "davies-harte"):
-            raise ValueError(f'generator must be "hosking" or "davies-harte", got {generator!r}')
-        self.generator = generator
+        self.generator = fgn_backend(generator, exact=True).name
 
     def generate(self, n, rng=None):
         """Generate ``n`` points of Gaussian-marginal LRD traffic."""
         n = require_positive_int(n, "n")
-        if self.generator == "hosking":
-            x = HoskingGenerator(hurst=self.hurst).generate(n, rng=rng)
-        else:
-            x = DaviesHarteGenerator(self.hurst).generate(n, rng=rng)
+        x = fgn_generator(self.generator, self.hurst).generate(n, rng=rng)
         return np.clip(self.mean + self.std * x, 0.0, None)
 
     def __repr__(self):

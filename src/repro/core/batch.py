@@ -30,11 +30,12 @@ import numbers
 import numpy as np
 
 from repro._validation import require_positive_int
+from repro.core.daviesharte import DaviesHarteGenerator
+from repro.core.fgn import fgn_generator
+from repro.core.paxson import PaxsonGenerator
 from repro.obs import metrics, trace
 
-__all__ = ["BATCH_BACKENDS", "batch_fgn", "batch_generate", "batch_row_seeds"]
-
-BATCH_BACKENDS = ("paxson", "davies-harte")
+__all__ = ["batch_fgn", "batch_generate", "batch_row_seeds"]
 
 _ROWS = metrics.registry().counter(
     "repro_batch_fgn_rows_total",
@@ -129,9 +130,6 @@ def batch_generate(generator, n, rngs):
     bit-identical to ``generator.generate(n, rng=rngs[i])``; the
     generator's cached spectral profile is reused across calls.
     """
-    from repro.core.daviesharte import DaviesHarteGenerator
-    from repro.core.paxson import PaxsonGenerator
-
     if isinstance(generator, DaviesHarteGenerator):
         backend, kernel = "davies-harte", _batch_davies_harte
     elif isinstance(generator, PaxsonGenerator):
@@ -164,7 +162,8 @@ def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
         Number of independent rows (a positive integer; ``ValueError``
         names the offending requested shape otherwise).
     backend:
-        ``"paxson"`` (approximate) or ``"davies-harte"`` (exact).
+        A blockwise backend of :mod:`repro.core.fgn`: ``"paxson"``
+        (approximate) or ``"davies-harte"`` (exact).
     seed:
         Base seed for the default row seeding,
         ``derive_task_seed(seed, i, label="batch")``.
@@ -179,15 +178,7 @@ def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
     """
     n = require_positive_int(n, "n")
     batch = _require_batch(batch, n)
-    if backend == "paxson":
-        from repro.core.paxson import PaxsonGenerator as generator_cls
-    elif backend == "davies-harte":
-        from repro.core.daviesharte import DaviesHarteGenerator as generator_cls
-    else:
-        raise ValueError(
-            f"backend must be one of {BATCH_BACKENDS}, got {backend!r}"
-        )
-    generator = generator_cls(hurst, variance=variance)
+    generator = fgn_generator(backend, hurst, variance, blockwise=True)
     seeds = batch_row_seeds(seed, batch) if seeds is None else list(seeds)
     if len(seeds) != batch:
         raise ValueError(f"need {batch} row seeds, got {len(seeds)}")

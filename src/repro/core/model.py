@@ -20,16 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro._validation import require_in_open_interval, require_positive, require_positive_int
-from repro.core.daviesharte import DaviesHarteGenerator
-from repro.core.hosking import HoskingGenerator
-from repro.core.paxson import PaxsonGenerator
+from repro.core.fgn import fgn_generator
 from repro.core.transform import marginal_transform
 from repro.distributions.hybrid import GammaParetoHybrid
 from repro.distributions.normal import Normal
 
 __all__ = ["VBRVideoModel"]
-
-_GENERATORS = ("hosking", "davies-harte", "paxson")
 
 
 class VBRVideoModel:
@@ -98,19 +94,15 @@ class VBRVideoModel:
     def generate_gaussian(self, n, rng=None, generator="hosking"):
         """The intermediate Gaussian LRD realization (before eq. 13).
 
-        ``generator="hosking"`` uses the paper's exact O(n^2)
-        algorithm; ``"davies-harte"`` the exact O(n log n) FGN
-        generator; ``"paxson"`` the approximate O(n log n) spectral
-        synthesizer (fastest, requires even ``n``).
+        ``generator`` names a backend of :mod:`repro.core.fgn`:
+        ``"hosking"`` is the paper's exact O(n^2) algorithm,
+        ``"davies-harte"`` the exact O(n log n) FGN generator and
+        ``"paxson"`` the approximate O(n log n) spectral synthesizer
+        (fastest; an odd ``n`` synthesizes ``n + 1`` samples and drops
+        the last).
         """
         n = require_positive_int(n, "n")
-        if generator == "hosking":
-            return HoskingGenerator(hurst=self.hurst).generate(n, rng=rng)
-        if generator == "davies-harte":
-            return DaviesHarteGenerator(self.hurst).generate(n, rng=rng)
-        if generator == "paxson":
-            return PaxsonGenerator(self.hurst).generate(n, rng=rng)
-        raise ValueError(f"generator must be one of {_GENERATORS}, got {generator!r}")
+        return fgn_generator(generator, self.hurst).generate(n, rng=rng)
 
     def generate(self, n, rng=None, generator="hosking", method="exact", n_table=10_000):
         """Generate ``n`` frames of synthetic VBR video bandwidth.

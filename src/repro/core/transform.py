@@ -73,22 +73,37 @@ def marginal_transform(x, target, source=None, method="exact", n_table=10_000):
     if not isinstance(source, Normal):
         raise TypeError(f"source must be a Normal distribution, got {type(source).__name__}")
     with trace.span("transform.marginal", n=arr.size, method=method):
-        u = source.cdf(arr)
-        # Guard the open interval: u == 0 or 1 would map to +/- infinity.
-        tiny = np.finfo(float).tiny
-        u = np.clip(u, tiny, 1.0 - np.finfo(float).epsneg)
-        if method == "exact":
-            result = np.asarray(target.ppf(u), dtype=float)
-        elif method == "table":
-            n_table = require_positive_int(n_table, "n_table")
-            table = TabulatedDistribution.from_distribution(
-                target, n_points=n_table, q_lo=1e-7, q_hi=1.0 - 1.0 / (10.0 * n_table)
-            )
-            result = np.asarray(
-                table.ppf(np.clip(u, table._ppf_q[0], table._ppf_q[-1])), dtype=float
-            )
-        else:
-            raise ValueError(f'method must be "exact" or "table", got {method!r}')
+        return _map_marginal(arr, source, target, _quantile_table(target, method, n_table))
+
+
+def _quantile_table(target, method, n_table):
+    """``None`` for ``method="exact"``, the tabulated inverse CDF for ``"table"``."""
+    if method == "exact":
+        return None
+    if method == "table":
+        n_table = require_positive_int(n_table, "n_table")
+        return TabulatedDistribution.from_distribution(
+            target, n_points=n_table, q_lo=1e-7, q_hi=1.0 - 1.0 / (10.0 * n_table)
+        )
+    raise ValueError(f'method must be "exact" or "table", got {method!r}')
+
+
+def _map_marginal(arr, source, target, table):
+    """``Finv_target(F_source(arr))``, through ``table`` when one is given.
+
+    The one eq. 13 map behind :func:`marginal_transform` and
+    :class:`repro.stream.transform.StreamingMarginalTransform`; every
+    operation is elementwise, so any chunking gives the same bits.
+    """
+    u = source.cdf(arr)
+    # Guard the open interval: u == 0 or 1 would map to +/- infinity.
+    u = np.clip(u, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
+    if table is None:
+        result = np.asarray(target.ppf(u), dtype=float)
+    else:
+        result = np.asarray(
+            table.ppf(np.clip(u, table._ppf_q[0], table._ppf_q[-1])), dtype=float
+        )
     _TRANSFORMED.inc(arr.size)
     return result
 

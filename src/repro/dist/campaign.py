@@ -120,10 +120,17 @@ def experiment_tasks(specs, *, quick, sim_frames, trace_frames):
     ]
 
 
-def fgn_tasks(n_tasks, n, hurst=0.8, backend="daviesharte", prefix="fgn"):
-    """``n_tasks`` independent fGn syntheses as :class:`TaskSpec` entries."""
+def fgn_tasks(n_tasks, n, hurst=0.8, backend="davies-harte", prefix="fgn"):
+    """``n_tasks`` independent fGn syntheses as :class:`TaskSpec` entries.
+
+    ``backend`` and ``hurst`` are checked against
+    :mod:`repro.core.fgn` here, before any task is sent.
+    """
+    from repro.core.fgn import fgn_generator
+
     if n_tasks < 1:
         raise ValueError(f"need at least one task, got {n_tasks}")
+    fgn_generator(backend, hurst)
     return [
         TaskSpec(
             f"{prefix}{index:03d}", "fgn",

@@ -249,22 +249,14 @@ def _run_experiment_task(params, seed):
 
 def _run_fgn_task(params, seed):
     """One fGn synthesis; parks the trace in the shared store when active."""
+    from repro.core.fgn import fgn_generator
     from repro.par.cache import active_cache
 
     n = int(params["n"])
     hurst = float(params.get("hurst", 0.8))
-    backend = params.get("backend", "daviesharte")
+    backend = params.get("backend", "davies-harte")
     rng = np.random.default_rng(seed)
-    if backend == "daviesharte":
-        from repro.core.daviesharte import davies_harte_fgn
-
-        sample = davies_harte_fgn(n, hurst=hurst, rng=rng)
-    elif backend == "paxson":
-        from repro.core.paxson import paxson_fgn
-
-        sample = paxson_fgn(n, hurst=hurst, rng=rng)
-    else:
-        raise ValueError(f"unknown fgn backend {backend!r}")
+    sample = fgn_generator(backend, hurst).generate(n, rng=rng)
     cache = active_cache()
     if cache is not None:
         key_params = {"n": n, "hurst": hurst, "backend": backend, "seed": int(seed)}

@@ -4,7 +4,7 @@ Three pieces, each importable on its own:
 
 - :mod:`repro.par.pool` — seeded process-pool map (`pool_map`):
   sha256-derived per-task seeds, shared-memory ndarray transfer,
-  worker recycling, serial fallback, child→parent metric merging;
+  serial fallback, child→parent metric merging;
 - :mod:`repro.par.shard` — shard-parallel fGn generation
   (`shard_fgn`) whose output is a pure function of the parameters and
   seed, never of the worker count;

@@ -18,8 +18,6 @@ meaningful.
 the pool; the pending tasks are transparently re-run serially in the
 parent, so ``pool_map`` either returns the full deterministic result
 list or raises the task's own exception — never a half-filled list.
-Workers can be recycled after a fixed number of tasks
-(``recycle_after``) to bound leaked state in long campaigns.
 
 **Observability.**  The :mod:`repro.obs` metrics registry is
 process-local, so counters incremented inside a worker would silently
@@ -222,8 +220,7 @@ def _child_call(payload):
 # ----------------------------------------------------------------------
 # The map
 # ----------------------------------------------------------------------
-def pool_map(fn, items, *, workers=1, base_seed=None, common=None,
-             recycle_after=None, label="pool"):
+def pool_map(fn, items, *, workers=1, base_seed=None, common=None, label="pool"):
     """Map ``fn`` over ``items`` on a seeded process pool, in task order.
 
     ``fn`` must be module-level (picklable) and is called with
@@ -236,8 +233,7 @@ def pool_map(fn, items, *, workers=1, base_seed=None, common=None,
     Serial execution is used when ``workers == 1``, when a FaultPlan is
     active (fault counters are process-local and must fire
     deterministically), and for any tasks left pending after a worker
-    death breaks the pool.  ``recycle_after`` bounds how many tasks a
-    worker set handles before being replaced by fresh processes.
+    death breaks the pool.
     """
     items = list(items)
     if not items:
@@ -264,32 +260,21 @@ def pool_map(fn, items, *, workers=1, base_seed=None, common=None,
     spec, handles = (None, []) if common is None else _export_common(common)
     results = [_MISSING] * len(items)
     try:
-        pending = list(range(len(items)))
-        batch_size = len(pending) if recycle_after is None else max(
-            1, workers * int(recycle_after)
-        )
-        while pending:
-            batch, pending = pending[:batch_size], pending[batch_size:]
-            survivors = _run_batch(fn, items, seeds, batch, spec, workers, results)
-            if survivors:
-                # The pool broke mid-batch (worker death).  Finish the
-                # unfinished tasks — and everything not yet submitted —
-                # serially in this process.
-                _FALLBACKS["broken_pool"].inc()
-                _LOGGER.warning(
-                    "process pool broke; running %d remaining task(s) serially",
-                    len(survivors) + len(pending),
-                    extra={"label": label, "remaining": len(survivors) + len(pending)},
-                )
-                serial_common = common
-                for index, value in zip(
-                    survivors + pending,
-                    _serial_map(fn, [items[i] for i in survivors + pending],
-                                [seeds[i] for i in survivors + pending],
-                                survivors + pending, serial_common),
-                ):
-                    results[index] = value
-                pending = []
+        survivors = _run_pool(fn, items, seeds, spec, workers, results)
+        if survivors:
+            # The pool broke (worker death).  Finish the unfinished
+            # tasks serially in this process.
+            _FALLBACKS["broken_pool"].inc()
+            _LOGGER.warning(
+                "process pool broke; running %d remaining task(s) serially",
+                len(survivors), extra={"label": label, "remaining": len(survivors)},
+            )
+            for index, value in zip(
+                survivors,
+                _serial_map(fn, [items[i] for i in survivors],
+                            [seeds[i] for i in survivors], survivors, common),
+            ):
+                results[index] = value
     finally:
         _release_common(handles)
 
@@ -302,8 +287,8 @@ STALL_S = 10.0
 before it is abandoned and its unfinished tasks rerun serially."""
 
 
-def _run_batch(fn, items, seeds, batch, spec, workers, results):
-    """Run one executor over ``batch``; returns indexes left unfinished.
+def _run_pool(fn, items, seeds, spec, workers, results):
+    """Run one executor over every task; returns indexes left unfinished.
 
     A worker SIGKILLed mid-protocol (holding a queue lock, or halfway
     through writing a result) can leave the executor waiting forever
@@ -320,19 +305,18 @@ def _run_batch(fn, items, seeds, batch, spec, workers, results):
     context = multiprocessing.get_context("fork")
     unfinished = []
     executor = ProcessPoolExecutor(
-        max_workers=min(workers, len(batch)),
+        max_workers=min(workers, len(items)),
         mp_context=context,
         initializer=_child_init,
         initargs=(spec,),
     )
     try:
         waiting = []
-        for position, index in enumerate(batch):
-            payload = (index, fn, items[index], seeds[index])
+        for index, item in enumerate(items):
             try:
-                future = executor.submit(_child_call, payload)
+                future = executor.submit(_child_call, (index, fn, item, seeds[index]))
             except BrokenProcessPool:
-                unfinished.extend(batch[position:])
+                unfinished.extend(range(index, len(items)))
                 break
             waiting.append((future, index, time.perf_counter()))
         for position, (future, index, submitted) in enumerate(waiting):

@@ -8,8 +8,9 @@ cut into shards at multiples of ``shard_size``, each shard's samples
 are synthesized independently by the unmodified serial generator
 (Davies-Harte exact per shard, or Paxson approximate per shard) under
 a seed derived from the **shard index**, and consecutive shards are
-joined over the ``overlap`` window with the complementary
-``cos``/``sin`` weights that preserve the Gaussian marginal exactly
+joined over the ``overlap`` window by the same stitch loop,
+:func:`repro.core.fgn.stitch_blocks`, whose complementary
+``cos``/``sin`` weights preserve the Gaussian marginal exactly
 (``cos^2 + sin^2 = 1``).
 
 Because shard boundaries depend only on ``(n, shard_size)`` and shard
@@ -20,7 +21,8 @@ That is the determinism contract the tier-1 test wall enforces
 bit-for-bit at ``workers in {1, 2, 5}`` and odd shard boundaries.
 
 The ``hosking`` backend is the paper's *exact* conditional recursion:
-every point conditions on the entire past, so it cannot be sharded
+every point conditions on the entire past, so it is not blockwise in
+:mod:`repro.core.fgn`'s table and cannot be sharded
 without changing the process.  It is kept serial-exact —
 ``shard_fgn(..., backend="hosking")`` is byte-identical to
 :func:`repro.core.hosking.hosking_farima` for the same ``(H, n,
@@ -38,16 +40,11 @@ from repro._validation import (
     require_positive,
     require_positive_int,
 )
-from repro.core.daviesharte import DaviesHarteGenerator
-from repro.core.hosking import HoskingGenerator
-from repro.core.paxson import PaxsonGenerator
+from repro.core.fgn import fgn_backend, fgn_generator, stitch_blocks
 from repro.obs import metrics, trace
 from repro.par.pool import pool_map
-from repro.stream.sources import blend_weights
 
-__all__ = ["SHARD_BACKENDS", "shard_fgn", "shard_plan", "blend_weights"]
-
-SHARD_BACKENDS = ("hosking", "davies-harte", "paxson")
+__all__ = ["shard_fgn", "shard_plan"]
 
 _SHARDS = metrics.registry().counter(
     "repro_par_shards_total",
@@ -73,9 +70,8 @@ def _synthesize_shard(item, task_seed):
     on the shard index alone.
     """
     backend, hurst, variance, raw_len = item
-    cls = DaviesHarteGenerator if backend == "davies-harte" else PaxsonGenerator
     rng = np.random.default_rng(task_seed)
-    raw = cls(hurst, variance=variance).generate(raw_len, rng=rng)
+    raw = fgn_generator(backend, hurst, variance).generate(raw_len, rng=rng)
     _SHARDS.inc()
     return raw
 
@@ -90,9 +86,10 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
         Path length and marginal parameters (``hurst`` in the open
         stationary range ``(0, 1)``).
     backend:
-        ``"paxson"`` (approximate per shard), ``"davies-harte"`` (exact
-        per shard), or ``"hosking"`` (exact full-path recursion; runs
-        serially regardless of ``workers``).
+        A :mod:`repro.core.fgn` backend name: ``"paxson"`` (approximate
+        per shard), ``"davies-harte"`` (exact per shard), or
+        ``"hosking"`` (not blockwise: the exact full-path recursion,
+        run serially regardless of ``workers``).
     seed:
         Base seed; shard ``i`` draws from
         ``default_rng(derive_task_seed(seed, i, label="shard"))``.
@@ -117,15 +114,12 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
             f"overlap must lie in [0, shard_size), got {overlap} with "
             f"shard_size {shard_size}"
         )
-    if backend not in SHARD_BACKENDS:
-        raise ValueError(f"backend must be one of {SHARD_BACKENDS}, got {backend!r}")
-
-    if backend == "hosking":
+    if not fgn_backend(backend).blockwise:
         # Exact conditional recursion: serial by construction, identical
         # to hosking_farima(n, hurst, variance, rng=default_rng(seed)).
         with trace.span("par.shard_fgn", backend=backend, n=n, shards=1):
             rng = np.random.default_rng(int(seed))
-            path = HoskingGenerator(hurst=hurst, variance=variance).generate(n, rng=rng)
+            path = fgn_generator(backend, hurst, variance).generate(n, rng=rng)
         _SHARDS.inc()
         return path
 
@@ -139,14 +133,4 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
             _synthesize_shard, items,
             workers=workers, base_seed=int(seed), label="shard",
         )
-        w_old, w_new = blend_weights(overlap)
-        out = np.empty(n)
-        prev_tail = None
-        for (start, length), raw in zip(plan, raws):
-            head = raw[:length].copy()
-            if prev_tail is not None and overlap:
-                b = min(overlap, length)
-                head[:b] = w_old[:b] * prev_tail[:b] + w_new[:b] * head[:b]
-            prev_tail = raw[length:]
-            out[start : start + length] = head
-    return out
+        return np.concatenate(list(stitch_blocks(raws, overlap)))

@@ -331,13 +331,10 @@ class FlakyChunkSource(ChunkSource):
         self.inner = inner
         self.site = str(site)
 
-    def chunks(self, n, chunk_size, rng=None):
+    def _native_chunks(self, n, chunk_size, rng):
         for chunk in self.inner.chunks(n, chunk_size, rng=rng):
             reach(self.site)
             yield chunk
-
-    def _native_chunks(self, n, rng):  # pragma: no cover - chunks() overrides
-        raise NotImplementedError
 
     def __repr__(self):
         return f"FlakyChunkSource({self.inner!r}, site={self.site!r})"

@@ -36,9 +36,9 @@ from repro.stream.pipeline import (
     merge_streams,
     multiplex_lagged,
 )
-from repro.stream.queueing import StreamingQueue, simulate_queue_stream
+from repro.stream.queueing import StreamingQueue
 from repro.stream.sources import ArraySource, BlockFGNSource, HoskingSource, make_source
-from repro.stream.transform import StreamingMarginalTransform, transform_chunks
+from repro.stream.transform import StreamingMarginalTransform
 
 __all__ = [
     "ArraySource",
@@ -54,6 +54,4 @@ __all__ = [
     "make_source",
     "merge_streams",
     "multiplex_lagged",
-    "simulate_queue_stream",
-    "transform_chunks",
 ]

@@ -28,10 +28,11 @@ import time
 
 import numpy as np
 
-from repro._validation import as_1d_float_array, require_positive_int
+from repro._validation import require_positive_int
 from repro.obs import _state
 from repro.obs import log as obs_log
 from repro.obs import metrics
+from repro.stream.sources import ArraySource, _rechunk
 from repro.stream.transform import StreamingMarginalTransform
 
 __all__ = [
@@ -105,26 +106,6 @@ class StreamIntegrityError(ValueError):
         self.sample_offset = sample_offset
 
 
-def _rechunk(chunks, chunk_size):
-    """Re-slice an iterable of arrays into ``chunk_size``-sample pieces."""
-    pending = []
-    pending_size = 0
-    for piece in chunks:
-        piece = np.asarray(piece, dtype=float)
-        if piece.size == 0:
-            continue
-        pending.append(piece)
-        pending_size += piece.size
-        while pending_size >= chunk_size:
-            merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
-            yield merged[:chunk_size]
-            rest = merged[chunk_size:]
-            pending = [rest] if rest.size else []
-            pending_size = rest.size
-    if pending_size:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-
-
 class Stream:
     """A single-use iterator of 1-D float chunks with known total length.
 
@@ -149,10 +130,8 @@ class Stream:
     @classmethod
     def from_array(cls, data, chunk_size=65_536):
         """Stream an in-memory series (tests, trace-driven pipelines)."""
-        arr = as_1d_float_array(data, "data")
-        chunk_size = require_positive_int(chunk_size, "chunk_size")
-        gen = (arr[i : i + chunk_size] for i in range(0, arr.size, chunk_size))
-        return cls(gen, n=arr.size)
+        source = ArraySource(data)
+        return cls.from_source(source, source.size, chunk_size)
 
     # ------------------------------------------------------------------
     # Combinators (lazy)

@@ -23,7 +23,7 @@ from repro.obs import metrics
 from repro.simulation.queue import QueueResult
 from repro.simulation.slotfluid import run_slots
 
-__all__ = ["StreamingQueue", "simulate_queue_stream"]
+__all__ = ["StreamingQueue"]
 
 
 def _queue_metrics(queue_label):
@@ -145,11 +145,3 @@ class StreamingQueue:
             f"StreamingQueue(capacity_per_slot={self.capacity_per_slot:.6g}, "
             f"buffer_bytes={self.buffer_bytes:.6g}, slots_seen={self._slots})"
         )
-
-
-def simulate_queue_stream(chunks, capacity_per_slot, buffer_bytes, record_loss=False):
-    """Run the streaming queue over an iterable of chunks; returns the result."""
-    queue = StreamingQueue(capacity_per_slot, buffer_bytes, record_loss=record_loss)
-    for chunk in chunks:
-        queue.push(chunk)
-    return queue.result()

@@ -28,12 +28,13 @@ which the :class:`repro.stream.pipeline.Stream` abstraction builds on.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro._validation import as_1d_float_array, require_positive, require_positive_int
-from repro.core.daviesharte import DaviesHarteGenerator
+from repro._validation import as_1d_float_array, require_positive_int
+from repro.core.fgn import blend_weights, fgn_backend, fgn_generator, stitch_blocks
 from repro.core.hosking import HoskingGenerator
-from repro.core.paxson import PaxsonGenerator
 
 __all__ = [
     "ChunkSource",
@@ -45,17 +46,36 @@ __all__ = [
 ]
 
 
-def blend_weights(overlap):
-    """The seam cross-fade weights ``(w_old, w_new)``.
+def _rechunk(pieces, chunk_size, n=None):
+    """Re-slice an iterable of arrays into ``chunk_size``-sample chunks.
 
-    ``w_old = cos(pi t / 2)``, ``w_new = sin(pi t / 2)`` on the interior
-    grid ``t = (1..overlap) / (overlap + 1)``, so ``w_old^2 + w_new^2 = 1``
-    and blending two independent Gaussians preserves the variance.
-    :class:`BlockFGNSource` joins consecutive blocks with them, and
-    :func:`repro.par.shard.shard_fgn` consecutive shards.
+    Stops after ``n`` samples when ``n`` is given, pulling a piece only
+    while the chunk being built is short of samples, so no piece past
+    the last one needed is drawn.  The last chunk may be short.
     """
-    t = np.arange(1, int(overlap) + 1, dtype=float) / (int(overlap) + 1)
-    return np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * t)
+    pieces = iter(pieces)
+    pending = []
+    pending_size = 0
+    emitted = 0
+    while n is None or emitted < n:
+        want = chunk_size if n is None else min(chunk_size, n - emitted)
+        while pending_size < want:
+            piece = next(pieces, None)
+            if piece is None:
+                break
+            piece = np.asarray(piece, dtype=float)
+            if piece.size:
+                pending.append(piece)
+                pending_size += piece.size
+        if not pending_size:
+            return
+        merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        take = min(want, pending_size)
+        yield merged[:take]
+        rest = merged[take:]
+        pending = [rest] if rest.size else []
+        pending_size = rest.size
+        emitted += take
 
 
 class ChunkSource:
@@ -67,7 +87,7 @@ class ChunkSource:
     chunks totalling ``n``.
     """
 
-    def _native_chunks(self, n, rng):
+    def _native_chunks(self, n, chunk_size, rng):
         """Yield arrays in the algorithm's natural block size."""
         raise NotImplementedError
 
@@ -77,22 +97,7 @@ class ChunkSource:
         chunk_size = require_positive_int(chunk_size, "chunk_size")
         if rng is None:
             rng = np.random.default_rng()
-        pending = []
-        pending_size = 0
-        emitted = 0
-        native = self._native_chunks(n, rng)
-        while emitted < n:
-            while pending_size < min(chunk_size, n - emitted):
-                piece = np.asarray(next(native), dtype=float)
-                pending.append(piece)
-                pending_size += piece.size
-            merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
-            take = min(chunk_size, n - emitted)
-            yield merged[:take]
-            rest = merged[take:]
-            pending = [rest] if rest.size else []
-            pending_size = rest.size
-            emitted += take
+        return _rechunk(self._native_chunks(n, chunk_size, rng), chunk_size, n)
 
 
 class HoskingSource(ChunkSource):
@@ -109,27 +114,15 @@ class HoskingSource(ChunkSource):
         self.hurst = self._generator.hurst
         self.variance = self._generator.variance
 
-    def chunks(self, n, chunk_size, rng=None):
-        n = require_positive_int(n, "n")
-        chunk_size = require_positive_int(chunk_size, "chunk_size")
-        if rng is None:
-            rng = np.random.default_rng()
-        gen = self._generator
-        gen.reset()
-        emitted = 0
-        while emitted < n:
-            take = min(chunk_size, n - emitted)
-            yield gen.extend(take, rng=rng)
-            emitted += take
-
-    def _native_chunks(self, n, rng):  # pragma: no cover - chunks() overrides
-        raise NotImplementedError
+    def _native_chunks(self, n, chunk_size, rng):
+        # The recursion resumes one chunk at a time, so each native
+        # piece is exactly the chunk the caller asked for.
+        self._generator.reset()
+        for start in range(0, n, chunk_size):
+            yield self._generator.extend(min(chunk_size, n - start), rng=rng)
 
     def __repr__(self):
         return f"HoskingSource(hurst={self.hurst:.4g}, variance={self.variance:.4g})"
-
-
-_BACKENDS = ("davies-harte", "paxson")
 
 
 class BlockFGNSource(ChunkSource):
@@ -148,6 +141,7 @@ class BlockFGNSource(ChunkSource):
         Width of the cross-fade window joining consecutive blocks
         (must be < ``block_size``).
     backend:
+        A blockwise backend of :mod:`repro.core.fgn`:
         ``"davies-harte"`` (exact per block) or ``"paxson"``
         (approximate per block, about half the FFT work).
 
@@ -165,29 +159,15 @@ class BlockFGNSource(ChunkSource):
                 f"overlap must lie in [0, block_size), got {overlap!r} with "
                 f"block_size {self.block_size}"
             )
-        if backend == "davies-harte":
-            self._generator = DaviesHarteGenerator(hurst, variance=variance)
-        elif backend == "paxson":
-            self._generator = PaxsonGenerator(hurst, variance=variance)
-        else:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+        self._generator = fgn_generator(backend, hurst, variance, blockwise=True)
         self.backend = backend
-        self.hurst = float(hurst)
-        self.variance = require_positive(variance, "variance")
-        self._w_old, self._w_new = blend_weights(self.overlap)
+        self.hurst = self._generator.hurst
+        self.variance = self._generator.variance
 
-    def _native_chunks(self, n, rng):
+    def _native_chunks(self, n, chunk_size, rng):
         raw_len = self.block_size + self.overlap
-        tail = None
-        while True:
-            block = self._generator.generate(raw_len, rng=rng)
-            head = block[: self.block_size].copy()
-            if tail is not None and self.overlap:
-                head[: self.overlap] = (
-                    self._w_old * tail + self._w_new * head[: self.overlap]
-                )
-            tail = block[self.block_size :]
-            yield head
+        raws = (self._generator.generate(raw_len, rng=rng) for _ in itertools.count())
+        return stitch_blocks(raws, self.overlap)
 
     def __repr__(self):
         return (
@@ -208,33 +188,25 @@ class ArraySource(ChunkSource):
         return self._data.size
 
     def chunks(self, n=None, chunk_size=65_536, rng=None):
-        if n is None:
-            n = self._data.size
-        n = require_positive_int(n, "n")
+        n = require_positive_int(self._data.size if n is None else n, "n")
         if n > self._data.size:
             raise ValueError(f"requested {n} samples but the array holds {self._data.size}")
-        chunk_size = require_positive_int(chunk_size, "chunk_size")
-        for start in range(0, n, chunk_size):
-            yield self._data[start : min(start + chunk_size, n)]
+        return super().chunks(n, chunk_size, rng)
 
-    def _native_chunks(self, n, rng):  # pragma: no cover - chunks() overrides
-        raise NotImplementedError
+    def _native_chunks(self, n, chunk_size, rng):
+        yield self._data
 
 
 def make_source(backend, hurst=0.8, variance=1.0, block_size=65_536, overlap=1_024):
-    """Build a chunk source by backend name.
+    """Build a chunk source by :mod:`repro.core.fgn` backend name.
 
-    ``"hosking"`` gives the exact resumable recursion;
-    ``"davies-harte"`` and ``"paxson"`` give constant-memory
-    block-overlap sources with the respective per-block synthesizer.
+    A blockwise backend (``"davies-harte"``, ``"paxson"``) gives a
+    constant-memory :class:`BlockFGNSource`; ``"hosking"`` the exact
+    resumable :class:`HoskingSource`.
     """
-    if backend == "hosking":
-        return HoskingSource(hurst=hurst, variance=variance)
-    if backend in _BACKENDS:
+    if fgn_backend(backend).blockwise:
         return BlockFGNSource(
             hurst, variance=variance, block_size=block_size, overlap=overlap,
             backend=backend,
         )
-    raise ValueError(
-        f'backend must be "hosking", "davies-harte" or "paxson", got {backend!r}'
-    )
+    return HoskingSource(hurst=hurst, variance=variance)

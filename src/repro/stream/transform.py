@@ -19,18 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._validation import require_positive_int
-from repro.distributions.base import TabulatedDistribution
+from repro.core.transform import _map_marginal, _quantile_table
 from repro.distributions.normal import Normal
-from repro.obs import metrics, trace
+from repro.obs import trace
 
-__all__ = ["StreamingMarginalTransform", "transform_chunks"]
-
-_TRANSFORMED = metrics.registry().counter(
-    "repro_transform_samples_total",
-    help="Samples mapped through the marginal transform (eq. 13)",
-    unit="samples",
-)
+__all__ = ["StreamingMarginalTransform"]
 
 
 class StreamingMarginalTransform:
@@ -62,44 +55,16 @@ class StreamingMarginalTransform:
         self.target = target
         self.source = source
         self.method = method
-        if method == "table":
-            n_table = require_positive_int(n_table, "n_table")
-            self._table = TabulatedDistribution.from_distribution(
-                target, n_points=n_table, q_lo=1e-7, q_hi=1.0 - 1.0 / (10.0 * n_table)
-            )
-        elif method == "exact":
-            self._table = None
-        else:
-            raise ValueError(f'method must be "exact" or "table", got {method!r}')
+        self._table = _quantile_table(target, method, n_table)
 
     def __call__(self, chunk):
         """Transform one chunk; same operations as the batch path."""
         arr = np.asarray(chunk, dtype=float)
         with trace.span("transform.chunk", n=arr.size, method=self.method):
-            u = self.source.cdf(arr)
-            tiny = np.finfo(float).tiny
-            u = np.clip(u, tiny, 1.0 - np.finfo(float).epsneg)
-            if self._table is None:
-                result = np.asarray(self.target.ppf(u), dtype=float)
-            else:
-                table = self._table
-                result = np.asarray(
-                    table.ppf(np.clip(u, table._ppf_q[0], table._ppf_q[-1])), dtype=float
-                )
-        _TRANSFORMED.inc(arr.size)
-        return result
+            return _map_marginal(arr, self.source, self.target, self._table)
 
     def __repr__(self):
         return (
             f"StreamingMarginalTransform(target={self.target!r}, "
             f"method={self.method!r})"
         )
-
-
-def transform_chunks(chunks, target, source=None, method="exact", n_table=10_000):
-    """Generator form: lazily transform an iterable of chunks."""
-    mapper = StreamingMarginalTransform(
-        target, source=source, method=method, n_table=n_table
-    )
-    for chunk in chunks:
-        yield mapper(chunk)

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.daviesharte import DaviesHarteGenerator
 from repro.dist import (
     ArtifactMiss,
     ChannelClosed,
@@ -80,6 +81,17 @@ class TestProtocol:
         with plan.active():
             with pytest.raises(TransientFault):
                 execute_task(TaskSpec("t", "sleep", {"duration_s": 0.0}), seed=0)
+
+    def test_davies_harte_task_on_two_sim_nodes(self):
+        # The default backend is spelled as in repro.core.fgn's table.
+        task = TaskSpec("dh", "fgn", {"n": 256, "hurst": 0.8, "backend": "davies-harte"})
+        with SimCluster(2) as cluster:
+            report = run_distributed([task], cluster.endpoints(), base_seed=7)
+        task_seed = run_campaign([ExperimentSpec("dh", lambda seed: seed)],
+                                 base_seed=7).results["dh"]
+        expected = DaviesHarteGenerator(0.8).generate(
+            256, rng=np.random.default_rng(task_seed))
+        assert report.results["dh"].tobytes() == expected.tobytes()
 
     def test_fgn_task_is_seed_deterministic(self):
         task = TaskSpec("f", "fgn", {"n": 256, "hurst": 0.8})
@@ -488,6 +500,15 @@ class TestCampaign:
         assert all(t.kind == "fgn" and t.params["hurst"] == 0.75 for t in tasks)
         with pytest.raises(ValueError, match="at least one"):
             fgn_tasks(0, 8)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"backend": "daviesharte"}, "unknown fGn backend 'daviesharte'"),
+        ({"hurst": 1.2}, "hurst must lie in the open interval"),
+    ])
+    def test_fgn_tasks_refuse_bad_params_before_sending(self, kwargs, message):
+        with pytest.raises(ValueError, match=message) as info:
+            fgn_tasks(1, 64, **kwargs)
+        assert "\n" not in str(info.value)
 
     def test_experiment_tasks_validates_only(self):
         from repro.dist.campaign import experiment_tasks

@@ -14,8 +14,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.fgn import blend_weights
 from repro.core.hosking import hosking_farima
-from repro.par.shard import blend_weights, shard_fgn, shard_plan
+from repro.par.shard import shard_fgn, shard_plan
 from repro.resilience.runner import ExperimentSpec, run_campaign
 from repro.simulation.multiplex import multiplex_many, multiplex_series, random_lags
 from repro.simulation.qc import qc_curve, smg_curve

@@ -35,10 +35,6 @@ def _lookup(item, common):
     return (float(arr[item]), bool(arr.flags.writeable))
 
 
-def _pid(item):
-    return os.getpid()
-
-
 def _die_in_child(item):
     # Only the forked worker dies; the serial fallback (parent process)
     # completes the task normally.
@@ -117,13 +113,6 @@ class TestPoolMap:
         # actually went through shared memory rather than a pickle copy.
         assert all(writeable is False for _, writeable in out)
 
-    def test_recycling_replaces_worker_processes(self):
-        pids = pool_map(_pid, range(6), workers=2, recycle_after=1)
-        # Three batches of two tasks each, on a fresh executor per
-        # batch: at least three distinct worker pids must appear.
-        assert len(set(pids)) >= 3
-        assert os.getpid() not in pids
-
     def test_worker_death_falls_back_to_serial(self):
         items = list(range(6))
         out = pool_map(_die_in_child, items, workers=2)
@@ -174,15 +163,6 @@ class TestMetricMerge:
             before = counter.value
             assert pool_map(_counted, range(7), workers=workers) == list(range(7))
             assert counter.value - before == 7
-
-    def test_counts_survive_worker_recycling(self):
-        with obs.enabled():
-            counter = metrics.registry().counter(
-                "repro_par_pool_test_total", unit="tasks"
-            )
-            before = counter.value
-            pool_map(_counted, range(6), workers=2, recycle_after=1)
-            assert counter.value - before == 6
 
 
 class TestMergeDump:

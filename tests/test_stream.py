@@ -35,7 +35,6 @@ from repro.stream import (
     make_source,
     merge_streams,
     multiplex_lagged,
-    simulate_queue_stream,
 )
 
 TARGET = GammaParetoHybrid(27_791.0, 6_254.0, 12.0)
@@ -221,7 +220,10 @@ class TestStreamingQueue:
     def test_bitwise_equal_to_batch(self, seed, chunk, capacity, buffer):
         a = np.random.default_rng(seed).uniform(0, 25, size=2000)
         batch = simulate_queue(a, capacity, buffer)
-        streamed = simulate_queue_stream(Stream.from_array(a, chunk), capacity, buffer)
+        queue = StreamingQueue(capacity, buffer)
+        for piece in Stream.from_array(a, chunk):
+            queue.push(piece)
+        streamed = queue.result()
         assert streamed.total_bytes == batch.total_bytes
         assert streamed.lost_bytes == batch.lost_bytes
         assert streamed.final_backlog == batch.final_backlog
@@ -230,9 +232,10 @@ class TestStreamingQueue:
     def test_loss_series_bitwise_equal(self):
         a = np.random.default_rng(4).uniform(0, 25, size=3000)
         batch = simulate_queue(a, 9.0, 30.0, return_series=True)
-        streamed = simulate_queue_stream(
-            Stream.from_array(a, 271), 9.0, 30.0, record_loss=True
-        )
+        queue = StreamingQueue(9.0, 30.0, record_loss=True)
+        for piece in Stream.from_array(a, 271):
+            queue.push(piece)
+        streamed = queue.result()
         np.testing.assert_array_equal(streamed.loss_series, batch.loss_series)
 
     def test_seed_trace_exact(self, small_series):
@@ -242,9 +245,10 @@ class TestStreamingQueue:
         buffer = 5.0 * mean_rate
         batch = simulate_queue(small_series, capacity, buffer)
         assert batch.lost_bytes > 0  # a lossy operating point
-        streamed = simulate_queue_stream(
-            Stream.from_array(small_series, 4096), capacity, buffer
-        )
+        queue = StreamingQueue(capacity, buffer)
+        for piece in Stream.from_array(small_series, 4096):
+            queue.push(piece)
+        streamed = queue.result()
         assert streamed == batch
 
     def test_push_returns_chunk_loss(self):
