@@ -589,14 +589,8 @@ def _cmd_experiments(args):
             authkey=_dist_authkey(args),
             flight_path=args.flight,
         )
-    results = campaign.results
-    if only is None and campaign.ok:
-        # The full-suite comparison table needs every experiment's result.
-        for line in summary_lines(results):
-            print(line)
-    else:
-        for eid in sorted(results):
-            print(f"completed: {eid}")
+    for line in summary_lines(campaign.results):
+        print(line)
     for line in campaign.summary_lines():
         print(line)
     if args.profile is not None:

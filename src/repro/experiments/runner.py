@@ -5,17 +5,15 @@
 through the :mod:`repro.resilience` campaign supervisor (per-experiment
 isolation, bounded retry, soft timeouts, checkpoint/resume) -- on local
 threads or on worker nodes -- and returns a dict of results;
-``summary_lines`` renders the
-one-line-per-experiment comparison used by EXPERIMENTS.md and the
-examples.
+``summary_lines`` renders the paper-claim ledger
+(:mod:`repro.experiments.claims`) against those results, for the CLI
+and the examples.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-
-import numpy as np
 
 from repro.experiments import (
     fig01_timeseries,
@@ -232,118 +230,17 @@ def run_all(trace=None, quick=False, sim_frames=None, *, only=None,
 
 
 def summary_lines(results):
-    """One human-readable comparison line per experiment."""
-    lines = []
-    t1 = results["table1"]
-    lines.append(
-        f"Table 1: avg bandwidth {t1['avg_bandwidth_mbps']:.2f} Mb/s "
-        f"(paper {t1['paper']['avg_bandwidth_mbps']:.2f}); compression ratio "
-        f"{t1['avg_compression_ratio']:.2f} (paper {t1['paper']['avg_compression_ratio']:.2f})"
-    )
-    t2 = results["table2"]
-    fr, pf = t2["frame"], t2["paper"]["frame"]
-    lines.append(
-        f"Table 2 (frame): mean {fr.mean:.0f} (paper {pf['mean']:.0f}), "
-        f"std {fr.std:.0f} (paper {pf['std']:.0f}), peak/mean {fr.peak_to_mean:.2f} "
-        f"(paper {pf['peak_to_mean']:.2f})"
-    )
-    sl, ps = t2["slice"], t2["paper"]["slice"]
-    lines.append(
-        f"Table 2 (slice): mean {sl.mean:.0f} (paper {ps['mean']:.0f}), "
-        f"CoV {sl.coefficient_of_variation:.2f} (paper {ps['coefficient_of_variation']:.2f})"
-    )
-    t3 = results["table3"]
-    lines.append(
-        f"Table 3: VT H={t3['variance_time']:.2f} (paper 0.78), R/S H={t3['rs']:.2f} "
-        f"(paper 0.83), Whittle H={t3['whittle'].hurst:.2f}±{1.96 * t3['whittle'].std_error:.2f} "
-        f"(paper 0.80±0.088)"
-    )
-    lines.append(
-        f"Fig 2: moving-average relative excursion {results['fig02']['relative_excursion']:.2f}, "
-        f"arc correlation {results['fig02']['arc_correlation']:.2f}"
-    )
-    lines.append(
-        f"Fig 3: segment means deviate {np.max(results['fig03']['mean_deviation_sigmas']):.0f} "
-        f"i.i.d. sigmas from global mean (i.i.d. bound ~2)"
-    )
-    dev = results["fig04"]["tail_deviation"]
-    lines.append(
-        "Fig 4: tail log-deviation pareto={pareto:.2f} < gamma={gamma:.2f} < "
-        "lognormal={lognormal:.2f}, normal={normal:.2f}".format(**dev)
-    )
-    lines.append(
-        f"Fig 5: left-tail gamma deviation {results['fig05']['left_tail_deviation']['gamma']:.3f} "
-        f"(adequate fit, as in paper)"
-    )
-    lines.append(f"Fig 6: density L1 discrepancy {results['fig06']['l1_discrepancy']:.3f}")
-    f7 = results["fig07"]
-    lines.append(
-        f"Fig 7: ACF exponential fit rho={f7['rho']:.3f} holds only at short lags; measured "
-        f"ACF exceeds exponential extrapolation by x{f7['exp_underestimates_tail']:.0f} at lag 3000"
-    )
-    f8 = results["fig08"]
-    lines.append(f"Fig 8: periodogram low-frequency alpha={f8['alpha']:.2f} -> H={f8['hurst']:.2f}")
-    f9 = results["fig09"]
-    lines.append(
-        f"Fig 9: i.i.d. CI coverage {f9['iid_coverage']:.2f} vs LRD coverage {f9['lrd_coverage']:.2f}"
-    )
-    f10 = results["fig10"]["levels"]
-    sig = {m: v["significant_lags"] for m, v in f10.items()}
-    lines.append(f"Fig 10: significant ACF lags after aggregation {sig} (SRD would give ~0-1)")
-    lines.append(
-        f"Fig 11: variance-time H={results['fig11']['hurst']:.2f} (paper 0.78)"
-    )
-    lines.append(f"Fig 12: R/S pox H={results['fig12']['hurst']:.2f} (paper 0.83)")
-    knees = results["fig14"]["knees"]
-    some_key = next(iter(knees))
-    lines.append(
-        f"Fig 14: {len(results['fig14']['curves'])} Q-C curves computed; e.g. knee of "
-        f"{some_key}: C/N={knees[some_key][0]:.1f} Mb/s at T_max={knees[some_key][1]:.2f} ms"
-    )
-    f15 = results["fig15"]
-    lines.append(
-        f"Fig 15: gain at N=5 = {f15['mean_gain_at_5']:.2f} (paper {f15['paper_gain_at_5']:.2f})"
-    )
-    f16 = results["fig16"]
-    n_max = max(f16["offsets"])
-    n_min = min(f16["offsets"])
-    lines.append(
-        f"Fig 16: capacity offsets vs trace at N={n_min}: "
-        + ", ".join(f"{k}={v:.3f}" for k, v in sorted(f16["offsets"][n_min].items()))
-        + f"; at N={n_max}: "
-        + ", ".join(f"{k}={v:.3f}" for k, v in sorted(f16["offsets"][n_max].items()))
-    )
-    f17 = results["fig17"]["processes"]
-    lines.append(
-        "Fig 17: loss concentration "
-        + ", ".join(f"N={n}: {v['concentration']:.2f}" for n, v in sorted(f17.items()))
-        + " (same overall loss, very different error processes)"
-    )
-    tandem = results["fig_net_tandem"]
-    lossless = {
-        h: tandem["curves"][(h, 0.0)]["tmax_ms"][0] for h in tandem["hops"]
-    }
-    lines.append(
-        "Net tandem: lossless T_max at the lowest capacity grows with path "
-        "length: " + ", ".join(f"{h} hop(s)={v:.0f} ms" for h, v in sorted(lossless.items()))
-    )
-    hh = results["fig_net_hurst_hops"]
-    lines.append(
-        "Net Hurst/hops: variance-time H "
-        + " -> ".join(f"{v:.2f}" for v in hh["hurst_variance_time"])
-        + f" across {hh['hops']} hops (self-similarity survives queueing)"
-    )
-    ac = results["fig_alloc_compare"]
-    lines.append(
-        "Alloc compare: p99 per-user loss static={static:.3f} -> trade={trade:.3f} "
-        "-> harvest={harvest:.3f} -> oracle={oracle:.3f}".format(**ac["p99_loss"])
-        + (" (oracle is the lower bound)" if ac["oracle_is_lower_bound"] else "")
-    )
-    asg = results["fig_alloc_smg"]
-    best = max(asg["gain_vs_static"].items(), key=lambda kv: kv[1])
-    lines.append(
-        f"Alloc SMG: closed-loop harvest needs x{best[1]:.2f} less pool capacity "
-        f"than the static partition at epoch length {best[0]} "
-        f"(Norros anchor {asg['capacity_norros']:.0f} bytes/slot)"
-    )
-    return lines
+    """One line per summary label: every paper claim whose experiment ran.
+
+    Each claim of :data:`repro.experiments.claims.CLAIMS` renders as
+    its measured value, relation, paper value and ``ok``/``FAIL``;
+    experiments missing from ``results`` are left out.
+    """
+    # Imported here: running the campaign never needs the ledger, so it
+    # stays out of run_all's set-up time and memory.
+    from repro.experiments.claims import check_claims, describe
+
+    lines = {}
+    for claim, value, ok in check_claims(results):
+        lines.setdefault(claim.label, []).append(describe(claim, value, ok))
+    return [f"{label}: " + "; ".join(parts) for label, parts in lines.items()]

@@ -36,6 +36,14 @@ def small_trace():
 
 
 @pytest.fixture(scope="session")
+def quick_campaign():
+    """``run_all(quick=True)``: every experiment on the 40,000-frame trace."""
+    from repro.experiments.runner import run_all
+
+    return run_all(quick=True)
+
+
+@pytest.fixture(scope="session")
 def small_series(small_trace):
     """Frame-level byte series of the shared trace."""
     return small_trace.frame_bytes

@@ -450,7 +450,7 @@ class TestProfileFlags:
             "--profile", "fig14", "--run-report", str(run),
         ])
         assert code == 0
-        assert "completed: fig14" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("Fig 14: ")
         from repro.obs.report import RunReport
 
         doc = RunReport.load(run)

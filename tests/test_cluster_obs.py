@@ -581,7 +581,7 @@ class TestCli:
 
             class _Report:
                 ok = True
-                results = {"fig11": object()}
+                results = {}
 
                 def summary_lines(self):
                     return []
@@ -591,8 +591,6 @@ class TestCli:
         monkeypatch.setattr("repro.experiments.runner.run_all", fake_run_all)
         monkeypatch.chdir(tmp_path)
         flight = tmp_path / "f.jsonl"
-        # --profile fig11 keeps the summary on the per-experiment path
-        # (the full-suite table needs real results).
         assert cli_module.main([
             "experiments", "--quick", "--nodes", "sim:2",
             "--profile", "fig11", "--flight", str(flight),

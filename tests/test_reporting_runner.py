@@ -1,10 +1,9 @@
 """Tests for reporting helpers and the experiment runner."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.reporting import format_kv, format_table
-from repro.experiments.runner import run_all, summary_lines
+from repro.experiments.runner import summary_lines
 
 
 class TestFormatTable:
@@ -39,36 +38,17 @@ class TestFormatKV:
 
 
 class TestRunner:
-    @pytest.fixture(scope="class")
-    def results(self):
-        # quick mode: 40k-frame trace, shrunken simulations.
-        return run_all(quick=True)
-
-    def test_all_experiments_present(self, results):
+    def test_all_experiments_present(self, quick_campaign):
         expected = {
             "table1", "table1_codec", "table2", "table3",
             "fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
             "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
             "fig14", "fig15", "fig16", "fig17",
         }
-        assert expected <= set(results)
+        assert expected <= set(quick_campaign)
 
-    def test_summary_lines_cover_everything(self, results):
-        lines = summary_lines(results)
+    def test_summary_lines_cover_everything(self, quick_campaign):
+        lines = summary_lines(quick_campaign)
         text = "\n".join(lines)
         for token in ("Table 1", "Table 2", "Table 3", "Fig 4", "Fig 11", "Fig 16"):
             assert token in text
-
-    def test_headline_claims_hold_in_quick_mode(self, results):
-        """The paper's main findings survive even the quick run."""
-        # Heavy tail: Pareto fits the tail better than Normal.
-        dev = results["fig04"]["tail_deviation"]
-        assert dev["pareto"] < dev["normal"]
-        # LRD: H in the elevated band.
-        assert results["fig11"]["hurst"] > 0.7
-        # Multiplexing gain is substantial by N=5.
-        assert results["fig15"]["mean_gain_at_5"] > 0.5
-        # Full model beats the crippled variants at N=1.
-        offsets = results["fig16"]["offsets"]
-        n_min = min(offsets)
-        assert offsets[n_min]["full-model"] <= offsets[n_min]["gaussian-farima"]
