@@ -29,6 +29,7 @@ from repro.alloc.fleet import (
     FleetSpec,
     UserSpec,
     demo_fleet,
+    fleet_arrivals,
     simulate_fleet,
     user_epoch_seed,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "UserSpec",
     "demo_fleet",
     "exact_sum",
+    "fleet_arrivals",
     "make_allocator",
     "partition_exact",
     "settle_residue",

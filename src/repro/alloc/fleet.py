@@ -4,9 +4,11 @@ The closed loop runs in epochs of ``epoch_slots`` slots.  Each epoch:
 
 1. **Synthesize** every user's arrivals for the epoch.  Video users are
    fGn with per-class Hurst/mean/std (all users of one Hurst class are
-   synthesized in a single stacked :func:`repro.core.batch.batch_fgn`
-   call with explicit per-(user, epoch) sha256 seeds); CBR users send a
-   constant rate; data users send seeded geometric on/off bursts.
+   synthesized in a single stacked :func:`repro.core.batch.batch_generate`
+   call with explicit per-(user, epoch) sha256 seeds, against one Paxson
+   generator per class that keeps its spectral density across epochs);
+   CBR users send a constant rate; data users send seeded geometric
+   on/off bursts.
 2. **Serve** each user's queue for the epoch with its current grant
    ``(C_i, Q_i)`` via the canonical slot-fluid kernel
    (:func:`repro.simulation.slotfluid.run_slots`), carrying the backlog
@@ -19,10 +21,17 @@ The closed loop runs in epochs of ``epoch_slots`` slots.  Each epoch:
    and the allocator emits next epoch's partition, validated for
    conservation and feasibility on the spot.
 
-Memory stays constant in the number of epochs: only one epoch's arrival
-matrix is alive at a time (plus the next epoch's, generated early so the
-oracle can see its true demand) and per-user statistics are running
-accumulators, exactly the streaming discipline of ``repro.stream``.
+Arrivals depend only on ``(users, epoch_slots, n_epochs, seed)``, never on
+the pool totals or the allocator.  By default ``simulate_fleet``
+synthesizes them lazily, so memory stays constant in the number of
+epochs: only one epoch's arrival matrix is alive at a time (plus the
+next epoch's, generated early so the oracle can see its true demand) and
+per-user statistics are running accumulators, exactly the streaming
+discipline of ``repro.stream``.  A caller that runs the same fleet more
+than once (several allocators, a capacity bisection) builds the set once
+with :func:`fleet_arrivals` and passes it to every run; it then holds
+``n_users x n_epochs x epoch_slots x 8`` bytes for as long as it keeps
+the set.
 
 Determinism: every random draw descends from
 ``derive_task_seed(derive_task_seed(fleet_seed, user, label="alloc.user"),
@@ -44,7 +53,8 @@ import numpy as np
 from repro._validation import require_positive
 from repro.alloc.allocators import ALLOCATORS, make_allocator
 from repro.alloc.base import AllocatorBase, EpochObservation
-from repro.core.batch import batch_fgn
+from repro.core.batch import batch_generate
+from repro.core.fgn import fgn_generator
 from repro.obs import metrics, trace
 from repro.par.pool import derive_task_seed, pool_map
 from repro.simulation.slotfluid import run_slots
@@ -54,6 +64,7 @@ __all__ = [
     "FleetSpec",
     "FleetResult",
     "demo_fleet",
+    "fleet_arrivals",
     "simulate_fleet",
     "user_epoch_seed",
 ]
@@ -189,13 +200,19 @@ def demo_fleet(n_users=64, *, epoch_slots=100, n_epochs=40, utilization=0.8,
                      buffer_slots=buffer_slots, qos_loss=qos_loss, seed=seed)
 
 
-def _video_groups(users):
-    """Video users grouped by (hurst), keys sorted -- deterministic order."""
+def _video_generators(users):
+    """One blockwise Paxson generator per Hurst class, with its users.
+
+    Classes come in sorted Hurst order.  Each generator caches its
+    spectral density, so a fleet computes it once per class, not once
+    per epoch.
+    """
     groups = {}
     for i, u in enumerate(users):
         if u.kind == "video":
             groups.setdefault(float(u.hurst), []).append(i)
-    return [(h, groups[h]) for h in sorted(groups)]
+    return [(fgn_generator("paxson", h, blockwise=True), groups[h])
+            for h in sorted(groups)]
 
 
 def _data_arrivals(user, n_slots, rng):
@@ -215,19 +232,22 @@ def _data_arrivals(user, n_slots, rng):
     return arr
 
 
-def _epoch_arrivals(spec, epoch_index, groups):
+def _epoch_arrivals(spec, epoch_index, video):
     """The (n_users, epoch_slots) arrival matrix for one epoch.
 
     A pure function of ``(spec, epoch_index)``: video rows come from one
-    stacked ``batch_fgn`` call per Hurst class with explicit per-(user,
-    epoch) seeds, CBR rows are constants and data rows draw from their
-    own per-(user, epoch) generator.
+    stacked ``batch_generate`` call per Hurst class with explicit
+    per-(user, epoch) seeds -- the rngs ``batch_fgn(seeds=...)`` would
+    build, so the bits are the same -- CBR rows are constants and data
+    rows draw from their own per-(user, epoch) generator.
     """
     n, slots = spec.n_users, spec.epoch_slots
     arrivals = np.empty((n, slots))
-    for hurst, indices in groups:
-        seeds = [user_epoch_seed(spec.seed, i, epoch_index) for i in indices]
-        rows = batch_fgn(slots, hurst, len(indices), seeds=seeds)
+    for generator, indices in video:
+        rngs = [np.random.Generator(np.random.PCG64(
+                    user_epoch_seed(spec.seed, i, epoch_index)))
+                for i in indices]
+        rows = batch_generate(generator, slots, rngs)
         for row, i in zip(rows, indices):
             user = spec.users[i]
             np.maximum(user.mean + user.std * row, 0.0, out=arrivals[i])
@@ -237,6 +257,40 @@ def _epoch_arrivals(spec, epoch_index, groups):
         elif user.kind == "data":
             rng = np.random.default_rng(user_epoch_seed(spec.seed, i, epoch_index))
             arrivals[i] = _data_arrivals(user, slots, rng)
+    return arrivals
+
+
+def _arrival_epochs(spec):
+    """The fleet's epoch arrival matrices, synthesized lazily in order."""
+    video = _video_generators(spec.users)
+    for epoch in range(spec.n_epochs):
+        yield _epoch_arrivals(spec, epoch, video)
+
+
+def fleet_arrivals(spec):
+    """Every epoch's ``(n_users, epoch_slots)`` arrival matrix, in order.
+
+    The set depends only on ``(users, epoch_slots, n_epochs, seed)``, so
+    one set serves every :func:`simulate_fleet` run of the fleet,
+    whatever its pool totals or allocator.  The matrices are read-only:
+    a run that shares them cannot change what the next run sees.
+    """
+    arrivals = tuple(_arrival_epochs(spec))
+    for matrix in arrivals:
+        matrix.flags.writeable = False
+    return arrivals
+
+
+def _check_arrivals(spec, arrivals):
+    """The passed arrival set as a tuple; one line if it misfits ``spec``."""
+    arrivals = tuple(arrivals)
+    shape = (spec.n_users, spec.epoch_slots)
+    shapes = [np.shape(matrix) for matrix in arrivals]
+    if len(arrivals) != spec.n_epochs or any(s != shape for s in shapes):
+        raise ValueError(
+            f"arrivals must be {spec.n_epochs} matrices of shape {shape}, "
+            f"got {len(arrivals)} of shape(s) {sorted(set(shapes))}"
+        )
     return arrivals
 
 
@@ -347,13 +401,16 @@ class FleetResult:
         }
 
 
-def simulate_fleet(spec, allocator="static", *, workers=1,
+def simulate_fleet(spec, allocator="static", *, arrivals=None, workers=1,
                    record_history=False, allocator_options=None):
     """Run one fleet under one allocator; returns a :class:`FleetResult`.
 
     ``allocator`` is a registered name (see
     :data:`repro.alloc.allocators.ALLOCATORS`) or a ready
-    :class:`~repro.alloc.base.AllocatorBase` instance.  ``workers`` fans
+    :class:`~repro.alloc.base.AllocatorBase` instance.  ``arrivals`` is
+    the fleet's epoch matrices, as :func:`fleet_arrivals` builds them;
+    by default they are synthesized lazily, one epoch at a time.  The
+    result is the same either way.  ``workers`` fans
     the per-user queue stepping out over a seeded process pool; the
     result is bit-identical at every worker count.  ``record_history``
     keeps every epoch's observation and partition (memory grows with
@@ -372,7 +429,8 @@ def simulate_fleet(spec, allocator="static", *, workers=1,
                                 qos_loss=spec.qos_loss,
                                 **(allocator_options or {}))
 
-    groups = _video_groups(spec.users)
+    epochs = (_arrival_epochs(spec) if arrivals is None
+              else iter(_check_arrivals(spec, arrivals)))
     chunks = [(start, min(start + CHUNK_USERS, n))
               for start in range(0, n, CHUNK_USERS)]
 
@@ -390,11 +448,11 @@ def simulate_fleet(spec, allocator="static", *, workers=1,
     with trace.span("alloc.fleet", allocator=policy.name, users=n,
                     epochs=spec.n_epochs, workers=workers):
         alloc = policy.initial_allocation()
-        arrivals = _epoch_arrivals(spec, 0, groups)
+        epoch_arrivals = next(epochs)
         for epoch in range(spec.n_epochs):
             with trace.span("alloc.epoch", epoch=epoch):
                 common = {
-                    "arrivals": arrivals,
+                    "arrivals": epoch_arrivals,
                     "capacity": alloc.capacity,
                     "buffer": alloc.buffer,
                     "backlog": backlog,
@@ -417,8 +475,7 @@ def simulate_fleet(spec, allocator="static", *, workers=1,
                 _LOST.inc(float(np.sum(epoch_lost)))
 
                 next_arrivals = (
-                    _epoch_arrivals(spec, epoch + 1, groups)
-                    if epoch + 1 < spec.n_epochs else None
+                    next(epochs) if epoch + 1 < spec.n_epochs else None
                 )
                 observation = EpochObservation(
                     epoch_slots=spec.epoch_slots,
@@ -451,7 +508,7 @@ def simulate_fleet(spec, allocator="static", *, workers=1,
                         "buffer_after": next_alloc.buffer.copy(),
                     })
                 alloc = next_alloc
-                arrivals = next_arrivals
+                epoch_arrivals = next_arrivals
 
     return FleetResult(
         allocator=policy.name,

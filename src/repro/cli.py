@@ -786,7 +786,7 @@ def _cmd_dist(args):
 
 
 def _cmd_alloc(args):
-    from repro.alloc import ALLOCATORS, demo_fleet, simulate_fleet
+    from repro.alloc import ALLOCATORS, demo_fleet, fleet_arrivals, simulate_fleet
     from repro.experiments.reporting import format_table
 
     if args.users < 1 or args.epochs < 1 or args.epoch_slots < 1:
@@ -806,8 +806,12 @@ def _cmd_alloc(args):
         utilization=args.utilization, buffer_slots=args.buffer_slots,
         qos_loss=args.qos_loss, seed=args.seed,
     )
+    # Several allocators share one arrival set; a single run streams its
+    # arrivals one epoch at a time.
+    arrivals = fleet_arrivals(spec) if len(names) > 1 else None
     results = {
-        name: simulate_fleet(spec, name, workers=args.workers) for name in names
+        name: simulate_fleet(spec, name, arrivals=arrivals, workers=args.workers)
+        for name in names
     }
     if args.as_json:
         json.dump({name: r.summary() for name, r in results.items()},

@@ -5,7 +5,9 @@ figures: a seeded heterogeneous fleet (mixed-Hurst fGn video, CBR and
 bursty data users) shares one (C, Q) pool, and each registered
 allocator runs the *same* fleet -- identical arrivals, identical seeds,
 identical totals -- differing only in how it re-partitions the pool
-every epoch.  The experiment reports per-user loss and delay
+every epoch.  The arrivals are literally the same arrays: one
+:func:`~repro.alloc.fleet.fleet_arrivals` set is built and handed to
+every allocator's run.  The experiment reports per-user loss and delay
 percentiles, Jain fairness and the reallocation activity per allocator,
 plus the two ordering claims the acceptance pins: harvest and trade
 beat the static baseline on p99 per-user loss, and the clairvoyant
@@ -15,7 +17,7 @@ oracle lower-bounds every policy's fleet-total loss.
 from __future__ import annotations
 
 from repro.alloc.allocators import ALLOCATORS
-from repro.alloc.fleet import demo_fleet, simulate_fleet
+from repro.alloc.fleet import demo_fleet, fleet_arrivals, simulate_fleet
 
 __all__ = ["run"]
 
@@ -50,11 +52,12 @@ def run(
         qos_loss=qos_loss,
         seed=seed,
     )
+    arrivals = fleet_arrivals(spec)
     summaries = {}
     total_loss = {}
     p99 = {}
     for name in names:
-        result = simulate_fleet(spec, name, workers=workers)
+        result = simulate_fleet(spec, name, arrivals=arrivals, workers=workers)
         summaries[name] = result.summary()
         total_loss[name] = result.total_loss_rate
         p99[name] = result.loss_percentiles()["p99"]

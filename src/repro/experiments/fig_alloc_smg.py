@@ -31,17 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.alloc.fleet import FleetSpec, demo_fleet, simulate_fleet, _epoch_arrivals, _video_groups
+from repro.alloc.fleet import FleetSpec, demo_fleet, fleet_arrivals, simulate_fleet
 from repro.simulation.norros import norros_capacity
 from repro.simulation.qc import required_capacity
 
 __all__ = ["run"]
-
-
-def _user_series(spec, groups):
-    """Each user's full arrival series, concatenated across epochs."""
-    blocks = [_epoch_arrivals(spec, e, groups) for e in range(spec.n_epochs)]
-    return np.concatenate(blocks, axis=1)
 
 
 def _fleet_spec(base, epoch_slots, n_epochs, total_capacity, total_buffer):
@@ -56,13 +50,17 @@ def _fleet_spec(base, epoch_slots, n_epochs, total_capacity, total_buffer):
     )
 
 
-def _min_pool_capacity(base, epoch_slots, n_epochs, total_buffer, allocator,
+def _min_pool_capacity(base, epoch_slots, arrivals, total_buffer, allocator,
                        target_loss, lo, hi, rel_tol):
-    """Bisect the smallest pool capacity meeting the fleet loss target."""
+    """Bisect the smallest pool capacity meeting the fleet loss target.
+
+    Every bisection step runs the same ``arrivals`` set: capacity moves
+    the pool, not the traffic.
+    """
 
     def loss_at(capacity):
-        spec = _fleet_spec(base, epoch_slots, n_epochs, capacity, total_buffer)
-        return simulate_fleet(spec, allocator).total_loss_rate
+        spec = _fleet_spec(base, epoch_slots, len(arrivals), capacity, total_buffer)
+        return simulate_fleet(spec, allocator, arrivals=arrivals).total_loss_rate
 
     if loss_at(lo) <= target_loss:
         return lo
@@ -94,19 +92,25 @@ def run(
     ``trace`` is accepted for runner uniformity and ignored.  The fleet
     runs ``total_slots`` slots regardless of epoch length (the epoch
     grid re-synthesizes per-(user, epoch) seeded arrivals, so regimes
-    see statistically identical -- not bit-identical -- traffic).
+    see statistically identical -- not bit-identical -- traffic).  Each
+    distinct epoch length gets one arrival set, shared by every run at
+    that length.
     """
     del trace
-    base = demo_fleet(n_users, epoch_slots=int(epoch_lengths[0]),
-                      n_epochs=max(total_slots // int(epoch_lengths[0]), 1),
-                      seed=seed)
+    lengths = [int(x) for x in epoch_lengths]
+    base = demo_fleet(n_users, epoch_slots=lengths[0],
+                      n_epochs=max(total_slots // lengths[0], 1), seed=seed)
     mean_rate = float(sum(u.mean for u in base.users))
     total_buffer = buffer_slots * mean_rate
+    arrival_sets = {
+        length: fleet_arrivals(_fleet_spec(
+            base, length, max(total_slots // length, 1), None, total_buffer))
+        for length in dict.fromkeys(lengths)
+    }
 
     # Dedicated baseline: each user alone on its own capacity slice with
-    # an equal buffer share.
-    groups = _video_groups(base.users)
-    series = _user_series(base, groups)
+    # an equal buffer share, over the first epoch length's arrivals.
+    series = np.concatenate(arrival_sets[lengths[0]], axis=1)
     per_user_buffer = total_buffer / n_users
     dedicated = [
         required_capacity([series[i]], per_user_buffer, target_loss)
@@ -126,22 +130,21 @@ def run(
     lo = agg_mean
     hi = capacity_dedicated
 
-    mid_length = int(epoch_lengths[len(epoch_lengths) // 2])
+    mid_length = lengths[len(lengths) // 2]
     capacity_static = _min_pool_capacity(
-        base, mid_length, max(total_slots // mid_length, 1), total_buffer,
+        base, mid_length, arrival_sets[mid_length], total_buffer,
         "static", target_loss, lo, hi, rel_tol,
     )
     capacity_dynamic = {}
-    for length in epoch_lengths:
-        length = int(length)
+    for length in lengths:
         capacity_dynamic[length] = _min_pool_capacity(
-            base, length, max(total_slots // length, 1), total_buffer,
+            base, length, arrival_sets[length], total_buffer,
             "harvest", target_loss, lo, hi, rel_tol,
         )
 
     return {
         "n_users": n_users,
-        "epoch_lengths": tuple(int(x) for x in epoch_lengths),
+        "epoch_lengths": tuple(lengths),
         "total_slots": total_slots,
         "target_loss": target_loss,
         "total_buffer": total_buffer,

@@ -62,9 +62,9 @@ def run(trace=None):
 def run_codec(n_frames=48, height=120, width=128, quant_step=16.0, seed=7):
     """Code a procedural movie and measure the codec's Table 1 numbers.
 
-    Frame size defaults to a 1/16-area version of the paper's format so
-    the pure-Python pipeline stays fast; the compression ratio is
-    measured against the actual frame size used.
+    Frame size defaults to a 1/16-area version of the paper's format,
+    which keeps the campaign's codec step short; the compression ratio
+    is measured against the actual frame size used.
     """
     codec = IntraframeCodec(quant_step=quant_step, slices_per_frame=30)
     movie = SyntheticMovie(n_frames, height=height, width=width, seed=seed)

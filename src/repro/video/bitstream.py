@@ -1,52 +1,49 @@
 """Bit-level I/O used by the entropy coder.
 
-:class:`BitWriter` accumulates individual bits / fixed-width fields and
-packs them MSB-first into bytes; :class:`BitReader` reads them back.
-The codec uses these to produce an actual decodable bitstream, so the
-byte counts the trace reports are the byte counts a real transport
+:func:`pack_bits` packs a whole frame's ``(value, length)`` fields
+MSB-first into bytes in one array pass; :class:`BitReader` reads them
+back.  The codec uses these to produce an actual decodable bitstream, so
+the byte counts the trace reports are the byte counts a real transport
 would carry.
 """
 
 from __future__ import annotations
 
-__all__ = ["BitWriter", "BitReader"]
+import numpy as np
+
+__all__ = ["pack_bits", "BitReader"]
+
+#: Longest field :func:`pack_bits` takes (the fields ride in int64).
+MAX_FIELD_BITS = 62
 
 
-class BitWriter:
-    """Accumulate bits MSB-first and pack them into ``bytes``."""
+def pack_bits(values, lengths):
+    """Pack ``(value, length)`` fields MSB-first into zero-padded bytes.
 
-    def __init__(self):
-        self._buffer = bytearray()
-        self._current = 0
-        self._n_bits = 0
-
-    def write_bits(self, value, n_bits):
-        """Append the ``n_bits`` least-significant bits of ``value``."""
-        if n_bits < 0:
-            raise ValueError(f"n_bits must be >= 0, got {n_bits}")
-        if n_bits == 0:
-            return
-        if value < 0 or value >= (1 << n_bits):
-            raise ValueError(f"value {value} does not fit in {n_bits} bits")
-        for shift in range(n_bits - 1, -1, -1):
-            self._current = (self._current << 1) | ((value >> shift) & 1)
-            self._n_bits += 1
-            if self._n_bits == 8:
-                self._buffer.append(self._current)
-                self._current = 0
-                self._n_bits = 0
-
-    @property
-    def bit_length(self):
-        """Total number of bits written so far."""
-        return len(self._buffer) * 8 + self._n_bits
-
-    def getvalue(self):
-        """The packed bytes, zero-padded to a byte boundary."""
-        out = bytearray(self._buffer)
-        if self._n_bits:
-            out.append(self._current << (8 - self._n_bits))
-        return bytes(out)
+    Field ``i`` contributes the ``lengths[i]`` least-significant bits of
+    ``values[i]``, most significant first; a zero-length field writes
+    nothing.  Each value must fit in its length.
+    """
+    values = np.asarray(values, dtype=np.int64).reshape(-1)
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+    if values.shape != lengths.shape:
+        raise ValueError(
+            f"values and lengths must match, got {values.size} and {lengths.size}"
+        )
+    bad = (lengths < 0) | (lengths > MAX_FIELD_BITS)
+    if np.any(bad):
+        raise ValueError(
+            f"field lengths must lie in [0, {MAX_FIELD_BITS}], got {lengths[bad][0]}"
+        )
+    bad = (values < 0) | ((values >> lengths) != 0)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"value {values[i]} does not fit in {lengths[i]} bits")
+    ends = np.cumsum(lengths)
+    field = np.repeat(np.arange(lengths.size), lengths)
+    shift = ends[field] - 1 - np.arange(field.size)
+    bits = (values[field] >> shift) & 1
+    return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
 class BitReader:

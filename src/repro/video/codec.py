@@ -17,19 +17,18 @@ series of Table 2.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._validation import require_positive, require_positive_int
-from repro.video.bitstream import BitReader, BitWriter
+from repro.video.bitstream import BitReader, pack_bits
 from repro.video.dct import blockwise_dct, blockwise_idct, dct_matrix
 from repro.video.huffman import HuffmanCode
 from repro.video.quantize import dequantize, quantize
-from repro.video.rle import rle_decode_block, rle_encode_block
+from repro.video.rle import rle_decode_block, rle_encode_blocks, rle_symbol
 from repro.video.trace import VBRTrace
-from repro.video.zigzag import zigzag_scan, zigzag_unscan
+from repro.video.zigzag import zigzag_indices, zigzag_unscan
 
 __all__ = ["IntraframeCodec", "EncodedFrame"]
 
@@ -115,30 +114,35 @@ class IntraframeCodec:
         # Center pel values so the DC coefficient is small, as JPEG does.
         coeffs = blockwise_dct(padded - 128.0, self.block_size, matrix=self._dct_matrix)
         levels = quantize(coeffs, self.quant_step)
-        nbh, nbw = levels.shape[:2]
-        block_streams = []
-        frequencies = Counter()
-        for row in range(nbh):
-            for col in range(nbw):
-                symbols, amplitudes = rle_encode_block(zigzag_scan(levels[row, col]))
-                block_streams.append((symbols, amplitudes))
-                frequencies.update(symbols)
-        huffman = HuffmanCode.from_frequencies(frequencies)
-        writer = BitWriter()
-        block_bits = np.empty(len(block_streams), dtype=np.int64)
-        block_symbol_counts = []
-        for i, (symbols, amplitudes) in enumerate(block_streams):
-            start = writer.bit_length
-            huffman.encode_to(writer, symbols)
-            for bits, size in amplitudes:
-                writer.write_bits(bits, size)
-            block_bits[i] = writer.bit_length - start
-            block_symbol_counts.append(len(symbols))
+        b = self.block_size
+        vectors = levels.reshape(-1, b * b)[:, zigzag_indices(b)]
+        counts, keys, amp_bits, amp_sizes = rle_encode_blocks(vectors)
+        # Frequencies go in first-occurrence order: Huffman's heap breaks
+        # ties by that order, so the table depends on it.
+        unique, first, inverse, freq = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        symbols = [rle_symbol(k) for k in unique]
+        huffman = HuffmanCode.from_frequencies(
+            {symbols[j]: int(freq[j]) for j in np.argsort(first)})
+        codewords = np.array([huffman.codeword(sym) for sym in symbols],
+                             dtype=np.int64).reshape(-1, 2)
+        # Each block writes all its codewords, then all its amplitude
+        # fields: block i's 2 * counts[i] fields start at 2 * starts[i].
+        starts = np.cumsum(counts) - counts
+        block = np.repeat(np.arange(counts.size), counts)
+        code_at = np.arange(keys.size) + starts[block]
+        amp_at = code_at + counts[block]
+        values = np.empty(2 * keys.size, dtype=np.int64)
+        lengths = np.empty(2 * keys.size, dtype=np.int64)
+        values[code_at], lengths[code_at] = codewords[inverse].T
+        values[amp_at] = amp_bits
+        lengths[amp_at] = amp_sizes
+        block_bits = np.add.reduceat(lengths, 2 * starts)
         slice_bytes = self._slice_byte_counts(block_bits)
         return EncodedFrame(
-            bitstream=writer.getvalue(),
+            bitstream=pack_bits(values, lengths),
             huffman=huffman,
-            block_symbol_counts=block_symbol_counts,
+            block_symbol_counts=counts.tolist(),
             slice_bytes=slice_bytes,
             frame_shape=tuple(original_shape),
             padded_shape=padded.shape,

@@ -13,7 +13,7 @@ import heapq
 import itertools
 from collections import Counter
 
-from repro.video.bitstream import BitReader, BitWriter
+from repro.video.bitstream import BitReader
 
 __all__ = ["HuffmanCode"]
 
@@ -47,8 +47,10 @@ class HuffmanCode:
     """Canonical Huffman code over an arbitrary hashable alphabet.
 
     Build with :meth:`from_frequencies` or :meth:`from_symbols`; then
-    :meth:`encode_to` / :meth:`decode_from` move symbol streams through
-    a :class:`~repro.video.bitstream.BitWriter` / ``BitReader``, and
+    :meth:`codeword` gives the ``(code, length)`` fields an encoder
+    packs with :func:`~repro.video.bitstream.pack_bits`,
+    :meth:`decode_from` reads symbols back from a
+    :class:`~repro.video.bitstream.BitReader`, and
     :meth:`encoded_bit_length` counts bits without materializing a
     stream (the fast path used when only byte counts are needed).
     """
@@ -111,14 +113,6 @@ class HuffmanCode:
             return sum(length[s] for s in symbols)
         except KeyError as exc:
             raise KeyError(f"symbol {exc.args[0]!r} is not in the code alphabet") from None
-
-    def encode_to(self, writer, symbols):
-        """Append the codewords of ``symbols`` to a :class:`BitWriter`."""
-        if not isinstance(writer, BitWriter):
-            raise TypeError("writer must be a BitWriter")
-        code, length = self._code, self._length
-        for symbol in symbols:
-            writer.write_bits(code[symbol], length[symbol])
 
     def decode_from(self, reader, n_symbols):
         """Read ``n_symbols`` symbols from a :class:`BitReader`."""

@@ -42,7 +42,7 @@ class SyntheticMovie:
     height, width:
         Frame dimensions in pels.  Defaults (120 x 128) are a scaled
         version of the paper's 480 x 504 format, keeping the codec
-        pipeline affordable in pure Python.
+        pipeline cheap.
     seed:
         Seed for the deterministic random generator.
     effect_probability:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.video.bitstream import BitReader, BitWriter
+from repro.video.bitstream import BitReader, pack_bits
 from repro.video.rle import (
     EOB,
     ZRL,
@@ -19,41 +19,35 @@ from repro.video.rle import (
 
 class TestBitstream:
     def test_roundtrip_fields(self):
-        w = BitWriter()
-        w.write_bits(5, 3)
-        w.write_bits(0, 1)
-        w.write_bits(1023, 10)
-        r = BitReader(w.getvalue())
+        r = BitReader(pack_bits([5, 0, 1023], [3, 1, 10]))
         assert r.read_bits(3) == 5
         assert r.read_bits(1) == 0
         assert r.read_bits(10) == 1023
 
     def test_bit_length_tracking(self):
-        w = BitWriter()
-        w.write_bits(1, 1)
-        w.write_bits(3, 2)
-        assert w.bit_length == 3
+        data = pack_bits([1, 3], [1, 2])
+        assert len(data) == 1
+        assert BitReader(data).read_bits(3) == 0b111
 
     def test_msb_first_packing(self):
-        w = BitWriter()
-        w.write_bits(0b1, 1)
-        w.write_bits(0b0000000, 7)
-        assert w.getvalue() == b"\x80"
+        assert pack_bits([0b1, 0b0000000], [1, 7]) == b"\x80"
 
     def test_padding_to_byte(self):
-        w = BitWriter()
-        w.write_bits(1, 1)
-        assert len(w.getvalue()) == 1
+        assert len(pack_bits([1], [1])) == 1
 
     def test_zero_width_write(self):
-        w = BitWriter()
-        w.write_bits(0, 0)
-        assert w.bit_length == 0
+        assert pack_bits([0], [0]) == b""
+        assert pack_bits([], []) == b""
 
     def test_value_too_large(self):
-        w = BitWriter()
         with pytest.raises(ValueError):
-            w.write_bits(4, 2)
+            pack_bits([4], [2])
+
+    def test_negative_value_or_length(self):
+        with pytest.raises(ValueError):
+            pack_bits([-1], [3])
+        with pytest.raises(ValueError):
+            pack_bits([0], [-1])
 
     def test_read_past_end(self):
         r = BitReader(b"\xff")
@@ -158,9 +152,7 @@ def test_rle_roundtrip_property(seed, sparsity):
 )
 def test_bitstream_roundtrip_property(values):
     """Property: any sequence of (value, width) fields roundtrips."""
-    w = BitWriter()
-    for value, width in values:
-        w.write_bits(value & ((1 << width) - 1), width)
-    r = BitReader(w.getvalue())
+    fields = [value & ((1 << width) - 1) for value, width in values]
+    r = BitReader(pack_bits(fields, [width for _, width in values]))
     for value, width in values:
         assert r.read_bits(width) == (value & ((1 << width) - 1))
