@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
+from repro._brent import bounded_minimize
 from repro._validation import as_1d_float_array, require_positive_int
 from repro.analysis.correlation import aggregate, periodogram
 
@@ -312,13 +312,7 @@ def whittle(data, normalize="normal-scores"):
     if omega.size < 8:
         raise ValueError("too few usable periodogram ordinates for Whittle estimation")
     log_g = np.log(2.0 * np.sin(omega / 2.0))
-    result = optimize.minimize_scalar(
-        _whittle_objective,
-        bounds=(-0.49, 0.49),
-        args=(log_g, intensity),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
+    result = bounded_minimize(_whittle_objective, -0.49, 0.49, args=(log_g, intensity), xatol=1e-6)
     d_hat = float(result.x)
     n = arr.size
     std_error = float(np.sqrt(6.0 / (np.pi**2 * n)))
@@ -432,10 +426,11 @@ def hurst_summary(data, whittle_m=None):
     if whittle_m is None:
         whittle_m = max(arr.size // 250, 1)
     agg = aggregate(arr, int(whittle_m)) if whittle_m > 1 else arr
-    low, high, _ = rs_sensitivity(arr)
+    # The sweep's (10, 30) cell is rs_pox's default call: the "rs" row.
+    low, high, estimates = rs_sensitivity(arr)
     return {
         "variance_time": variance_time(arr).hurst,
-        "rs": rs_pox(arr).hurst,
+        "rs": estimates[(10, 30)],
         "rs_aggregated": rs_aggregated(arr, m=10).hurst,
         "rs_varied": (low, high),
         "whittle": whittle(agg),

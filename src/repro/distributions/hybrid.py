@@ -23,8 +23,8 @@ Gamma part, and a least-squares fit of the log-log CCDF tail for ``a``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
+from repro._brent import brentq
 from repro._validation import as_1d_float_array, require_positive
 from repro.distributions.base import Distribution, TabulatedDistribution
 from repro.distributions.gamma import Gamma
@@ -60,7 +60,7 @@ def _find_splice_point(gamma, tail_shape):
     if slope_gap(lo) >= 0:
         # Extremely small shape: the slope already exceeds a near zero.
         lo = gamma.mean() * 1e-15
-    return float(optimize.brentq(slope_gap, lo, hi, xtol=1e-12 * hi, rtol=1e-14))
+    return brentq(slope_gap, lo, hi, xtol=1e-12 * hi, rtol=1e-14)
 
 
 class GammaParetoHybrid(Distribution):
