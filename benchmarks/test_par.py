@@ -1,4 +1,4 @@
-"""Parallel-engine benchmarks: what the pool, shards and cache buy.
+"""Parallel-engine benchmarks: what the pool and cache buy.
 
 Recorded — with budgets, so a regression fails ``repro obs bench-diff``
 as well as this suite — in ``BENCH_par.json`` at the repo root:
@@ -14,8 +14,8 @@ as well as this suite — in ``BENCH_par.json`` at the repo root:
   entry,
 - warm-vs-cold content-cache speedup for Davies-Harte eigenvalue
   tables (meaningful on any host),
-- pool dispatch overhead per task and sharded-synthesis throughput,
-  recorded without budgets as capacity-planning context.
+- pool dispatch overhead per task, recorded without a budget as
+  capacity-planning context.
 
 Wall-clock comparisons keep each variant's best of several interleaved
 runs and carry the suite's ``statistical_retry`` marker as a noise
@@ -35,7 +35,6 @@ from repro.core.daviesharte import DaviesHarteGenerator
 from repro.obs.bench import write_bench
 from repro.par.cache import using
 from repro.par.pool import pool_map
-from repro.par.shard import shard_fgn
 from repro.simulation.qc import qc_curve
 from repro.video.starwars import synthesize_starwars_trace
 
@@ -218,7 +217,7 @@ class TestDispatchCosts:
         """Per-task cost of the parallel machinery on trivial tasks:
         executor spin-up, pickling, seed derivation and metric merge.
         Informational (no budget) — it bounds the task granularity
-        below which sharding is not worth it."""
+        below which fanning work out is not worth it."""
         tasks = 64
         best = float("inf")
         for _ in range(3):
@@ -232,26 +231,4 @@ class TestDispatchCosts:
             "unit": "ms/task",
             "higher_is_better": False,
             "context": {"tasks": tasks, "workers": 2},
-        })
-
-    def test_shard_synthesis_throughput(self):
-        """Sharded paxson throughput at the host's natural width
-        (informational; single-core hosts record the serial rate)."""
-        n = 1_000_000
-        workers = min(4, os.cpu_count() or 1)
-        shard_fgn(65_536, 0.8, seed=0, workers=1)  # warm caches
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            out = shard_fgn(n, 0.8, seed=3, shard_size=131_072,
-                            overlap=1_024, workers=workers)
-            best = min(best, time.perf_counter() - start)
-        assert out.shape == (n,)
-        _ENTRIES.append({
-            "name": "shard_paxson_samples_per_s",
-            "value": round(n / best),
-            "unit": "samples/s",
-            "higher_is_better": True,
-            "context": {"samples": n, "workers": workers,
-                        "seconds": round(best, 4)},
         })

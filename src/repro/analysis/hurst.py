@@ -42,6 +42,7 @@ __all__ = [
     "whittle",
     "whittle_aggregated",
     "gph",
+    "default_whittle_m",
     "hurst_summary",
 ]
 
@@ -412,19 +413,27 @@ def gph(data, bandwidth_exponent=0.5, normalize="normal-scores"):
     )
 
 
+def default_whittle_m(n):
+    """The Whittle row's aggregation level for a series of length ``n``.
+
+    The level closest to ``n / 250``, mirroring the paper's choice of
+    m ~= 700 for the 171,000-frame trace.
+    """
+    return max(int(n) // 250, 1)
+
+
 def hurst_summary(data, whittle_m=None):
     """All Table 3 estimates for one series.
 
     Returns a dict with keys ``"variance_time"``, ``"rs"``,
     ``"rs_aggregated"``, ``"rs_varied"`` (a ``(low, high)`` tuple) and
     ``"whittle"`` (a :class:`WhittleResult`).  ``whittle_m`` selects
-    the aggregation level for the Whittle row; by default the level
-    closest to ``len(data) / 250`` is used, mirroring the paper's
-    choice of m ~= 700 for the 171,000-frame trace.
+    the aggregation level for the Whittle row; by default it is
+    :func:`default_whittle_m` of the series length.
     """
     arr = as_1d_float_array(data, "data", min_length=1000)
     if whittle_m is None:
-        whittle_m = max(arr.size // 250, 1)
+        whittle_m = default_whittle_m(arr.size)
     agg = aggregate(arr, int(whittle_m)) if whittle_m > 1 else arr
     # The sweep's (10, 30) cell is rs_pox's default call: the "rs" row.
     low, high, estimates = rs_sensitivity(arr)

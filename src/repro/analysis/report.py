@@ -4,8 +4,10 @@ Combines everything Section 3 of the paper does -- summary statistics,
 marginal model comparison, the full Hurst-estimator panel, honest
 confidence intervals and the stationarity verdict -- into a single
 structured object with a formatted text rendering.  This is what the
-CLI's ``analyze`` command and downstream users get as the library's
-"tell me about this trace" entry point.
+CLI's ``report`` command and downstream users get as the library's
+"tell me about this trace" entry point.  The panel's Table 3 rows are
+:func:`repro.analysis.hurst.hurst_summary`'s, so the report prints the
+same variance-time, R/S and Whittle values as Table 3.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class TraceReport:
     hurst_estimates: dict = field(repr=False)
     """``{estimator_name: H}`` over the full panel."""
 
+    whittle: object = field(repr=False)
+    """The panel's :class:`~repro.analysis.hurst.WhittleResult`."""
+
     hurst: float
     """Consensus H (median of the panel)."""
 
@@ -56,7 +61,11 @@ class TraceReport:
         lines.append(f"Marginal model: {self.marginal!r}")
         lines.append("Tail ranking (best first): " + ", ".join(self.tail_ranking))
         lines.append("")
-        rows = [[name, f"{h:.3f}"] for name, h in self.hurst_estimates.items()]
+        whittle_ci = f" ± {1.96 * self.whittle.std_error:.3f}"
+        rows = [
+            [name, f"{h:.3f}" + (whittle_ci if name.startswith("Whittle") else "")]
+            for name, h in self.hurst_estimates.items()
+        ]
         lines.append(format_table(["estimator", "H"], rows, title="Hurst panel:"))
         lines.append("")
         lines.append(
@@ -89,7 +98,7 @@ def analyze_trace(trace_or_series, time_unit_ms=1000.0 / 24.0, tail_fraction=0.0
     """
     from repro.analysis.confidence import lrd_mean_ci
     from repro.analysis.dispersion import index_of_dispersion
-    from repro.analysis.hurst import gph, rs_pox, variance_time, whittle_aggregated
+    from repro.analysis.hurst import default_whittle_m, gph, hurst_summary
     from repro.analysis.stationarity import lrd_stationarity_check
     from repro.analysis.summary import summarize
     from repro.analysis.wavelet import wavelet_hurst
@@ -105,15 +114,17 @@ def analyze_trace(trace_or_series, time_unit_ms=1000.0 / 24.0, tail_fraction=0.0
         trace = VBRTrace(x, frame_rate=1000.0 / time_unit_ms)
     summary = summarize(x, time_unit_ms)
     ccdf = ccdf_run(trace, tail_fraction=tail_fraction)
+    whittle_m = default_whittle_m(x.size)
+    table3 = hurst_summary(x, whittle_m=whittle_m)
     estimates = {
-        "variance-time": variance_time(x).hurst,
-        "R/S": rs_pox(x).hurst,
+        "variance-time": table3["variance_time"],
+        "R/S": table3["rs"],
+        "R/S aggregated": table3["rs_aggregated"],
+        f"Whittle (m={whittle_m})": table3["whittle"].hurst,
         "GPH": gph(x).hurst,
         "IDC": index_of_dispersion(x).hurst,
         "wavelet": wavelet_hurst(x).hurst,
     }
-    agg = whittle_aggregated(x, m_values=[max(x.size // 500, 1)])
-    estimates[f"Whittle (m={agg[0][0]})"] = agg[0][1].hurst
     consensus = float(np.median(list(estimates.values())))
     h_for_ci = float(np.clip(consensus, 0.51, 0.97))
     _, halfwidth = lrd_mean_ci(x, h_for_ci)
@@ -123,6 +134,7 @@ def analyze_trace(trace_or_series, time_unit_ms=1000.0 / 24.0, tail_fraction=0.0
         marginal=ccdf["models"]["gamma_pareto"],
         tail_ranking=list(ccdf["ranking"]),
         hurst_estimates=estimates,
+        whittle=table3["whittle"],
         hurst=consensus,
         mean_ci_halfwidth=float(halfwidth),
         stationarity=stationarity,

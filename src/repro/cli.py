@@ -3,9 +3,8 @@
 Usage (also via ``python -m repro``):
 
     repro synthesize --frames 20000 --out trace.dat
-    repro analyze trace.dat
-    repro analyze --synthetic --frames 40000
     repro report trace.dat
+    repro report --synthetic --frames 40000
     repro simulate trace.dat --sources 5 --capacity-mbps 7.0 --buffer-ms 10
     repro stream --samples 10000000 --backend paxson --out frames.npy --stats
     repro stream --samples 1000000 --profile --run-report run.json
@@ -85,12 +84,6 @@ def build_parser():
     p_syn.add_argument("--unit", choices=("frame", "slice"), default="frame")
     p_syn.add_argument("--mpeg", action="store_true",
                        help="synthesize an MPEG-like (interframe) trace instead")
-
-    p_ana = sub.add_parser("analyze", help="analyze a trace (Tables 2-3 style)")
-    p_ana.add_argument("trace", nargs="?", help="trace file (omit with --synthetic)")
-    p_ana.add_argument("--synthetic", action="store_true")
-    p_ana.add_argument("--frames", type=int, default=40_000)
-    p_ana.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", help="queueing simulation of multiplexed sources")
     p_sim.add_argument("trace", nargs="?", help="trace file (omit with --synthetic)")
@@ -343,30 +336,6 @@ def _cmd_synthesize(args):
         extra={"frames": args.frames, "unit": args.unit, "out": args.out},
     )
     _LOGGER.info("%s", trace)
-    return 0
-
-
-def _cmd_analyze(args):
-    from repro.analysis.hurst import hurst_summary
-    from repro.experiments.fig04_ccdf import run as ccdf_run
-    from repro.experiments.reporting import format_kv, format_table
-
-    trace = _load_or_synthesize(args)
-    print(format_kv(trace.summary("frame").format_rows(), title="Summary (frame):"))
-    result = ccdf_run(trace)
-    hybrid = result["models"]["gamma_pareto"]
-    print(f"\nMarginal: {hybrid}")
-    print("Tail ranking (best first):", ", ".join(result["ranking"]))
-    hs = hurst_summary(trace.frame_bytes)
-    w = hs["whittle"]
-    rows = [
-        ["Variance-Time", f"{hs['variance_time']:.3f}"],
-        ["R/S", f"{hs['rs']:.3f}"],
-        ["R/S aggregated", f"{hs['rs_aggregated']:.3f}"],
-        ["Whittle", f"{w.hurst:.3f} +- {1.96 * w.std_error:.3f}"],
-    ]
-    print()
-    print(format_table(["method", "H"], rows, title="Hurst estimates:"))
     return 0
 
 
@@ -917,7 +886,6 @@ def _obs_body(args, bench, metrics, RunReport):
 _COMMANDS = {
     "synthesize": _cmd_synthesize,
     "report": _cmd_report,
-    "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
     "stream": _cmd_stream,
     "experiments": _cmd_experiments,

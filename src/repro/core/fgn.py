@@ -9,7 +9,7 @@ spectrum per path, so a long path can be built from independent blocks
 and many paths stacked into one batch; Hosking's recursion conditions
 every point on the whole past, so it cannot).  Every caller that takes
 a backend name resolves it here, and :func:`stitch_blocks` joins the
-independent blocks of the stream sources and of ``shard_fgn``.
+independent blocks of the stream sources.
 """
 
 from __future__ import annotations

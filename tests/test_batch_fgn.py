@@ -6,9 +6,9 @@ would use, so every row must equal the corresponding
 ``PaxsonGenerator``/``DaviesHarteGenerator`` sample **bit for bit** --
 not approximately.  These tests pin that per backend, Hurst value,
 batch size and odd/even length, then show that the callers which
-synthesize one trace at a time -- ``shard_fgn``, the
-independent-source multiplexer and the streaming block source -- would
-emit the same bytes with their traces stacked B rows per FFT.
+synthesize one trace at a time -- the independent-source multiplexer
+and the streaming block source -- would emit the same bytes with their
+traces stacked B rows per FFT.
 """
 
 import numpy as np
@@ -18,10 +18,9 @@ from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
 from repro.core.transform import marginal_transform
-from repro.par.shard import shard_fgn, shard_plan
 from repro.simulation.multiplex import multiplex_fgn
 from repro.stream.sources import make_source
-from tests.test_fgn_parity import shard_seeds, stitch
+from tests.test_fgn_parity import stitch
 
 BACKENDS = {"paxson": PaxsonGenerator, "davies-harte": DaviesHarteGenerator}
 HURSTS = (0.5, 0.7, 0.9)
@@ -105,28 +104,6 @@ class TestValidation:
     def test_batch_generate_requires_rows(self):
         with pytest.raises(ValueError, match="at least one row"):
             batch_generate(PaxsonGenerator(0.8), 128, [])
-
-
-class TestPooledBatching:
-    """Stacking shards B per FFT never changes ``shard_fgn``'s path."""
-
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_shard_fgn_batch_invariance(self, backend, batch):
-        # Odd boundaries: three full shards, then a short one; only
-        # equal-length shards share a stack.
-        plan = shard_plan(10_001, 3000)
-        seeds = shard_seeds(5, len(plan))
-        raws = []
-        for raw_len, group in ((3100, seeds[:3]), (1101, seeds[3:])):
-            for start in range(0, len(group), batch):
-                rows = group[start : start + batch]
-                raws.extend(batch_fgn(raw_len, 0.8, len(rows), backend=backend,
-                                      seeds=rows))
-        np.testing.assert_array_equal(
-            shard_fgn(10_001, 0.8, backend=backend, seed=5, shard_size=3000, overlap=100),
-            stitch(raws, [length for _, length in plan], 100),
-        )
 
 
 class TestMultiplexFGN:

@@ -67,17 +67,35 @@ class TestCommands:
         assert trace.n_frames == 1200
 
     def test_analyze_synthetic(self, capsys):
-        assert main(["analyze", "--synthetic", "--frames", "4000"]) == 0
+        from repro.analysis.hurst import hurst_summary
+        from repro.video.starwars import synthesize_starwars_trace
+
+        assert main(["report", "--synthetic", "--frames", "4000"]) == 0
         out = capsys.readouterr().out
-        assert "Hurst estimates" in out
         assert "Tail ranking" in out
+        # The report's Table 3 rows are hurst_summary's, Whittle with its CI.
+        trace = synthesize_starwars_trace(n_frames=4000, seed=0, with_slices=False)
+        table3 = hurst_summary(trace.frame_bytes)
+        whittle = table3["whittle"]
+        rows = {line.split("  ")[0]: line.split()[-1] for line in out.splitlines() if line}
+        assert rows["variance-time"] == f"{table3['variance_time']:.3f}"
+        assert rows["R/S"] == f"{table3['rs']:.3f}"
+        assert rows["R/S aggregated"] == f"{table3['rs_aggregated']:.3f}"
+        assert (f"Whittle (m=16)  {whittle.hurst:.3f} ± {1.96 * whittle.std_error:.3f}"
+                in out)
 
     def test_analyze_file(self, tmp_path, capsys):
         path = tmp_path / "t.dat"
         main(["synthesize", "--frames", "3000", "--out", str(path)])
         capsys.readouterr()
-        assert main(["analyze", str(path)]) == 0
-        assert "Summary (frame)" in capsys.readouterr().out
+        assert main(["report", str(path)]) == 0
+        assert "Summary statistics" in capsys.readouterr().out
+
+    def test_analyze_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--synthetic"])
+        assert info.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
 
     def test_simulate(self, capsys):
         code = main([
@@ -260,7 +278,7 @@ class TestErrorHandling:
     """Bad user input must print one line on stderr and exit 2."""
 
     def test_missing_trace_exits_2(self, capsys):
-        assert main(["analyze", "/no/such/trace.dat"]) == 2
+        assert main(["report", "/no/such/trace.dat"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
@@ -268,7 +286,7 @@ class TestErrorHandling:
     def test_malformed_trace_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.dat"
         path.write_text("100\noops\n")
-        assert main(["analyze", str(path)]) == 2
+        assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert "bad.dat:2" in err
 

@@ -88,8 +88,7 @@ class TestExamples:
         assert run_json.exists()
 
     def test_parallel_sweep(self):
-        out = run_example("parallel_sweep.py", "--frames", "8000",
-                          "--samples", "100000", "--workers", "2")
+        out = run_example("parallel_sweep.py", "--frames", "8000", "--workers", "2")
         assert "bit-identical" in out
         assert "pool tasks merged back into the parent registry" in out
         assert "cached == uncached bit-for-bit" in out

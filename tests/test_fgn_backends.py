@@ -12,12 +12,10 @@ import pytest
 
 from repro.core.baselines import GaussianFarimaModel
 from repro.core.batch import batch_fgn, batch_row_seeds
-from repro.core.fgn import FGN_BACKENDS, fgn_backend
+from repro.core.fgn import FGN_BACKENDS, blend_weights, fgn_backend
 from repro.core.model import VBRVideoModel
 from repro.dist import TaskSpec, execute_task, fgn_tasks
 from repro.net.topology import build_network
-from repro.par.pool import derive_task_seed
-from repro.par.shard import shard_fgn
 from repro.stream.sources import BlockFGNSource, make_source
 
 NAMES = sorted(FGN_BACKENDS)
@@ -58,6 +56,11 @@ def test_table_rows():
     assert [n for n in NAMES if FGN_BACKENDS[n].blockwise] == ["davies-harte", "paxson"]
 
 
+def test_blend_weights_preserve_variance():
+    w_old, w_new = blend_weights(64)
+    np.testing.assert_allclose(w_old**2 + w_new**2, 1.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("name", NAMES)
 class TestSameSamplesAsTheTable:
     def test_model(self, name):
@@ -73,11 +76,6 @@ class TestSameSamplesAsTheTable:
         rows = batch_fgn(N, H, 2, backend=name, seed=SEED)
         for row, seed in zip(rows, batch_row_seeds(SEED, 2)):
             np.testing.assert_array_equal(row, path(name, N, seed))
-
-    def test_shard_fgn(self, name):
-        got = shard_fgn(N, H, backend=name, seed=SEED, shard_size=BLOCK, overlap=OVERLAP)
-        seed = derive_task_seed(SEED, 0, label="shard") if FGN_BACKENDS[name].blockwise else SEED
-        np.testing.assert_array_equal(got[:BLOCK], first_block(name, seed))
 
     def test_make_source(self, name):
         source = make_source(name, hurst=H, block_size=BLOCK, overlap=OVERLAP)
@@ -99,7 +97,6 @@ ENTRY_POINTS = {
         8, generator=name),
     "GaussianFarimaModel": lambda name: GaussianFarimaModel(1.0, 1.0, H, generator=name),
     "batch_fgn": lambda name: batch_fgn(8, H, 1, backend=name),
-    "shard_fgn": lambda name: shard_fgn(8, H, backend=name),
     "make_source": lambda name: make_source(name),
     "BlockFGNSource": lambda name: BlockFGNSource(H, backend=name),
     "fgn task": lambda name: execute_task(TaskSpec("f", "fgn", {"n": 8, "backend": name}), 0),

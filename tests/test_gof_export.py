@@ -1,13 +1,10 @@
-"""Tests for goodness-of-fit utilities and the CSV exporter."""
-
-import os
+"""Tests for goodness-of-fit utilities."""
 
 import numpy as np
 import pytest
 
 from repro.distributions import Gamma, Normal, ks_statistic, qq_points, score_candidates
 from repro.distributions.gof import chi_square_statistic
-from repro.experiments.export import export_all, write_csv
 
 
 class TestKS:
@@ -63,45 +60,3 @@ class TestScoreboard:
         scores = score_candidates(small_series)
         assert np.isnan(scores["pareto"].ks)
         assert np.isfinite(scores["pareto"].tail_log_error)
-
-
-class TestCSVExport:
-    def test_write_csv_roundtrip(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        lines = open(path).read().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,3"
-
-    def test_write_csv_broadcasts_scalars(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", {"x": [1.0, 2.0, 3.0], "c": 7.0})
-        lines = open(path).read().splitlines()
-        assert len(lines) == 4
-        assert lines[3] == "3,7"
-
-    def test_write_csv_rejects_ragged(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]})
-
-    def test_export_all_quick_run(self, tmp_path, small_trace):
-        from repro.experiments.runner import run_all
-
-        results = run_all(trace=small_trace, quick=True, sim_frames=6_000)
-        written = export_all(results, tmp_path / "csv")
-        names = {os.path.basename(p) for p in written}
-        # One file per analysis figure, several for the sim families.
-        for expected in (
-            "fig01_timeseries.csv", "fig04_ccdf.csv", "fig07_acf.csv",
-            "fig11_variance_time.csv", "fig12_pox.csv",
-        ):
-            assert expected in names
-        assert any(name.startswith("fig14_qc_") for name in names)
-        assert any(name.startswith("fig16_model_vs_trace_") for name in names)
-        # Every file is a parseable CSV with a header.
-        for path in written:
-            lines = open(path).read().splitlines()
-            assert len(lines) >= 2
-            assert "," in lines[0] or lines[0]
-
-    def test_export_partial_results(self, tmp_path):
-        written = export_all({}, tmp_path / "empty")
-        assert written == []

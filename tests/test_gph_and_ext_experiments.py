@@ -1,10 +1,9 @@
-"""Tests for the GPH estimator and the extension experiments."""
+"""Tests for the GPH log-periodogram estimator."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.hurst import gph
-from repro.experiments import ext_layered, ext_shaping, ext_whittle_agg
 
 
 class TestGPH:
@@ -48,93 +47,3 @@ class TestGPH:
     def test_reference_trace_in_band(self, small_series):
         est = gph(small_series)
         assert 0.65 < est.hurst < 1.05
-
-
-class TestExtWhittleAgg:
-    def test_structure(self, small_trace):
-        result = ext_whittle_agg.run(small_trace)
-        assert result["m"].size == result["hurst"].size
-        assert np.all(result["ci_low"] <= result["hurst"])
-        assert np.all(result["hurst"] <= result["ci_high"])
-
-    def test_cis_widen_with_m(self, small_trace):
-        result = ext_whittle_agg.run(small_trace)
-        widths = result["ci_high"] - result["ci_low"]
-        assert widths[-1] > widths[0]
-
-    def test_headline_in_band(self, small_trace):
-        result = ext_whittle_agg.run(small_trace)
-        assert 0.6 < result["headline"]["hurst"] < 1.05
-
-
-class TestExtShaping:
-    def test_clipping_saves_capacity(self, small_trace):
-        result = ext_shaping.run_clipping(small_trace, n_frames=15_000)
-        for row in result["rows"]:
-            assert row["capacity_saving"] >= -1e-9
-            assert 0.0 <= row["clipped_fraction"] < 0.2
-        # Deeper clipping saves more.
-        savings = [row["capacity_saving"] for row in result["rows"]]
-        assert savings == sorted(savings)
-
-    def test_extreme_clip_quality_cost_tiny(self, small_trace):
-        result = ext_shaping.run_clipping(
-            small_trace, quantiles=(0.999,), n_frames=15_000
-        )
-        row = result["rows"][0]
-        assert row["clipped_fraction"] < 0.01
-
-    def test_cbr_comparison(self, small_trace):
-        result = ext_shaping.run_cbr_comparison(small_trace, n_frames=15_000)
-        delays = [row["delay_seconds"] for row in result["cbr"]]
-        # Higher utilization -> more smoothing delay.
-        assert delays == sorted(delays)
-        # VBR reaches decent utilization with only 10 ms buffering.
-        assert result["vbr"]["utilization"] > 0.4
-        # CBR at 90% utilization pays orders of magnitude more delay
-        # than the VBR network buffer.
-        assert delays[-1] > 10 * result["vbr"]["buffer_delay_seconds"]
-
-
-class TestExtLayered:
-    def test_priority_protects_base(self, small_trace):
-        result = ext_layered.run(small_trace, n_frames=15_000)
-        assert result["fifo_loss_rate"] > 0
-        assert result["priority_base_loss_rate"] <= result["fifo_loss_rate"]
-        assert result["protection_factor"] > 5.0
-
-    def test_overall_loss_comparable(self, small_trace):
-        """Priorities redistribute loss; total stays comparable."""
-        result = ext_layered.run(small_trace, n_frames=15_000)
-        assert result["priority_overall_loss_rate"] == pytest.approx(
-            result["fifo_loss_rate"], rel=0.3
-        )
-
-
-class TestExtModelZoo:
-    @pytest.fixture(scope="class")
-    def zoo(self, small_trace):
-        from repro.experiments import ext_model_zoo
-
-        return ext_model_zoo.run(small_trace, n_frames=15_000, n_buffers=5)
-
-    def test_all_models_present(self, zoo):
-        expected = {
-            "full-model", "full-model-paxson", "composite", "gaussian-farima",
-            "iid-gamma-pareto", "ar1", "dar1", "markov-fluid",
-        }
-        assert set(zoo["offsets"]) == expected
-
-    def test_ranking_sorted(self, zoo):
-        offs = [zoo["offsets"][n] for n in zoo["ranking"]]
-        assert offs == sorted(offs)
-
-    def test_both_feature_models_beat_gaussian_srd(self, zoo):
-        assert zoo["offsets"]["composite"] < zoo["offsets"]["ar1"]
-        assert zoo["offsets"]["full-model"] < zoo["offsets"]["ar1"] * 1.5
-
-    def test_curves_decreasing_in_buffer(self, zoo):
-        import numpy as np
-
-        for name, curve in zoo["curves"].items():
-            assert np.all(np.diff(curve) <= 1e-9), name

@@ -360,9 +360,11 @@ class TestThreadSafety:
 @pytest.mark.statistical_retry
 class TestOverheadBudget:
     def test_enabled_overhead_under_3_percent(self):
-        """ISSUE acceptance: full tracing + metrics on the 1M-sample
-        streamed paxson run costs < 3% (best-of-8, interleaved; single
-        runs vary several percent, the minimum tracks the floor)."""
+        """Full tracing + metrics on the 1M-sample streamed paxson run
+        costs < 3% (best-of-8, interleaved; single runs vary several
+        percent, the minimum tracks the floor).  Each run is timed in
+        this process's CPU time, so other load on the host does not
+        count against the budget."""
         n, chunk = 1_000_000, 65_536
 
         def run():
@@ -376,10 +378,10 @@ class TestOverheadBudget:
             )
             import time
             moments = OnlineMoments()
-            start = time.perf_counter()
+            start = time.process_time()
             stream.drain(moments)
             assert moments.count == n
-            return time.perf_counter() - start
+            return time.process_time() - start
 
         off = on = float("inf")
         for _ in range(8):

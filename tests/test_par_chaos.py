@@ -25,7 +25,6 @@ from repro.core.daviesharte import DaviesHarteGenerator
 from repro.experiments.runner import run_all
 from repro.par.cache import ContentCache, using
 from repro.par.pool import derive_task_seed, pool_map
-from repro.par.shard import shard_fgn
 from repro.qa.golden import diff_digests, summarize
 
 pytestmark = pytest.mark.tier2
@@ -38,6 +37,12 @@ def chaos_rng(request):
         derive_task_seed(request.config.getoption("--qa-seed"), 0,
                          label=request.node.nodeid)
     )
+
+
+def _synthesize_piece(item):
+    seed, index, n = item
+    rng = np.random.default_rng(derive_task_seed(seed, index, label="chaos"))
+    return DaviesHarteGenerator(0.8).generate(n, rng=rng)
 
 
 def _maybe_die(item):
@@ -72,13 +77,13 @@ class TestWorkerDeath:
         assert chaotic == serial
 
     def test_death_during_sharded_synthesis(self, chaos_rng):
-        # shard_fgn itself never kills workers; this drives it through
-        # a pool whose workers are killed externally mid-run.
-        n, shard_size, overlap = 40_001, 5_000, 250
+        # Each task synthesizes one fGn piece from its index-derived
+        # seed and never kills itself; the pool's workers are killed
+        # from outside mid-run.
+        n_pieces, n = 8, 5_000
         seed = int(chaos_rng.integers(0, 2**31))
-        reference = shard_fgn(
-            n, 0.8, seed=seed, shard_size=shard_size, overlap=overlap, workers=1
-        )
+        items = [(seed, i, n) for i in range(n_pieces)]
+        reference = pool_map(_synthesize_piece, items, workers=1)
 
         killer_done = False
 
@@ -107,13 +112,11 @@ class TestWorkerDeath:
         thread = threading.Thread(target=killer, daemon=True)
         thread.start()
         try:
-            chaotic = shard_fgn(
-                n, 0.8, seed=seed, shard_size=shard_size, overlap=overlap, workers=3
-            )
+            chaotic = pool_map(_synthesize_piece, items, workers=3)
         finally:
             stop.set()
             thread.join(timeout=5.0)
-        np.testing.assert_array_equal(chaotic, reference)
+        np.testing.assert_array_equal(np.stack(chaotic), np.stack(reference))
 
 
 class TestPoisonedCache:

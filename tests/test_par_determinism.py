@@ -1,12 +1,10 @@
 """The tier-1 determinism wall: parallel == serial, bit for bit.
 
-Every parallel entry point — sharded fGn synthesis, multiplex fan-out,
-Q-C grid sweeps, SMG capacity search, campaign supervision — must
-return byte-identical results at every worker count, including odd
-shard boundaries (a short final shard, a final shard shorter than the
-blend overlap).  These are exact ``assert_array_equal`` comparisons,
-not tolerances: seeds are index-derived, so scheduling can never leak
-into the output.
+Every parallel entry point — multiplex fan-out, Q-C grid sweeps, SMG
+capacity search, net sweeps, campaign supervision — must return
+byte-identical results at every worker count.  These are exact
+``assert_array_equal`` comparisons, not tolerances: seeds are
+index-derived, so scheduling can never leak into the output.
 """
 
 import json
@@ -14,72 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.fgn import blend_weights
-from repro.core.hosking import hosking_farima
-from repro.par.shard import shard_fgn, shard_plan
 from repro.resilience.runner import ExperimentSpec, run_campaign
 from repro.simulation.multiplex import multiplex_many, multiplex_series, random_lags
 from repro.simulation.qc import qc_curve, smg_curve
 from tests.test_fgn_parity import sha256
 
 WORKER_COUNTS = (1, 2, 5)
-
-
-class TestShardPlan:
-    def test_covers_exactly(self):
-        plan = shard_plan(10_001, 3000)
-        assert plan == [(0, 3000), (3000, 3000), (6000, 3000), (9000, 1001)]
-        assert sum(length for _, length in plan) == 10_001
-
-    def test_blend_weights_preserve_variance(self):
-        w_old, w_new = blend_weights(64)
-        np.testing.assert_allclose(w_old**2 + w_new**2, 1.0, rtol=1e-12)
-
-
-class TestShardedFGN:
-    @pytest.mark.parametrize("backend", ["paxson", "davies-harte"])
-    @pytest.mark.parametrize(
-        "n,shard_size,overlap",
-        [
-            (10_001, 3000, 100),  # short final shard
-            (9_050, 3000, 100),   # final shard shorter than the overlap
-            (6_000, 2000, 0),     # no blending at all
-            (1_500, 4096, 256),   # single shard, n < shard_size
-        ],
-    )
-    def test_worker_invariance_at_odd_boundaries(self, backend, n, shard_size, overlap):
-        reference = shard_fgn(
-            n, 0.8, backend=backend, seed=5,
-            shard_size=shard_size, overlap=overlap, workers=1,
-        )
-        assert reference.shape == (n,)
-        for workers in WORKER_COUNTS[1:]:
-            np.testing.assert_array_equal(
-                shard_fgn(
-                    n, 0.8, backend=backend, seed=5,
-                    shard_size=shard_size, overlap=overlap, workers=workers,
-                ),
-                reference,
-            )
-
-    def test_hosking_matches_reference_generator(self):
-        # The exact backend stays serial and must equal the plain
-        # generator sample for sample, at any requested worker count.
-        reference = hosking_farima(2_000, hurst=0.8, rng=np.random.default_rng(9))
-        for workers in WORKER_COUNTS:
-            np.testing.assert_array_equal(
-                shard_fgn(2_000, 0.8, backend="hosking", seed=9, workers=workers),
-                reference,
-            )
-
-    def test_seed_changes_output(self):
-        a = shard_fgn(4_000, 0.8, seed=0, shard_size=1500, overlap=50)
-        b = shard_fgn(4_000, 0.8, seed=1, shard_size=1500, overlap=50)
-        assert not np.array_equal(a, b)
-
-    def test_overlap_validation(self):
-        with pytest.raises(ValueError, match="overlap"):
-            shard_fgn(1000, 0.8, shard_size=100, overlap=100)
 
 
 class TestMultiplexMany:
