@@ -13,8 +13,9 @@ import argparse
 
 import numpy as np
 
+from repro.analysis.correlation import aggregate
 from repro.analysis.dispersion import index_of_dispersion
-from repro.analysis.hurst import gph, rs_pox, variance_time, whittle, whittle_aggregated
+from repro.analysis.hurst import default_whittle_m, gph, rs_pox, variance_time, whittle
 from repro.analysis.wavelet import wavelet_hurst
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.experiments.fig08_periodogram import run as periodogram_run
@@ -34,8 +35,8 @@ def estimate_all(x, trace=None):
         "wavelet (Haar)": wavelet_hurst(x).hurst,
         "IDC": index_of_dispersion(shifted).hurst,
     }
-    agg = whittle_aggregated(x, m_values=[max(x.size // 500, 1)])
-    results[f"Whittle (m={agg[0][0]})"] = agg[0][1].hurst
+    m = default_whittle_m(x.size)
+    results[f"Whittle (m={m})"] = whittle(aggregate(x, m) if m > 1 else x).hurst
     if trace is not None:
         results["periodogram slope"] = periodogram_run(trace)["hurst"]
     return results

@@ -27,7 +27,6 @@ from repro.analysis.hurst import (
     rs_aggregated,
     rs_sensitivity,
     whittle,
-    whittle_aggregated,
     gph,
     hurst_summary,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "rs_aggregated",
     "rs_sensitivity",
     "whittle",
-    "whittle_aggregated",
     "gph",
     "hurst_summary",
     "mean_confidence_convergence",

@@ -40,7 +40,6 @@ __all__ = [
     "rs_aggregated",
     "rs_sensitivity",
     "whittle",
-    "whittle_aggregated",
     "gph",
     "default_whittle_m",
     "hurst_summary",
@@ -326,30 +325,6 @@ def whittle(data, normalize="normal-scores"):
         ci_high=h + 1.96 * std_error,
         n_used=n,
     )
-
-
-def whittle_aggregated(data, m_values=None, normalize="normal-scores", min_points=128):
-    """Whittle estimates across aggregation levels (paper Section 3.2.3).
-
-    Aggregating before estimating filters out the high-frequency
-    (short-range) components, at the price of wider confidence
-    intervals; the paper reads off its headline ``H = 0.8 +- 0.088`` at
-    aggregation level ``m ~= 700``.  Returns a list of
-    ``(m, WhittleResult)`` pairs for every level that leaves at least
-    ``min_points`` observations.
-    """
-    arr = as_1d_float_array(data, "data", min_length=min_points)
-    if m_values is None:
-        m_values = _log_spaced_ints(1, max(arr.size // min_points, 1), 12)
-    results = []
-    for m in np.asarray(m_values, dtype=int):
-        if arr.size // int(m) < min_points:
-            continue
-        agg = aggregate(arr, int(m)) if m > 1 else arr
-        results.append((int(m), whittle(agg, normalize=normalize)))
-    if not results:
-        raise ValueError("no aggregation level leaves enough points for Whittle estimation")
-    return results
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import abc
 
 import numpy as np
 
+from repro._kernel import interp, interp_slopes
 from repro._validation import as_1d_float_array, require_positive_int
 
 __all__ = ["Distribution", "TabulatedDistribution"]
@@ -119,6 +120,7 @@ class TabulatedDistribution(Distribution):
         keep[0] = keep[-1] = True
         self._ppf_x = self._x[keep]
         self._ppf_q = self._cdf[keep]
+        self._ppf_slopes = interp_slopes(self._ppf_q, self._ppf_x)
 
     @classmethod
     def from_distribution(cls, dist, n_points=10_000, q_lo=1e-7, q_hi=1.0 - 1e-7):
@@ -154,7 +156,8 @@ class TabulatedDistribution(Distribution):
         q = np.asarray(q, dtype=float)
         if np.any((q < 0) | (q > 1)):
             raise ValueError("quantiles must lie in [0, 1]")
-        out = np.interp(q, self._ppf_q, self._ppf_x)
+        # np.interp's result, compiled (repro._kernel.interp).
+        out = interp(q, self._ppf_q, self._ppf_x, self._ppf_slopes)
         return out if out.ndim else float(out)
 
     def mean(self):

@@ -24,34 +24,26 @@ its fallback.  A property test pins ``fold_slots`` to repeated
 ``slot_step`` applications.
 
 :func:`run_slots` is the array-shaped entry point.  It folds through
-``slotfluid.c``, the same loop in C, which gcc builds on the first call
-(``-O2 -ffp-contract=off``) into this package's ``__pycache__`` and
-ctypes loads; with the same IEEE double operations in the same order
-its results equal :func:`fold_slots` bit for bit.  When the build or
-load fails, one WARNING is logged and :func:`fold_slots` runs instead.
+``slotfluid_fold``, the same loop in C, in the package's one compiled
+library (:mod:`repro._kernel`, built by gcc on first use with
+``-O2 -ffp-contract=off``); with the same IEEE double operations in the
+same order its results equal :func:`fold_slots` bit for bit.  When the
+build or load fails, one WARNING is logged and :func:`fold_slots` runs
+instead.
 
 The zero-loss analysis needs no fold at all: the infinite-buffer peak
 backlog is the maximum drawdown of the net-input walk.
 :func:`max_drawdown` is that as a numpy expression, and
-:func:`run_drawdown` computes it in one pass of the same ``.so``
+:func:`run_drawdown` computes it in one pass of the same library
 (``slotfluid_drawdown``), equal to the numpy expression bit for bit;
 the numpy expression is its fallback and its oracle.
 """
 
 from __future__ import annotations
 
-import ctypes
-import fcntl
-import hashlib
-import os
-import subprocess
-import sysconfig
-import threading
-from pathlib import Path
-
 import numpy as np
 
-from repro.obs import log as obs_log
+from repro._kernel import _KERNEL, _State
 
 __all__ = [
     "SlotFluidState",
@@ -222,103 +214,3 @@ def _check_series(series, n, name):
         raise ValueError(f"{name} must be C-contiguous")
     if not series.flags.writeable:
         raise ValueError(f"{name} is read-only")
-
-
-# ----------------------------------------------------------------------
-# The compiled kernels: built on first use, loaded through ctypes
-# ----------------------------------------------------------------------
-_LOGGER = obs_log.get_logger("simulation")
-_SOURCE = Path(__file__).with_name("slotfluid.c")
-_CACHE_DIR = Path(__file__).with_name("__pycache__")
-_CC = "gcc"
-# -ffp-contract=off forbids fusing a*b+c into one rounding; no
-# -ffast-math and no -march=native, so the loop keeps IEEE semantics
-# and the build is the same on every x86-64 host.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-_State = ctypes.c_double * 4  # (backlog, lost, peak, total), in and out
-
-
-class _CompiledKernels:
-    """The C fold and drawdown of this process, built and loaded on first use."""
-
-    def __init__(self):
-        # The ctypes functions; None until loaded, False once loading failed.
-        self.fold = None
-        self.drawdown = None
-        self.lock = threading.Lock()
-        # A fork taken while another thread held the lock would leave
-        # the child's copy locked forever; the child loads for itself.
-        os.register_at_fork(after_in_child=self._new_lock)
-
-    def _new_lock(self):
-        self.lock = threading.Lock()
-
-    def load(self):
-        """Build (once per cache key) and load both kernels; returns ``self``.
-
-        Each attribute is then a ctypes function, or False if the
-        library is unavailable.
-        """
-        with self.lock:
-            if self.fold is None or self.drawdown is None:
-                self.fold, self.drawdown = _load_library()
-        return self
-
-
-def _library_path():
-    """The cached build, named by a hash of source, compiler, flags and platform."""
-    key = hashlib.sha256("\0".join([
-        _SOURCE.read_text(), _CC, " ".join(_CFLAGS), sysconfig.get_platform(),
-    ]).encode()).hexdigest()[:16]
-    return _CACHE_DIR / f"slotfluid-{key}.so"
-
-
-def _build(path):
-    """Compile ``slotfluid.c`` to ``path``; a file lock serialises processes."""
-    path.parent.mkdir(exist_ok=True)
-    with open(path.with_suffix(".lock"), "w") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        try:
-            if path.exists():  # another process finished it while we waited
-                return
-            partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                subprocess.run(
-                    [_CC, *_CFLAGS, "-o", str(partial), str(_SOURCE)],
-                    check=True, capture_output=True, text=True,
-                )
-                os.replace(partial, path)
-            finally:
-                partial.unlink(missing_ok=True)
-        finally:
-            # Unlock explicitly: a child forked meanwhile shares this
-            # descriptor, and closing ours alone would keep it locked.
-            fcntl.flock(lock, fcntl.LOCK_UN)
-
-
-def _load_library():
-    """``(fold, drawdown)`` with their ctypes signatures; ``(False, False)`` on failure."""
-    try:
-        path = _library_path()
-        if not path.exists():
-            _build(path)
-        library = ctypes.CDLL(str(path))
-        fold, drawdown = library.slotfluid_fold, library.slotfluid_drawdown
-    except (OSError, subprocess.CalledProcessError) as exc:
-        lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
-        _LOGGER.warning(
-            "slot-fluid C kernel unavailable (%s); folding in Python, "
-            "drawdown in numpy",
-            lines[0] if lines else type(exc).__name__,
-        )
-        return False, False
-    fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
-                     ctypes.c_double, _State, ctypes.c_void_p, ctypes.c_void_p)
-    fold.restype = None
-    drawdown.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double)
-    drawdown.restype = ctypes.c_double
-    return fold, drawdown
-
-
-_KERNEL = _CompiledKernels()

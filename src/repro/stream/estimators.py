@@ -48,7 +48,9 @@ class OnlineMoments:
         if arr.size == 0:
             return self
         n_b = arr.size
-        mean_b = float(np.mean(arr))
+        # One pass: np.mean is this sum divided by the count, bit for bit.
+        total_b = float(np.sum(arr))
+        mean_b = total_b / n_b
         m2_b = float(np.sum((arr - mean_b) ** 2))
         n_a = self.count
         if n_a == 0:
@@ -60,7 +62,7 @@ class OnlineMoments:
             self.mean += delta * n_b / n
             self._m2 += m2_b + delta * delta * n_a * n_b / n
         self.count += n_b
-        self.total += float(np.sum(arr))
+        self.total += total_b
         self.minimum = min(self.minimum, float(np.min(arr)))
         self.maximum = max(self.maximum, float(np.max(arr)))
         return self
@@ -106,6 +108,30 @@ class OnlineMoments:
         )
 
 
+def _block_sums(rest, m, n_blocks, halves):
+    """The sums of the first ``n_blocks`` blocks of ``m`` samples of ``rest``.
+
+    Each equals the row sum that ``rest.reshape(-1, m).mean(axis=1)``
+    divides by ``m``, so ``sums / m`` is that mean bit for bit, without
+    reading the chunk again at every level.  numpy sums a row of fewer than 8 values in
+    order, starting from 0.0 (which turns -0.0 into 0.0); rows of 8 to
+    128 values take numpy's own sum; and above its 128-value block,
+    numpy's pairwise sum adds the sums of a row's two halves.
+    ``halves`` holds those half-block sums, the previous level's.
+    """
+    if m == 2:
+        sums = rest[0 : 2 * n_blocks : 2] + rest[1 : 2 * n_blocks : 2]
+    elif m == 4:
+        body = rest[: 4 * n_blocks]
+        sums = ((body[0::4] + body[1::4]) + body[2::4]) + body[3::4]
+    elif m <= 128:
+        return rest[: n_blocks * m].reshape(n_blocks, m).sum(axis=1)
+    else:
+        return halves[0::2] + halves[1::2]
+    sums += 0.0
+    return sums
+
+
 class StreamingVarianceTime:
     """Online variance-time Hurst estimator over dyadic block sizes.
 
@@ -138,6 +164,9 @@ class StreamingVarianceTime:
         if arr.size == 0:
             return self
         self._levels[0].update(arr)
+        # The previous level's full-block sums, the first block starting
+        # at arr[start]; level j sums pairs of them from m = 256 on.
+        sums, start = arr, 0
         for j in range(1, self.max_level + 1):
             m = 1 << j
             stats = self._levels[j]
@@ -155,8 +184,12 @@ class StreamingVarianceTime:
                     self._partial_count[j] = 0
             n_blocks = rest.size // m
             if n_blocks:
-                means = rest[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
-                stats.update(means)
+                offset = arr.size - rest.size
+                pair = (offset - start) >> (j - 1)
+                sums = _block_sums(rest, m, n_blocks, sums[pair : pair + 2 * n_blocks])
+                start = offset
+                # Only m >= 128 hands its sums on; below, divide in place.
+                stats.update(sums / m if m >= 128 else np.divide(sums, m, out=sums))
                 rest = rest[n_blocks * m :]
             if rest.size:
                 self._partial_sum[j] += float(np.sum(rest))

@@ -58,8 +58,13 @@ class StreamingMarginalTransform:
         self._table = _quantile_table(target, method, n_table)
 
     def __call__(self, chunk):
-        """Transform one chunk; same operations as the batch path."""
+        """Transform one chunk; same operations as the batch path.
+
+        Like the batch path, a chunk holding NaN or infinity is refused.
+        """
         arr = np.asarray(chunk, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("chunk must not contain NaN or infinite values")
         with trace.span("transform.chunk", n=arr.size, method=self.method):
             return _map_marginal(arr, self.source, self.target, self._table)
 

@@ -19,7 +19,6 @@ from repro.analysis.hurst import (
     rs_statistic,
     variance_time,
     whittle,
-    whittle_aggregated,
 )
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.qa import stats as qa
@@ -160,27 +159,6 @@ class TestWhittle:
     def test_d_bounded(self, fgn_path):
         est = whittle(fgn_path)
         assert -0.5 < est.d < 0.5
-
-
-class TestWhittleAggregated:
-    def test_returns_multiple_levels(self, fgn_path):
-        results = whittle_aggregated(fgn_path, m_values=[1, 4, 16])
-        assert [m for m, _ in results] == [1, 4, 16]
-
-    def test_cis_widen_with_aggregation(self, fgn_path):
-        results = whittle_aggregated(fgn_path, m_values=[1, 16])
-        assert results[1][1].std_error > results[0][1].std_error
-
-    def test_skips_too_aggressive_levels(self, fgn_path):
-        results = whittle_aggregated(fgn_path, m_values=[1, 10**6], min_points=128)
-        assert len(results) == 1
-
-    def test_estimates_stable_across_levels(self, fgn_path):
-        """For exactly self-similar input the estimate must not drift
-        with m (Section 3.2.2's definition in action)."""
-        results = whittle_aggregated(fgn_path, m_values=[1, 4, 16])
-        values = [r.hurst for _, r in results]
-        assert max(values) - min(values) < 0.12
 
 
 class TestHurstSummary:

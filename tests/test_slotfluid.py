@@ -9,7 +9,8 @@ equal the oracle bit for bit on clamp-dense inputs, the state tuple must
 resume across arbitrary chunk boundaries, and the FIFO discipline's
 whole-horizon run must equal a ``slot_step`` loop.  The compiled
 zero-loss drawdown (``run_drawdown``) must equal its numpy oracle
-(``max_drawdown``) bit for bit.
+(``max_drawdown``) bit for bit.  Without a compiler, every kernel of the
+one library (the table lookup too) falls back with one WARNING.
 """
 
 import logging
@@ -18,6 +19,9 @@ import shutil
 import numpy as np
 import pytest
 
+from repro import _kernel
+from repro.distributions import TabulatedDistribution
+from repro.distributions.hybrid import GammaParetoHybrid
 from repro.net.sched import FIFODiscipline
 from repro.simulation import slotfluid
 from repro.simulation.queue import max_backlog, zero_loss_capacity
@@ -246,25 +250,34 @@ class TestKernelSelection:
         run_slots(np.ones(3), 1.0, 1.0)
         assert slotfluid._KERNEL.fold, "gcc is on PATH but run_slots folds in Python"
         assert slotfluid._KERNEL.drawdown, "gcc is on PATH but the drawdown runs in numpy"
+        assert slotfluid._KERNEL.lookup, "gcc is on PATH but the table lookup runs in numpy"
 
     def test_missing_compiler_warns_once_and_falls_back(self, rng, tmp_path,
                                                        monkeypatch, caplog):
+        assert slotfluid._KERNEL is _kernel._KERNEL
         monkeypatch.setattr(slotfluid._KERNEL, "fold", None)
         monkeypatch.setattr(slotfluid._KERNEL, "drawdown", None)
-        monkeypatch.setattr(slotfluid, "_CACHE_DIR", tmp_path)
-        monkeypatch.setattr(slotfluid, "_CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(slotfluid._KERNEL, "lookup", None)
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
         a = rng.gamma(0.8, 10.0, size=2_000)
-        with caplog.at_level(logging.WARNING, logger="repro.simulation"):
+        table = TabulatedDistribution.from_distribution(
+            GammaParetoHybrid(27791.0, 6254.0, 12.42), n_points=10_000)
+        u = rng.random(5_000)
+        with caplog.at_level(logging.WARNING, logger="repro.kernel"):
             backlog = max_backlog(a, 8.1)
             first = run_slots(a, 8.1, 30.0)
             losses = np.zeros(a.size)
             second = run_slots(a, 8.1, 30.0, loss_series=losses)
             capacity = zero_loss_capacity(a, 30.0)
+            quantiles = table.ppf(u)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "\n" not in warnings[0].getMessage()
         assert slotfluid._KERNEL.fold is False
         assert slotfluid._KERNEL.drawdown is False
+        assert slotfluid._KERNEL.lookup is False
+        assert quantiles.tobytes() == np.interp(u, table._ppf_q, table._ppf_x).tobytes()
         want, want_losses = _oracle(a, 8.1, 30.0)
         np.testing.assert_array_equal(first, want)
         _assert_same_fold(second, losses, want, want_losses)

@@ -208,6 +208,16 @@ class TestStreamingTransform:
         with pytest.raises(ValueError):
             StreamingMarginalTransform(TARGET, method="spline")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["exact", "table"])
+    def test_rejects_non_finite_chunk(self, bad, method):
+        from repro.stream.transform import StreamingMarginalTransform
+
+        chunk = np.zeros(10)
+        chunk[3] = bad
+        with pytest.raises(ValueError, match="^chunk must not contain NaN or infinite values$"):
+            StreamingMarginalTransform(TARGET, method=method)(chunk)
+
 
 class TestStreamingQueue:
     @given(
@@ -431,6 +441,85 @@ class TestStreamingVarianceTime:
     def test_needs_data(self):
         with pytest.raises(ValueError):
             StreamingVarianceTime().hurst()
+
+
+class _ReshapeMeanVarianceTime(StreamingVarianceTime):
+    """The oracle: every level's block means by ``reshape(n_blocks, m).mean``."""
+
+    def update(self, chunk):
+        arr = np.asarray(chunk, dtype=float)
+        if arr.size == 0:
+            return self
+        self._levels[0].update(arr)
+        for j in range(1, self.max_level + 1):
+            m = 1 << j
+            stats = self._levels[j]
+            rest = arr
+            if self._partial_count[j]:
+                need = m - self._partial_count[j]
+                take = min(need, rest.size)
+                self._partial_sum[j] += float(np.sum(rest[:take]))
+                self._partial_count[j] += take
+                rest = rest[take:]
+                if self._partial_count[j] == m:
+                    stats.update(np.array([self._partial_sum[j] / m]))
+                    self._partial_sum[j] = 0.0
+                    self._partial_count[j] = 0
+            n_blocks = rest.size // m
+            if n_blocks:
+                stats.update(rest[: n_blocks * m].reshape(n_blocks, m).mean(axis=1))
+                rest = rest[n_blocks * m :]
+            if rest.size:
+                self._partial_sum[j] += float(np.sum(rest))
+                self._partial_count[j] += rest.size
+        return self
+
+
+def _state_bytes(svt):
+    levels = [np.array([s.count, s.mean, s._m2, s.minimum, s.maximum, s.total]).tobytes()
+              for s in svt._levels]
+    return [svt._partial_sum.tobytes(), svt._partial_count.tobytes(), *levels]
+
+
+class TestDyadicFoldMatchesReshapeMean:
+    """The dyadic block sums leave every level's state byte-equal to
+    the per-level ``reshape(...).mean(axis=1)`` update."""
+
+    @staticmethod
+    def _data(n):
+        x = np.random.default_rng(25).gamma(0.8, 1e4, size=n)
+        x[100:400] = -0.0  # numpy's row sums turn -0.0 into 0.0
+        x[400:450] = 0.0
+        return x
+
+    @staticmethod
+    def _assert_same(x, sizes):
+        fast, oracle = StreamingVarianceTime(), _ReshapeMeanVarianceTime()
+        start = 0
+        for size in sizes:
+            fast.update(x[start : start + size])
+            oracle.update(x[start : start + size])
+            start += size
+        assert start == x.size
+        assert _state_bytes(fast) == _state_bytes(oracle)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 777, 1023, 1777, 4096, 9999,
+                                       65536, 65537, 300_000])
+    def test_fixed_chunk_sizes(self, chunk):
+        x = self._data(3_000 if chunk < 100 else min(100 * chunk, 600_000))
+        self._assert_same(x, [chunk] * (x.size // chunk) + [x.size % chunk])
+
+    def test_random_partitions(self):
+        x = self._data(400_000)
+        sizes = np.random.default_rng(7).integers(1, 70_000, size=40)
+        sizes = sizes[np.cumsum(sizes) <= x.size].tolist()
+        self._assert_same(x, sizes + [x.size - sum(sizes)])
+
+    def test_every_level_to_2_pow_22_inside_one_chunk(self):
+        # A 300,001-sample lead-in offsets every level's first full
+        # block, so each pair of half-block sums starts at index 1.
+        x = self._data(300_001 + (1 << 22) + 12_345)
+        self._assert_same(x, [300_001, x.size - 300_001])
 
 
 @pytest.mark.tier2

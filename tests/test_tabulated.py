@@ -1,9 +1,17 @@
-"""Tests for the tabulated distribution and its convolution."""
+"""Tests for the tabulated distribution and its convolution.
+
+``TestCompiledLookup`` holds ``ppf``'s compiled table lookup
+(``repro._kernel.interp``) to ``np.interp``, its oracle, byte for byte.
+"""
+
+import shutil
 
 import numpy as np
 import pytest
 
+from repro import _kernel
 from repro.distributions import Normal, TabulatedDistribution
+from repro.distributions.hybrid import GammaParetoHybrid
 
 
 class TestConstruction:
@@ -98,3 +106,73 @@ class TestConvolution:
         a = TabulatedDistribution.from_distribution(Normal(0.0, 1.0), n_points=2001)
         s = a.convolve(Normal(0.0, 1.0), n_points=2001)
         assert s.var() == pytest.approx(2.0, rel=0.05)
+
+
+def _tables():
+    """The paper's 10,000-point table, a 2-point table and flat CDF runs.
+
+    The 2-point table starts at -0.0: at that node only numpy's
+    ``q[j] == u`` branch keeps the sign of the zero.
+    """
+    paper = TabulatedDistribution.from_distribution(
+        GammaParetoHybrid(27791.0, 6254.0, 12.42), n_points=10_000,
+        q_lo=1e-7, q_hi=1.0 - 1e-5)
+    two = TabulatedDistribution([-0.0, 5.0], [0.25, 0.75])
+    flat = TabulatedDistribution(
+        np.arange(12.0), [0.0, 0.1, 0.1, 0.1, 0.4, 0.4, 0.7, 0.7, 0.7, 0.7, 0.9, 1.0])
+    return {"paper": paper, "two": two, "flat": flat}
+
+
+def _probes(q, rng):
+    """Nodes, their float neighbours, random and evenly spaced values."""
+    return np.concatenate([
+        q, np.nextafter(q, np.inf), np.nextafter(q, -np.inf),
+        rng.random(20_000), np.linspace(0.0, 1.0, 10_001), [0.0, -0.0, 1.0],
+    ])
+
+
+class TestCompiledLookup:
+    @pytest.mark.parametrize("name", ["paper", "two", "flat"])
+    def test_ppf_equals_np_interp(self, rng, name):
+        t = _tables()[name]
+        u = np.clip(_probes(t._ppf_q, rng), 0.0, 1.0)
+        want = np.interp(u, t._ppf_q, t._ppf_x)
+        assert t.ppf(u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["paper", "two", "flat"])
+    def test_outside_the_table_and_nan(self, rng, name):
+        t = _tables()[name]
+        q, x = t._ppf_q, t._ppf_x
+        u = np.concatenate([_probes(q, rng) * 1.5 - 0.25,
+                            [np.nan, -np.inf, np.inf, -1e300, 1e300]])
+        got = _kernel.interp(u, q, x, t._ppf_slopes)
+        assert got.tobytes() == np.interp(u, q, x).tobytes()
+
+    def test_zero_d_and_non_contiguous_input(self, rng):
+        t = _tables()["paper"]
+        for v in (0.0, 1e-7, 0.5, 0.999, 1.0):
+            got = t.ppf(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.interp(v, t._ppf_q, t._ppf_x).tobytes()
+        u = rng.random((300, 4))
+        for view in (u[:, 1], u[::7, ::2], u.T, u[::-1]):
+            got = t.ppf(view)
+            assert got.shape == view.shape
+            assert got.tobytes() == np.interp(view, t._ppf_q, t._ppf_x).tobytes()
+
+    def test_library_forced_off_gives_the_same_bytes(self, rng, monkeypatch):
+        t = _tables()["paper"]
+        u = np.clip(_probes(t._ppf_q, rng), 0.0, 1.0)
+        compiled = t.ppf(u)
+        monkeypatch.setattr(_kernel._KERNEL, "lookup", False)
+        assert t.ppf(u).tobytes() == compiled.tobytes()
+        assert t.ppf(u[::3]).tobytes() == compiled[::3].tobytes()
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
+    def test_malformed_table_is_refused_before_the_lookup(self):
+        q, x = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 4.0])
+        u = np.array([0.25])
+        for bad in ((q, x[:2], _kernel.interp_slopes(q, x)), (q[:1], x[:1], np.empty(0)),
+                    (q, x, np.empty(1))):
+            with pytest.raises(ValueError, match="1-D tables of n >= 2 nodes"):
+                _kernel.interp(u, *bad)
