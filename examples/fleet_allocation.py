@@ -11,8 +11,9 @@ pool, re-partitioned every epoch by the ``repro.alloc`` allocators:
    upper bound, compared on total and p99 per-user loss;
 2. the conservation contract: every epoch's partition sums to the pool
    totals *exactly* (compensated ``math.fsum``, not approximately);
-3. worker-count determinism: the same fleet sharded over 1, 2 and 5
-   worker processes produces digest-identical results.
+3. determinism: a run on the fleet's shared, read-only arrival set
+   (``fleet_arrivals``, built once for many runs) and a run that
+   synthesizes its arrivals lazily produce digest-identical results.
 
 Run:  python examples/fleet_allocation.py [--users 24] [--epochs 16]
 """
@@ -21,7 +22,13 @@ import argparse
 
 import numpy as np
 
-from repro.alloc import ALLOCATORS, demo_fleet, exact_sum, simulate_fleet
+from repro.alloc import (
+    ALLOCATORS,
+    demo_fleet,
+    exact_sum,
+    fleet_arrivals,
+    simulate_fleet,
+)
 
 
 def parse_args():
@@ -72,13 +79,11 @@ def main():
     print(f"\npool conserved exactly in all {n_checks} epoch partitions "
           "(fsum-compensated, == not approx)")
 
-    # --- 3. Worker-count determinism -----------------------------------
-    digests = {w: simulate_fleet(spec, "harvest", workers=w).digest()
-               for w in (1, 2, 5)}
-    assert len(set(digests.values())) == 1
-    np.testing.assert_array_equal(
-        results["harvest"].lost, simulate_fleet(spec, "harvest", workers=5).lost)
-    print(f"workers 1/2/5 digest-identical: {digests[1][:16]}...")
+    # --- 3. Shared and lazy arrivals give the same bits ----------------
+    shared = simulate_fleet(spec, "harvest", arrivals=fleet_arrivals(spec))
+    assert shared.digest() == results["harvest"].digest()
+    np.testing.assert_array_equal(results["harvest"].lost, shared.lost)
+    print(f"shared vs lazy arrivals digest-identical: {shared.digest()[:16]}...")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 
 Demonstrates the :mod:`repro.par` execution engine end to end:
 
-- a Q-C capacity sweep fanned out over a seeded process pool, whose
-  output is bit-identical for ``workers = 1`` and ``workers = 4``
-  (seeds derive from task *index*, never from scheduling),
-- the content-addressed cache making a repeat sweep cheap, with every
-  hit digest-verified before it is served,
+- a sweep of whole network topologies fanned out over a process pool
+  (the one thing the pool fans out -- each experiment's own grid runs
+  in one process), whose output is bit-identical for ``workers = 1``
+  and ``workers = 4`` (each spec carries its own inputs, so scheduling
+  cannot leak into the results),
+- the content-addressed cache making a repeat synthesis cheap, with
+  every hit digest-verified before it is served,
 - worker-side metrics surviving the pool boundary via the
   child-to-parent merge.
 
@@ -15,15 +17,16 @@ Run:  python examples/parallel_sweep.py [--frames 20000] [--workers 4]
 """
 
 import argparse
+import json
 import tempfile
 import time
 
 import numpy as np
 
 from repro import obs
+from repro.net import sweep_topologies
 from repro.obs import metrics
 from repro.par.cache import using
-from repro.simulation.qc import qc_curve
 from repro.video.starwars import synthesize_starwars_trace
 
 
@@ -35,40 +38,49 @@ def parse_args():
     return parser.parse_args()
 
 
+def one_hop_spec(series, capacity, buffer_bytes):
+    """One FIFO hop carrying the trace: the paper's single queue."""
+    return {
+        "slots": len(series),
+        "nodes": [{"name": "a", "buffer_bytes": buffer_bytes}, {"name": "b"}],
+        "links": [{"src": "a", "dst": "b", "capacity_per_slot": capacity}],
+        "flows": [{"name": "video", "path": ["a", "b"],
+                   "source": {"kind": "array", "values": series}}],
+    }
+
+
 def main():
     args = parse_args()
 
-    # --- 1. A Q-C sweep on the pool, with live metrics -----------------
+    # --- 1. A topology sweep on the pool, with live metrics ------------
     trace = synthesize_starwars_trace(n_frames=args.frames, seed=5,
                                       with_slices=False)
-    slot_seconds = 1.0 / trace.frame_rate
+    series = trace.frame_bytes.tolist()
+    mean = float(np.mean(trace.frame_bytes))
+    factors = (1.05, 1.1, 1.2, 1.3, 1.5, 2.0)
+    specs = [one_hop_spec(series, f * mean, 4.0 * mean) for f in factors]
 
-    def sweep(workers):
-        return qc_curve(
-            trace.frame_bytes, slot_seconds, n_sources=5, target_loss=1e-3,
-            n_points=6, n_lag_draws=2, rng=np.random.default_rng(1),
-            workers=workers,
-        )
+    def dump(results):
+        return json.dumps([{"ports": r["ports"], "flows": r["flows"]}
+                           for r in results], sort_keys=True)
 
-    serial = sweep(1)
+    serial = sweep_topologies(specs, workers=1)
     with obs.enabled():
-        curve = sweep(args.workers)
-        dump = metrics.registry().to_dict()
+        parallel = sweep_topologies(specs, workers=args.workers)
+        registry = metrics.registry().to_dict()
     tasks = sum(
-        doc["value"] for key, doc in dump.items()
+        doc["value"] for key, doc in registry.items()
         if key.startswith("repro_par_pool_tasks_total")
     )
-    identical = (np.array_equal(serial.capacity_per_source, curve.capacity_per_source)
-                 and np.array_equal(serial.tmax_ms, curve.tmax_ms))
-    print(f"Q-C sweep (N = 5) on {args.workers} workers")
+    identical = dump(serial) == dump(parallel)
+    print(f"1-hop capacity sweep ({len(specs)} topologies) on {args.workers} workers")
     print(f"  workers=1 vs workers={args.workers}: "
           f"{'bit-identical' if identical else 'MISMATCH'}")
     if not identical:
         raise SystemExit("determinism contract violated")
-    print(f"  {curve.capacity_per_source.size} capacity points, "
-          f"{int(tasks)} pool tasks merged back into the parent registry")
-    knee = int(np.argmin(np.abs(curve.tmax_ms - 2.0)))
-    print(f"  near T_max = 2 ms: C/N = {curve.capacity_per_source_mbps[knee]:.2f} Mb/s")
+    print(f"  {int(tasks)} pool tasks merged back into the parent registry")
+    for f, result in zip(factors, parallel):
+        print(f"  capacity {f:.2f}x mean: loss {result['flows']['video']['loss_rate']:.2e}")
 
     # --- 2. The content cache makes the repeat run cheap ---------------
     with tempfile.TemporaryDirectory() as cache_dir:

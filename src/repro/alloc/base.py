@@ -24,7 +24,7 @@ Determinism is part of the contract too.  An allocator decision may
 depend only on its constructor arguments, the observation stream and the
 sha256-derived ``epoch_seed`` handed to :meth:`AllocatorBase.step` --
 never on wall clock, worker identity or dict iteration order.  That is
-what makes the fleet campaigns bit-identical at any worker count.
+what makes the fleet campaigns bit-identical on any node and any rerun.
 """
 
 from __future__ import annotations

@@ -12,10 +12,7 @@ The closed loop runs in epochs of ``epoch_slots`` slots.  Each epoch:
 2. **Serve** each user's queue for the epoch with its current grant
    ``(C_i, Q_i)`` via the canonical slot-fluid kernel
    (:func:`repro.simulation.slotfluid.run_slots`), carrying the backlog
-   across epoch boundaries.  Users fan out over a
-   :func:`repro.par.pool.pool_map` process pool in fixed-size chunks --
-   per-user state is threaded explicitly, so the results are
-   bit-identical at every worker count.
+   across epoch boundaries, one user after another in one loop.
 3. **Observe and reallocate**: the epoch's per-user offered/lost/backlog
    /peak statistics become an :class:`~repro.alloc.base.EpochObservation`
    and the allocator emits next epoch's partition, validated for
@@ -35,8 +32,8 @@ the set.
 
 Determinism: every random draw descends from
 ``derive_task_seed(derive_task_seed(fleet_seed, user, label="alloc.user"),
-epoch, label="alloc.epoch")`` -- per-(user, epoch), independent of worker
-count, chunking and allocator choice.  The result
+epoch, label="alloc.epoch")`` -- per-(user, epoch), independent of the
+allocator choice.  The result
 digest is a sha256 over the raw float bytes of the per-user statistics,
 so "bit-identical" is checkable with a string compare.
 """
@@ -56,7 +53,7 @@ from repro.alloc.base import AllocatorBase, EpochObservation
 from repro.core.batch import batch_generate
 from repro.core.fgn import fgn_generator
 from repro.obs import metrics, trace
-from repro.par.pool import derive_task_seed, pool_map
+from repro.par.pool import derive_task_seed
 from repro.simulation.slotfluid import run_slots
 
 __all__ = [
@@ -68,11 +65,6 @@ __all__ = [
     "simulate_fleet",
     "user_epoch_seed",
 ]
-
-#: Users per pool task -- fixed (never derived from the worker count) so
-#: the chunking, and with it every accumulated statistic, is identical
-#: at workers 1, 2, 5 or any other width.
-CHUNK_USERS = 32
 
 _EPOCHS = metrics.registry().counter(
     "repro_alloc_epochs_total", help="Fleet epochs simulated", unit="epochs"
@@ -294,22 +286,16 @@ def _check_arrivals(spec, arrivals):
     return arrivals
 
 
-def _serve_chunk(item, common):
-    """Pool task: advance the queues of users [start, stop) one epoch.
+def _serve_epoch(arrivals, capacity, buffer, backlog):
+    """Advance every user's queue one epoch under its grant.
 
-    Returns a (chunk, 4) array of (backlog, lost, peak, offered) -- the
-    slot-fluid state advanced from each user's carried backlog.  Pure:
-    everything it reads arrives through ``common``.
+    Returns an (n_users, 4) array of (backlog, lost, peak, offered) --
+    the slot-fluid state advanced from each user's carried backlog.
     """
-    start, stop = item
-    arrivals = common["arrivals"]
-    capacity = common["capacity"]
-    buffer = common["buffer"]
-    backlog = common["backlog"]
-    out = np.empty((stop - start, 4))
-    for j, i in enumerate(range(start, stop)):
-        out[j] = run_slots(
-            arrivals[i], float(capacity[i]), float(buffer[i]),
+    out = np.empty((len(arrivals), 4))
+    for i, row in enumerate(arrivals):
+        out[i] = run_slots(
+            row, float(capacity[i]), float(buffer[i]),
             state=(float(backlog[i]), 0.0, 0.0, 0.0),
         )
     return out
@@ -401,7 +387,7 @@ class FleetResult:
         }
 
 
-def simulate_fleet(spec, allocator="static", *, arrivals=None, workers=1,
+def simulate_fleet(spec, allocator="static", *, arrivals=None,
                    record_history=False, allocator_options=None):
     """Run one fleet under one allocator; returns a :class:`FleetResult`.
 
@@ -410,11 +396,9 @@ def simulate_fleet(spec, allocator="static", *, arrivals=None, workers=1,
     :class:`~repro.alloc.base.AllocatorBase` instance.  ``arrivals`` is
     the fleet's epoch matrices, as :func:`fleet_arrivals` builds them;
     by default they are synthesized lazily, one epoch at a time.  The
-    result is the same either way.  ``workers`` fans
-    the per-user queue stepping out over a seeded process pool; the
-    result is bit-identical at every worker count.  ``record_history``
-    keeps every epoch's observation and partition (memory grows with
-    ``n_epochs``; the property tests use it, campaigns should not).
+    result is the same either way.  ``record_history`` keeps every
+    epoch's observation and partition (memory grows with ``n_epochs``;
+    the property tests use it, campaigns should not).
     """
     capacity, buffer_bytes = spec.resolved_totals()
     n = spec.n_users
@@ -431,8 +415,6 @@ def simulate_fleet(spec, allocator="static", *, arrivals=None, workers=1,
 
     epochs = (_arrival_epochs(spec) if arrivals is None
               else iter(_check_arrivals(spec, arrivals)))
-    chunks = [(start, min(start + CHUNK_USERS, n))
-              for start in range(0, n, CHUNK_USERS)]
 
     offered = np.zeros(n)
     lost = np.zeros(n)
@@ -446,20 +428,13 @@ def simulate_fleet(spec, allocator="static", *, arrivals=None, workers=1,
 
     started = time.perf_counter()
     with trace.span("alloc.fleet", allocator=policy.name, users=n,
-                    epochs=spec.n_epochs, workers=workers):
+                    epochs=spec.n_epochs):
         alloc = policy.initial_allocation()
         epoch_arrivals = next(epochs)
         for epoch in range(spec.n_epochs):
             with trace.span("alloc.epoch", epoch=epoch):
-                common = {
-                    "arrivals": epoch_arrivals,
-                    "capacity": alloc.capacity,
-                    "buffer": alloc.buffer,
-                    "backlog": backlog,
-                }
-                results = pool_map(_serve_chunk, chunks, workers=workers,
-                                   common=common, label="alloc.epoch")
-                stats = np.concatenate(results, axis=0)
+                stats = _serve_epoch(epoch_arrivals, alloc.capacity,
+                                     alloc.buffer, backlog)
                 epoch_backlog = stats[:, 0]
                 epoch_lost = stats[:, 1]
                 epoch_peak = stats[:, 2]

@@ -11,7 +11,7 @@ Usage (also via ``python -m repro``):
     repro experiments --quick
     repro experiments --quick --checkpoint-dir ckpt --resume --max-retries 2
     repro experiments --quick --profile fig14
-    repro alloc --demo --users 32 --epochs 24 --workers 2
+    repro alloc --demo --users 32 --epochs 24
     repro alloc --demo --allocator harvest --json
     repro obs report run.json
     repro obs export-metrics run.json
@@ -285,9 +285,6 @@ def build_parser():
                        help="per-user QoS loss-rate target (default 1e-3)")
     p_alc.add_argument("--seed", type=int, default=2026,
                        help="fleet seed (sha256-derived per user and epoch)")
-    p_alc.add_argument("--workers", type=int, default=1,
-                       help="process-pool workers; digests are identical at "
-                            "every worker count")
     p_alc.add_argument("--json", action="store_true", dest="as_json",
                        help="emit full per-allocator summaries as JSON on stdout")
 
@@ -760,8 +757,6 @@ def _cmd_alloc(args):
 
     if args.users < 1 or args.epochs < 1 or args.epoch_slots < 1:
         raise SystemExit("--users, --epochs and --epoch-slots must be >= 1")
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     names = sorted(ALLOCATORS) if args.allocator == "all" else [args.allocator]
     unknown = sorted(set(names) - set(ALLOCATORS))
     if unknown:
@@ -779,7 +774,7 @@ def _cmd_alloc(args):
     # arrivals one epoch at a time.
     arrivals = fleet_arrivals(spec) if len(names) > 1 else None
     results = {
-        name: simulate_fleet(spec, name, arrivals=arrivals, workers=args.workers)
+        name: simulate_fleet(spec, name, arrivals=arrivals)
         for name in names
     }
     if args.as_json:

@@ -15,7 +15,7 @@ and the ``batched_synthesis_speedup_b64`` entry of BENCH_stream.json).
 
 Rows are seeded independently: row ``i`` draws from
 ``default_rng(derive_task_seed(seed, i, label="batch"))`` -- the
-sha256 scheme :func:`repro.par.pool.pool_map` uses for its tasks -- or
+sha256 per-task scheme of :func:`repro.par.pool.derive_task_seed` -- or
 from explicit per-row seeds given via ``seeds=``.  Callers that own a
 long-lived generator (or want rows drawn one after another from one
 stream) call :func:`batch_generate` with their own per-row rngs;

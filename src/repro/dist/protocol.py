@@ -284,11 +284,7 @@ def _run_alloc_task(params, seed):
         qos_loss=float(params.get("qos_loss", 1e-3)),
         seed=int(params.get("seed", 2026)),
     )
-    result = simulate_fleet(
-        spec, params.get("allocator", "static"),
-        workers=int(params.get("workers", 1)),
-    )
-    return result.summary()
+    return simulate_fleet(spec, params.get("allocator", "static")).summary()
 
 
 def _run_sleep_task(params, seed):

@@ -24,7 +24,6 @@ tasks through :func:`repro.dist.protocol.execute_task`, which calls
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import threading
 
 import numpy as np
@@ -33,6 +32,7 @@ from repro.dist.transport import sim_pair
 from repro.dist.worker import NodeHang, NodeKilled, NodeStall, WorkerLoop
 from repro.obs import flight as obs_flight
 from repro.obs import log as obs_log
+from repro.resilience.faults import _derive_rng_seed
 
 __all__ = ["FaultEvent", "FaultScript", "SimCluster", "SimNode"]
 
@@ -102,8 +102,7 @@ class FaultScript:
             spare = 1 if len(nodes) > 1 else 0
         budget = max(len(nodes) - spare, 0)
         n_events = min(int(n_events), budget)
-        digest = hashlib.sha256(f"{int(seed)}:faultscript".encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+        rng = np.random.default_rng(_derive_rng_seed(seed, "faultscript"))
         victims = rng.choice(len(nodes), size=n_events, replace=False)
         events = [
             FaultEvent(

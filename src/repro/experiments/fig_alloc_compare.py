@@ -31,7 +31,6 @@ def run(
     buffer_slots=12.0,
     qos_loss=1e-3,
     seed=2026,
-    workers=1,
     allocators=None,
 ):
     """Run every allocator over one seeded fleet; return the comparison.
@@ -57,7 +56,7 @@ def run(
     total_loss = {}
     p99 = {}
     for name in names:
-        result = simulate_fleet(spec, name, arrivals=arrivals, workers=workers)
+        result = simulate_fleet(spec, name, arrivals=arrivals)
         summaries[name] = result.summary()
         total_loss[name] = result.total_loss_rate
         p99[name] = result.loss_percentiles()["p99"]

@@ -2,9 +2,10 @@
 
 Two pieces, each importable on its own:
 
-- :mod:`repro.par.pool` — seeded process-pool map (`pool_map`):
-  sha256-derived per-task seeds, shared-memory ndarray transfer,
-  serial fallback, child→parent metric merging;
+- :mod:`repro.par.pool` — process-pool map (`pool_map`) for whole,
+  independent jobs (`repro net` topology sweeps): results in task
+  order, serial fallback, child→parent metric merging, plus the
+  sha256 per-task seed derivation (`derive_task_seed`);
 - :mod:`repro.par.cache` — content-addressed, digest-verified on-disk
   cache for expensive intermediates (circulant eigenvalues, Paxson
   spectral densities, fARIMA autocorrelation tables, synthesized

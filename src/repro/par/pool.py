@@ -1,18 +1,22 @@
-"""Seeded process-pool map with deterministic results and metric merging.
+"""Process-pool map with deterministic results and metric merging.
 
-:func:`pool_map` is the one parallel primitive the rest of the code
-builds on: it maps a module-level function over a task list and
-returns results **in task order**, with three properties the serial
-code paths already promise and parallelism must not break:
+:func:`pool_map` fans whole, independent jobs out over worker
+processes -- a :func:`repro.net.sweep_topologies` batch of topology
+specs is its one product caller; nothing inside one experiment uses
+it, because there one dispatch costs more than the work it ships.  It
+maps a module-level function over a task list and returns results
+**in task order**, with three properties the serial code paths
+already promise and parallelism must not break:
 
-**Determinism.**  Every task's seed is derived from the caller's base
-seed and the task *index* via sha256 (:func:`derive_task_seed`), never
-from worker identity or scheduling order, so the result list is a pure
-function of ``(fn, items, base_seed)`` — identical for ``workers=1``
-and ``workers=8``.  When a :class:`repro.resilience.faults.FaultPlan`
-is active the map automatically degrades to the serial path, keeping
-the plan's k-th-call fault counters in one process where they are
-meaningful.
+**Determinism.**  A task's randomness travels inside its item (a
+topology spec carries its own seeds), never comes from worker identity
+or scheduling order, so the result list is a pure function of
+``(fn, items)`` — identical for ``workers=1`` and ``workers=8``.
+:func:`derive_task_seed` is the sha256 derivation callers use to put
+such seeds into their items.  When a
+:class:`repro.resilience.faults.FaultPlan` is active the map
+automatically degrades to the serial path, keeping the plan's
+k-th-call fault counters in one process where they are meaningful.
 
 **Robustness.**  A worker that dies (OOM kill, injected crash) breaks
 the pool; the pending tasks are transparently re-run serially in the
@@ -26,11 +30,6 @@ before a task and ships the per-task delta dump back with the result;
 the parent folds it in via :func:`repro.obs.metrics.merge_dump`.  Task
 counts, cache hits and histogram observations therefore survive the
 pool boundary exactly.
-
-Large read-only ndarrays shared by every task (a 171k-frame trace, a
-bank of arrival processes) go through ``common=``: arrays at or above
-:data:`SHM_THRESHOLD` bytes are placed in POSIX shared memory once and
-attached zero-copy in each worker instead of being pickled per task.
 """
 
 from __future__ import annotations
@@ -38,20 +37,14 @@ from __future__ import annotations
 import hashlib
 import time
 
-import numpy as np
-
 from repro.obs import log as obs_log
 from repro.obs import metrics
 
 __all__ = [
-    "SHM_THRESHOLD",
     "derive_task_seed",
     "pool_map",
     "resolve_workers",
 ]
-
-SHM_THRESHOLD = 1 << 20
-"""Arrays in ``common=`` at or above this many bytes ride shared memory."""
 
 _LOGGER = obs_log.get_logger("par.pool")
 
@@ -118,117 +111,24 @@ def _fault_plan_active():
     return active_plan() is not None
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transfer of large common arrays
-# ----------------------------------------------------------------------
-class _ShmToken:
-    """Picklable handle for an ndarray living in a shared-memory block."""
-
-    __slots__ = ("name", "shape", "dtype")
-
-    def __init__(self, name, shape, dtype):
-        self.name = name
-        self.shape = shape
-        self.dtype = dtype
-
-
-def _export_common(common):
-    """Stage ``common`` for workers; big arrays go to shared memory.
-
-    Returns ``(spec, handles)``: the picklable spec handed to worker
-    initializers and the parent-owned SharedMemory handles to unlink
-    once the pool is done.
-    """
-    from multiprocessing import shared_memory
-
-    spec = {}
-    handles = []
-    for key, value in common.items():
-        if isinstance(value, np.ndarray) and value.nbytes >= SHM_THRESHOLD:
-            value = np.ascontiguousarray(value)
-            block = shared_memory.SharedMemory(create=True, size=value.nbytes)
-            np.ndarray(value.shape, dtype=value.dtype, buffer=block.buf)[...] = value
-            spec[key] = _ShmToken(block.name, value.shape, str(value.dtype))
-            handles.append(block)
-        else:
-            spec[key] = value
-    return spec, handles
-
-
-def _release_common(handles):
-    for block in handles:
-        try:
-            block.close()
-        except BufferError:  # a view is still alive somewhere; unlink still works
-            pass
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _resolve_common(spec):
-    """Worker-side: attach shared blocks, yielding read-only views."""
-    from multiprocessing import shared_memory
-
-    resolved = {}
-    for key, value in spec.items():
-        if isinstance(value, _ShmToken):
-            # Fork-context workers share the parent's resource tracker,
-            # and the tracker's name cache is a set: this attach-time
-            # re-register is a no-op, and the single unregister happens
-            # when the parent unlinks the segment.  (Do NOT unregister
-            # here — a second worker's unregister would double-remove.)
-            block = shared_memory.SharedMemory(name=value.name, create=False)
-            array = np.ndarray(value.shape, dtype=value.dtype, buffer=block.buf)
-            array.flags.writeable = False
-            resolved[key] = array
-            _ATTACHED.append(block)  # keep the mapping alive for the view
-        else:
-            resolved[key] = value
-    return resolved
-
-
-# Worker-process globals (populated by the pool initializer).
-_WORKER_COMMON = None
-_ATTACHED = []
-
-
-def _child_init(spec):
-    global _WORKER_COMMON
-    _WORKER_COMMON = None if spec is None else _resolve_common(spec)
-
-
-def _task_args(item, seed, common):
-    args = [item]
-    if seed is not None:
-        args.append(seed)
-    if common is not None:
-        args.append(common)
-    return args
-
-
 def _child_call(payload):
-    index, fn, item, seed = payload
+    index, fn, item = payload
     # Fork copied the parent's metric values into this process; reset so
     # the dump shipped back is exactly this task's delta.
     metrics.registry().reset()
-    result = fn(*_task_args(item, seed, _WORKER_COMMON))
+    result = fn(item)
     return index, result, metrics.registry().to_dict()
 
 
 # ----------------------------------------------------------------------
 # The map
 # ----------------------------------------------------------------------
-def pool_map(fn, items, *, workers=1, base_seed=None, common=None, label="pool"):
-    """Map ``fn`` over ``items`` on a seeded process pool, in task order.
+def pool_map(fn, items, *, workers=1, label="pool"):
+    """Map ``fn`` over ``items`` on a process pool, in task order.
 
-    ``fn`` must be module-level (picklable) and is called with
-    positional arguments ``(item[, seed][, common])``: the seed is
-    present iff ``base_seed`` is given (derived per task index via
-    :func:`derive_task_seed`), the common dict iff ``common`` is given.
-    The result list is index-aligned with ``items`` and identical for
-    every worker count.
+    ``fn`` must be module-level (picklable) and is called as
+    ``fn(item)``.  The result list is index-aligned with ``items`` and
+    identical for every worker count.
 
     Serial execution is used when ``workers == 1``, when a FaultPlan is
     active (fault counters are process-local and must fire
@@ -241,42 +141,30 @@ def pool_map(fn, items, *, workers=1, base_seed=None, common=None, label="pool")
     workers = resolve_workers(workers)
     _WIDTH.set(workers)
 
-    seeds = [
-        None if base_seed is None else derive_task_seed(base_seed, i, label=label)
-        for i in range(len(items))
-    ]
-
     if workers == 1:
         _FALLBACKS["workers"].inc()
-        return _serial_map(fn, items, seeds, range(len(items)), common)
+        return _serial_map(fn, items)
     if _fault_plan_active():
         _FALLBACKS["fault_plan"].inc()
         _LOGGER.info(
             "fault plan active; pool_map %s running serially", label,
             extra={"label": label, "tasks": len(items)},
         )
-        return _serial_map(fn, items, seeds, range(len(items)), common)
+        return _serial_map(fn, items)
 
-    spec, handles = (None, []) if common is None else _export_common(common)
     results = [_MISSING] * len(items)
-    try:
-        survivors = _run_pool(fn, items, seeds, spec, workers, results)
-        if survivors:
-            # The pool broke (worker death).  Finish the unfinished
-            # tasks serially in this process.
-            _FALLBACKS["broken_pool"].inc()
-            _LOGGER.warning(
-                "process pool broke; running %d remaining task(s) serially",
-                len(survivors), extra={"label": label, "remaining": len(survivors)},
-            )
-            for index, value in zip(
-                survivors,
-                _serial_map(fn, [items[i] for i in survivors],
-                            [seeds[i] for i in survivors], survivors, common),
-            ):
-                results[index] = value
-    finally:
-        _release_common(handles)
+    survivors = _run_pool(fn, items, workers, results)
+    if survivors:
+        # The pool broke (worker death).  Finish the unfinished tasks
+        # serially in this process.
+        _FALLBACKS["broken_pool"].inc()
+        _LOGGER.warning(
+            "process pool broke; running %d remaining task(s) serially",
+            len(survivors), extra={"label": label, "remaining": len(survivors)},
+        )
+        for index, value in zip(survivors,
+                                _serial_map(fn, [items[i] for i in survivors])):
+            results[index] = value
 
     assert not any(value is _MISSING for value in results)
     return results
@@ -287,7 +175,7 @@ STALL_S = 10.0
 before it is abandoned and its unfinished tasks rerun serially."""
 
 
-def _run_pool(fn, items, seeds, spec, workers, results):
+def _run_pool(fn, items, workers, results):
     """Run one executor over every task; returns indexes left unfinished.
 
     A worker SIGKILLed mid-protocol (holding a queue lock, or halfway
@@ -307,14 +195,12 @@ def _run_pool(fn, items, seeds, spec, workers, results):
     executor = ProcessPoolExecutor(
         max_workers=min(workers, len(items)),
         mp_context=context,
-        initializer=_child_init,
-        initargs=(spec,),
     )
     try:
         waiting = []
         for index, item in enumerate(items):
             try:
-                future = executor.submit(_child_call, (index, fn, item, seeds[index]))
+                future = executor.submit(_child_call, (index, fn, item))
             except BrokenProcessPool:
                 unfinished.extend(range(index, len(items)))
                 break
@@ -386,14 +272,8 @@ class _Missing:
 _MISSING = _Missing()
 
 
-def _serial_map(fn, items, seeds, indexes, common):
-    """In-process execution path; bit-identical results, live metrics.
-
-    ``common`` is passed straight through (no process-global state), so
-    concurrent serial maps on different threads — e.g. a threaded
-    campaign whose experiments each call :func:`pool_map` — cannot see
-    each other's common payloads.
-    """
+def _serial_map(fn, items):
+    """In-process execution path; bit-identical results, live metrics."""
     try:
         from repro.resilience.faults import reach
     except Exception:  # pragma: no cover - partial-install guard
@@ -401,10 +281,10 @@ def _serial_map(fn, items, seeds, indexes, common):
             return None
 
     out = []
-    for item, seed, index in zip(items, seeds, indexes):
+    for item in items:
         reach("par.pool:task")
         started = time.perf_counter()
-        out.append(fn(*_task_args(item, seed, common)))
+        out.append(fn(item))
         _WAIT.observe(time.perf_counter() - started)
         _TASKS["serial"].inc()
     return out

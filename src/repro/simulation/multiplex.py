@@ -17,7 +17,6 @@ from repro._validation import as_1d_float_array, require_positive_int
 __all__ = [
     "random_lags",
     "multiplex_series",
-    "multiplex_many",
     "multiplex_fgn",
     "multiplex_trace",
     "multiplex_heterogeneous",
@@ -75,29 +74,6 @@ def multiplex_series(series, lags):
     for lag in lags:
         out += np.roll(arr, -int(lag) % arr.size)
     return out
-
-
-def _multiplex_task(lags, common):
-    return multiplex_series(common["series"], lags)
-
-
-def multiplex_many(series, lag_sets, workers=1):
-    """Aggregate one series under several lag draws, optionally in parallel.
-
-    Equivalent to ``[multiplex_series(series, lags) for lags in
-    lag_sets]`` — and bit-identical to it at every worker count, since
-    all randomness (the lag draws) happens before this call.  With
-    ``workers > 1`` the series rides shared memory once and the draws
-    fan out across a :func:`repro.par.pool.pool_map`.
-    """
-    from repro.par.pool import pool_map
-
-    arr = as_1d_float_array(series, "series")
-    lag_sets = [np.asarray(lags, dtype=int) for lags in lag_sets]
-    return pool_map(
-        _multiplex_task, lag_sets,
-        workers=workers, common={"series": arr}, label="multiplex",
-    )
 
 
 def multiplex_fgn(n, hurst, n_sources, *, backend="paxson", variance=1.0,

@@ -28,12 +28,7 @@ from repro._validation import (
     require_positive_int,
 )
 from repro.simulation.metrics import worst_errored_second_loss
-from repro.simulation.multiplex import (
-    multiplex_fgn,
-    multiplex_many,
-    multiplex_series,
-    random_lags,
-)
+from repro.simulation.multiplex import multiplex_fgn, multiplex_series, random_lags
 from repro.simulation.queue import max_backlog, simulate_queue, zero_loss_capacity
 
 __all__ = [
@@ -139,7 +134,7 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
     ``n_sources`` fresh fGn paths through
     :func:`repro.simulation.multiplex.multiplex_fgn` under a
     sha256-derived per-draw seed, so the sets are a pure function of
-    the parameters — independent of ``workers``.
+    the parameters.
     """
     from repro.par.pool import derive_task_seed
 
@@ -176,17 +171,6 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
             aggregate = np.maximum(n_sources * mean + std * aggregate, 0.0)
         sets.append(aggregate)
     return sets
-
-
-def _qc_point_task(c_total, common):
-    """Pool task: the minimum buffer for one capacity grid point."""
-    return required_buffer(
-        list(common["arrivals"]),
-        c_total,
-        common["target_loss"],
-        metric=common["metric"],
-        slots_per_second=common["slots_per_second"],
-    )
 
 
 @dataclass(frozen=True)
@@ -232,7 +216,6 @@ def qc_curve(
     min_separation=1000,
     rng=None,
     capacity_span=(1.01, 1.0),
-    workers=1,
     fgn_sources=None,
 ):
     """Compute a Q-C curve for ``n_sources`` multiplexed copies.
@@ -265,10 +248,6 @@ def qc_curve(
     capacity_span:
         ``(lo_factor, hi_factor)`` of the default grid relative to
         (mean, peak) of the single source.
-    workers:
-        Process count for the per-capacity buffer searches (and the lag
-        multiplexing).  All randomness is drawn before the fan-out, so
-        the curve is bit-identical at every worker count.
     fgn_sources:
         Replace the paper's lagged-copy multiplexing with ``n_sources``
         *independent* fGn sources per draw (a dict for
@@ -296,7 +275,7 @@ def qc_curve(
             random_lags(n_sources, arr.size, min_separation=min_separation, rng=rng)
             for _ in range(n_draws)
         ]
-        arrival_sets = multiplex_many(arr, lag_sets, workers=workers)
+        arrival_sets = [multiplex_series(arr, lags) for lags in lag_sets]
     mean_rate = float(np.mean(arr))
     peak_rate = float(np.max(arr))
     if capacities is None:
@@ -306,23 +285,12 @@ def qc_curve(
     capacities = np.asarray(capacities, dtype=float)
     if np.any(capacities <= 0):
         raise ValueError("capacities must be positive")
-    from repro.par.pool import pool_map
-
-    # Every grid point's buffer search is independent and deterministic
-    # (no rng past this line); the stacked arrival sets ride shared
-    # memory once for all points.
     c_totals = [float(c) * n_sources for c in capacities]
-    buffers = np.asarray(pool_map(
-        _qc_point_task, c_totals,
-        workers=workers,
-        common={
-            "arrivals": np.stack(arrival_sets),
-            "target_loss": target_loss,
-            "metric": metric,
-            "slots_per_second": slots_per_second,
-        },
-        label="qc",
-    ))
+    buffers = np.asarray([
+        required_buffer(arrival_sets, c_total, target_loss, metric=metric,
+                        slots_per_second=slots_per_second)
+        for c_total in c_totals
+    ])
     # T_max = Q / (N * C) with C in bytes/second.
     tmax = buffers * slot_seconds / np.asarray(c_totals) * 1000.0
     return QCCurve(
@@ -360,29 +328,13 @@ def knee_point(curve, floor_ms=1e-3):
     return int(np.argmax(distance))
 
 
-def _smg_capacity_task(item, common):
-    """Pool task: bisect the per-source capacity for one value of ``N``.
+def _smg_capacity(arrival_sets, n, lo, hi, *, slot_seconds, slots_per_second,
+                  target_loss, metric, tmax_s, rel_tol):
+    """Bisect the smallest per-source capacity in ``[lo, hi]`` for ``n``.
 
-    ``item`` is ``(n, lag_sets, prebuilt)``; exactly one of the last
-    two is ``None``.  Lag draws (and, in ``fgn_sources`` mode, the
-    prebuilt independent-source aggregates) happen in the parent, so
-    this function is deterministic and the SMG curve is identical at
-    every worker count.
+    The buffer is sized for the fixed delay ``tmax_s`` at each trial
+    capacity; ``hi`` grows by 1.25x until it is feasible.
     """
-    n, lag_sets, prebuilt = item
-    arr = common["series"]
-    slot_seconds = common["slot_seconds"]
-    slots_per_second = common["slots_per_second"]
-    target_loss = common["target_loss"]
-    metric = common["metric"]
-    tmax_s = common["tmax_s"]
-    rel_tol = common["rel_tol"]
-    mean_rate = common["mean_rate"]
-    peak_rate = common["peak_rate"]
-    if prebuilt is not None:
-        arrival_sets = list(prebuilt)
-    else:
-        arrival_sets = [multiplex_series(arr, lags) for lags in lag_sets]
 
     def feasible(c_per_source):
         c_total = c_per_source * n
@@ -394,7 +346,6 @@ def _smg_capacity_task(item, common):
             <= target_loss
         )
 
-    lo, hi = mean_rate, peak_rate
     if feasible(lo):
         return lo
     if not feasible(hi):
@@ -422,7 +373,6 @@ def smg_curve(
     min_separation=1000,
     rng=None,
     rel_tol=1e-4,
-    workers=1,
     fgn_sources=None,
 ):
     """Statistical-multiplexing-gain curve (Fig. 15).
@@ -435,18 +385,12 @@ def smg_curve(
     ``"peak_rate"`` (bytes/slot) and the achieved ``"gain_fraction"``
     per N (share of the peak-to-mean gap recovered).
 
-    With ``workers > 1`` the per-``N`` capacity searches fan out across
-    processes; every lag draw happens up front in the caller's ``rng``
-    (in the same order as the serial loop), so the curve is
-    bit-identical at every worker count.
-
     ``fgn_sources`` switches from lagged copies of ``series`` to
     independent fGn sources per draw (same dict as :func:`qc_curve`;
     ``series`` still anchors the mean/peak capacity bracket).  Draws
     are seeded ``derive_task_seed(seed, draw_index, label="smg.fgn")``
     with ``draw_index`` running across the ``N`` values in order, so
-    the curve is a pure function of the dict — same at every
-    ``workers``.
+    the curve is a pure function of the dict.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -458,41 +402,29 @@ def smg_curve(
     mean_rate = float(np.mean(arr))
     peak_rate = float(np.max(arr))
     tmax_s = tmax_ms / 1000.0
-    items = []
+    capacities = []
     draw_index = 0
     for n in n_values:
         n = require_positive_int(n, "n_sources")
         n_draws = 1 if n == 1 else n_lag_draws
         if fgn_sources is not None:
-            prebuilt = _fgn_arrival_sets(
+            arrival_sets = _fgn_arrival_sets(
                 fgn_sources, arr.size, n, n_draws, "smg.fgn",
                 start=draw_index,
             )
             draw_index += n_draws
-            items.append((n, None, prebuilt))
         else:
-            items.append((n, [
-                random_lags(n, arr.size, min_separation=min_separation, rng=rng)
+            arrival_sets = [
+                multiplex_series(arr, random_lags(
+                    n, arr.size, min_separation=min_separation, rng=rng))
                 for _ in range(n_draws)
-            ], None))
-    from repro.par.pool import pool_map
-
-    capacities = pool_map(
-        _smg_capacity_task, items,
-        workers=workers,
-        common={
-            "series": arr,
-            "slot_seconds": slot_seconds,
-            "slots_per_second": slots_per_second,
-            "target_loss": target_loss,
-            "metric": metric,
-            "tmax_s": tmax_s,
-            "rel_tol": rel_tol,
-            "mean_rate": mean_rate,
-            "peak_rate": peak_rate,
-        },
-        label="smg",
-    )
+            ]
+        capacities.append(_smg_capacity(
+            arrival_sets, n, mean_rate, peak_rate,
+            slot_seconds=slot_seconds, slots_per_second=slots_per_second,
+            target_loss=target_loss, metric=metric, tmax_s=tmax_s,
+            rel_tol=rel_tol,
+        ))
     capacities = np.asarray(capacities, dtype=float)
     gain_fraction = (peak_rate - capacities) / max(peak_rate - mean_rate, 1e-12)
     return {

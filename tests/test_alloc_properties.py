@@ -12,7 +12,8 @@ not statistically:
   compensation ulp;
 - **oracle dominance**: the clairvoyant allocator's fleet-total loss
   lower-bounds every causal policy on the same seeded fleet;
-- **determinism**: result digests are identical at workers {1, 2, 5}.
+- **determinism**: a run on lazily synthesized arrivals and a run on
+  the shared :func:`~repro.alloc.fleet_arrivals` set give one digest.
 
 Plus exact unit coverage for the float machinery
 (:func:`~repro.alloc.exact_sum`, :func:`~repro.alloc.partition_exact`,
@@ -34,6 +35,7 @@ from repro.alloc import (
     TradeAllocator,
     demo_fleet,
     exact_sum,
+    fleet_arrivals,
     make_allocator,
     partition_exact,
     settle_residue,
@@ -155,10 +157,9 @@ class TestOracleDominance:
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(ALLOCATORS))
-    def test_digest_identical_across_worker_counts(self, fleet, name):
-        digests = {simulate_fleet(fleet, name, workers=w).digest()
-                   for w in (1, 2, 5)}
-        assert len(digests) == 1, name
+    def test_lazy_and_shared_arrivals_share_the_digest(self, fleet, name):
+        shared = simulate_fleet(fleet, name, arrivals=fleet_arrivals(fleet))
+        assert shared.digest() == simulate_fleet(fleet, name).digest(), name
 
     def test_user_epoch_seeds_are_unique_and_stable(self):
         seeds = {user_epoch_seed(3, u, e) for u in range(8) for e in range(8)}

@@ -688,16 +688,12 @@ class TestAllocCommand:
         assert summary["n_users"] == 8
         assert len(summary["digest"]) == 64
 
-    def test_workers_share_the_digest(self, capsys):
-        import json
-
-        digests = set()
-        for w in ("1", "2"):
-            assert main(self.DEMO + ["--allocator", "trade", "--json",
-                                     "--workers", w]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            digests.add(doc["trade"]["digest"])
-        assert len(digests) == 1
+    def test_alloc_workers_flag_is_gone(self, capsys):
+        for w in ("0", "2"):
+            with pytest.raises(SystemExit) as exc:
+                main(self.DEMO + ["--workers", w])
+            assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_unknown_allocator_is_user_error(self, capsys):
         assert main(self.DEMO + ["--allocator", "nope", "--quiet"]) == 2
@@ -708,5 +704,3 @@ class TestAllocCommand:
     def test_bad_counts_exit_nonzero(self):
         with pytest.raises(SystemExit):
             main(["alloc", "--demo", "--users", "0"])
-        with pytest.raises(SystemExit):
-            main(["alloc", "--demo", "--workers", "0"])

@@ -65,9 +65,8 @@ class TestSharedSet:
     def test_passed_set_gives_the_same_digest(self, fleet, name):
         arrivals = fleet_arrivals(fleet)
         lazy = simulate_fleet(fleet, name).digest()
-        for workers in (1, 2):
-            shared = simulate_fleet(fleet, name, arrivals=arrivals, workers=workers)
-            assert shared.digest() == lazy, (name, workers)
+        shared = simulate_fleet(fleet, name, arrivals=arrivals)
+        assert shared.digest() == lazy, name
 
     def test_set_matches_the_lazy_epochs(self, fleet):
         arrivals = fleet_arrivals(fleet)

@@ -1,7 +1,7 @@
-"""Tests for the seeded process-pool map and child->parent metric merge.
+"""Tests for the process-pool map, its seed derivation and metric merge.
 
 The pool's contract is that results are a pure function of
-``(fn, items, base_seed)`` — independent of worker count, scheduling,
+``(fn, items)`` — independent of worker count, scheduling,
 worker death and recycling — and that metrics incremented inside
 workers survive the pool boundary exactly (the obs registry is
 process-local, so without the merge they would silently vanish).
@@ -10,12 +10,11 @@ process-local, so without the merge they would silently vanish).
 import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.obs import metrics
-from repro.par.pool import SHM_THRESHOLD, derive_task_seed, pool_map, resolve_workers
+from repro.par.pool import derive_task_seed, pool_map, resolve_workers
 from repro.resilience.faults import FaultPlan
 
 
@@ -24,15 +23,6 @@ from repro.resilience.faults import FaultPlan
 # ----------------------------------------------------------------------
 def _double(item):
     return item * 2
-
-
-def _item_and_seed(item, seed):
-    return (item, seed)
-
-
-def _lookup(item, common):
-    arr = common["arr"]
-    return (float(arr[item]), bool(arr.flags.writeable))
 
 
 def _die_in_child(item):
@@ -90,28 +80,6 @@ class TestPoolMap:
         serial = pool_map(_double, items, workers=1)
         assert serial == [i * 2 for i in items]
         assert pool_map(_double, items, workers=3) == serial
-
-    def test_seeds_are_index_derived(self):
-        items = list(range(5))
-        expected = [
-            (i, derive_task_seed(11, i, label="pool")) for i in items
-        ]
-        assert pool_map(_item_and_seed, items, base_seed=11, workers=1) == expected
-        assert pool_map(_item_and_seed, items, base_seed=11, workers=2) == expected
-
-    def test_common_small_array_pickled(self):
-        arr = np.arange(8.0)
-        out = pool_map(_lookup, [1, 5], workers=2, common={"arr": arr})
-        assert [value for value, _ in out] == [1.0, 5.0]
-
-    def test_common_large_array_rides_shared_memory(self):
-        n = SHM_THRESHOLD // 8  # exactly the threshold in float64
-        arr = np.arange(float(n))
-        out = pool_map(_lookup, [0, n - 1, 7], workers=2, common={"arr": arr})
-        assert [value for value, _ in out] == [0.0, float(n - 1), 7.0]
-        # Worker-side shared views are read-only — proof the array
-        # actually went through shared memory rather than a pickle copy.
-        assert all(writeable is False for _, writeable in out)
 
     def test_worker_death_falls_back_to_serial(self):
         items = list(range(6))
