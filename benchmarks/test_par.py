@@ -114,17 +114,28 @@ class TestGridSpeedup:
         )
 
     def test_fig14_qc_grid_serial_seconds(self):
-        """Wall time of the fig14-shaped Q-C grid, serial as it runs."""
+        """Wall time of the fig14-shaped Q-C grid, serial as it runs.
+
+        One untimed call first loads the compiled kernel; the entry is
+        the best of five timed calls after it.
+        """
         cores = os.cpu_count() or 1
         trace = synthesize_starwars_trace(n_frames=30_000, seed=5,
                                           with_slices=False)
-        start = time.perf_counter()
-        curve = qc_curve(
-            trace.frame_bytes, 1.0 / 24.0, n_sources=10, target_loss=1e-3,
-            n_points=10, n_lag_draws=4, rng=np.random.default_rng(17),
-        )
-        serial_s = time.perf_counter() - start
+
+        def grid():
+            return qc_curve(
+                trace.frame_bytes, 1.0 / 24.0, n_sources=10, target_loss=1e-3,
+                n_points=10, n_lag_draws=4, rng=np.random.default_rng(17),
+            )
+
+        curve = grid()
         assert curve.capacity_per_source.size == 10
+        serial_s = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            grid()
+            serial_s = min(serial_s, time.perf_counter() - start)
         _ENTRIES.append({
             "name": "fig14_qc_grid_serial_seconds",
             "value": round(serial_s, 3),

@@ -14,6 +14,10 @@
  * and is left untouched elsewhere; trail, when not NULL, receives the
  * post-clamp backlog of every slot.  The caller checks that each holds
  * at least n doubles.
+ *
+ * slotfluid_fold_rows: slotfluid_fold on every row of a C-contiguous
+ * (rows, n) matrix, row r with its own capacity c[r], buffer q[r] and
+ * state[4r .. 4r + 3], no series.  One call serves a whole fleet epoch.
  */
 #include <stddef.h>
 
@@ -43,6 +47,13 @@ void slotfluid_fold(const double *a, ptrdiff_t n, double c, double q,
     state[1] = lost;
     state[2] = peak;
     state[3] = total;
+}
+
+void slotfluid_fold_rows(const double *a, ptrdiff_t rows, ptrdiff_t n,
+                         const double *c, const double *q, double *state)
+{
+    for (ptrdiff_t r = 0; r < rows; r++)
+        slotfluid_fold(a + r * n, n, c[r], q[r], state + 4 * r, NULL, NULL);
 }
 
 /* The largest backlog of the infinite-buffer queue: the numpy expression

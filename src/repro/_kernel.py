@@ -2,9 +2,11 @@
 
 ``_kernel.c`` holds every loop that numpy or Python runs too slowly:
 
-- ``slotfluid_fold`` and ``slotfluid_drawdown``, the slot-fluid fold and
-  the zero-loss drawdown behind :func:`repro.simulation.slotfluid.run_slots`
-  and :func:`~repro.simulation.slotfluid.run_drawdown`;
+- ``slotfluid_fold``, ``slotfluid_fold_rows`` and ``slotfluid_drawdown``,
+  the slot-fluid fold, the same fold over every row of a matrix and the
+  zero-loss drawdown behind :func:`repro.simulation.slotfluid.run_slots`,
+  :func:`~repro.simulation.slotfluid.run_rows` and
+  :func:`~repro.simulation.slotfluid.run_drawdown`;
 - ``table_interp``, the table lookup behind :func:`interp`, which
   :meth:`repro.distributions.base.TabulatedDistribution.ppf` uses to
   impose the paper's marginal through its 10,000-point table (eq. 13).
@@ -94,6 +96,7 @@ class _CompiledKernels:
     def __init__(self):
         # The ctypes functions; None until loaded, False once loading failed.
         self.fold = None
+        self.fold_rows = None
         self.drawdown = None
         self.lookup = None
         self.lock = threading.Lock()
@@ -111,8 +114,8 @@ class _CompiledKernels:
         library is unavailable.
         """
         with self.lock:
-            if self.fold is None or self.drawdown is None or self.lookup is None:
-                self.fold, self.drawdown, self.lookup = _load_library()
+            if None in (self.fold, self.fold_rows, self.drawdown, self.lookup):
+                self.fold, self.fold_rows, self.drawdown, self.lookup = _load_library()
         return self
 
 
@@ -148,13 +151,14 @@ def _build(path):
 
 
 def _load_library():
-    """``(fold, drawdown, lookup)`` with their ctypes signatures; all False on failure."""
+    """``(fold, fold_rows, drawdown, lookup)`` as ctypes functions; all False on failure."""
     try:
         path = _library_path()
         if not path.exists():
             _build(path)
         library = ctypes.CDLL(str(path))
         fold, drawdown = library.slotfluid_fold, library.slotfluid_drawdown
+        fold_rows = library.slotfluid_fold_rows
         lookup = library.table_interp
     except (OSError, subprocess.CalledProcessError) as exc:
         lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
@@ -163,17 +167,20 @@ def _load_library():
             "table lookup in numpy",
             lines[0] if lines else type(exc).__name__,
         )
-        return False, False, False
+        return False, False, False, False
     fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
                      ctypes.c_double, _State, ctypes.c_void_p, ctypes.c_void_p)
     fold.restype = None
+    fold_rows.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    fold_rows.restype = None
     drawdown.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double)
     drawdown.restype = ctypes.c_double
     lookup.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p,
                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
                        ctypes.c_void_p)
     lookup.restype = None
-    return fold, drawdown, lookup
+    return fold, fold_rows, drawdown, lookup
 
 
 _KERNEL = _CompiledKernels()

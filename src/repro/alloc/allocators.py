@@ -151,21 +151,13 @@ class OracleAllocator(AllocatorBase):
 
         Returns ``(lost, peak_need)``: rehearsed lost bytes under the
         candidate ``(C_i, Q_i)`` and the zero-clamp peak backlog (the
-        buffer that would have avoided all loss at that capacity).
+        buffer that would have avoided all loss at that capacity).  Each
+        is one row fold over all users.
         """
-        from repro.simulation.slotfluid import run_slots
+        from repro.simulation.slotfluid import run_rows
 
-        n = len(capacity)
-        lost = np.empty(n)
-        peak_need = np.empty(n)
-        for i in range(n):
-            state = (float(backlog[i]), 0.0, 0.0, 0.0)
-            _, lost[i], _, _ = run_slots(
-                arrivals[i], float(capacity[i]), float(buffer[i]), state=state
-            )
-            _, _, peak_need[i], _ = run_slots(
-                arrivals[i], float(capacity[i]), np.inf, state=state
-            )
+        lost = run_rows(arrivals, capacity, buffer, backlog)[:, 1]
+        peak_need = run_rows(arrivals, capacity, np.inf, backlog)[:, 2]
         return lost, peak_need
 
     def decide(self, epoch_index, observation, current, epoch_seed):
@@ -311,25 +303,24 @@ class TradeAllocator(AllocatorBase):
         keep_q = observation.peak_backlog / self.util_threshold
 
         limit = n // 2 if self.max_trades is None else int(self.max_trades)
-        donors = np.zeros(n, dtype=bool)
+        receivers, donors = needy[:max(limit, 0)], comfy[:max(limit, 0)]
+        # Pairs trade up to the first that stops: a receiver that is not
+        # violating or a donor that is.  Before it receivers violate and
+        # donors do not, so no user is in two pairs and every trade reads
+        # untouched grants: one vectorised step per grant is the pairwise
+        # loop, bit for bit.  A pair moves only a positive share of the
+        # donor's headroom.
+        stops = np.flatnonzero((receivers == donors) | ~violating[receivers]
+                               | violating[donors])
+        if stops.size:
+            receivers, donors = receivers[:stops[0]], donors[:stops[0]]
         traded = False
-        for k in range(limit):
-            receiver = int(needy[k])
-            donor = int(comfy[k])
-            if receiver == donor or not violating[receiver] or violating[donor]:
-                break
-            delta_c = self.trade_fraction * max(0.0, capacity[donor] - keep_c[donor])
-            if delta_c > 0.0:
-                capacity[donor] -= delta_c
-                capacity[receiver] += delta_c
-                donors[donor] = True
-                traded = True
-            delta_q = self.trade_fraction * max(0.0, buffer[donor] - keep_q[donor])
-            if delta_q > 0.0:
-                buffer[donor] -= delta_q
-                buffer[receiver] += delta_q
-                donors[donor] = True
-                traded = True
+        for grant, keep in ((capacity, keep_c), (buffer, keep_q)):
+            delta = self.trade_fraction * (grant[donors] - keep[donors])
+            moves = delta > 0.0
+            grant[donors[moves]] -= delta[moves]
+            grant[receivers[moves]] += delta[moves]
+            traded = traded or bool(moves.any())
         if not traded:
             return current
         _absorb_residue(capacity, self.total_capacity, ~violating)

@@ -10,9 +10,10 @@ The closed loop runs in epochs of ``epoch_slots`` slots.  Each epoch:
    CBR users send a constant rate; data users send seeded geometric
    on/off bursts.
 2. **Serve** each user's queue for the epoch with its current grant
-   ``(C_i, Q_i)`` via the canonical slot-fluid kernel
-   (:func:`repro.simulation.slotfluid.run_slots`), carrying the backlog
-   across epoch boundaries, one user after another in one loop.
+   ``(C_i, Q_i)`` via the canonical slot-fluid kernel, carrying the
+   backlog across epoch boundaries: the epoch is one row fold
+   (:func:`repro.simulation.slotfluid.run_rows`) over the arrival
+   matrix, each row bit for bit that user's ``run_slots``.
 3. **Observe and reallocate**: the epoch's per-user offered/lost/backlog
    /peak statistics become an :class:`~repro.alloc.base.EpochObservation`
    and the allocator emits next epoch's partition, validated for
@@ -54,7 +55,7 @@ from repro.core.batch import batch_generate
 from repro.core.fgn import fgn_generator
 from repro.obs import metrics, trace
 from repro.par.pool import derive_task_seed
-from repro.simulation.slotfluid import run_slots
+from repro.simulation.slotfluid import run_rows
 
 __all__ = [
     "UserSpec",
@@ -286,21 +287,6 @@ def _check_arrivals(spec, arrivals):
     return arrivals
 
 
-def _serve_epoch(arrivals, capacity, buffer, backlog):
-    """Advance every user's queue one epoch under its grant.
-
-    Returns an (n_users, 4) array of (backlog, lost, peak, offered) --
-    the slot-fluid state advanced from each user's carried backlog.
-    """
-    out = np.empty((len(arrivals), 4))
-    for i, row in enumerate(arrivals):
-        out[i] = run_slots(
-            row, float(capacity[i]), float(buffer[i]),
-            state=(float(backlog[i]), 0.0, 0.0, 0.0),
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class FleetResult:
     """Cumulative per-user statistics of one fleet run."""
@@ -433,8 +419,10 @@ def simulate_fleet(spec, allocator="static", *, arrivals=None,
         epoch_arrivals = next(epochs)
         for epoch in range(spec.n_epochs):
             with trace.span("alloc.epoch", epoch=epoch):
-                stats = _serve_epoch(epoch_arrivals, alloc.capacity,
-                                     alloc.buffer, backlog)
+                # One row fold serves every user: (backlog, lost, peak,
+                # offered), advanced from each user's carried backlog.
+                stats = run_rows(epoch_arrivals, alloc.capacity,
+                                 alloc.buffer, backlog)
                 epoch_backlog = stats[:, 0]
                 epoch_lost = stats[:, 1]
                 epoch_peak = stats[:, 2]

@@ -146,6 +146,27 @@ def rs_statistic(segment):
     return r / s
 
 
+def _rs_segments(arr, lag, starts):
+    """:func:`rs_statistic` of every segment ``arr[start : start + lag]``.
+
+    One 2-D pass for all segments: a ``sliding_window_view`` gather
+    (a C-contiguous ``(k, lag)`` copy), then, along axis 1, the
+    operations ``np.std`` and ``rs_statistic`` run on one segment, in
+    their order -- the row sum (the same pairwise sum numpy takes over
+    a contiguous 1-D segment) over ``lag`` is the mean, ``sqrt(sum(d *
+    d) / lag)`` the standard deviation, then the cumulative sum's range.
+    Each value therefore equals ``rs_statistic`` of its segment bit for
+    bit; a segment with ``S <= 0`` gives NaN.
+    """
+    d = np.lib.stride_tricks.sliding_window_view(arr, lag)[starts]
+    d -= d.sum(axis=1, keepdims=True) / lag
+    scratch = np.square(d)
+    s = np.sqrt(scratch.sum(axis=1) / lag)
+    w = np.cumsum(d, axis=1, out=scratch)
+    r = np.maximum(w.max(axis=1), 0.0) - np.minimum(w.min(axis=1), 0.0)
+    return np.divide(r, s, out=np.full(r.shape, np.nan), where=s > 0)
+
+
 @dataclass(frozen=True)
 class RSResult:
     """Outcome of an R/S pox-diagram analysis (Fig. 12)."""
@@ -183,21 +204,17 @@ def rs_pox(data, lags=None, n_partitions=10, n_lag_points=30, fit_range=None):
     lags = np.asarray(lags, dtype=int)
     if np.any(lags < 2) or np.any(lags > n):
         raise ValueError(f"lags must lie in [2, {n}]")
-    pox_lags = []
-    pox_values = []
+    pox_lags = [np.empty(0)]
+    pox_values = [np.empty(0)]
     for lag in lags:
         lag = int(lag)
-        max_start = n - lag
-        if max_start < 0:
-            continue
-        starts = np.unique(np.linspace(0, max_start, n_partitions).astype(int))
-        for start in starts:
-            value = rs_statistic(arr[start : start + lag])
-            if np.isfinite(value) and value > 0:
-                pox_lags.append(lag)
-                pox_values.append(value)
-    pox_lags = np.asarray(pox_lags, dtype=float)
-    pox_values = np.asarray(pox_values, dtype=float)
+        starts = np.unique(np.linspace(0, n - lag, n_partitions).astype(int))
+        values = _rs_segments(arr, lag, starts)
+        values = values[np.isfinite(values) & (values > 0)]
+        pox_lags.append(np.full(values.size, lag, dtype=float))
+        pox_values.append(values)
+    pox_lags = np.concatenate(pox_lags)
+    pox_values = np.concatenate(pox_values)
     if pox_lags.size < 2:
         raise ValueError("not enough valid R/S points; series may be too short or constant")
     if fit_range is None:

@@ -72,8 +72,19 @@ def multiplex_series(series, lags):
         raise ValueError("lags must be a non-empty 1-D array of integers")
     out = np.zeros_like(arr)
     for lag in lags:
-        out += np.roll(arr, -int(lag) % arr.size)
+        _add_rolled(out, arr, -int(lag) % arr.size)
     return out
+
+
+def _add_rolled(out, arr, shift):
+    """``out += np.roll(arr, shift)`` for ``0 <= shift < n``, without the copy.
+
+    The two wrapped slices are added in place; every element gets the
+    same add as through ``np.roll``, so the sum is the same bit for bit.
+    """
+    n = arr.size
+    out[shift:] += arr[:n - shift]
+    out[:shift] += arr[n - shift:]
 
 
 def multiplex_fgn(n, hurst, n_sources, *, backend="paxson", variance=1.0,
@@ -133,7 +144,7 @@ def multiplex_heterogeneous(series_list, lags=None, rng=None):
         raise ValueError(f"need one lag per source, got {lags.size} for {len(arrays)}")
     out = np.zeros(n)
     for arr, lag in zip(arrays, lags):
-        out += np.roll(arr, -int(lag) % n)
+        _add_rolled(out, arr, -int(lag) % n)
     return out
 
 

@@ -29,7 +29,11 @@ library (:mod:`repro._kernel`, built by gcc on first use with
 ``-O2 -ffp-contract=off``); with the same IEEE double operations in the
 same order its results equal :func:`fold_slots` bit for bit.  When the
 build or load fails, one WARNING is logged and :func:`fold_slots` runs
-instead.
+instead.  :func:`run_rows` folds every row of a matrix, each under its
+own capacity, buffer and carried backlog, in one call of the same
+library (``slotfluid_fold_rows``): a fleet epoch, or an allocator's
+rehearsal of one, is one call rather than one per user.  Each row equals
+:func:`run_slots` on that row bit for bit.
 
 The zero-loss analysis needs no fold at all: the infinite-buffer peak
 backlog is the maximum drawdown of the net-input walk.
@@ -51,6 +55,7 @@ __all__ = [
     "slot_step",
     "fold_slots",
     "run_slots",
+    "run_rows",
     "max_drawdown",
     "run_drawdown",
 ]
@@ -173,6 +178,37 @@ def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
          None if loss_series is None else loss_series.ctypes.data,
          None if backlog_series is None else backlog_series.ctypes.data)
     return tuple(out)
+
+
+def run_rows(matrix, capacity, buffer_bytes, backlog):
+    """Fold every row of ``matrix`` in one compiled call; returns ``(R, 4)``.
+
+    ``matrix`` is an ``(R, T)`` array-like of arrivals, folded as
+    float64; ``capacity``, ``buffer_bytes`` and ``backlog`` are each a
+    scalar or one value per row.  Row ``r`` of the result is
+    ``run_slots(matrix[r], capacity[r], buffer_bytes[r],
+    state=(backlog[r], 0.0, 0.0, 0.0))``, bit for bit: the same fold,
+    without a Python call per row.  The fallback runs :func:`fold_slots`
+    per row.
+    """
+    a = np.ascontiguousarray(matrix, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"arrivals must be two-dimensional, got shape {a.shape}")
+    rows = a.shape[0]
+    c, q, b = (np.ascontiguousarray(np.broadcast_to(np.asarray(x, np.float64), (rows,)))
+               for x in (capacity, buffer_bytes, backlog))
+    fold_rows = _KERNEL.fold_rows
+    if fold_rows is None:
+        fold_rows = _KERNEL.load().fold_rows
+    if not fold_rows:
+        folds = [fold_slots(row, cr, qr, state=(br, 0.0, 0.0, 0.0))
+                 for row, cr, qr, br in zip(a.tolist(), *(x.tolist() for x in (c, q, b)))]
+        return np.array(folds).reshape(rows, 4)
+    state = np.zeros((rows, 4))
+    state[:, 0] = b
+    fold_rows(a.ctypes.data, rows, a.shape[1], c.ctypes.data, q.ctypes.data,
+              state.ctypes.data)
+    return state
 
 
 def max_drawdown(a, capacity):

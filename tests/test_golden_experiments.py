@@ -95,11 +95,12 @@ def test_experiment_matches_golden(name, small_trace, golden):
     "fig_alloc_smg", "fig_net_hurst_hops",
 ])
 def test_python_fold_fallback_matches_golden(name, small_trace, golden, monkeypatch):
-    """With the compiled kernels gone, ``run_slots`` folds in Python and the
-    zero-loss drawdown runs in numpy: same digests."""
+    """With the compiled kernels gone, ``run_slots`` and ``run_rows`` fold in
+    Python and the zero-loss drawdown runs in numpy: same digests."""
     from repro.simulation import slotfluid
 
     monkeypatch.setattr(slotfluid._KERNEL, "fold", False)
+    monkeypatch.setattr(slotfluid._KERNEL, "fold_rows", False)
     monkeypatch.setattr(slotfluid._KERNEL, "drawdown", False)
     golden.check(name, EXPERIMENTS[name](small_trace))
 

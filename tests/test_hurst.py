@@ -20,6 +20,7 @@ from repro.analysis.hurst import (
     variance_time,
     whittle,
 )
+from repro.analysis.hurst import _log_spaced_ints
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.qa import stats as qa
 from tests.qa_budget import CHECK_ALPHA
@@ -109,6 +110,73 @@ class TestRSPox:
     def test_rejects_bad_lags(self, white_noise):
         with pytest.raises(ValueError):
             rs_pox(white_noise, lags=[1])
+
+
+def _per_segment_pox(data, lags=None, n_partitions=10, n_lag_points=30):
+    """The pox points as one ``rs_statistic`` call per segment."""
+    n = data.size
+    if lags is None:
+        lags = _log_spaced_ints(8, max(n // 2, 9), n_lag_points)
+    pox_lags, pox_values = [], []
+    for lag in lags:
+        lag = int(lag)
+        for start in np.unique(np.linspace(0, n - lag, n_partitions).astype(int)):
+            value = rs_statistic(data[start : start + lag])
+            if np.isfinite(value) and value > 0:
+                pox_lags.append(lag)
+                pox_values.append(value)
+    return np.asarray(pox_lags, dtype=float), np.asarray(pox_values, dtype=float)
+
+
+def _assert_pox_equal(data, fit_range=None, **kwargs):
+    est = rs_pox(data, fit_range=fit_range, **kwargs)
+    lags, values = _per_segment_pox(data, **kwargs)
+    assert est.lags.tobytes() == lags.tobytes()
+    assert est.rs_values.tobytes() == values.tobytes()
+
+
+class TestRSPoxMatchesPerSegmentOracle:
+    """Each lag's segments are reduced in one 2-D pass, bit for bit the
+    per-segment ``rs_statistic``."""
+
+    @pytest.mark.parametrize("n_partitions", [5, 10, 20])
+    @pytest.mark.parametrize("n_lag_points", [15, 30, 60])
+    def test_density_grid(self, fgn_path, n_partitions, n_lag_points):
+        _assert_pox_equal(fgn_path, n_partitions=n_partitions,
+                          n_lag_points=n_lag_points)
+
+    def test_lags_across_the_pairwise_sum_block(self, rng):
+        # numpy sums a contiguous run in 8-wide blocks up to 128
+        # elements and splits longer runs pairwise; every regime, and
+        # runs past its 8192-element buffer, must match.
+        data = rng.gamma(0.8, 1_000.0, size=20_000)
+        lags = [2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257,
+                1_000, 8_191, 8_192, 8_193, 16_385, 20_000]
+        _assert_pox_equal(data, lags=lags, n_partitions=7)
+
+    def test_random_series(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(50, 5_000))
+            data = rng.lognormal(0.0, 2.0, size=n) * 10.0 ** rng.integers(-6, 7)
+            if rng.random() < 0.3:
+                data = np.round(data)
+            _assert_pox_equal(data, fit_range=(2, n),
+                              n_partitions=int(rng.integers(1, 25)),
+                              n_lag_points=int(rng.integers(2, 40)))
+
+    def test_constant_segments_are_dropped(self):
+        data = np.concatenate([np.ones(500), np.arange(500.0)])
+        _assert_pox_equal(data, n_partitions=10, n_lag_points=30)
+
+    def test_reference_trace(self):
+        from repro.experiments.data import reference_trace
+
+        frames = reference_trace(n_frames=40_000, with_slices=False).frame_bytes
+        _assert_pox_equal(frames)
+
+    def test_constant_series_raises(self):
+        with pytest.raises(ValueError, match="not enough valid R/S points"):
+            rs_pox(np.full(1_000, 3.0))
 
 
 class TestWhittle:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.metrics import windowed_loss_rate, worst_errored_second_loss
-from repro.simulation.multiplex import multiplex_series, multiplex_trace, random_lags
+from repro.simulation.multiplex import (
+    multiplex_heterogeneous,
+    multiplex_series,
+    multiplex_trace,
+    random_lags,
+)
 
 
 class TestRandomLags:
@@ -77,6 +82,24 @@ class TestMultiplexSeries:
     def test_rejects_empty_lags(self, rng):
         with pytest.raises(ValueError):
             multiplex_series(rng.uniform(size=10), [])
+
+    def test_equals_the_roll_loop_bit_for_bit(self, rng):
+        """The in-place wrapped-slice adds are the ``np.roll`` sum exactly."""
+        for _ in range(100):
+            n = int(rng.integers(1, 2_000))
+            x = rng.gamma(0.8, 1_000.0, size=n)
+            lags = rng.integers(-3 * n, 3 * n, size=int(rng.integers(1, 20)))
+            want = np.zeros(n)
+            for lag in lags:
+                want += np.roll(x, -int(lag) % n)
+            assert multiplex_series(x, lags).tobytes() == want.tobytes()
+            sources = [rng.gamma(0.8, 1_000.0, size=n) for _ in range(3)]
+            source_lags = rng.integers(0, n, size=3)
+            want = np.zeros(n)
+            for source, lag in zip(sources, source_lags):
+                want += np.roll(source, -int(lag) % n)
+            got = multiplex_heterogeneous(sources, source_lags)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMultiplexTrace:

@@ -9,7 +9,8 @@ equal the oracle bit for bit on clamp-dense inputs, the state tuple must
 resume across arbitrary chunk boundaries, and the FIFO discipline's
 whole-horizon run must equal a ``slot_step`` loop.  The compiled
 zero-loss drawdown (``run_drawdown``) must equal its numpy oracle
-(``max_drawdown``) bit for bit.  Without a compiler, every kernel of the
+(``max_drawdown``) bit for bit, and the row fold (``run_rows``) must
+equal ``run_slots`` on every row bit for bit.  Without a compiler, every kernel of the
 one library (the table lookup too) falls back with one WARNING.
 """
 
@@ -29,6 +30,7 @@ from repro.simulation.slotfluid import (
     fold_slots,
     max_drawdown,
     run_drawdown,
+    run_rows,
     run_slots,
     slot_step,
 )
@@ -242,6 +244,71 @@ class TestCompiledDrawdownMatchesOracle:
         assert type(max_backlog(values, c)) is float
 
 
+def _per_row(matrix, capacity, buffer_bytes, backlog):
+    """``run_slots`` once per row: the oracle of ``run_rows``."""
+    rows = len(matrix)
+    c, q, b = (np.broadcast_to(np.asarray(x, dtype=float), (rows,))
+               for x in (capacity, buffer_bytes, backlog))
+    return np.array([run_slots(matrix[r], float(c[r]), float(q[r]),
+                               state=(float(b[r]), 0.0, 0.0, 0.0))
+                     for r in range(rows)]).reshape(rows, 4)
+
+
+def _fleet_rows(rng, rows, slots):
+    """Clamp-dense rows with per-row grants and a carried backlog."""
+    matrix = rng.gamma(0.8, 50.0, size=(rows, slots))
+    capacity = matrix.mean(axis=1) * rng.uniform(0.95, 1.05, size=rows) if slots else \
+        rng.uniform(1.0, 50.0, size=rows)
+    buffer_bytes = rng.uniform(0.0, 400.0, size=rows)
+    backlog = rng.uniform(0.0, 300.0, size=rows) * (rng.random(rows) < 0.7)
+    return matrix, capacity, buffer_bytes, backlog
+
+
+class TestRowFoldMatchesRunSlots:
+    """``run_rows`` against per-row ``run_slots``, bit for bit."""
+
+    @pytest.mark.parametrize("rows,slots", [(32, 80), (7, 1), (5, 0), (0, 40), (0, 0), (3, 5_000)])
+    def test_shapes(self, rng, rows, slots):
+        matrix, c, q, b = _fleet_rows(rng, rows, slots)
+        got = run_rows(matrix, c, q, b)
+        assert got.shape == (rows, 4)
+        assert got.tobytes() == _per_row(matrix, c, q, b).tobytes()
+
+    def test_infinite_buffer(self, rng):
+        matrix, c, _, b = _fleet_rows(rng, 16, 100)
+        got = run_rows(matrix, c, np.inf, b)
+        assert got.tobytes() == _per_row(matrix, c, np.inf, b).tobytes()
+        assert np.all(got[:, 1] == 0.0)
+
+    def test_mixed_buffers_and_scalar_grants(self, rng):
+        matrix, _, q, b = _fleet_rows(rng, 12, 60)
+        q[::3] = np.inf
+        got = run_rows(matrix, 40.0, q, b)
+        assert got.tobytes() == _per_row(matrix, 40.0, q, b).tobytes()
+
+    def test_nan_arrivals(self, rng):
+        matrix, c, q, b = _fleet_rows(rng, 6, 50)
+        matrix[1, 10] = np.nan
+        matrix[4, :] = np.nan
+        got = run_rows(matrix, c, q, b)
+        assert got.tobytes() == _per_row(matrix, c, q, b).tobytes()
+
+    def test_non_contiguous_input(self, rng):
+        matrix, c, q, b = _fleet_rows(rng, 10, 120)
+        strided = matrix[::2, ::3]
+        assert not strided.flags.c_contiguous
+        got = run_rows(strided, c[::2], q[::2], b[::2])
+        assert got.tobytes() == _per_row(strided, c[::2], q[::2], b[::2]).tobytes()
+        transposed = matrix[:, :10].T
+        c10, q10, b10 = c[:10], q[:10], b[:10]
+        got = run_rows(transposed, c10, q10, b10)
+        assert got.tobytes() == _per_row(transposed, c10, q10, b10).tobytes()
+
+    def test_rejects_one_dimensional_arrivals(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            run_rows(np.ones(5), 1.0, 1.0, 0.0)
+
+
 class TestKernelSelection:
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
     def test_compiled_kernel_is_in_use(self):
@@ -249,13 +316,18 @@ class TestKernelSelection:
         # off: the loaded fold is a ctypes function, not False.
         run_slots(np.ones(3), 1.0, 1.0)
         assert slotfluid._KERNEL.fold, "gcc is on PATH but run_slots folds in Python"
+        assert slotfluid._KERNEL.fold_rows, "gcc is on PATH but run_rows folds in Python"
         assert slotfluid._KERNEL.drawdown, "gcc is on PATH but the drawdown runs in numpy"
         assert slotfluid._KERNEL.lookup, "gcc is on PATH but the table lookup runs in numpy"
 
     def test_missing_compiler_warns_once_and_falls_back(self, rng, tmp_path,
                                                        monkeypatch, caplog):
         assert slotfluid._KERNEL is _kernel._KERNEL
+        matrix, c, q, b = _fleet_rows(rng, 9, 70)
+        q[::2] = np.inf
+        want_rows = _per_row(matrix, c, q, b)
         monkeypatch.setattr(slotfluid._KERNEL, "fold", None)
+        monkeypatch.setattr(slotfluid._KERNEL, "fold_rows", None)
         monkeypatch.setattr(slotfluid._KERNEL, "drawdown", None)
         monkeypatch.setattr(slotfluid._KERNEL, "lookup", None)
         monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
@@ -271,12 +343,15 @@ class TestKernelSelection:
             second = run_slots(a, 8.1, 30.0, loss_series=losses)
             capacity = zero_loss_capacity(a, 30.0)
             quantiles = table.ppf(u)
+            rows = run_rows(matrix, c, q, b)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "\n" not in warnings[0].getMessage()
         assert slotfluid._KERNEL.fold is False
+        assert slotfluid._KERNEL.fold_rows is False
         assert slotfluid._KERNEL.drawdown is False
         assert slotfluid._KERNEL.lookup is False
+        assert rows.tobytes() == want_rows.tobytes()
         assert quantiles.tobytes() == np.interp(u, table._ppf_q, table._ppf_x).tobytes()
         want, want_losses = _oracle(a, 8.1, 30.0)
         np.testing.assert_array_equal(first, want)
