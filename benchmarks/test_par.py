@@ -1,4 +1,4 @@
-"""Parallel-engine benchmarks: what the pool and cache buy.
+"""Parallel-engine benchmarks: what the fan-out and cache buy.
 
 Recorded — with budgets, so a regression fails ``repro obs bench-diff``
 as well as this suite — in ``BENCH_par.json`` at the repo root:
@@ -10,10 +10,11 @@ as well as this suite — in ``BENCH_par.json`` at the repo root:
   genuinely overlap, so the measurement holds on any host including
   the 1-CPU CI container),
 - the serial wall time of a fig14-shaped Q-C grid (``qc_curve`` runs
-  its grid in one process; the pool fans out only whole jobs),
+  its grid in one process; only whole topology sweeps fan out),
 - warm-vs-cold content-cache speedup for Davies-Harte eigenvalue
   tables (meaningful on any host),
-- pool dispatch overhead per task, recorded without a budget as
+- local-node dispatch overhead per task (the fan-out behind
+  ``sweep_topologies``), recorded without a budget as
   capacity-planning context.
 
 Wall-clock comparisons keep each variant's best of several interleaved
@@ -33,7 +34,6 @@ import pytest
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.obs.bench import write_bench
 from repro.par.cache import using
-from repro.par.pool import pool_map
 from repro.simulation.qc import qc_curve
 from repro.video.starwars import synthesize_starwars_trace
 
@@ -57,10 +57,6 @@ def _record_bench():
         REPO_ROOT / "BENCH_par.json", _ENTRIES,
         generated_at=os.environ.get("BENCH_TIMESTAMP"),
     )
-
-
-def _noop(item):
-    return item
 
 
 def _sim_grid_sweep(n_nodes, tasks):
@@ -180,22 +176,27 @@ class TestCacheSpeedup:
 
 
 class TestDispatchCosts:
-    def test_pool_dispatch_overhead_per_task(self):
-        """Per-task cost of the parallel machinery on trivial tasks:
-        executor spin-up, pickling and metric merge.
+    def test_sweep_dispatch_overhead_per_task(self):
+        """Per-task cost of the local fan-out on trivial tasks: forking
+        two worker nodes, the lease protocol round trips and shutdown.
         Informational (no budget) — it bounds the task granularity
         below which fanning work out is not worth it."""
-        tasks = 64
+        from repro.dist import TaskSpec, local_endpoints, run_distributed
+
+        tasks = [TaskSpec(f"noop{i:02d}", "sleep", {"duration_s": 0.0, "value": i})
+                 for i in range(64)]
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            pool_map(_noop, range(tasks), workers=2)
+            with local_endpoints(2) as endpoints:
+                report = run_distributed(tasks, endpoints)
             best = min(best, time.perf_counter() - start)
-        per_task_ms = best / tasks * 1e3
+            assert [report.results[t.task_id] for t in tasks] == list(range(64))
+        per_task_ms = best / len(tasks) * 1e3
         _ENTRIES.append({
-            "name": "pool_dispatch_ms_per_task",
+            "name": "sweep_dispatch_ms_per_task",
             "value": round(per_task_ms, 3),
             "unit": "ms/task",
             "higher_is_better": False,
-            "context": {"tasks": tasks, "workers": 2},
+            "context": {"tasks": len(tasks), "workers": 2},
         })

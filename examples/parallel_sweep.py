@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Deterministic parallelism: same bits at every worker count.
 
-Demonstrates the :mod:`repro.par` execution engine end to end:
+Demonstrates the parallel machinery end to end:
 
-- a sweep of whole network topologies fanned out over a process pool
-  (the one thing the pool fans out -- each experiment's own grid runs
-  in one process), whose output is bit-identical for ``workers = 1``
-  and ``workers = 4`` (each spec carries its own inputs, so scheduling
-  cannot leak into the results),
-- the content-addressed cache making a repeat synthesis cheap, with
-  every hit digest-verified before it is served,
-- worker-side metrics surviving the pool boundary via the
-  child-to-parent merge.
+- a sweep of whole network topologies fanned out over local worker
+  processes of the :mod:`repro.dist` coordinator (the one thing that
+  fans out -- each experiment's own grid runs in one process), whose
+  output is bit-identical for ``workers = 1`` and ``workers = 4``
+  (each spec carries its own inputs, so scheduling cannot leak into
+  the results),
+- the :mod:`repro.par` content-addressed cache making a repeat
+  synthesis cheap, with every hit digest-verified before it is served,
+- the coordinator counting every task it completed on a worker.
 
 Run:  python examples/parallel_sweep.py [--frames 20000] [--workers 4]
 """
@@ -52,7 +52,7 @@ def one_hop_spec(series, capacity, buffer_bytes):
 def main():
     args = parse_args()
 
-    # --- 1. A topology sweep on the pool, with live metrics ------------
+    # --- 1. A topology sweep on worker processes, with live metrics ----
     trace = synthesize_starwars_trace(n_frames=args.frames, seed=5,
                                       with_slices=False)
     series = trace.frame_bytes.tolist()
@@ -70,7 +70,7 @@ def main():
         registry = metrics.registry().to_dict()
     tasks = sum(
         doc["value"] for key, doc in registry.items()
-        if key.startswith("repro_par_pool_tasks_total")
+        if key == 'repro_dist_tasks_total{outcome="completed"}'
     )
     identical = dump(serial) == dump(parallel)
     print(f"1-hop capacity sweep ({len(specs)} topologies) on {args.workers} workers")
@@ -78,7 +78,7 @@ def main():
           f"{'bit-identical' if identical else 'MISMATCH'}")
     if not identical:
         raise SystemExit("determinism contract violated")
-    print(f"  {int(tasks)} pool tasks merged back into the parent registry")
+    print(f"  {int(tasks)} specs completed on worker processes")
     for f, result in zip(factors, parallel):
         print(f"  capacity {f:.2f}x mean: loss {result['flows']['video']['loss_rate']:.2e}")
 

@@ -205,8 +205,8 @@ def build_parser():
     p_net.add_argument("--buffer-ms", type=float, default=250.0,
                        help="demo per-hop buffer as delay at link capacity")
     p_net.add_argument("--workers", type=int, default=1,
-                       help="run multiple specs on a process pool; results are "
-                            "identical at every worker count")
+                       help="run multiple specs on this many local worker "
+                            "processes; results are identical at every worker count")
     p_net.add_argument("--json", action="store_true", dest="as_json",
                        help="emit full results as JSON on stdout")
 
@@ -587,11 +587,10 @@ def _demo_net_spec(args):
 
 
 def _cmd_net(args):
-    from repro.net import run_topology_task, spec_from_json, sweep_topologies
+    from repro.net import spec_from_json, sweep_topologies
 
     try:
-        return _net_body(args, run_topology_task, spec_from_json,
-                         sweep_topologies)
+        return _net_body(args, spec_from_json, sweep_topologies)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         # A spec file that is missing, unreadable JSON, or an invalid
         # topology is bad user input, not an internal error.
@@ -600,7 +599,7 @@ def _cmd_net(args):
         return 2
 
 
-def _net_body(args, run_topology_task, spec_from_json, sweep_topologies):
+def _net_body(args, spec_from_json, sweep_topologies):
     from repro.experiments.reporting import format_table
 
     if args.demo:
@@ -611,10 +610,7 @@ def _net_body(args, run_topology_task, spec_from_json, sweep_topologies):
         names = list(args.specs)
     else:
         raise SystemExit("error: pass topology spec file(s) or --demo")
-    if len(specs) > 1:
-        results = sweep_topologies(specs, workers=args.workers)
-    else:
-        results = [run_topology_task(specs[0])]
+    results = sweep_topologies(specs, workers=args.workers)
     if args.as_json:
         docs = []
         for name, result in zip(names, results):

@@ -25,7 +25,8 @@ Layers (each importable on its own):
   the scheduler benchmarks;
 - :mod:`repro.dist.campaign` -- experiment-suite and fGn task lists,
   ``"sim:3"`` / ``"host:port,..."`` node specs (the suite itself runs
-  through ``repro.experiments.runner.run_all(nodes=...)``);
+  through ``repro.experiments.runner.run_all(nodes=...)``) and forked
+  local worker processes (``repro net --workers N`` sweeps);
 - :mod:`repro.dist.top` -- ``repro dist top``, the live console over
   the campaign's streamed flight recording.
 
@@ -36,6 +37,7 @@ guidance.
 from repro.dist.campaign import (
     experiment_tasks,
     fgn_tasks,
+    local_endpoints,
     open_endpoints,
     parse_nodes,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "experiment_tasks",
     "fgn_tasks",
     "listen",
+    "local_endpoints",
     "make_artifact_ref",
     "open_endpoints",
     "parse_nodes",

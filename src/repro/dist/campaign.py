@@ -1,35 +1,43 @@
 """Shard repro campaigns over worker nodes.
 
-This is the bridge between the generic coordinator and the two
+This is the bridge between the generic coordinator and the
 workloads the paper reproduction actually distributes:
 
 - the experiment suite (:func:`experiment_tasks` names each experiment
   as an ``"experiment"`` task rebuilt worker-side against the
-  deterministic reference trace), and
+  deterministic reference trace),
 - bulk fGn synthesis (:func:`fgn_tasks`), whose payloads travel as
-  digest-verified references into the shared artifact store.
+  digest-verified references into the shared artifact store, and
+- network topology sweeps (:func:`repro.net.sweep_topologies` makes
+  one ``"topology"`` task per spec).
 
 Node sets are named with a compact string: ``"sim:3"`` spins up a
 three-node simulated cluster in-process, while
 ``"host:port,host:port,unix:/path"`` dials real ``repro dist serve``
 workers.  :func:`open_endpoints` turns either form into the
 ``{name: Channel}`` dict :func:`~repro.dist.coordinator.run_distributed`
-expects and tears the connections down afterwards.  The experiment
-suite itself runs on nodes through
+expects and tears the connections down afterwards;
+:func:`local_endpoints` does the same for worker processes forked on
+this machine (the transport behind ``sweep_topologies(workers=N)``).
+The experiment suite itself runs on nodes through
 :func:`repro.experiments.runner.run_all(nodes=...) <repro.experiments.runner.run_all>`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import time
 
 from repro.dist import transport
 from repro.dist.protocol import TaskSpec
-from repro.dist.transport import ChannelClosed
+from repro.dist.transport import ChannelClosed, PipeChannel
+from repro.dist.worker import WorkerLoop
+from repro.obs import metrics
 
 __all__ = [
     "experiment_tasks",
     "fgn_tasks",
+    "local_endpoints",
     "open_endpoints",
     "parse_nodes",
 ]
@@ -95,6 +103,70 @@ def open_endpoints(nodes, *, authkey=None):
             except ChannelClosed:
                 pass
             channel.close()
+
+
+LOCAL_JOIN_S = 5.0
+"""Seconds :func:`local_endpoints` waits for its processes to exit after
+``shutdown`` before killing the rest."""
+
+
+def _serve_local(conn, name, inherited):
+    """Body of one forked local node: serve the production worker loop."""
+    for other in inherited:
+        # Earlier nodes' coordinator ends, copied by the fork: closing
+        # them lets those nodes see EOF if the coordinator dies.
+        other.close()
+    # Fork copied the parent's metric values; start from zero so this
+    # node's scrapes carry its own increments only.
+    metrics.registry().reset()
+    WorkerLoop(PipeChannel(conn, name=name), name=name,
+               scrape_registry=metrics.registry()).run()
+
+
+@contextlib.contextmanager
+def local_endpoints(n):
+    """Yield ``{name: Channel}`` for ``n`` worker processes forked here.
+
+    Each process runs :class:`~repro.dist.worker.WorkerLoop` over one end
+    of a :func:`multiprocessing.Pipe`, so a local fan-out gets the
+    coordinator's leases, node-loss reassignment, local fallback and
+    ``node=``-labeled metric scrapes.  Task kinds registered before the
+    fork are inherited.  On exit every node is sent ``shutdown``,
+    joined within :data:`LOCAL_JOIN_S` seconds, and killed if still
+    alive.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    channels, ends, processes = {}, [], []
+    try:
+        for index in range(int(n)):
+            name = f"local-{index}"
+            ours, theirs = context.Pipe()
+            process = context.Process(
+                target=_serve_local, name=f"repro-{name}", daemon=True,
+                args=(theirs, name, list(ends)),
+            )
+            process.start()
+            theirs.close()
+            ends.append(ours)
+            channels[name] = PipeChannel(ours, name=name)
+            processes.append(process)
+        yield channels
+    finally:
+        for channel in channels.values():
+            try:
+                channel.send({"type": "shutdown"})
+            except ChannelClosed:
+                pass
+            channel.close()
+        deadline = time.monotonic() + LOCAL_JOIN_S
+        for process in processes:
+            process.join(max(deadline - time.monotonic(), 0.0))
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+                process.join()
 
 
 def experiment_tasks(specs, *, quick, sim_frames, trace_frames):

@@ -5,8 +5,8 @@ Unlike the thunks driven by :func:`repro.resilience.runner.run_campaign`
 -- which close over arbitrary local state -- a ``TaskSpec`` must cross a
 process (and possibly a machine) boundary, so it names a registered
 *task kind* plus a JSON-able parameter dict.  Workers execute only
-kinds present in their local :func:`task_kinds` registry; arbitrary
-callables are never shipped over the wire.
+kinds registered in their own process (:func:`register_task_kind`);
+arbitrary callables are never shipped over the wire.
 
 Built-in kinds:
 
@@ -17,6 +17,8 @@ Built-in kinds:
   a shared :mod:`repro.par.cache` artifact store is active the payload
   is parked there and only a digest-carrying artifact reference crosses
   the wire;
+- ``"topology"`` -- one :func:`repro.net.run_topology` spec, the unit
+  of a :func:`repro.net.sweep_topologies` fan-out;
 - ``"sleep"`` -- a simulated-latency task (sleep ``duration_s``, return
   ``value``), the workload of the scheduler benchmarks: it lets a
   1-CPU host measure coordinator scaling honestly, because sleeping
@@ -52,7 +54,6 @@ __all__ = [
     "make_artifact_ref",
     "register_task_kind",
     "resolve_payload",
-    "task_kinds",
 ]
 
 PROTOCOL_VERSION = 2
@@ -125,11 +126,6 @@ def register_task_kind(kind, fn):
         raise TypeError(f"executor for {kind!r} must be callable")
     _KINDS[kind] = fn
     return fn
-
-
-def task_kinds():
-    """The kinds this process can execute (name -> executor)."""
-    return dict(_KINDS)
 
 
 def execute_task(task, seed):
@@ -264,27 +260,12 @@ def _run_fgn_task(params, seed):
     return sample
 
 
-def _run_alloc_task(params, seed):
-    """One allocator over a seeded demo fleet; returns the summary rollup.
-
-    The fleet is a pure function of ``params`` (the fleet seed travels
-    in ``params["seed"]``, sha256-expanded per user and epoch), so the
-    supervisor's per-attempt ``seed`` is accepted and ignored -- retries
-    and re-runs on any node reproduce the same digest bit for bit.
-    """
-    from repro.alloc import demo_fleet, simulate_fleet
+def _run_topology_task(params, seed):
+    """One network topology run; the spec carries its own seeds."""
+    from repro.net.topology import run_topology
 
     del seed
-    spec = demo_fleet(
-        int(params.get("n_users", 32)),
-        epoch_slots=int(params.get("epoch_slots", 80)),
-        n_epochs=int(params.get("n_epochs", 24)),
-        utilization=float(params.get("utilization", 0.8)),
-        buffer_slots=float(params.get("buffer_slots", 12.0)),
-        qos_loss=float(params.get("qos_loss", 1e-3)),
-        seed=int(params.get("seed", 2026)),
-    )
-    return simulate_fleet(spec, params.get("allocator", "static")).summary()
+    return run_topology(params)
 
 
 def _run_sleep_task(params, seed):
@@ -299,7 +280,7 @@ def _run_sleep_task(params, seed):
 
 register_task_kind("experiment", _run_experiment_task)
 register_task_kind("fgn", _run_fgn_task)
-register_task_kind("alloc", _run_alloc_task)
+register_task_kind("topology", _run_topology_task)
 register_task_kind("sleep", _run_sleep_task)
 
 

@@ -15,8 +15,8 @@ feed-forward multi-hop topologies.  The pieces:
 - :mod:`repro.net.topology` -- declarative specs, network assembly and
   the engine: ports served in topological order, each folded once over
   the whole horizon (``repro net`` CLI input format);
-- :mod:`repro.net.sweep` -- parameter sweeps over topologies through
-  the :mod:`repro.par` process pool.
+- :mod:`repro.net.sweep` -- parameter sweeps over topologies on
+  :mod:`repro.dist` local worker processes.
 
 The anchor invariant: a one-flow, one-hop FIFO topology reproduces the
 single-queue simulator bit for bit -- same arrivals, capacity and
@@ -37,7 +37,7 @@ from repro.net.sched import (
     WFQDiscipline,
     make_discipline,
 )
-from repro.net.sweep import run_topology_task, sweep_topologies
+from repro.net.sweep import sweep_topologies
 from repro.net.topology import Network, build_network, run_topology, spec_from_json
 
 __all__ = [
@@ -61,6 +61,5 @@ __all__ = [
     "build_network",
     "run_topology",
     "spec_from_json",
-    "run_topology_task",
     "sweep_topologies",
 ]

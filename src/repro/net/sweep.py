@@ -1,33 +1,54 @@
-"""Topology sweeps: fan a batch of specs across worker processes.
+"""Topology sweeps: fan a batch of specs across local worker processes.
 
 A sweep is an embarrassingly parallel map of :func:`run_topology` over
-a list of declarative specs, executed through :func:`repro.par.pool_map`
-so it inherits the pool's contract: results are returned in spec
-order and are identical at every worker count (each run's randomness
-is owned by the seeds inside its spec, not by the pool).
+a list of declarative specs.  With ``workers > 1`` each spec becomes a
+``"topology"`` task driven by :func:`repro.dist.run_distributed` over
+:func:`repro.dist.campaign.local_endpoints`, so the sweep inherits the
+coordinator's contract: results come back in spec order and are
+identical at every worker count (each run's randomness is owned by the
+seeds inside its spec, not by the node that ran it).
 """
 
 from __future__ import annotations
 
 from repro.net.topology import run_topology
-from repro.par import pool_map
+from repro.par.pool import resolve_workers
 
-__all__ = ["run_topology_task", "sweep_topologies"]
-
-
-def run_topology_task(spec):
-    """Pool task: run one topology spec (module-level, so it pickles)."""
-    return run_topology(spec)
+__all__ = ["sweep_topologies"]
 
 
 def sweep_topologies(specs, workers=1):
     """Run every spec in ``specs``; returns results in spec order.
 
-    ``workers > 1`` fans the specs across processes.  The
-    ``record_series`` key is honoured per spec, so a sweep can mix
+    ``workers > 1`` fans the specs across that many local worker
+    processes (at most one per spec).  The sweep runs serially in this
+    process for one worker, a single spec, or while a
+    :class:`~repro.resilience.faults.FaultPlan` is active (its k-th-call
+    counters only mean something in one process).  A spec whose worker
+    attempt failed runs once more here, so a genuine error raises with
+    its own type and message and a worker-only fault costs a rerun.
+    The ``record_series`` key is honoured per spec, so a sweep can mix
     summary runs with runs that return every port's series.
     """
+    # Deferred: it loads repro.stream, which importing repro.net does not.
+    from repro.resilience.faults import active_plan
+
     specs = list(specs)
-    if not specs:
-        return []
-    return pool_map(run_topology_task, specs, workers=workers, label="net.sweep")
+    workers = min(resolve_workers(workers), len(specs))
+    if workers <= 1 or active_plan() is not None:
+        return [run_topology(spec) for spec in specs]
+    # Deferred: the campaign imports repro.net at set-up and must not
+    # pay for repro.dist or multiprocessing.
+    from repro.dist.campaign import local_endpoints
+    from repro.dist.coordinator import run_distributed
+    from repro.dist.protocol import TaskSpec
+
+    tasks = [TaskSpec(f"spec{index}", "topology", spec)
+             for index, spec in enumerate(specs)]
+    with local_endpoints(workers) as endpoints:
+        report = run_distributed(tasks, endpoints, max_retries=0)
+    return [
+        report.results[task.task_id] if task.task_id in report.results
+        else run_topology(spec)
+        for task, spec in zip(tasks, specs)
+    ]

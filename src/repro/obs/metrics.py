@@ -337,10 +337,11 @@ def merge_dump(dump, into=None):
     """Fold a child process's :meth:`MetricsRegistry.to_dict` dump into a registry.
 
     The default registry is process-local: metrics incremented inside a
-    :mod:`repro.par.pool` worker live in the *worker's* copy and die
+    :mod:`repro.dist` worker process live in the *worker's* copy and die
     with it.  Workers therefore ship ``registry().to_dict()`` back with
-    each result, and the parent folds the deltas in here so pool-side
-    task counts, cache hits and histograms survive the pool boundary.
+    their heartbeats and results, and the coordinator folds the deltas
+    in here (via :class:`ScrapeMerger`) so worker-side task counts,
+    cache hits and histograms survive the process boundary.
 
     Merge semantics per kind:
 
@@ -512,8 +513,11 @@ class ScrapeMerger:
             last_seq, last_dump = self._last.get(node, (0, {}))
             if seq <= last_seq:
                 return False
-            delta = diff_dump(dump, last_dump)
-            merge_dump(relabel_dump(delta, node=node), into=self._into)
+            # Entry by entry: a series the worker already holds under this
+            # node= label (a forked worker inherits the coordinator's) must
+            # add to the relabeled one, not overwrite it.
+            for key, doc in diff_dump(dump, last_dump).items():
+                merge_dump(relabel_dump({key: doc}, node=node), into=self._into)
             self._last[node] = (seq, dump)
         return True
 

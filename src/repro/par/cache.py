@@ -20,8 +20,8 @@ tolerance window to collide in).
 Every payload carries a sha256 digest of its serialized bytes, and the
 digest is re-verified on **every** hit; a poisoned or truncated entry
 is evicted and reported as a miss, never served.  Writes are atomic
-(temp file + ``os.replace``), so concurrent writers -- the
-:mod:`repro.par.pool` workers share one cache directory -- can race
+(temp file + ``os.replace``), so concurrent writers -- local worker
+processes and campaign threads share one cache directory -- can race
 benignly: last writer wins with identical content.
 
 A process-wide *active cache* (:func:`configure` / :func:`using`) lets
@@ -290,7 +290,7 @@ class ContentCache:
 
 
 # ----------------------------------------------------------------------
-# Process-wide active cache (inherited by forked pool workers)
+# Process-wide active cache (inherited by forked worker processes)
 # ----------------------------------------------------------------------
 _ACTIVE = None
 

@@ -251,6 +251,18 @@ class TestScrapeMerger:
         assert into.to_dict()['jobs_total{node="n0"}']["value"] == 9
         assert merger.seen("n0") == 3
 
+    def test_series_already_under_the_node_label_adds(self):
+        # A forked worker inherits the coordinator's zeroed jobs_total
+        # {node="n0"}; relabeling folds both entries onto one key, and
+        # the zero must not overwrite the worker's own count.
+        into = metrics.MetricsRegistry()
+        dump = {**_counter_dump(4),
+                'jobs_total{node="n0"}': {"type": "counter", "help": "",
+                                          "unit": None,
+                                          "labels": {"node": "n0"}, "value": 0}}
+        ScrapeMerger(into=into).ingest("n0", 1, dump)
+        assert into.to_dict()['jobs_total{node="n0"}']["value"] == 4
+
     def test_nodes_are_independent(self):
         into = metrics.MetricsRegistry()
         merger = ScrapeMerger(into=into)

@@ -90,7 +90,7 @@ class TestExamples:
     def test_parallel_sweep(self):
         out = run_example("parallel_sweep.py", "--frames", "8000", "--workers", "2")
         assert "bit-identical" in out
-        assert "pool tasks merged back into the parent registry" in out
+        assert "6 specs completed on worker processes" in out
         assert "cached == uncached bit-for-bit" in out
 
     def test_tandem_queue(self):

@@ -1,12 +1,12 @@
 """Chaos tests for the parallel engine (tier 2, nightly).
 
 Three failure families from the issue's acceptance list: worker death
-mid-map (the pool must fall back and still produce bit-identical
-results), poisoned cache entries (digest mismatch must evict and
-recompute, never serve), and a SIGKILLed parallel campaign resuming to
-digest-identical results.  Scenario shaping (which tasks die, which
-byte is flipped, where the kill lands) rotates with the nightly
-``--qa-seed``.
+mid-sweep (the local nodes' coordinator must reassign or fall back and
+still produce bit-identical results), poisoned cache entries (digest
+mismatch must evict and recompute, never serve), and a SIGKILLed
+parallel campaign resuming to digest-identical results.  Scenario
+shaping (which tasks die, which byte is flipped, where the kill lands)
+rotates with the nightly ``--qa-seed``.
 """
 
 import faulthandler
@@ -16,15 +16,18 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.daviesharte import DaviesHarteGenerator
+from repro.dist import protocol
 from repro.experiments.runner import run_all
+from repro.net import run_topology, sweep_topologies
 from repro.par.cache import ContentCache, using
-from repro.par.pool import derive_task_seed, pool_map
+from repro.par.pool import derive_task_seed
 from repro.qa.golden import diff_digests, summarize
 
 pytestmark = pytest.mark.tier2
@@ -39,17 +42,27 @@ def chaos_rng(request):
     )
 
 
-def _synthesize_piece(item):
-    seed, index, n = item
-    rng = np.random.default_rng(derive_task_seed(seed, index, label="chaos"))
-    return DaviesHarteGenerator(0.8).generate(n, rng=rng)
+def _fgn_specs(seed, count, slots):
+    """One-hop specs whose flows synthesize their own fGn arrivals."""
+    return [
+        {
+            "slots": slots,
+            "nodes": [{"name": "a", "buffer_bytes": 50_000.0}, {"name": "b"}],
+            "links": [{"src": "a", "dst": "b",
+                       "capacity_per_slot": 30_000.0 + 500.0 * index}],
+            "flows": [{"name": "f", "path": ["a", "b"], "source": {
+                "kind": "fgn", "hurst": 0.8, "marginal": "paper",
+                "seed": derive_task_seed(seed, index, label="chaos"),
+                "block_size": 2_048, "overlap": 128,
+            }}],
+        }
+        for index in range(count)
+    ]
 
 
-def _maybe_die(item):
-    value, die = item
-    if die and multiprocessing.parent_process() is not None:
-        os._exit(17)
-    return value**2
+def _summaries(results):
+    return json.dumps([{"ports": r["ports"], "flows": r["flows"]} for r in results],
+                      sort_keys=True)
 
 
 class TestWorkerDeath:
@@ -57,66 +70,65 @@ class TestWorkerDeath:
     def watchdog(self):
         """Bound each test: dump every thread and exit rather than hang.
 
-        A death the pool cannot recover from would otherwise stall the
-        run forever (pytest-timeout is not a dependency).  The bound
-        leaves room for one ``STALL_S`` wait plus the serial rerun.
+        A death the coordinator cannot recover from would otherwise
+        stall the run forever (pytest-timeout is not a dependency).  The
+        bound leaves room for one lease expiry plus the serial rerun.
+        Every local node must be gone when the sweep returns.
         """
         faulthandler.dump_traceback_later(120.0, exit=True, file=sys.__stderr__)
         yield
         faulthandler.cancel_dump_traceback_later()
+        assert multiprocessing.active_children() == []
 
-    def test_random_worker_deaths_keep_results_identical(self, chaos_rng):
-        values = list(range(24))
-        victims = set(chaos_rng.choice(len(values), size=4, replace=False).tolist())
-        serial = pool_map(_maybe_die, [(v, False) for v in values], workers=1)
-        chaotic = pool_map(
-            _maybe_die,
-            [(v, i in victims) for i, v in enumerate(values)],
-            workers=3,
-        )
-        assert chaotic == serial
+    def test_random_worker_deaths_keep_results_identical(self, chaos_rng, monkeypatch):
+        specs = _fgn_specs(int(chaos_rng.integers(0, 2**31)), 12, 2_000)
+        victims = {
+            specs[i]["links"][0]["capacity_per_slot"]
+            for i in chaos_rng.choice(len(specs), size=4, replace=False).tolist()
+        }
+        serial = _summaries(sweep_topologies(specs, workers=1))
+
+        def die_on_victims(params, seed):
+            # Inherited by the forked nodes; the parent's local fallback
+            # runs the same kind and never dies.
+            if (params["links"][0]["capacity_per_slot"] in victims
+                    and multiprocessing.parent_process() is not None):
+                os._exit(17)
+            return run_topology(params)
+
+        monkeypatch.setitem(protocol._KINDS, "topology", die_on_victims)
+        assert _summaries(sweep_topologies(specs, workers=3)) == serial
 
     def test_death_during_sharded_synthesis(self, chaos_rng):
-        # Each task synthesizes one fGn piece from its index-derived
-        # seed and never kills itself; the pool's workers are killed
-        # from outside mid-run.
-        n_pieces, n = 8, 5_000
-        seed = int(chaos_rng.integers(0, 2**31))
-        items = [(seed, i, n) for i in range(n_pieces)]
-        reference = pool_map(_synthesize_piece, items, workers=1)
+        # Each spec synthesizes its own fGn arrivals and never kills
+        # itself; one local node is SIGKILLed from outside mid-sweep.
+        specs = _fgn_specs(int(chaos_rng.integers(0, 2**31)), 8, 20_000)
+        reference = _summaries(sweep_topologies(specs, workers=1))
 
-        killer_done = False
-
-        def kill_one_worker():
-            nonlocal killer_done
-            if killer_done:
-                return
-            children = multiprocessing.active_children()
-            if children:
-                try:
-                    os.kill(children[0].pid, signal.SIGKILL)
-                    killer_done = True
-                except (ProcessLookupError, PermissionError):
-                    pass
-
-        import threading
-
+        killed = []
         stop = threading.Event()
 
         def killer():
             deadline = time.monotonic() + 20.0
-            while not stop.is_set() and time.monotonic() < deadline:
-                kill_one_worker()
+            while not killed and not stop.is_set() and time.monotonic() < deadline:
+                children = multiprocessing.active_children()
+                if children:
+                    try:
+                        os.kill(children[0].pid, signal.SIGKILL)
+                        killed.append(children[0].pid)
+                    except (ProcessLookupError, PermissionError):
+                        pass
                 time.sleep(0.01)
 
         thread = threading.Thread(target=killer, daemon=True)
         thread.start()
         try:
-            chaotic = pool_map(_synthesize_piece, items, workers=3)
+            chaotic = _summaries(sweep_topologies(specs, workers=3))
         finally:
             stop.set()
             thread.join(timeout=5.0)
-        np.testing.assert_array_equal(np.stack(chaotic), np.stack(reference))
+        assert killed
+        assert chaotic == reference
 
 
 class TestPoisonedCache:

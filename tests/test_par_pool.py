@@ -1,49 +1,97 @@
-"""Tests for the process-pool map, its seed derivation and metric merge.
+"""Tests for the sweep's process fan-out, the seed derivation and metric merge.
 
-The pool's contract is that results are a pure function of
-``(fn, items)`` — independent of worker count, scheduling,
-worker death and recycling — and that metrics incremented inside
-workers survive the pool boundary exactly (the obs registry is
-process-local, so without the merge they would silently vanish).
+``sweep_topologies(workers=N)`` runs its specs as ``"topology"`` tasks
+on :func:`repro.dist.campaign.local_endpoints` worker processes.  Its
+contract is that results are a pure function of the specs --
+independent of worker count, scheduling and worker death -- that a
+genuine spec error raises exactly as it does serially, that metrics
+incremented inside workers reach the parent (as ``node=``-labeled
+series), and that no worker process outlives the sweep.
 """
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import repro
 from repro import obs
+from repro.dist import protocol
+from repro.net import run_topology, sweep_topologies
 from repro.obs import metrics
-from repro.par.pool import derive_task_seed, pool_map, resolve_workers
+from repro.par.pool import derive_task_seed, resolve_workers
 from repro.resilience.faults import FaultPlan
 
-
-# ----------------------------------------------------------------------
-# Module-level task functions (pool tasks must be picklable).
-# ----------------------------------------------------------------------
-def _double(item):
-    return item * 2
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _die_in_child(item):
-    # Only the forked worker dies; the serial fallback (parent process)
-    # completes the task normally.
-    if item % 2 == 1 and multiprocessing.parent_process() is not None:
-        os._exit(13)
-    return item * 10
+def make_specs(n=5, slots=300):
+    """``n`` two-hop specs with their own arrivals and capacities."""
+    specs = []
+    for i in range(n):
+        arrivals = np.random.default_rng(200 + i).gamma(2.0, 600.0, size=slots)
+        specs.append({
+            "slots": slots,
+            "nodes": [{"name": name, "buffer_bytes": 3_000.0} for name in "abc"],
+            "links": [
+                {"src": "a", "dst": "b", "capacity_per_slot": 1_200.0 + 40.0 * i},
+                {"src": "b", "dst": "c", "capacity_per_slot": 1_150.0,
+                 "delay_slots": 1},
+            ],
+            "flows": [{"name": "f", "path": ["a", "b", "c"],
+                       "source": {"kind": "array", "values": arrivals.tolist()}}],
+            "record_series": True,
+        })
+    return specs
 
 
-def _counted(item):
-    metrics.registry().counter(
-        "repro_par_pool_test_total", unit="tasks"
-    ).inc()
-    return item
+def dump(results):
+    """Everything a run reports, serialized byte for byte."""
+    return json.dumps([
+        {
+            "series": {port: {k: v.tolist() for k, v in series.items()}
+                       for port, series in r["series"].items()},
+            "ports": r["ports"],
+            "flows": r["flows"],
+        }
+        for r in results
+    ], sort_keys=True)
 
 
-def _raise_on_three(item):
-    if item == 3:
-        raise RuntimeError("task defect")
-    return item
+def dying_kind(die):
+    """A ``"topology"`` executor that exits a worker when ``die(params)``.
+
+    Registered before the fork, so the local nodes inherit it; the
+    coordinator's local fallback runs it in this process, where it
+    never dies.
+    """
+    def run(params, seed):
+        if die(params) and multiprocessing.parent_process() is not None:
+            os._exit(13)
+        return run_topology(params)
+
+    return run
+
+
+def capacity(spec):
+    return spec["links"][0]["capacity_per_slot"]
+
+
+def series_total(name):
+    """A metric summed over every label set (``node=`` scrapes included)."""
+    return sum(doc["value"] for key, doc in metrics.registry().to_dict().items()
+               if key == name or key.startswith(name + "{"))
+
+
+@pytest.fixture(autouse=True)
+def no_stray_workers():
+    """No local node outlives the sweep, whether it returned or raised."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 class TestSeeds:
@@ -72,65 +120,93 @@ class TestSeeds:
 
 
 class TestPoolMap:
+    """The sweep's pool of local worker processes."""
+
     def test_empty(self):
-        assert pool_map(_double, [], workers=4) == []
+        assert sweep_topologies([], workers=4) == []
 
     def test_serial_matches_parallel(self):
-        items = list(range(9))
-        serial = pool_map(_double, items, workers=1)
-        assert serial == [i * 2 for i in items]
-        assert pool_map(_double, items, workers=3) == serial
+        serial = dump(sweep_topologies(make_specs(), workers=1))
+        assert dump(sweep_topologies(make_specs(), workers=2)) == serial
+        assert dump(sweep_topologies(make_specs(), workers=3)) == serial
 
-    def test_worker_death_falls_back_to_serial(self):
-        items = list(range(6))
-        out = pool_map(_die_in_child, items, workers=2)
-        assert out == [i * 10 for i in items]
-
-    def test_wedged_pool_is_abandoned_and_rerun(self, monkeypatch):
-        # The state a worker SIGKILLed mid-protocol can leave: the
-        # executor's manager thread is gone, so no future ever resolves,
-        # and a worker is dead.  The bounded wait must give up on the
-        # pool and finish every task serially instead of hanging.
-        from concurrent.futures import process as futures_process
-
-        from repro.par import pool
-
-        def wedge(manager):
-            next(iter(manager.processes.values())).kill()
-
-        monkeypatch.setattr(futures_process._ExecutorManagerThread, "run", wedge)
-        monkeypatch.setattr(pool, "STALL_S", 0.2)
-        items = list(range(6))
-        assert pool_map(_double, items, workers=2) == [i * 2 for i in items]
+    def test_worker_death_falls_back_to_serial(self, monkeypatch):
+        # Every node dies on its first task: the coordinator finishes
+        # the whole sweep in this process.
+        monkeypatch.setitem(protocol._KINDS, "topology", dying_kind(lambda p: True))
+        specs = make_specs()
+        with obs.enabled():
+            before = series_total("repro_dist_local_fallback_total")
+            out = sweep_topologies(specs, workers=2)
+            assert series_total("repro_dist_local_fallback_total") == before + 1
+        assert dump(out) == dump(sweep_topologies(specs, workers=1))
 
     def test_task_exception_propagates(self):
-        with pytest.raises(RuntimeError, match="task defect"):
-            pool_map(_raise_on_three, range(5), workers=2)
-        with pytest.raises(RuntimeError, match="task defect"):
-            pool_map(_raise_on_three, range(5), workers=1)
+        specs = make_specs(4)
+        specs[2]["nodes"][0]["buffer_byts"] = 1.0
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=r"unknown keys \['buffer_byts'\]") as info:
+                sweep_topologies(specs, workers=workers)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
-    def test_fault_plan_forces_serial(self):
-        # The serial path announces each task at the par.pool:task fault
-        # site; a fault landing there proves the map ran in-process even
-        # though workers > 1 was requested.
-        plan = FaultPlan().fail_at("par.pool:task", call=2, exc=ValueError)
-        with plan.active():
-            with pytest.raises(ValueError):
-                pool_map(_double, range(4), workers=3)
+    def test_fault_plan_forces_serial(self, monkeypatch):
+        # Under an active plan every spec runs in this process: the
+        # sweep's own run_topology sees all of them, in order.
+        import repro.net.sweep as sweep_module
+
+        seen = []
+
+        def run(spec):
+            seen.append(capacity(spec))
+            return run_topology(spec)
+
+        monkeypatch.setattr(sweep_module, "run_topology", run)
+        specs = make_specs(4)
+        with FaultPlan().active():
+            out = sweep_topologies(specs, workers=3)
+        assert seen == [capacity(spec) for spec in specs]
+        assert dump(out) == dump(sweep_topologies(specs, workers=1))
 
 
 class TestMetricMerge:
-    """Worker-side metric increments survive the pool exactly."""
+    """Worker-side metric increments reach the parent exactly."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_exact_task_counts_survive_pool(self, workers):
+        # Serially the slots land in the unlabeled series; from workers
+        # they arrive as node=-labeled scrapes.  Summed, both are equal.
+        specs = make_specs(5)
         with obs.enabled():
-            counter = metrics.registry().counter(
-                "repro_par_pool_test_total", unit="tasks"
-            )
-            before = counter.value
-            assert pool_map(_counted, range(7), workers=workers) == list(range(7))
-            assert counter.value - before == 7
+            before = series_total("repro_net_slots_total")
+            sweep_topologies(specs, workers=workers)
+            slots = series_total("repro_net_slots_total") - before
+        assert slots == 5 * 300 * 2  # specs x slots x ports
+
+
+class TestSweepCLI:
+    def test_bad_spec_in_parallel_sweep_is_one_error_line(self, tmp_path):
+        good, bad = make_specs(2)
+        for spec in (good, bad):
+            del spec["record_series"]
+        bad["nodes"][0]["buffer_byts"] = 1.0
+        paths = []
+        for name, spec in (("bad", bad), ("good", good)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            paths.append(str(path))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "net", *paths, "--workers", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: nodes[0]: unknown keys ['buffer_byts']"]
+        assert "Traceback" not in result.stderr
 
 
 class TestMergeDump:

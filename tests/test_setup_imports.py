@@ -5,6 +5,8 @@ already imported do not leak in.  ``scipy.stats`` costs ~0.55 s,
 ``scipy.signal`` ~0.73 s and ``scipy.optimize`` ~0.39 s of start-up,
 and no result needs any of them: the two Brent solvers the library uses
 are exact ports in ``repro._brent`` (see docs/performance.md, "Set-up").
+The same probe checks that the campaign's import of ``repro.net`` does
+not load a sweep's process fan-out (``repro.dist``, ``multiprocessing``).
 """
 
 import json
@@ -23,9 +25,13 @@ HEAVY = ("scipy.stats", "scipy.signal", "scipy.optimize")
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def loaded_after(code):
-    """Run ``code`` in a fresh interpreter; which of ``HEAVY`` it loaded."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+def loaded_after(code, watch=HEAVY):
+    """Run ``code`` in a fresh interpreter; the modules under ``watch`` it loaded."""
+    probe = (
+        f"{code}\nimport json, sys\nwatch = {tuple(watch)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m in watch\n"
+        "                        or m.startswith(tuple(w + '.' for w in watch)))))"
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -44,6 +50,13 @@ def test_campaign_setup_skips_scipy_stats_and_signal():
         "reference_trace(n_frames=2000)"
     )
     assert loaded_after(code) == []
+
+
+def test_campaign_and_net_setup_skip_the_process_fan_out():
+    """The campaign imports ``repro.net`` at set-up; a sweep's fan-out
+    (``repro.dist``, ``multiprocessing``) loads only when one runs."""
+    code = "import repro.experiments.runner\nimport repro.net"
+    assert loaded_after(code, watch=("repro.dist", "multiprocessing")) == []
 
 
 def test_stream_setup_skips_heavy_scipy():
@@ -92,3 +105,17 @@ def test_positive_control_qa_stats_loads_scipy_stats():
 def test_positive_control_sees_scipy_optimize():
     """The probe does see scipy.optimize when something imports it."""
     assert "scipy.optimize" in loaded_after("import scipy.optimize")
+
+
+def test_positive_control_sees_the_fan_out():
+    """The probe does see repro.dist and multiprocessing once a sweep fans out."""
+    code = (
+        "from repro.net import sweep_topologies\n"
+        "spec = {'slots': 4, 'nodes': [{'name': 'a'}, {'name': 'b'}],\n"
+        "        'links': [{'src': 'a', 'dst': 'b', 'capacity_per_slot': 1.0}],\n"
+        "        'flows': [{'name': 'f', 'path': ['a', 'b'],\n"
+        "                   'source': {'kind': 'array', 'values': [1.0] * 4}}]}\n"
+        "sweep_topologies([spec, spec], workers=2)"
+    )
+    loaded = loaded_after(code, watch=("repro.dist", "multiprocessing"))
+    assert "repro.dist" in loaded and "multiprocessing" in loaded
