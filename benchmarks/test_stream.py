@@ -1,5 +1,6 @@
-"""Streaming-pipeline benchmarks: throughput per backend and the
-10M-sample bounded-memory acceptance run.
+"""Streaming-pipeline benchmarks: throughput per backend, the eq. 13
+table lookup and transform per sample, and the 10M-sample
+bounded-memory acceptance run.
 
 Timings use ``time.perf_counter`` directly (a stream is consumed once,
 so the repeat-calling benchmark fixture does not fit); each test folds
@@ -22,6 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy import special
+
 from repro.distributions.hybrid import GammaParetoHybrid
 from repro.obs.bench import write_bench
 from repro.stream import (
@@ -30,6 +33,7 @@ from repro.stream import (
     OnlineMoments,
     ParallelSources,
     Stream,
+    StreamingMarginalTransform,
     StreamingQueue,
 )
 
@@ -121,6 +125,58 @@ class TestBackendThroughput:
         ).transform(TARGET, source=Normal(0.0, 2.0), method="table")
         moments, _ = _timed_drain(stream, n, "parallel_4_sources_transformed_1m")
         assert moments.mean == pytest.approx(27_791.0, rel=0.05)
+
+
+def _best_seconds(call, repeats=5):
+    """The fastest of ``repeats`` untraced runs of ``call()``, after one warm-up."""
+    call()
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestTableTransform:
+    """The paper's 10,000-point inverse-CDF table (eq. 13), per sample."""
+
+    def test_table_lookup_ns_per_sample(self):
+        table = StreamingMarginalTransform(TARGET, method="table")._table
+        u = np.random.default_rng(5).random(1_000_000)
+        seconds = _best_seconds(lambda: table.ppf(u))
+        _ENTRIES.append({
+            "name": "table_lookup_ns_per_sample",
+            "value": round(seconds / u.size * 1e9, 2),
+            "unit": "ns/sample",
+            "higher_is_better": False,
+            "context": {"samples": u.size, "table_nodes": int(table._ppf_q.size),
+                        "input": "uniform u in [0, 1)", "best_of": 5},
+        })
+
+    def test_table_transform_ns_per_sample(self):
+        chunk, chunks = 65_536, 16
+        transform = StreamingMarginalTransform(TARGET, method="table")
+        table, source = transform._table, transform.source
+        rng = np.random.default_rng(6)
+        xs = [rng.standard_normal(chunk) for _ in range(chunks)]
+        us = [source.cdf(x) for x in xs]
+        tiny, top = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
+        per_sample = chunk * chunks / 1e9
+        whole = _best_seconds(lambda: [transform(x) for x in xs])
+        erf = _best_seconds(lambda: [special.erf(x / np.sqrt(2.0)) for x in xs])
+        lookup = _best_seconds(lambda: [table.ppf_clipped(u, tiny, top) for u in us])
+        _ENTRIES.append({
+            "name": "table_transform_ns_per_sample",
+            "value": round(whole / per_sample, 2),
+            "unit": "ns/sample",
+            "higher_is_better": False,
+            "context": {"chunk": chunk, "chunks": chunks, "best_of": 5,
+                        "erf_ns_per_sample": round(erf / per_sample, 2),
+                        "clip_and_lookup_ns_per_sample": round(lookup / per_sample, 2),
+                        "split": "erf: scipy.special.erf of the chunk; clip_and_lookup: "
+                                 "TabulatedDistribution.ppf_clipped of its cdf"},
+        })
 
 
 class TestTenMillionBoundedMemory:

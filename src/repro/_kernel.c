@@ -20,6 +20,7 @@
  * state[4r .. 4r + 3], no series.  One call serves a whole fleet epoch.
  */
 #include <stddef.h>
+#include <stdint.h>
 
 void slotfluid_fold(const double *a, ptrdiff_t n, double c, double q,
                     double *state, double *loss, double *trail)
@@ -88,22 +89,40 @@ double slotfluid_drawdown(const double *a, ptrdiff_t n, double c)
  * slope expression.  slope[i] is (fp[i+1] - fp[i]) / (xp[i+1] - xp[i]),
  * computed by the caller with numpy once per table.
  *
+ * Each value first passes through the `clamps` (lo, hi) pairs of
+ * clamp[] in order, each as np.clip(v, lo, hi) computes it for a
+ * non-NaN v and bounds: v > lo ? v : lo, then v < hi ? v : hi (maxsd
+ * and minsd).  A NaN v skips them: np.clip keeps it, as np.interp does.
+ *
  * numpy finds j, the last index with xp[j] <= v, by a binary search
- * whose branches follow the data; on random input it mispredicts about
- * every other step.  This search finds the same j without a branch:
- * base[0] <= v holds throughout and the answer stays in
+ * whose branches follow the data and miss the cache on every sample.
+ * Here the table's range is cut into `buckets` equal buckets, value v
+ * falling in bucket b = floor((v - xp[0]) * scale) (clamped to
+ * [0, buckets - 1]), and first[b] is the last j with xp[j] <= bucket b's
+ * left edge.  [first[b], first[b + 1] + 1) is only a hint: it is
+ * searched when it is inside the table, xp[lo] <= v and (hi == n or
+ * xp[hi] > v), which puts j inside it; otherwise the whole table is.
+ * For non-decreasing xp that j is unique, so whatever first[] and
+ * scale hold, the j found, and so every byte, is numpy's.  The search
+ * is branchless: base[0] <= v holds throughout and j stays in
  * [base, base + len), so each step is one compare and one conditional
  * move.
  */
 void table_interp(const double *u, ptrdiff_t count, const double *xp,
                   const double *fp, const double *slope, ptrdiff_t n,
-                  double *out)
+                  const int32_t *first, ptrdiff_t buckets, double scale,
+                  const double *clamp, ptrdiff_t clamps, double *out)
 {
     for (ptrdiff_t i = 0; i < count; i++) {
         double v = u[i];
         if (v != v) {
+            /* np.clip and np.interp both return a NaN as it is */
             out[i] = v;
             continue;
+        }
+        for (ptrdiff_t k = 0; k < clamps; k++) {
+            v = v > clamp[2 * k] ? v : clamp[2 * k];
+            v = v < clamp[2 * k + 1] ? v : clamp[2 * k + 1];
         }
         if (v > xp[n - 1]) {
             out[i] = fp[n - 1];
@@ -113,8 +132,16 @@ void table_interp(const double *u, ptrdiff_t count, const double *xp,
             out[i] = fp[0];
             continue;
         }
-        const double *base = xp;
-        for (ptrdiff_t len = n; len > 1;) {
+        /* No NaN or out-of-range double reaches the integer cast. */
+        double t = (v - xp[0]) * scale;
+        ptrdiff_t b = t >= 0.0 ? (t < (double)buckets ? (ptrdiff_t)t : buckets - 1) : 0;
+        ptrdiff_t lo = first[b], hi = (ptrdiff_t)first[b + 1] + 1;
+        if (!(0 <= lo && lo < hi && hi <= n && xp[lo] <= v && (hi == n || xp[hi] > v))) {
+            lo = 0;
+            hi = n;
+        }
+        const double *base = xp + lo;
+        for (ptrdiff_t len = hi - lo; len > 1;) {
             ptrdiff_t half = len >> 1;
             base = base[half] <= v ? base + half : base;
             len -= half;
@@ -132,5 +159,32 @@ void table_interp(const double *u, ptrdiff_t count, const double *xp,
                 r = fp[j];
         }
         out[i] = r;
+    }
+}
+
+/* a.reshape(rows, m).sum(axis=1) for a C-contiguous a and m <= 128,
+ * numpy's pairwise-sum block: numpy adds a row of fewer than 8 values
+ * in order from -0.0, and a longer one in eight interleaved
+ * accumulators (pairwise_sum in its add loop).  Its reduction then adds
+ * that to its starting 0.0, which turns a -0.0 sum into 0.0.
+ */
+void row_sums(const double *a, ptrdiff_t rows, ptrdiff_t m, double *out)
+{
+    for (ptrdiff_t r = 0; r < rows; r++, a += m) {
+        double res = -0.0;
+        ptrdiff_t i = 0;
+        if (m >= 8) {
+            double acc[8];
+            for (int k = 0; k < 8; k++)
+                acc[k] = a[k];
+            for (i = 8; i < m - (m % 8); i += 8)
+                for (int k = 0; k < 8; k++)
+                    acc[k] += a[i + k];
+            res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                  ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        }
+        for (; i < m; i++)
+            res += a[i];
+        out[r] = 0.0 + res;
     }
 }

@@ -10,6 +10,14 @@
 - ``table_interp``, the table lookup behind :func:`interp`, which
   :meth:`repro.distributions.base.TabulatedDistribution.ppf` uses to
   impose the paper's marginal through its 10,000-point table (eq. 13).
+  A per-table bucket index (:func:`interp_index`) narrows each search
+  to a few nodes; the kernel checks the narrowed range before it
+  trusts it, so the index decides the speed, never the result.  The
+  same pass applies any ``np.clip`` clamps first, which lets the
+  streamed transform map a chunk in one pass after ``erf``;
+- ``row_sums``, numpy's row sum of rows of up to 128 values behind
+  :func:`row_sums`, which the streaming variance-time estimator takes
+  its block sums from.
 
 gcc builds the source on the first call (``-O2 -ffp-contract=off``) into
 this package's ``__pycache__``, named by a hash of the source, compiler,
@@ -34,7 +42,9 @@ import numpy as np
 
 from repro.obs import log as obs_log
 
-__all__ = ["interp", "interp_slopes"]
+__all__ = ["interp", "interp_index", "interp_slopes", "row_sums"]
+
+_BUCKETS_PER_NODE = 8
 
 
 def interp_slopes(xp, fp):
@@ -51,27 +61,83 @@ def interp_slopes(xp, fp):
     return slopes
 
 
-def interp(u, xp, fp, slopes):
+def interp_index(xp):
+    """The bucket index :func:`interp` narrows its search with: ``(first, scale)``.
+
+    ``[xp[0], xp[-1]]`` is cut into ``K = 8 n`` equal buckets; a value
+    ``v`` falls in bucket ``floor((v - xp[0]) * scale)`` and
+    ``first[b]`` (int32, ``K + 1`` entries) is the last ``j`` with
+    ``xp[j] <=`` bucket ``b``'s left edge.  A table with no finite,
+    positive width gets one bucket spanning the whole table.  The kernel
+    checks every narrowed range before searching it, so an index that
+    does not fit the table costs speed, never bytes.
+    """
+    xp = np.asarray(xp, dtype=np.float64)
+    span = xp[-1] - xp[0]
+    if not 0.0 < span < np.inf:
+        return np.array([0, xp.size - 1], dtype=np.int32), 0.0
+    buckets = _BUCKETS_PER_NODE * xp.size
+    scale = buckets / span
+    edges = xp[0] + np.arange(buckets + 1) / scale
+    first = np.searchsorted(xp, edges, side="right") - 1
+    return first.astype(np.int32), scale
+
+
+def interp(u, xp, fp, slopes, index, clamps=()):
     """``np.interp(u, xp, fp)`` in one compiled pass, equal to it bit for bit.
 
     ``xp`` and ``fp`` are C-contiguous float64 tables of at least two
-    nodes, ``xp`` non-decreasing, and ``slopes`` is
-    ``interp_slopes(xp, fp)``.  ``u`` is a float64 array of any shape;
-    the result has its shape.  ``np.interp`` is the fallback and the
-    oracle.
+    nodes, ``xp`` non-decreasing, ``slopes`` is ``interp_slopes(xp,
+    fp)`` and ``index`` is ``interp_index(xp)``.  Each ``(lo, hi)`` pair
+    of ``clamps`` (NaN-free) is applied first, in order, as ``u =
+    np.clip(u, lo, hi)``.  ``u`` is a float64 array of any shape; the
+    result has its shape.  ``np.interp`` after the ``np.clip`` calls is
+    the fallback and the oracle.
     """
+    bounds = np.require(clamps, np.float64, "CA").reshape(-1)
+    if np.isnan(bounds).any():
+        raise ValueError(f"interp clamps must not be NaN, got {clamps}")
     lookup = _KERNEL.lookup
     if lookup is None:
         lookup = _KERNEL.load().lookup
     if not lookup:
+        for lo, hi in clamps:
+            u = np.clip(u, lo, hi)
         return np.interp(u, xp, fp)
     v, xp, fp, slopes = (np.require(a, np.float64, "CA") for a in (u, xp, fp, slopes))
-    if xp.ndim != 1 or xp.size < 2 or fp.shape != xp.shape or slopes.size != xp.size - 1:
-        raise ValueError(f"interp needs 1-D tables of n >= 2 nodes and n - 1 slopes, got "
-                         f"{xp.shape}, {fp.shape} and {slopes.shape}")
+    first, scale = index
+    first = np.require(first, np.int32, "CA")
+    if (xp.ndim != 1 or xp.size < 2 or fp.shape != xp.shape or slopes.size != xp.size - 1
+            or first.ndim != 1 or first.size < 2):
+        raise ValueError(f"interp needs 1-D tables of n >= 2 nodes, n - 1 slopes and an "
+                         f"index of >= 2 entries, got {xp.shape}, {fp.shape}, "
+                         f"{slopes.shape} and {first.shape}")
     out = np.empty(v.shape)
     lookup(v.ctypes.data, v.size, xp.ctypes.data, fp.ctypes.data,
-           slopes.ctypes.data, xp.size, out.ctypes.data)
+           slopes.ctypes.data, xp.size, first.ctypes.data, first.size - 1,
+           float(scale), bounds.ctypes.data, bounds.size // 2, out.ctypes.data)
+    return out
+
+
+def row_sums(a, m):
+    """``a.reshape(-1, m).sum(axis=1)`` for ``m <= 128`` in one compiled pass, bit for bit.
+
+    ``a`` is a 1-D float64 array whose length is a multiple of ``m``;
+    each row's sum is numpy's pairwise sum of at most one 128-value
+    block, added to numpy's starting 0.0.  numpy's reshape-and-sum is
+    the fallback and the oracle.
+    """
+    if a.ndim != 1 or not 1 <= m <= 128 or a.size % m:
+        raise ValueError(f"row_sums needs a 1-D array of whole rows of 1 <= m <= 128 values, "
+                         f"got {a.shape} and m={m}")
+    sums = _KERNEL.row_sums
+    if sums is None:
+        sums = _KERNEL.load().row_sums
+    if not sums:
+        return a.reshape(-1, m).sum(axis=1)
+    a = np.require(a, np.float64, "CA")
+    out = np.empty(a.size // m)
+    sums(a.ctypes.data, out.size, m, out.ctypes.data)
     return out
 
 
@@ -99,6 +165,7 @@ class _CompiledKernels:
         self.fold_rows = None
         self.drawdown = None
         self.lookup = None
+        self.row_sums = None
         self.lock = threading.Lock()
         # A fork taken while another thread held the lock would leave
         # the child's copy locked forever; the child loads for itself.
@@ -114,8 +181,9 @@ class _CompiledKernels:
         library is unavailable.
         """
         with self.lock:
-            if None in (self.fold, self.fold_rows, self.drawdown, self.lookup):
-                self.fold, self.fold_rows, self.drawdown, self.lookup = _load_library()
+            if None in (self.fold, self.fold_rows, self.drawdown, self.lookup, self.row_sums):
+                (self.fold, self.fold_rows, self.drawdown, self.lookup,
+                 self.row_sums) = _load_library()
         return self
 
 
@@ -151,7 +219,7 @@ def _build(path):
 
 
 def _load_library():
-    """``(fold, fold_rows, drawdown, lookup)`` as ctypes functions; all False on failure."""
+    """``(fold, fold_rows, drawdown, lookup, row_sums)`` as ctypes functions; all False on failure."""
     try:
         path = _library_path()
         if not path.exists():
@@ -159,15 +227,15 @@ def _load_library():
         library = ctypes.CDLL(str(path))
         fold, drawdown = library.slotfluid_fold, library.slotfluid_drawdown
         fold_rows = library.slotfluid_fold_rows
-        lookup = library.table_interp
+        lookup, sums = library.table_interp, library.row_sums
     except (OSError, subprocess.CalledProcessError) as exc:
         lines = (getattr(exc, "stderr", None) or str(exc)).strip().splitlines()
         _LOGGER.warning(
-            "C kernel unavailable (%s); folding in Python, drawdown and "
-            "table lookup in numpy",
+            "C kernel unavailable (%s); folding in Python, drawdown, "
+            "table lookup and row sums in numpy",
             lines[0] if lines else type(exc).__name__,
         )
-        return False, False, False, False
+        return False, False, False, False, False
     fold.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
                      ctypes.c_double, _State, ctypes.c_void_p, ctypes.c_void_p)
     fold.restype = None
@@ -178,9 +246,12 @@ def _load_library():
     drawdown.restype = ctypes.c_double
     lookup.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p,
                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
-                       ctypes.c_void_p)
+                       ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double,
+                       ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
     lookup.restype = None
-    return fold, fold_rows, drawdown, lookup
+    sums.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)
+    sums.restype = None
+    return fold, fold_rows, drawdown, lookup, sums
 
 
 _KERNEL = _CompiledKernels()

@@ -97,13 +97,12 @@ def _map_marginal(arr, source, target, table):
     """
     u = source.cdf(arr)
     # Guard the open interval: u == 0 or 1 would map to +/- infinity.
-    u = np.clip(u, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
+    lo, hi = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
     if table is None:
-        result = np.asarray(target.ppf(u), dtype=float)
+        result = np.asarray(target.ppf(np.clip(u, lo, hi)), dtype=float)
     else:
-        result = np.asarray(
-            table.ppf(np.clip(u, table._ppf_q[0], table._ppf_q[-1])), dtype=float
-        )
+        # Both clips and the lookup in one compiled pass.
+        result = np.asarray(table.ppf_clipped(u, lo, hi), dtype=float)
     _TRANSFORMED.inc(arr.size)
     return result
 

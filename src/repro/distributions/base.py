@@ -13,7 +13,7 @@ import abc
 
 import numpy as np
 
-from repro._kernel import interp, interp_slopes
+from repro._kernel import interp, interp_index, interp_slopes
 from repro._validation import as_1d_float_array, require_positive_int
 
 __all__ = ["Distribution", "TabulatedDistribution"]
@@ -121,6 +121,7 @@ class TabulatedDistribution(Distribution):
         self._ppf_x = self._x[keep]
         self._ppf_q = self._cdf[keep]
         self._ppf_slopes = interp_slopes(self._ppf_q, self._ppf_x)
+        self._ppf_index = interp_index(self._ppf_q)
 
     @classmethod
     def from_distribution(cls, dist, n_points=10_000, q_lo=1e-7, q_hi=1.0 - 1e-7):
@@ -157,7 +158,19 @@ class TabulatedDistribution(Distribution):
         if np.any((q < 0) | (q > 1)):
             raise ValueError("quantiles must lie in [0, 1]")
         # np.interp's result, compiled (repro._kernel.interp).
-        out = interp(q, self._ppf_q, self._ppf_x, self._ppf_slopes)
+        out = interp(q, self._ppf_q, self._ppf_x, self._ppf_slopes, self._ppf_index)
+        return out if out.ndim else float(out)
+
+    def ppf_clipped(self, q, lo, hi):
+        """``ppf`` of ``q`` clipped to ``[lo, hi]``, then to the table's quantile range.
+
+        ``ppf(np.clip(np.clip(q, lo, hi), q_min, q_max))`` bit for bit,
+        in one compiled pass.  After the second clip every ``q`` lies in
+        ``[0, 1]`` (or is NaN), so there is nothing to range-check.
+        """
+        q = np.asarray(q, dtype=float)
+        clamps = ((lo, hi), (self._ppf_q[0], self._ppf_q[-1]))
+        out = interp(q, self._ppf_q, self._ppf_x, self._ppf_slopes, self._ppf_index, clamps)
         return out if out.ndim else float(out)
 
     def mean(self):

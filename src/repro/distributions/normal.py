@@ -57,7 +57,14 @@ class Normal(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = 0.5 * (1.0 + special.erf((x - self.mu) / (self.sigma * _SQRT2)))
+        # 0.5 * (1.0 + erf((x - mu) / (sigma * sqrt2))), operation for
+        # operation, in one array: the eq. 13 transform maps every chunk
+        # of a stream through here.
+        z = x - self.mu
+        z /= self.sigma * _SQRT2
+        out = special.erf(z, out=z) if z.ndim else special.erf(z)
+        out += 1.0
+        out *= 0.5
         return out if out.ndim else float(out)
 
     def sf(self, x):

@@ -11,7 +11,11 @@ seeds inside its spec, not by the node that ran it).
 
 from __future__ import annotations
 
+import contextlib
+import logging
+
 from repro.net.topology import run_topology
+from repro.obs import log as obs_log
 from repro.par.pool import resolve_workers
 
 __all__ = ["sweep_topologies"]
@@ -28,7 +32,11 @@ def sweep_topologies(specs, workers=1):
     attempt failed runs once more here, so a genuine error raises with
     its own type and message and a worker-only fault costs a rerun.
     The ``record_series`` key is honoured per spec, so a sweep can mix
-    summary runs with runs that return every port's series.
+    summary runs with runs that return every port's series.  Because of
+    that rerun, the fan-out's own ``repro.dist`` and ``repro.resilience``
+    diagnostics (attempt failures, the campaign summary) are dropped
+    while it runs, here and in its workers: a sweep logs what a serial
+    one would.
     """
     # Deferred: it loads repro.stream, which importing repro.net does not.
     from repro.resilience.faults import active_plan
@@ -45,10 +53,27 @@ def sweep_topologies(specs, workers=1):
 
     tasks = [TaskSpec(f"spec{index}", "topology", spec)
              for index, spec in enumerate(specs)]
-    with local_endpoints(workers) as endpoints:
+    with _silenced("dist", "resilience"), local_endpoints(workers) as endpoints:
         report = run_distributed(tasks, endpoints, max_retries=0)
     return [
         report.results[task.task_id] if task.task_id in report.results
         else run_topology(spec)
         for task, spec in zip(tasks, specs)
     ]
+
+
+@contextlib.contextmanager
+def _silenced(*names):
+    """Drop every record of the ``repro.<name>`` loggers and their children meanwhile.
+
+    Processes forked inside the block inherit the silence.
+    """
+    loggers = [obs_log.get_logger(name) for name in names]
+    levels = [logger.level for logger in loggers]
+    for logger in loggers:
+        logger.setLevel(logging.CRITICAL + 1)
+    try:
+        yield
+    finally:
+        for logger, level in zip(loggers, levels):
+            logger.setLevel(level)

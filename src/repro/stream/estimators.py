@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._kernel import row_sums
 from repro._validation import require_positive_int
 from repro.analysis.hurst import VarianceTimeResult
 
@@ -113,23 +114,15 @@ def _block_sums(rest, m, n_blocks, halves):
 
     Each equals the row sum that ``rest.reshape(-1, m).mean(axis=1)``
     divides by ``m``, so ``sums / m`` is that mean bit for bit, without
-    reading the chunk again at every level.  numpy sums a row of fewer than 8 values in
-    order, starting from 0.0 (which turns -0.0 into 0.0); rows of 8 to
-    128 values take numpy's own sum; and above its 128-value block,
-    numpy's pairwise sum adds the sums of a row's two halves.
-    ``halves`` holds those half-block sums, the previous level's.
+    reading the chunk again at every level.  Rows of up to 128 values
+    take numpy's row sum (compiled, :func:`repro._kernel.row_sums`);
+    above its 128-value block, numpy's pairwise sum adds the sums of a
+    row's two halves.  ``halves`` holds those half-block sums, the
+    previous level's.
     """
-    if m == 2:
-        sums = rest[0 : 2 * n_blocks : 2] + rest[1 : 2 * n_blocks : 2]
-    elif m == 4:
-        body = rest[: 4 * n_blocks]
-        sums = ((body[0::4] + body[1::4]) + body[2::4]) + body[3::4]
-    elif m <= 128:
-        return rest[: n_blocks * m].reshape(n_blocks, m).sum(axis=1)
-    else:
-        return halves[0::2] + halves[1::2]
-    sums += 0.0
-    return sums
+    if m <= 128:
+        return row_sums(rest[: n_blocks * m], m)
+    return halves[0::2] + halves[1::2]
 
 
 class StreamingVarianceTime:

@@ -17,6 +17,28 @@ class TestNormal:
     def test_cdf_at_mean_is_half(self):
         assert Normal(5.0, 1.5).cdf(5.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.3, 1.7), (-5.0, 1e-3), (1e5, 2e4)])
+    def test_cdf_is_the_erf_expression_bit_for_bit(self, rng, mu, sigma):
+        # cdf works in place; it must still be 0.5 * (1 + erf(z)) exactly.
+        from scipy import special
+
+        d = Normal(mu, sigma)
+        x = np.concatenate([rng.standard_normal(5_000) * 10.0 * sigma + mu,
+                            [np.nan, np.inf, -np.inf, 0.0, -0.0, mu]])
+        before = x.copy()
+
+        def want(v):
+            return 0.5 * (1.0 + special.erf((v - mu) / (sigma * np.sqrt(2.0))))
+
+        assert d.cdf(x).tobytes() == want(x).tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert d.cdf(x[::3]).tobytes() == want(x[::3]).tobytes()
+        assert d.cdf(np.arange(5)).tobytes() == want(np.arange(5)).tobytes()
+        for v in (0.0, -0.0, mu, 1.5, np.nan):
+            got = d.cdf(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want(np.float64(v))).tobytes()
+
     def test_ppf_inverts_cdf(self):
         d = Normal(-2.0, 0.7)
         q = np.linspace(0.001, 0.999, 97)

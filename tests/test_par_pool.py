@@ -185,28 +185,43 @@ class TestMetricMerge:
         assert slots == 5 * 300 * 2  # specs x slots x ports
 
 
+def _net_cli(paths, *extra):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "net", *paths, *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _spec_files(tmp_path, named_specs):
+    paths = []
+    for name, spec in named_specs:
+        spec.pop("record_series", None)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        paths.append(str(path))
+    return paths
+
+
 class TestSweepCLI:
+    """A parallel ``repro net`` sweep writes what the serial one writes."""
+
     def test_bad_spec_in_parallel_sweep_is_one_error_line(self, tmp_path):
         good, bad = make_specs(2)
-        for spec in (good, bad):
-            del spec["record_series"]
         bad["nodes"][0]["buffer_byts"] = 1.0
-        paths = []
-        for name, spec in (("bad", bad), ("good", good)):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(spec))
-            paths.append(str(path))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "net", *paths, "--workers", "2"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        paths = _spec_files(tmp_path, [("bad", bad), ("good", good)])
+        result = _net_cli(paths, "--workers", "2")
         assert result.returncode == 2, result.stderr
-        errors = [line for line in result.stderr.splitlines()
-                  if line.startswith("error:")]
-        assert errors == ["error: nodes[0]: unknown keys ['buffer_byts']"]
-        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == ["error: nodes[0]: unknown keys ['buffer_byts']"]
+        assert _net_cli(paths).stderr == result.stderr
+
+    def test_good_specs_in_parallel_sweep_log_nothing(self, tmp_path):
+        paths = _spec_files(tmp_path, zip(("one", "two"), make_specs(2)))
+        parallel, serial = _net_cli(paths, "--workers", "2"), _net_cli(paths)
+        assert parallel.returncode == serial.returncode == 0, parallel.stderr
+        assert parallel.stderr == serial.stderr == ""
+        assert parallel.stdout == serial.stdout
 
 
 class TestMergeDump:

@@ -11,7 +11,8 @@ whole-horizon run must equal a ``slot_step`` loop.  The compiled
 zero-loss drawdown (``run_drawdown``) must equal its numpy oracle
 (``max_drawdown``) bit for bit, and the row fold (``run_rows``) must
 equal ``run_slots`` on every row bit for bit.  Without a compiler, every kernel of the
-one library (the table lookup too) falls back with one WARNING.
+one library (the table lookup and the row sums too) falls back with one
+WARNING.
 """
 
 import logging
@@ -319,6 +320,7 @@ class TestKernelSelection:
         assert slotfluid._KERNEL.fold_rows, "gcc is on PATH but run_rows folds in Python"
         assert slotfluid._KERNEL.drawdown, "gcc is on PATH but the drawdown runs in numpy"
         assert slotfluid._KERNEL.lookup, "gcc is on PATH but the table lookup runs in numpy"
+        assert slotfluid._KERNEL.row_sums, "gcc is on PATH but the row sums run in numpy"
 
     def test_missing_compiler_warns_once_and_falls_back(self, rng, tmp_path,
                                                        monkeypatch, caplog):
@@ -330,12 +332,16 @@ class TestKernelSelection:
         monkeypatch.setattr(slotfluid._KERNEL, "fold_rows", None)
         monkeypatch.setattr(slotfluid._KERNEL, "drawdown", None)
         monkeypatch.setattr(slotfluid._KERNEL, "lookup", None)
+        monkeypatch.setattr(slotfluid._KERNEL, "row_sums", None)
         monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
         monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
         a = rng.gamma(0.8, 10.0, size=2_000)
         table = TabulatedDistribution.from_distribution(
             GammaParetoHybrid(27791.0, 6254.0, 12.42), n_points=10_000)
         u = rng.random(5_000)
+        blocks = rng.standard_normal(128 * 19)
+        blocks[:64] = -0.0
+        tiny, top = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
         with caplog.at_level(logging.WARNING, logger="repro.kernel"):
             backlog = max_backlog(a, 8.1)
             first = run_slots(a, 8.1, 30.0)
@@ -343,7 +349,9 @@ class TestKernelSelection:
             second = run_slots(a, 8.1, 30.0, loss_series=losses)
             capacity = zero_loss_capacity(a, 30.0)
             quantiles = table.ppf(u)
+            clipped = table.ppf_clipped(u, tiny, top)
             rows = run_rows(matrix, c, q, b)
+            sums = {m: _kernel.row_sums(blocks, m) for m in (1, 2, 4, 8, 64, 128)}
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "\n" not in warnings[0].getMessage()
@@ -351,8 +359,15 @@ class TestKernelSelection:
         assert slotfluid._KERNEL.fold_rows is False
         assert slotfluid._KERNEL.drawdown is False
         assert slotfluid._KERNEL.lookup is False
+        assert slotfluid._KERNEL.row_sums is False
         assert rows.tobytes() == want_rows.tobytes()
         assert quantiles.tobytes() == np.interp(u, table._ppf_q, table._ppf_x).tobytes()
+        q_lo, q_hi = table._ppf_q[0], table._ppf_q[-1]
+        want_clipped = np.interp(np.clip(np.clip(u, tiny, top), q_lo, q_hi),
+                                 table._ppf_q, table._ppf_x)
+        assert clipped.tobytes() == want_clipped.tobytes()
+        for m, got in sums.items():
+            assert got.tobytes() == blocks.reshape(-1, m).sum(axis=1).tobytes()
         want, want_losses = _oracle(a, 8.1, 30.0)
         np.testing.assert_array_equal(first, want)
         _assert_same_fold(second, losses, want, want_losses)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._kernel import row_sums
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.hosking import hosking_farima
 from repro.core.transform import marginal_transform
@@ -479,6 +480,44 @@ def _state_bytes(svt):
     levels = [np.array([s.count, s.mean, s._m2, s.minimum, s.maximum, s.total]).tobytes()
               for s in svt._levels]
     return [svt._partial_sum.tobytes(), svt._partial_count.tobytes(), *levels]
+
+
+class TestRowSumsMatchReshapeSum:
+    """``repro._kernel.row_sums`` is numpy's ``reshape(-1, m).sum(axis=1)``
+    byte for byte: sequential below 8 values, eight accumulators up to
+    128, halves above, and numpy's starting 0.0 (signed zeros too)."""
+
+    @staticmethod
+    def _rows(rng, rows, m):
+        a = rng.standard_normal(rows * m) * 10.0 ** rng.integers(-3, 9, size=rows * m)
+        a[::5] = -0.0
+        a[: 2 * m] = -0.0  # whole rows of -0.0 sum to 0.0
+        a[2 * m : 3 * m] = rng.choice([0.0, -0.0], size=m)
+        return a
+
+    def test_every_row_length_to_128(self, rng):
+        for m in range(1, 129):
+            for rows in (0, 1, 3, 11):
+                a = self._rows(rng, rows, m) if rows >= 3 else rng.standard_normal(rows * m)
+                want = a.reshape(-1, m).sum(axis=1)
+                assert row_sums(a, m).tobytes() == want.tobytes(), (m, rows)
+
+    def test_non_finite_values(self, rng):
+        for m in (3, 8, 100, 128):
+            a = self._rows(rng, 5, m)
+            a[m + 1] = np.inf
+            a[3 * m], a[3 * m + 2] = np.inf, -np.inf
+            a[4 * m + 2] = np.nan
+            with np.errstate(invalid="ignore"):
+                want = a.reshape(-1, m).sum(axis=1)
+            assert row_sums(a, m).tobytes() == want.tobytes()
+
+    def test_non_contiguous_input_and_bad_shapes(self, rng):
+        a = rng.standard_normal(4_096)
+        assert row_sums(a[::2], 8).tobytes() == a[::2].reshape(-1, 8).sum(axis=1).tobytes()
+        for bad, m in ((a[:100], 8), (a, 0), (a, 256), (a.reshape(64, 64), 8)):
+            with pytest.raises(ValueError, match="whole rows"):
+                row_sums(bad, m)
 
 
 class TestDyadicFoldMatchesReshapeMean:
