@@ -111,7 +111,7 @@ def build_parser():
     p_str.add_argument("--overlap", type=int, default=1_024,
                        help="cross-fade overlap between synthesis blocks")
     p_str.add_argument("--sources", type=int, default=1,
-                       help="independent sources generated on a worker pool and summed")
+                       help="independent sources generated and summed chunk by chunk")
     p_str.add_argument("--seed", type=int, default=0)
     p_str.add_argument("--gaussian", action="store_true",
                        help="emit the raw Gaussian noise (skip the marginal transform)")
@@ -431,8 +431,9 @@ def _stream_body(args):
         )
 
     if args.sources > 1:
-        pool = ParallelSources([build_source() for _ in range(args.sources)])
-        stream = pool.stream(args.samples, args.chunk, rng=rng)
+        stream = ParallelSources([build_source() for _ in range(args.sources)]).stream(
+            args.samples, args.chunk, rng=rng
+        )
     else:
         stream = Stream.from_source(build_source(), args.samples, args.chunk, rng=rng)
     stream = stream.metered("source")

@@ -9,9 +9,9 @@ default registry is reachable via :func:`registry`.
 
 Updates are gated on the global observability flag
 (:mod:`repro.obs._state`) and guarded by a per-metric lock, so
-instrumentation can sit on multi-threaded hot paths
-(:class:`~repro.stream.pipeline.ParallelSources` workers) and cost one
-flag read while observability is off.
+instrumentation can sit on multi-threaded hot paths (the threaded
+campaign supervisor, :class:`~repro.dist.worker.WorkerLoop` attempt
+threads) and cost one flag read while observability is off.
 
 Exporters:
 

@@ -15,7 +15,9 @@ becomes its child, so a profiled run yields a tree (generation under
 experiment, transform under generation...).  Each thread keeps its own
 open-span stack; finished *root* spans from every thread land in one
 process-wide collector guarded by a lock, which is what makes the
-collector safe under :class:`repro.stream.pipeline.ParallelSources`.
+collector safe under the threaded campaign supervisor
+(``run_campaign(workers>1)``) and the attempt threads of
+:class:`repro.dist.worker.WorkerLoop`.
 
 When observability is disabled (the default) :func:`span` returns a
 shared no-op context manager after a single module-flag read, so the

@@ -27,9 +27,9 @@ benignly: last writer wins with identical content.
 A process-wide *active cache* (:func:`configure` / :func:`using`) lets
 instrumented producers (the fGn generators, the Star Wars synthesizer)
 consult the cache without plumbing a handle through every call site;
-``repro ... --cache-dir PATH`` configures it from the CLI.  Forked pool
-workers inherit the active cache, so a topology sweep's workers fill
-and share one directory.
+``repro ... --cache-dir PATH`` configures it from the CLI.  The forked
+local dist worker processes that run a topology sweep inherit the
+active cache, so they fill and share one directory.
 """
 
 from __future__ import annotations

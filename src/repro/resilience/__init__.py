@@ -22,8 +22,9 @@ survivable:
   results against their stored :mod:`repro.qa.golden` digests.
 - Hardened edges elsewhere in the tree:
   :func:`repro.video.tracefile.load_trace` strict/lenient modes,
-  :meth:`repro.stream.pipeline.Stream.guard`, and worker-death
-  recovery in :class:`repro.stream.pipeline.ParallelSources`.
+  :meth:`repro.stream.pipeline.Stream.guard`, and seed-replay
+  recovery of a dead source in
+  :class:`repro.stream.pipeline.ParallelSources`.
 """
 
 from repro.resilience.faults import (

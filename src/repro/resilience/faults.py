@@ -320,7 +320,7 @@ class FlakyChunkSource(ChunkSource):
 
     Before every chunk is delivered the wrapper reaches the plan site
     ``site``, so ``plan.fail_at(site, call=k)`` kills the source at its
-    k-th chunk -- the deterministic stand-in for a worker dying inside
+    k-th chunk -- the deterministic stand-in for a source dying inside
     :class:`repro.stream.pipeline.ParallelSources`.  Restarted
     iterations keep advancing the same site counter, so a single
     scheduled fault models a transient death and a pair of faults an

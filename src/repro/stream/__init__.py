@@ -17,8 +17,8 @@ validation run) actually needs:
   last bit;
 - :mod:`repro.stream.pipeline` -- the composable :class:`Stream`
   abstraction (map / scale / merge / lagged multiplexing with a
-  bounded ring buffer) and a worker-pool for generating independent
-  sources concurrently;
+  bounded ring buffer) and :class:`ParallelSources`, the seeded sum of
+  independent sources;
 - :mod:`repro.stream.queueing` -- online finite-buffer FIFO simulation
   that folds :class:`~repro.simulation.queue.QueueResult` statistics
   over chunks, bit-for-bit equal to

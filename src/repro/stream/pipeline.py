@@ -14,16 +14,14 @@ ring buffer: memory is O(max lag + chunk), independent of ``n``,
 because only the first ``max(lags)`` samples (for the cyclic
 wraparound) and a sliding window of width ``max(lags)`` are retained.
 
-:class:`ParallelSources` generates N *independent* sources on a
-:mod:`concurrent.futures` thread pool -- the FFT work inside the block
-sources releases the GIL, so aggregate throughput scales with cores --
-and yields the per-chunk sum (the aggregate arrival process of N
-independently multiplexed sources) or the list of per-source chunks.
+:class:`ParallelSources` sums N *independent* sources through
+:func:`merge_streams` -- the aggregate arrival process of N
+independently multiplexed sources -- and rebuilds a source that dies
+mid-stream from its recorded seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 
 import numpy as np
@@ -60,11 +58,9 @@ _RECOVERIES = metrics.registry().counter(
     unit="recoveries",
 )
 
-_POOL_GATHER = metrics.registry().histogram(
-    "repro_stream_pool_gather_seconds",
-    help="Wall time for one synchronized step across all parallel sources",
-    unit="seconds", buckets=_STAGE_WAIT_BUCKETS,
-)
+# Recoveries each source gets per ParallelSources.stream() call before
+# the original exception propagates.
+_MAX_RESTARTS = 1
 
 
 def _stage_metrics(stage):
@@ -270,7 +266,8 @@ def merge_streams(streams, chunk_size=65_536):
 
     Each stream is rechunked to a common ``chunk_size`` and the
     corresponding chunks are added; all streams must carry the same
-    number of samples.
+    number of samples.  The merged ``n`` is the length the streams that
+    know theirs agree on (``None`` when none does).
     """
     streams = list(streams)
     if not streams:
@@ -293,7 +290,7 @@ def merge_streams(streams, chunk_size=65_536):
                 total += piece
             yield total
 
-    return Stream(_merged(), n=streams[0].n)
+    return Stream(_merged(), n=lengths.pop() if lengths else None)
 
 
 def multiplex_lagged(stream, lags, n=None, chunk_size=None):
@@ -370,7 +367,7 @@ def multiplex_lagged(stream, lags, n=None, chunk_size=None):
 
 
 class ParallelSources:
-    """Generate N independent sources concurrently on a thread pool.
+    """Sum N independent sources chunk by chunk.
 
     Parameters
     ----------
@@ -378,137 +375,103 @@ class ParallelSources:
         A list of :class:`~repro.stream.sources.ChunkSource` objects,
         one per traffic source.  They are driven by independent child
         generators spawned from one seed stream, so results are
-        reproducible for a fixed ``rng`` and worker count does not
-        affect the values.
-    max_workers:
-        Thread-pool width; defaults to ``len(sources)``.
+        reproducible for a fixed ``rng``.
 
-    The FFT and BLAS work inside the sources releases the GIL, so the
-    pool gives real parallelism for the block sources without the
-    pickling constraints of process pools.
+    The sources are stepped in the calling thread and summed by
+    :func:`merge_streams`; the sum is the aggregate arrival process of
+    N independently multiplexed sources.
     """
 
-    def __init__(self, sources, max_workers=None):
+    def __init__(self, sources):
         self.sources = list(sources)
         if not self.sources:
             raise ValueError("sources must contain at least one source")
-        self.max_workers = (
-            len(self.sources) if max_workers is None
-            else require_positive_int(max_workers, "max_workers")
-        )
         self.recoveries = []
 
     def _spawn_children(self, rng, count):
         """Child generators plus the seed material to rebuild them.
 
         The seed sequences are spawned exactly the way ``rng.spawn``
-        would, so the emitted values are identical to the pre-recovery
-        implementation; keeping the sequences is what allows a dead
-        source to be regenerated deterministically mid-stream.
+        would, so the emitted values are identical to ``rng.spawn``'s;
+        keeping the sequences is what allows a dead source to be
+        regenerated deterministically mid-stream.
         """
         try:
             seed_seqs = rng.bit_generator.seed_seq.spawn(count)
         except AttributeError:
             # Exotic bit generator without a seed sequence: values are
-            # still reproducible, but worker death cannot be recovered.
+            # still reproducible, but a dead source cannot be recovered.
             return rng.spawn(count), None
         bitgen_type = type(rng.bit_generator)
         children = [np.random.Generator(bitgen_type(seq)) for seq in seed_seqs]
         return children, (seed_seqs, bitgen_type)
 
-    def chunks(self, n, chunk_size, rng=None, aggregate=True, max_restarts=1):
-        """Yield per-step results across all sources.
+    def _recovering(self, index, n, chunk_size, rng, seed_material):
+        """Source ``index``'s chunks, rebuilt from its seed if it dies.
 
-        With ``aggregate=True`` each step yields the elementwise sum of
-        every source's next chunk (the multiplexed arrival process);
-        otherwise it yields the list of per-source chunks.
+        On an exception the source is restarted from its recorded child
+        seed, the chunks already delivered are regenerated and
+        discarded (numpy streams are deterministic, so the replay is
+        exact), and the chunk the dead source owed is drawn again.
+        """
+        chunks = self.sources[index].chunks(n, chunk_size, rng=rng)
+        delivered = restarts = 0
+        while True:
+            try:
+                chunk = next(chunks, _END)
+            except Exception as exc:
+                if seed_material is None or restarts >= _MAX_RESTARTS:
+                    raise
+                restarts += 1
+                seed_seqs, bitgen_type = seed_material
+                rng = np.random.Generator(bitgen_type(seed_seqs[index]))
+                chunks = self.sources[index].chunks(n, chunk_size, rng=rng)
+                for _ in range(delivered):
+                    next(chunks)
+                self.recoveries.append({
+                    "source": index,
+                    "after_chunks": delivered,
+                    "error_type": type(exc).__name__,
+                    "message": str(exc),
+                    "restart": restarts,
+                })
+                _LOGGER.warning(
+                    "recovered source %d after %s: replayed %d chunk(s) (restart %d/%d)",
+                    index, type(exc).__name__, delivered, restarts, _MAX_RESTARTS,
+                    extra={"source": index, "error_type": type(exc).__name__,
+                           "after_chunks": delivered, "restart": restarts},
+                )
+                _RECOVERIES.inc()
+                continue
+            if chunk is _END:
+                return
+            yield chunk
+            delivered += 1
 
-        A source whose worker raises mid-stream is *recovered* rather
-        than deadlocking or killing the pool: its iterator is rebuilt
-        from the recorded child seed, the chunks already delivered are
-        regenerated and discarded (numpy streams are deterministic, so
-        the replay is exact), and the step completes with the chunk the
-        dead worker owed.  Each source gets ``max_restarts`` such
-        recoveries per ``chunks()`` call; beyond that the original
-        exception propagates.  Recovery events are appended to
-        :attr:`recoveries` (reset at each call).
+    def stream(self, n, chunk_size, rng=None):
+        """The aggregate arrival process as a :class:`Stream`.
+
+        Each step yields the elementwise sum of every source's next
+        chunk.  A source that raises mid-stream is recovered from its
+        recorded seed (see :meth:`_recovering`) and the sum continues
+        byte-identically; each source gets one such recovery per call,
+        beyond that the original exception propagates.  Recovery events
+        are appended to :attr:`recoveries` (reset at each call).
         """
         n = require_positive_int(n, "n")
         chunk_size = require_positive_int(chunk_size, "chunk_size")
         if rng is None:
             rng = np.random.default_rng()
         child_rngs, seed_material = self._spawn_children(rng, len(self.sources))
-        iterators = [
-            src.chunks(n, chunk_size, rng=child)
-            for src, child in zip(self.sources, child_rngs)
-        ]
-        delivered = [0] * len(iterators)
-        restarts = [0] * len(iterators)
         self.recoveries = []
+        return merge_streams(
+            [
+                Stream(self._recovering(index, n, chunk_size, child, seed_material), n=n)
+                for index, child in enumerate(child_rngs)
+            ],
+            chunk_size,
+        )
 
-        def _recover(index, exc):
-            """Rebuild iterator ``index`` past its delivered chunks."""
-            if seed_material is None or restarts[index] >= max_restarts:
-                raise exc
-            restarts[index] += 1
-            seed_seqs, bitgen_type = seed_material
-            fresh = np.random.Generator(bitgen_type(seed_seqs[index]))
-            replacement = self.sources[index].chunks(n, chunk_size, rng=fresh)
-            for _ in range(delivered[index]):
-                next(replacement)
-            self.recoveries.append({
-                "source": index,
-                "after_chunks": delivered[index],
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "restart": restarts[index],
-            })
-            _LOGGER.warning(
-                "recovered source %d after %s: replayed %d chunk(s) (restart %d/%d)",
-                index, type(exc).__name__, delivered[index],
-                restarts[index], max_restarts,
-                extra={"source": index, "error_type": type(exc).__name__,
-                       "after_chunks": delivered[index], "restart": restarts[index]},
-            )
-            _RECOVERIES.inc()
-            return replacement
-
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers=self.max_workers)
-        try:
-            while True:
-                step_t0 = time.perf_counter() if _state.enabled else 0.0
-                futures = [executor.submit(next, it, _END) for it in iterators]
-                pieces = []
-                for index, future in enumerate(futures):
-                    while True:
-                        try:
-                            pieces.append(future.result())
-                            break
-                        except Exception as exc:
-                            # The worker died; regenerate this source from
-                            # its seed (synchronously -- recovery is the
-                            # rare path) and retry the step.
-                            iterators[index] = _recover(index, exc)
-                            future = executor.submit(next, iterators[index], _END)
-                if pieces[0] is _END:
-                    if any(piece is not _END for piece in pieces):
-                        raise RuntimeError("sources ended at different lengths")
-                    return
-                if _state.enabled:
-                    _POOL_GATHER.observe(time.perf_counter() - step_t0)
-                for index, piece in enumerate(pieces):
-                    if piece is not _END:
-                        delivered[index] += 1
-                if aggregate:
-                    total = pieces[0].copy()
-                    for piece in pieces[1:]:
-                        total += piece
-                    yield total
-                else:
-                    yield pieces
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def stream(self, n, chunk_size, rng=None):
-        """The aggregate arrival process as a :class:`Stream`."""
-        return Stream(self.chunks(n, chunk_size, rng=rng, aggregate=True), n=n)
+    def chunks(self, n, chunk_size, rng=None):
+        """Iterate the summed chunks of :meth:`stream`."""
+        return iter(self.stream(n, chunk_size, rng=rng))

@@ -191,6 +191,32 @@ class TestStreamCommand:
         # source law, so the emitted traffic keeps the paper marginal.
         assert np.mean(x) == pytest.approx(27_791, rel=0.1)
 
+    def test_gaussian_multi_source_bytes(self, tmp_path):
+        """`--gaussian --sources 3` writes exactly the in-order sum of the
+        three child streams spawned from the seed's generator."""
+        out = tmp_path / "sum.npy"
+        code = main([
+            "stream", "--samples", "5000", "--chunk", "1024",
+            "--block-size", "1024", "--overlap", "64",
+            "--sources", "3", "--gaussian", "--seed", "11", "--out", str(out),
+        ])
+        assert code == 0
+        from repro.stream import make_source
+
+        parts = [
+            np.concatenate(list(
+                make_source("paxson", block_size=1024, overlap=64)
+                .chunks(5000, 1024, rng=child)
+            ))
+            for child in np.random.default_rng(11).spawn(3)
+        ]
+        expected = parts[0].copy()
+        for part in parts[1:]:
+            expected += part
+        got = np.load(out)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_table_transform(self, tmp_path):
         out = tmp_path / "t.npy"
         code = main([

@@ -5,7 +5,7 @@ these tests pin down its contracts: span trees survive exceptions and
 abandoned children, histogram bucket edges follow Prometheus ``le``
 (inclusive) semantics, the two Prometheus renderings (live registry
 vs. a run.json dump) parse identically, and the whole stack stays
-correct when ParallelSources drives it from worker threads.
+correct when worker threads drive it at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import repro.obs as obs
 from repro.distributions.hybrid import GammaParetoHybrid
 from repro.obs import bench, log as obs_log, metrics, trace
 from repro.obs.report import RUN_SCHEMA, RunReport, profile
-from repro.stream import BlockFGNSource, OnlineMoments, ParallelSources, Stream
+from repro.stream import BlockFGNSource, OnlineMoments, Stream
 
 TARGET = GammaParetoHybrid(27_791.0, 6_254.0, 12.0)
 
@@ -299,13 +299,14 @@ class TestRunReport:
 
 
 # ----------------------------------------------------------------------
-# Thread safety under the worker pool
+# Thread safety under concurrent writers
 # ----------------------------------------------------------------------
 class TestThreadSafety:
-    def test_parallel_sources_counts_exactly(self):
-        """Four pool workers drive spans and shared counters at once;
+    def test_worker_threads_count_exactly(self):
+        """Four threads drive spans and shared counters at once, as the
+        campaign's supervisor threads and worker attempt threads do;
         totals must come out exact, not approximately."""
-        n, chunk = 131_072, 16_384
+        n, chunk, threads = 131_072, 16_384, 4
         gen_counter = metrics.registry().counter(
             "repro_generator_samples_total", labels={"generator": "paxson"}
         )
@@ -313,21 +314,34 @@ class TestThreadSafety:
             "repro_stream_samples_total", labels={"stage": "source"}
         )
         before_gen, before_stage = gen_counter.value, stage_counter.value
-        sources = [
-            BlockFGNSource(0.8, block_size=chunk, overlap=1024, backend="paxson")
-            for _ in range(4)
-        ]
+        counts, errors = [], []
+
+        def worker(seed):
+            try:
+                source = BlockFGNSource(
+                    0.8, block_size=chunk, overlap=1024, backend="paxson"
+                )
+                stream = Stream.from_source(
+                    source, n, chunk, rng=np.random.default_rng(seed)
+                ).metered("source")
+                moments = OnlineMoments()
+                stream.drain(moments)
+                counts.append(moments.count)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
         with obs.enabled():
-            stream = ParallelSources(sources).stream(
-                n, chunk, rng=np.random.default_rng(5)
-            ).metered("source")
-            moments = OnlineMoments()
-            stream.drain(moments)
-        assert moments.count == n
-        assert stage_counter.value - before_stage == n
-        # Each of the 4 sources generated >= n samples (block overlap
-        # means the generators produce more than they emit).
-        assert gen_counter.value - before_gen >= 4 * n
+            pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join()
+        assert not errors
+        assert counts == [n] * threads
+        assert stage_counter.value - before_stage == threads * n
+        # Each source generated >= n samples (block overlap means the
+        # generators produce more than they emit).
+        assert gen_counter.value - before_gen >= threads * n
 
     def test_concurrent_spans_stay_per_thread(self):
         obs.enable()

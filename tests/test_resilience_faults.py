@@ -181,8 +181,7 @@ class TestParallelRecovery:
         )
         with plan.active():
             with pytest.raises(TransientFault):
-                list(flaky.chunks(2048, 256, rng=np.random.default_rng(6),
-                                  max_restarts=1))
+                list(flaky.chunks(2048, 256, rng=np.random.default_rng(6)))
 
     def test_values_unchanged_without_faults(self):
         # The seed-recording spawn must be byte-identical to rng.spawn.
