@@ -75,9 +75,7 @@ def run(
     buffer_bytes = require_positive(buffer_tmax_ms, "buffer_tmax_ms") / 1e3 \
         * capacity / slot_seconds
 
-    spec = tandem_spec(
-        series.tolist(), [capacity] * hops, buffer_bytes, record_series=True
-    )
+    spec = tandem_spec(series, [capacity] * hops, buffer_bytes, record_series=True)
     result = run_topology(spec)
 
     stages = [("input", np.asarray(series, dtype=float))]

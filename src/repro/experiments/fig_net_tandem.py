@@ -69,7 +69,7 @@ def tandem_spec(series, capacities, buffer_bytes, record_series=False):
             {
                 "name": "video",
                 "path": names,
-                "source": {"kind": "array", "values": list(series)},
+                "source": {"kind": "array", "values": series},
             }
         ],
         "record_series": record_series,
@@ -159,7 +159,6 @@ def run(
     lo_factor, hi_factor = capacity_span
     capacities = np.linspace(lo_factor * mean, hi_factor * peak,
                              require_positive_int(n_points, "n_points"))
-    series_list = series.tolist()
 
     curves = {}
     for h in hops:
@@ -167,7 +166,7 @@ def run(
         for target in targets:
             buffers = np.array([
                 required_tandem_buffer(
-                    series_list,
+                    series,
                     [c * taper**i for i in range(h)],
                     target,
                 )

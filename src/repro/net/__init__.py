@@ -10,8 +10,8 @@ feed-forward multi-hop topologies.  The pieces:
 - :mod:`repro.net.sched` -- pluggable per-hop disciplines (FIFO, strict
   priority, weighted fair queueing) sharing the verified slot-fluid
   drop arithmetic of :func:`repro.simulation.queue.simulate_queue`;
-- :mod:`repro.net.flow` -- traffic sources walking a path, drained
-  once per run, with end-to-end delay/loss accounting;
+- :mod:`repro.net.flow` -- per-slot volume arrays walking a path,
+  with end-to-end delay/loss accounting;
 - :mod:`repro.net.topology` -- declarative specs, network assembly and
   the engine: ports served in topological order, each folded once over
   the whole horizon (``repro net`` CLI input format);
@@ -24,7 +24,7 @@ buffer give the identical loss and backlog trajectory.  Everything
 multi-hop is then an extension of an already-verified base case.
 """
 
-from repro.net.flow import Flow, FlowStats, array_slots, chunk_slots, stream_slots
+from repro.net.flow import Flow, FlowStats
 from repro.net.link import Link
 from repro.net.node import Node, Port
 from repro.net.sched import (
@@ -33,7 +33,6 @@ from repro.net.sched import (
     FIFODiscipline,
     PriorityDiscipline,
     RunResult,
-    StepResult,
     WFQDiscipline,
     make_discipline,
 )
@@ -48,15 +47,11 @@ __all__ = [
     "FIFODiscipline",
     "PriorityDiscipline",
     "WFQDiscipline",
-    "StepResult",
     "RunResult",
     "DISCIPLINES",
     "make_discipline",
     "Flow",
     "FlowStats",
-    "array_slots",
-    "chunk_slots",
-    "stream_slots",
     "Network",
     "build_network",
     "run_topology",

@@ -1,70 +1,22 @@
 """Flows: traffic sources walking a path, and their end-to-end stats.
 
-A :class:`Flow` binds a per-slot byte source to a path of node names.
-Sources are plain iterators of floats so anything chunked plugs in
-without materializing the run:
-
-- :func:`array_slots` replays an in-memory series (trace-driven runs);
-- :func:`chunk_slots` drains a :class:`repro.stream.sources.ChunkSource`
-  (fGn / fARIMA model traffic) chunk by chunk in O(chunk) memory;
-- :func:`stream_slots` drains any iterable of numpy chunks -- e.g. a
-  fully assembled :class:`repro.stream.pipeline.Stream` with marginal
-  transforms attached -- again in constant memory.
-
-A run drains each source once, up to the horizon
-(:meth:`Flow.emissions`).  :class:`FlowStats` holds the end-to-end
-view: offered / delivered / lost volume and byte-weighted emission and
+A :class:`Flow` binds a 1-D array of per-slot byte volumes to a path of
+node names; :func:`repro.net.topology.build_network` makes that array
+from a spec's explicit series, the trace synthesizer or a chunked fGn
+source.  A run takes the volumes that fall before the horizon
+(:meth:`Flow.emissions`).  :class:`FlowStats` holds the end-to-end view:
+offered / delivered / lost volume and byte-weighted emission and
 delivery times, whose difference is the fluid mean end-to-end latency.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
-from repro._validation import (
-    as_1d_float_array,
-    require_nonnegative_int,
-    require_positive_int,
-)
+from repro._validation import require_nonnegative_int
 from repro.net.sched import seqsum
 
-__all__ = ["Flow", "FlowStats", "array_slots", "chunk_slots", "stream_slots"]
-
-
-def array_slots(values):
-    """Per-slot volumes from an in-memory series (validated, non-negative)."""
-    arr = as_1d_float_array(values, "values")
-    if np.any(arr < 0):
-        raise ValueError("values must be non-negative")
-    return iter(arr.tolist())
-
-
-def stream_slots(chunks, clip_negative=True):
-    """Per-slot volumes from any iterable of numpy chunks.
-
-    Model-generated traffic can dip below zero in the Gaussian domain;
-    ``clip_negative`` floors each slot at zero (the convention the
-    paper's generator uses when a marginal transform is not applied).
-    """
-    for chunk in chunks:
-        arr = np.asarray(chunk, dtype=float)
-        if clip_negative:
-            arr = np.maximum(arr, 0.0)
-        yield from arr.tolist()
-
-
-def chunk_slots(source, n, chunk_size=8_192, rng=None, clip_negative=True):
-    """Per-slot volumes from a :class:`~repro.stream.sources.ChunkSource`.
-
-    Drains ``source.chunks(n, chunk_size, rng)`` lazily -- memory stays
-    O(chunk_size) however long the run is.
-    """
-    n = require_positive_int(n, "n")
-    chunk_size = require_positive_int(chunk_size, "chunk_size")
-    return stream_slots(source.chunks(n, chunk_size, rng=rng),
-                        clip_negative=clip_negative)
+__all__ = ["Flow", "FlowStats"]
 
 
 class FlowStats:
@@ -155,8 +107,9 @@ class Flow:
     path:
         Node names from ingress to destination; queueing happens at the
         output port of every node except the last.
-    slots:
-        Iterator of per-slot byte volumes (see the module helpers).
+    volumes:
+        1-D array of per-slot byte volumes, emitted from ``start_slot``
+        on.
     priority:
         Class priority for :class:`~repro.net.sched.PriorityDiscipline`
         ports on the path (0 = highest).
@@ -166,7 +119,7 @@ class Flow:
         First slot at which the source emits.
     """
 
-    def __init__(self, name, path, slots, priority=0, weight=1.0, start_slot=0):
+    def __init__(self, name, path, volumes, priority=0, weight=1.0, start_slot=0):
         if not name:
             raise ValueError("flow name must be non-empty")
         path = tuple(path)
@@ -182,17 +135,21 @@ class Flow:
         self.weight = float(weight)
         self.start_slot = require_nonnegative_int(start_slot, "start_slot")
         self.stats = FlowStats()
-        self._slots = iter(slots)
+        volumes = np.asarray(volumes, dtype=np.float64)
+        if volumes.ndim != 1:
+            raise ValueError(
+                f"flow {name!r} volumes must be one-dimensional, got shape {volumes.shape}"
+            )
+        self._volumes = volumes
 
     def emissions(self, slots):
-        """Drain the volumes this flow emits before the ``slots`` horizon.
+        """The volumes this flow emits before the ``slots`` horizon.
 
         Returns a float64 array of per-slot volumes from ``start_slot``
         on; it is shorter than the rest of the horizon when the source
         runs dry first.
         """
-        n = max(slots - self.start_slot, 0)
-        volumes = np.fromiter(islice(self._slots, n), dtype=float)
+        volumes = self._volumes[: max(slots - self.start_slot, 0)]
         bad = (volumes < 0.0) | ~np.isfinite(volumes)
         if bad.any():
             volume = float(volumes[bad.argmax()])

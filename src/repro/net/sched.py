@@ -19,17 +19,17 @@ verified single-queue simulator through
   test pins this); with several flows service and loss are then
   apportioned by fluid share.
 - :class:`PriorityDiscipline` serves classes in strict priority order
-  and, under buffer pressure, pushes out low-priority fluid first --
-  the multi-hop generalization of
-  :func:`repro.simulation.priority.simulate_priority_queue`.  The drop
-  volume comes from the shared :func:`~repro.simulation.slotfluid.clamp_backlog`.
+  and, under buffer pressure, pushes out low-priority fluid first: one
+  :func:`~repro.simulation.slotfluid.fold_priority` pass, the
+  strict-priority recursion that
+  :func:`repro.simulation.priority.simulate_priority_queue` also runs
+  (a two-flow port is that queue bit for bit).
 - :class:`WFQDiscipline` splits capacity across backlogged classes in
   weight proportion with work-conserving redistribution (fluid
   weighted fair queueing) and drops overflow in proportion to each
-  class's share of the buffer, again via the shared clamp.
-
-Priority and WFQ are defined one slot at a time (:meth:`step`); their
-:meth:`~Discipline.run` loops that step over the horizon.
+  class's share of the buffer, via the shared
+  :func:`~repro.simulation.slotfluid.clamp_backlog`, in one loop over
+  the horizon.
 
 Flows are registered once (:meth:`~Discipline.register`) before the
 run; registration order is the row order of the arrival and result
@@ -44,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._validation import require_nonnegative, require_positive
-from repro.simulation.slotfluid import clamp_backlog, run_slots
+from repro.simulation.slotfluid import clamp_backlog, fold_priority, run_slots
 
 __all__ = [
-    "StepResult",
     "RunResult",
     "Discipline",
     "FIFODiscipline",
@@ -75,26 +74,6 @@ def flow_sum(arrivals):
     if not len(arrivals):
         return np.zeros(arrivals.shape[1])
     return np.add.accumulate(arrivals, axis=0)[-1]
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of one slot at one port."""
-
-    served: dict
-    """Bytes forwarded downstream this slot, per flow."""
-
-    lost: dict
-    """Bytes dropped this slot, per flow."""
-
-    backlog: float
-    """Aggregate backlog left in the port buffer after the slot."""
-
-    served_total: float
-    """Aggregate bytes forwarded this slot."""
-
-    lost_total: float
-    """Aggregate bytes dropped this slot."""
 
 
 @dataclass(frozen=True)
@@ -159,26 +138,9 @@ class Discipline:
         """Serve every slot of ``arrivals``; returns a :class:`RunResult`.
 
         ``arrivals`` has one row per registered flow, in registration
-        order, and one column per slot.  This base version applies the
-        subclass's one-slot :meth:`step` to each column in turn.
+        order, and one column per slot.
         """
-        arrivals = self._check_rows(arrivals)
-        flows = self.flows
-        row = {flow: i for i, flow in enumerate(flows)}
-        served = np.zeros_like(arrivals)
-        lost = np.zeros_like(arrivals)
-        n = arrivals.shape[1]
-        backlog, served_total, lost_total = np.empty(n), np.empty(n), np.empty(n)
-        for t, column in enumerate(arrivals.T.tolist()):
-            result = self.step(dict(zip(flows, column)))
-            for flow, volume in result.served.items():
-                served[row[flow], t] = volume
-            for flow, volume in result.lost.items():
-                lost[row[flow], t] = volume
-            backlog[t] = result.backlog
-            served_total[t] = result.served_total
-            lost_total[t] = result.lost_total
-        return RunResult(served, lost, backlog, served_total, lost_total)
+        raise NotImplementedError
 
     def _check_rows(self, arrivals):
         arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -188,11 +150,6 @@ class Discipline:
                 f"({len(self._classes)}), got shape {arrivals.shape}"
             )
         return arrivals
-
-    def _check_arrivals(self, arrivals):
-        for flow in arrivals:
-            if flow not in self._classes:
-                raise KeyError(f"flow {flow!r} was never registered at this port")
 
 
 class FIFODiscipline(Discipline):
@@ -266,51 +223,22 @@ class PriorityDiscipline(Discipline):
 
     Classes are served in ascending ``priority`` order (0 is highest);
     on overflow, fluid is pushed out starting from the lowest priority.
-    The overflow volume is the shared slot-fluid drop rule applied to
-    the aggregate backlog.
+    The whole horizon is one
+    :func:`~repro.simulation.slotfluid.fold_priority` fold, whose
+    overflow volume is the shared slot-fluid drop rule applied to the
+    aggregate backlog.
     """
 
-    def _ordered(self, reverse=False):
-        items = list(self._classes.items())
-        ranked = sorted(
-            range(len(items)), key=lambda i: (items[i][1].priority, i),
-            reverse=reverse,
+    def run(self, arrivals):
+        arrivals = self._check_rows(arrivals)
+        classes = list(self._classes.values())
+        *series, held = fold_priority(
+            arrivals, self.capacity_per_slot, self.buffer_bytes,
+            [cls.priority for cls in classes], [cls.backlog for cls in classes],
         )
-        return [items[i] for i in ranked]
-
-    def step(self, arrivals):
-        self._check_arrivals(arrivals)
-        served = {}
-        lost = {}
-        for flow, cls in self._classes.items():
-            cls.backlog += arrivals.get(flow, 0.0)
-        remaining = self.capacity_per_slot
-        for flow, cls in self._ordered():
-            if remaining <= 0.0:
-                break
-            s = cls.backlog if cls.backlog < remaining else remaining
-            if s > 0.0:
-                cls.backlog -= s
-                remaining -= s
-                served[flow] = s
-        total = sum(cls.backlog for cls in self._classes.values())
-        _, overflow = clamp_backlog(total, self.buffer_bytes)
-        if overflow > 0.0:
-            for flow, cls in self._ordered(reverse=True):
-                drop = cls.backlog if cls.backlog < overflow else overflow
-                if drop > 0.0:
-                    cls.backlog -= drop
-                    overflow -= drop
-                    lost[flow] = drop
-                if overflow <= 0.0:
-                    break
-        return StepResult(
-            served=served,
-            lost=lost,
-            backlog=self.backlog,
-            served_total=sum(served.values()),
-            lost_total=sum(lost.values()),
-        )
+        for cls, backlog in zip(classes, held):
+            cls.backlog = backlog
+        return RunResult(*series)
 
 
 class WFQDiscipline(Discipline):
@@ -324,53 +252,75 @@ class WFQDiscipline(Discipline):
     proportion to its share of the buffered fluid.
     """
 
-    def step(self, arrivals):
-        self._check_arrivals(arrivals)
-        served = {}
-        lost = {}
-        for flow, cls in self._classes.items():
-            cls.backlog += arrivals.get(flow, 0.0)
-        # Work-conserving water-filling: every round hands the unused
-        # capacity of satisfied classes back to the still-backlogged
-        # ones; each round fully drains at least one class, so the loop
-        # is bounded by the class count.
-        remaining = self.capacity_per_slot
-        active = [flow for flow, cls in self._classes.items() if cls.backlog > 0.0]
-        while remaining > 0.0 and active:
-            total_weight = sum(self._classes[f].weight for f in active)
-            next_active = []
-            allocated = 0.0
-            for flow in active:
-                cls = self._classes[flow]
-                share = remaining * cls.weight / total_weight
-                if cls.backlog <= share:
-                    take = cls.backlog
-                else:
-                    take = share
-                    next_active.append(flow)
-                if take > 0.0:
-                    cls.backlog -= take
-                    served[flow] = served.get(flow, 0.0) + take
-                    allocated += take
-            remaining -= allocated
-            if len(next_active) == len(active) or allocated <= 0.0:
-                break
-            active = next_active
-        total = sum(cls.backlog for cls in self._classes.values())
-        _, overflow = clamp_backlog(total, self.buffer_bytes)
-        if overflow > 0.0 and total > 0.0:
-            for flow, cls in self._classes.items():
-                drop = overflow * (cls.backlog / total)
-                if drop > 0.0:
-                    cls.backlog = max(cls.backlog - drop, 0.0)
-                    lost[flow] = drop
-        return StepResult(
-            served=served,
-            lost=lost,
-            backlog=self.backlog,
-            served_total=sum(served.values()),
-            lost_total=sum(lost.values()),
-        )
+    def run(self, arrivals):
+        arrivals = self._check_rows(arrivals)
+        classes = list(self._classes.values())
+        k, n = arrivals.shape
+        weights = [cls.weight for cls in classes]
+        held = [cls.backlog for cls in classes]
+        served = [[0.0] * n for _ in range(k)]
+        lost = [[0.0] * n for _ in range(k)]
+        level, served_total = [0.0] * n, [0.0] * n
+        flows = range(k)
+        for t, column in enumerate(zip(*arrivals.tolist())):
+            for i in flows:
+                held[i] += column[i]
+            # Work-conserving water-filling: every round hands the unused
+            # capacity of satisfied classes back to the still-backlogged
+            # ones; each round fully drains at least one class, so the
+            # loop is bounded by the class count.  ``first`` lists the
+            # classes in the order they were first served this slot: the
+            # order the slot's served total adds them in.
+            remaining = self.capacity_per_slot
+            active = [i for i in flows if held[i] > 0.0]
+            first = []
+            while remaining > 0.0 and active:
+                total_weight = 0.0
+                for i in active:
+                    total_weight += weights[i]
+                next_active = []
+                allocated = 0.0
+                for i in active:
+                    share = remaining * weights[i] / total_weight
+                    if held[i] <= share:
+                        take = held[i]
+                    else:
+                        take = share
+                        next_active.append(i)
+                    if take > 0.0:
+                        held[i] -= take
+                        if served[i][t] == 0.0:
+                            first.append(i)
+                        served[i][t] += take
+                        allocated += take
+                remaining -= allocated
+                if len(next_active) == len(active) or allocated <= 0.0:
+                    break
+                active = next_active
+            out = 0.0
+            for i in first:
+                out += served[i][t]
+            served_total[t] = out
+            total = 0.0
+            for x in held:
+                total += x
+            _, overflow = clamp_backlog(total, self.buffer_bytes)
+            if overflow > 0.0 and total > 0.0:
+                for i in flows:
+                    drop = overflow * (held[i] / total)
+                    if drop > 0.0:
+                        held[i] = max(held[i] - drop, 0.0)
+                        lost[i][t] = drop
+                total = 0.0
+                for x in held:
+                    total += x
+            level[t] = total
+        for cls, backlog in zip(classes, held):
+            cls.backlog = backlog
+        # A slot's drops add up in registration order.
+        lost = np.array(lost).reshape(k, n)
+        return RunResult(np.array(served).reshape(k, n), lost, np.array(level),
+                         np.array(served_total), flow_sum(lost))
 
 
 DISCIPLINES = {

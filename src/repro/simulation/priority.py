@@ -11,7 +11,13 @@ and shared buffer ``Q``:
 1. arrivals join their backlogs;
 2. the server drains up to ``c`` bytes, high priority first;
 3. if the remaining total backlog exceeds ``Q``, low-priority bytes
-   are dropped first (pushout), then high-priority bytes.
+   are dropped first (pushout), then high-priority bytes, each drop at
+   most what the class holds.
+
+This is :func:`repro.simulation.slotfluid.fold_priority` with the high
+layer registered first: the same recursion every strict-priority port
+of :mod:`repro.net` runs, so the result equals a two-flow
+:class:`~repro.net.sched.PriorityDiscipline` port bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._validation import as_1d_float_array, require_nonnegative, require_positive
+from repro.simulation.slotfluid import fold_priority
 
 __all__ = ["PriorityQueueResult", "simulate_priority_queue"]
 
@@ -106,42 +113,12 @@ def simulate_priority_queue(
         raise ValueError("arrivals must be non-negative")
     c = require_positive(capacity_per_slot, "capacity_per_slot")
     q = require_nonnegative(buffer_bytes, "buffer_bytes")
-    hi_series = np.zeros(h.size) if return_series else None
-    lo_series = np.zeros(h.size) if return_series else None
-    backlog_hi = 0.0
-    backlog_lo = 0.0
-    lost_hi = 0.0
-    lost_lo = 0.0
-    total_served_hi = 0.0
-    total_served_lo = 0.0
-    hs = h.tolist()
-    ls = low.tolist()
-    for t in range(len(hs)):
-        backlog_hi += hs[t]
-        backlog_lo += ls[t]
-        # Strict-priority service: high first.
-        served_hi = backlog_hi if backlog_hi < c else c
-        backlog_hi -= served_hi
-        total_served_hi += served_hi
-        remaining = c - served_hi
-        if remaining > 0.0:
-            served_lo = backlog_lo if backlog_lo < remaining else remaining
-            backlog_lo -= served_lo
-            total_served_lo += served_lo
-        # Pushout: drop low first, then high.
-        overflow = backlog_hi + backlog_lo - q
-        if overflow > 0.0:
-            drop_lo = backlog_lo if backlog_lo < overflow else overflow
-            backlog_lo -= drop_lo
-            lost_lo += drop_lo
-            overflow -= drop_lo
-            if overflow > 0.0:
-                backlog_hi -= overflow
-                lost_hi += overflow
-                if return_series:
-                    hi_series[t] = overflow
-            if return_series:
-                lo_series[t] = drop_lo
+    served, lost, _, _, _, (backlog_hi, backlog_lo) = fold_priority(
+        (h, low), c, q, priorities=(0, 1), backlog=(0.0, 0.0)
+    )
+    # Running totals add slot by slot, as an accumulator would.
+    lost_hi, lost_lo = np.add.accumulate(lost, axis=1)[:, -1].tolist()
+    served_hi, served_lo = np.add.accumulate(served, axis=1)[:, -1].tolist()
     return PriorityQueueResult(
         capacity_per_slot=c,
         buffer_bytes=q,
@@ -149,10 +126,10 @@ def simulate_priority_queue(
         low_offered=float(low.sum()),
         high_lost=lost_hi,
         low_lost=lost_lo,
-        high_served=total_served_hi,
-        low_served=total_served_lo,
+        high_served=served_hi,
+        low_served=served_lo,
         high_final_backlog=backlog_hi,
         low_final_backlog=backlog_lo,
-        high_loss_series=hi_series,
-        low_loss_series=lo_series,
+        high_loss_series=lost[0] if return_series else None,
+        low_loss_series=lost[1] if return_series else None,
     )

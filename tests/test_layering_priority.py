@@ -188,3 +188,65 @@ class TestPriorityQueueProperties:
                     assert backlog_lo == 0.0
             else:
                 assert r.high_loss_series[t] == 0.0
+
+
+class TestPriorityQueueIsThePriorityPort:
+    """``simulate_priority_queue`` is the two-flow priority port of repro.net.
+
+    The hand-written two-class loop it replaced pushed the leftover
+    overflow out of the high class without clamping it to the high
+    backlog, so a bufferless queue could end with a negative high
+    backlog and drop more than was queued.
+    """
+
+    @staticmethod
+    def _port_run(h, low, capacity, buffer_bytes):
+        from repro.net import PriorityDiscipline
+
+        disc = PriorityDiscipline(capacity, buffer_bytes)
+        disc.register("high", priority=0)
+        disc.register("low", priority=1)
+        return disc, disc.run(np.array([h, low], dtype=float))
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(33)
+        for trial in range(400):
+            n = int(rng.integers(1, 61))
+            h = rng.gamma(0.9, 1.0, size=n) * (rng.random(n) < 0.8)
+            low = rng.gamma(0.9, 1.0, size=n) * (rng.random(n) < 0.8)
+            capacity = float(rng.uniform(0.2, 2.0))
+            buffer_bytes = 0.0 if trial % 2 else float(rng.uniform(0.0, 3.0))
+            yield h, low, capacity, buffer_bytes
+
+    def test_bufferless_overflow_is_clamped_to_the_high_backlog(self):
+        r = simulate_priority_queue([0.1], [0.1], 0.05, 0.0)
+        assert r.high_final_backlog == 0.0
+        assert r.high_lost == 0.05
+        assert r.low_lost == 0.1
+        assert r.high_served + r.high_lost <= r.high_offered
+
+    def test_no_class_goes_negative_or_loses_more_than_offered(self):
+        for h, low, capacity, buffer_bytes in self._cases():
+            r = simulate_priority_queue(h, low, capacity, buffer_bytes)
+            for backlog, lost, offered in (
+                (r.high_final_backlog, r.high_lost, r.high_offered),
+                (r.low_final_backlog, r.low_lost, r.low_offered),
+            ):
+                assert backlog >= 0.0
+                assert lost <= offered
+
+    def test_equals_the_two_flow_priority_port_bit_for_bit(self):
+        for h, low, capacity, buffer_bytes in self._cases():
+            r = simulate_priority_queue(h, low, capacity, buffer_bytes,
+                                        return_series=True)
+            disc, port = self._port_run(h, low, capacity, buffer_bytes)
+            assert r.high_loss_series.tobytes() == port.lost[0].tobytes()
+            assert r.low_loss_series.tobytes() == port.lost[1].tobytes()
+            sums = [float(np.add.accumulate(row)[-1])
+                    for row in (port.lost[0], port.lost[1],
+                                port.served[0], port.served[1])]
+            assert [r.high_lost, r.low_lost, r.high_served, r.low_served] == sums
+            held = [cls.backlog for cls in disc._classes.values()]
+            assert [r.high_final_backlog, r.low_final_backlog] == held
+            assert port.backlog[-1] == 0.0 + held[0] + held[1]
