@@ -65,6 +65,8 @@ def _absorb_residue(values, total, eligible):
     downward, and growing a protected share upward.  A protected user's
     grant still never decreases.
     """
+    if total - exact_sum(values) == 0.0:
+        return values  # settle_residue's own first test, before the ranking
     eligible = np.asarray(eligible, dtype=bool)
     keep = np.flatnonzero(eligible & (values > 0.0))
     order = keep[np.argsort(values[keep], kind="stable")[::-1]]

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.baselines import GaussianFarimaModel, IIDGammaParetoModel
 from repro.core.model import VBRVideoModel
 from repro.experiments.data import reference_trace
-from repro.simulation.multiplex import multiplex_series, random_lags
+from repro.simulation.multiplex import lagged_arrival_sets
 from repro.simulation.queue import zero_loss_capacity
 
 __all__ = ["run", "build_model_series"]
@@ -55,11 +55,7 @@ def build_model_series(trace, seed=29, generator="davies-harte", hurst_estimator
 
 def _zero_loss_curve(series, slot_seconds, n, buffers, rng, n_lag_draws=6, min_separation=1000):
     """Per-source zero-loss capacity over a grid of buffer sizes."""
-    n_draws = 1 if n == 1 else n_lag_draws
-    arrival_sets = []
-    for _ in range(n_draws):
-        lags = random_lags(n, series.size, min_separation=min_separation, rng=rng)
-        arrival_sets.append(multiplex_series(series, lags))
+    arrival_sets = lagged_arrival_sets(series, n, n_lag_draws, min_separation, rng)
     capacities = np.empty(buffers.size)
     for i, q in enumerate(buffers):
         c_total = max(zero_loss_capacity(a, q) for a in arrival_sets)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.experiments.data import reference_trace
 from repro.simulation.metrics import windowed_loss_rate
-from repro.simulation.multiplex import multiplex_series, random_lags
+from repro.simulation.multiplex import lagged_arrival_sets
 from repro.simulation.qc import required_capacity
 from repro.simulation.queue import simulate_queue
 
@@ -65,13 +65,7 @@ def run(
     min_separation = min(1000, series.size // (2 * max(int(n) for n in n_sources)))
     for n in n_sources:
         n = int(n)
-        n_draws = 1 if n == 1 else 3
-        arrival_sets = [
-            multiplex_series(
-                series, random_lags(n, series.size, min_separation=min_separation, rng=rng)
-            )
-            for _ in range(n_draws)
-        ]
+        arrival_sets = lagged_arrival_sets(series, n, 3, min_separation, rng)
 
         # The buffer depends on the capacity (Q = T_max * N * C), so
         # wrap the capacity search in a small fixed-point: start from a

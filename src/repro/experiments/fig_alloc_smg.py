@@ -34,6 +34,7 @@ import numpy as np
 from repro.alloc.fleet import FleetSpec, demo_fleet, fleet_arrivals, simulate_fleet
 from repro.simulation.norros import norros_capacity
 from repro.simulation.qc import required_capacity
+from repro.simulation.queue import smallest_feasible
 
 __all__ = ["run"]
 
@@ -58,23 +59,17 @@ def _min_pool_capacity(base, epoch_slots, arrivals, total_buffer, allocator,
     the pool, not the traffic.
     """
 
-    def loss_at(capacity):
+    def feasible(capacity):
         spec = _fleet_spec(base, epoch_slots, len(arrivals), capacity, total_buffer)
-        return simulate_fleet(spec, allocator, arrivals=arrivals).total_loss_rate
+        return simulate_fleet(spec, allocator, arrivals=arrivals).total_loss_rate <= target_loss
 
-    if loss_at(lo) <= target_loss:
+    if feasible(lo):
         return lo
     for _ in range(6):
-        if loss_at(hi) <= target_loss:
+        if feasible(hi):
             break
         lo, hi = hi, hi * 2.0
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if loss_at(mid) <= target_loss:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return smallest_feasible(feasible, lo, hi, rel_tol)
 
 
 def run(

@@ -40,7 +40,7 @@ import numpy as np
 from repro._validation import require_positive, require_positive_int
 from repro.experiments.data import reference_trace
 from repro.net import run_topology
-from repro.simulation.queue import max_backlog
+from repro.simulation.queue import max_backlog, smallest_feasible
 
 __all__ = ["run", "tandem_spec", "required_tandem_buffer"]
 
@@ -99,16 +99,13 @@ def required_tandem_buffer(series, capacities, target_loss, rel_tol=5e-3):
     )
     if target_loss == 0.0 or q_max == 0.0:
         return q_max
-    if _end_to_end_loss(series, capacities, 0.0) <= target_loss:
+
+    def feasible(q):
+        return _end_to_end_loss(series, capacities, q) <= target_loss
+
+    if feasible(0.0):
         return 0.0
-    lo, hi = 0.0, q_max
-    while (hi - lo) > rel_tol * max(q_max, 1.0):
-        mid = 0.5 * (lo + hi)
-        if _end_to_end_loss(series, capacities, mid) <= target_loss:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return smallest_feasible(feasible, 0.0, q_max, rel_tol, scale=max(q_max, 1.0))
 
 
 def run(

@@ -131,8 +131,8 @@ class Discipline:
 
     @property
     def backlog(self):
-        """Aggregate bytes currently buffered."""
-        return sum(cls.backlog for cls in self._classes.values())
+        """Aggregate bytes currently buffered (0.0 with no flow registered)."""
+        return seqsum([cls.backlog for cls in self._classes.values()])
 
     def run(self, arrivals):
         """Serve every slot of ``arrivals``; returns a :class:`RunResult`.

@@ -22,7 +22,7 @@ from repro._validation import (
     require_nonnegative,
     require_positive,
 )
-from repro.simulation.multiplex import multiplex_series, random_lags
+from repro.simulation.multiplex import lagged_arrival_sets
 from repro.simulation.qc import _mean_loss
 from repro.simulation.queue import max_backlog
 
@@ -32,23 +32,17 @@ __all__ = ["max_admissible_sources", "norros_admissible_sources"]
 def _n_feasible(series, n, capacity, buffer_bytes, target_loss, metric,
                 slots_per_second, n_lag_draws, rng):
     """Whether ``n`` multiplexed copies meet the loss target."""
-    if n == 1:
-        arrival_sets = [series]
-    else:
-        if series.size < 2 * n:
-            # Too few slots to place n lagged copies: feasibility is
-            # simply unanswerable, and returning False here would let a
-            # short trace masquerade as an admission bound.
-            raise ValueError(
-                f"series too short to multiplex {n} sources: need at "
-                f"least {2 * n} slots, got {series.size}"
-            )
-        min_sep = min(1000, series.size // (2 * n))
-        arrival_sets = [
-            multiplex_series(series, random_lags(n, series.size, min_separation=min_sep, rng=rng))
-            for _ in range(n_lag_draws)
-        ]
-    if target_loss == 0 and metric == "overall":
+    if n > 1 and series.size < 2 * n:
+        # Too few slots to place n lagged copies: feasibility is
+        # simply unanswerable, and returning False here would let a
+        # short trace masquerade as an admission bound.
+        raise ValueError(
+            f"series too short to multiplex {n} sources: need at "
+            f"least {2 * n} slots, got {series.size}"
+        )
+    min_sep = min(1000, series.size // (2 * n))
+    arrival_sets = lagged_arrival_sets(series, n, n_lag_draws, min_sep, rng)
+    if target_loss == 0:
         return all(max_backlog(a, capacity) <= buffer_bytes for a in arrival_sets)
     return _mean_loss(arrival_sets, capacity, buffer_bytes, metric, slots_per_second) <= target_loss
 

@@ -17,6 +17,7 @@ from repro._validation import as_1d_float_array, require_positive_int
 __all__ = [
     "random_lags",
     "multiplex_series",
+    "lagged_arrival_sets",
     "multiplex_fgn",
     "multiplex_trace",
     "multiplex_heterogeneous",
@@ -74,6 +75,18 @@ def multiplex_series(series, lags):
     for lag in lags:
         _add_rolled(out, arr, -int(lag) % arr.size)
     return out
+
+
+def lagged_arrival_sets(series, n_sources, n_draws, min_separation, rng):
+    """``n_draws`` sums of ``n_sources`` copies under fresh :func:`random_lags`.
+
+    ``n_sources == 1`` is one unlagged draw that takes nothing from ``rng``.
+    """
+    return [
+        multiplex_series(series, random_lags(
+            n_sources, len(series), min_separation=min_separation, rng=rng))
+        for _ in range(1 if n_sources == 1 else n_draws)
+    ]
 
 
 def _add_rolled(out, arr, shift):

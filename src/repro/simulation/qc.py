@@ -28,8 +28,9 @@ from repro._validation import (
     require_positive_int,
 )
 from repro.simulation.metrics import worst_errored_second_loss
-from repro.simulation.multiplex import multiplex_fgn, multiplex_series, random_lags
-from repro.simulation.queue import max_backlog, simulate_queue, zero_loss_capacity
+from repro.simulation.multiplex import lagged_arrival_sets, multiplex_fgn
+from repro.simulation.queue import (max_backlog, simulate_queue, smallest_feasible,
+                                    zero_loss_capacity)
 
 __all__ = [
     "QCCurve",
@@ -84,16 +85,13 @@ def required_buffer(
     q_max = max(max_backlog(a, capacity) for a in arrival_sets)
     if target_loss == 0:
         return q_max
-    if _mean_loss(arrival_sets, capacity, 0.0, metric, slots_per_second) <= target_loss:
+
+    def feasible(q):
+        return _mean_loss(arrival_sets, capacity, q, metric, slots_per_second) <= target_loss
+
+    if feasible(0.0):
         return 0.0
-    lo, hi = 0.0, q_max
-    while (hi - lo) > rel_tol * max(q_max, 1.0):
-        mid = 0.5 * (lo + hi)
-        if _mean_loss(arrival_sets, capacity, mid, metric, slots_per_second) <= target_loss:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return smallest_feasible(feasible, 0.0, q_max, rel_tol, scale=max(q_max, 1.0))
 
 
 def required_capacity(
@@ -104,29 +102,31 @@ def required_capacity(
     slots_per_second=None,
     rel_tol=1e-4,
 ):
-    """Smallest capacity (bytes/slot) meeting the loss target at fixed Q."""
+    """Smallest capacity (bytes/slot) meeting the loss target at fixed Q.
+
+    ``target_loss == 0`` is exact for either metric: the largest
+    :func:`~repro.simulation.queue.zero_loss_capacity` over the draws.
+    """
     arrival_sets = [as_1d_float_array(a, "arrivals") for a in arrival_sets]
     if not arrival_sets:
         raise ValueError("arrival_sets must contain at least one series")
     buffer_bytes = require_nonnegative(buffer_bytes, "buffer_bytes")
     target_loss = require_nonnegative(target_loss, "target_loss")
-    if target_loss == 0 and metric == "overall":
+    if target_loss == 0:
         return max(zero_loss_capacity(a, buffer_bytes, rel_tol=rel_tol) for a in arrival_sets)
+
+    def feasible(c):
+        return _mean_loss(arrival_sets, c, buffer_bytes, metric, slots_per_second) <= target_loss
+
     lo = max(float(np.mean(a)) for a in arrival_sets)
     hi = max(float(np.max(a)) for a in arrival_sets)
-    if _mean_loss(arrival_sets, lo, buffer_bytes, metric, slots_per_second) <= target_loss:
+    if feasible(lo):
         return lo
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _mean_loss(arrival_sets, mid, buffer_bytes, metric, slots_per_second) <= target_loss:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return smallest_feasible(feasible, lo, hi, rel_tol)
 
 
 def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
-    """Independent-source aggregate arrivals, one per draw.
+    """Independent-source aggregate arrivals, one per draw (one for N = 1).
 
     ``fgn_sources`` holds the model parameters (``hurst`` required;
     ``backend``, ``variance``, ``seed``, and either ``marginal`` or
@@ -156,7 +156,7 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
     if params:
         raise ValueError(f"unknown fgn_sources keys {sorted(params)}")
     sets = []
-    for draw in range(n_draws):
+    for draw in range(1 if n_sources == 1 else n_draws):
         aggregate = multiplex_fgn(
             n, hurst, n_sources,
             backend=backend, variance=variance,
@@ -265,17 +265,12 @@ def qc_curve(
     if rng is None:
         rng = np.random.default_rng()
     slots_per_second = max(int(round(1.0 / slot_seconds)), 1)
-    n_draws = 1 if n_sources == 1 else n_lag_draws
     if fgn_sources is not None:
         arrival_sets = _fgn_arrival_sets(
-            fgn_sources, arr.size, n_sources, n_draws, "qc.fgn"
+            fgn_sources, arr.size, n_sources, n_lag_draws, "qc.fgn"
         )
     else:
-        lag_sets = [
-            random_lags(n_sources, arr.size, min_separation=min_separation, rng=rng)
-            for _ in range(n_draws)
-        ]
-        arrival_sets = [multiplex_series(arr, lags) for lags in lag_sets]
+        arrival_sets = lagged_arrival_sets(arr, n_sources, n_lag_draws, min_separation, rng)
     mean_rate = float(np.mean(arr))
     peak_rate = float(np.max(arr))
     if capacities is None:
@@ -353,13 +348,7 @@ def _smg_capacity(arrival_sets, n, lo, hi, *, slot_seconds, slots_per_second,
         # the overall metric; expand defensively otherwise.
         while not feasible(hi):
             hi *= 1.25
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return smallest_feasible(feasible, lo, hi, rel_tol)
 
 
 def smg_curve(
@@ -406,19 +395,14 @@ def smg_curve(
     draw_index = 0
     for n in n_values:
         n = require_positive_int(n, "n_sources")
-        n_draws = 1 if n == 1 else n_lag_draws
         if fgn_sources is not None:
             arrival_sets = _fgn_arrival_sets(
-                fgn_sources, arr.size, n, n_draws, "smg.fgn",
+                fgn_sources, arr.size, n, n_lag_draws, "smg.fgn",
                 start=draw_index,
             )
-            draw_index += n_draws
+            draw_index += len(arrival_sets)
         else:
-            arrival_sets = [
-                multiplex_series(arr, random_lags(
-                    n, arr.size, min_separation=min_separation, rng=rng))
-                for _ in range(n_draws)
-            ]
+            arrival_sets = lagged_arrival_sets(arr, n, n_lag_draws, min_separation, rng)
         capacities.append(_smg_capacity(
             arrival_sets, n, mean_rate, peak_rate,
             slot_seconds=slot_seconds, slots_per_second=slots_per_second,

@@ -30,7 +30,8 @@ from repro._validation import as_1d_float_array, require_nonnegative, require_po
 from repro.obs import metrics, trace
 from repro.simulation.slotfluid import run_drawdown, run_slots
 
-__all__ = ["QueueResult", "simulate_queue", "max_backlog", "zero_loss_capacity"]
+__all__ = ["QueueResult", "simulate_queue", "max_backlog", "smallest_feasible",
+           "zero_loss_capacity"]
 
 _BATCH_LABELS = {"queue": "batch"}
 
@@ -134,6 +135,24 @@ def max_backlog(arrivals, capacity_per_slot):
     return run_drawdown(a, c)
 
 
+def smallest_feasible(feasible, lo, hi, rel_tol, scale=None):
+    """Smallest point of ``(lo, hi]`` a monotone ``feasible`` accepts.
+
+    The one loop of every buffer and capacity search: a feasible
+    midpoint becomes ``hi``, an infeasible one ``lo``, until ``hi - lo``
+    is at most ``rel_tol * scale`` (buffer searches: a fixed width) or,
+    without ``scale``, ``rel_tol * hi`` (capacity searches).  Returns
+    ``hi``; checking ``lo`` and growing ``hi`` stay with the caller.
+    """
+    while (hi - lo) > rel_tol * (hi if scale is None else scale):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def zero_loss_capacity(arrivals, buffer_bytes, rel_tol=1e-4):
     """Smallest capacity (bytes/slot) with zero loss at buffer ``Q``.
 
@@ -150,16 +169,13 @@ def zero_loss_capacity(arrivals, buffer_bytes, rel_tol=1e-4):
     hi = float(np.max(a))
     if lo <= 0:
         raise ValueError("arrivals must have positive mean")
+    steps = []
+
+    def feasible(c):
+        steps.append(c)
+        return run_drawdown(a, c) <= q
+
     with trace.span("queue.zero_loss_search", n=a.size) as span:
-        steps = 1
-        if run_drawdown(a, lo) <= q:
-            hi = lo  # the mean rate already suffices: nothing to search
-        while (hi - lo) > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            steps += 1
-            if run_drawdown(a, mid) <= q:
-                hi = mid
-            else:
-                lo = mid
-        span.set(steps=steps)
+        hi = lo if feasible(lo) else smallest_feasible(feasible, lo, hi, rel_tol)
+        span.set(steps=len(steps))
     return hi

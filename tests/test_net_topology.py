@@ -252,6 +252,23 @@ class TestConservation:
         assert delayed["flows"]["f"]["delivered_bytes"] == 5.0
 
 
+class TestIdlePorts:
+    @pytest.mark.parametrize("disc", ["fifo", "priority", "wfq"])
+    def test_idle_port_reports_a_float_backlog(self, disc):
+        """A port no flow crosses reports ``0.0``, as a FIFO port does."""
+        spec = {
+            "slots": 4,
+            "nodes": [{"name": n, "buffer_bytes": 10.0, "discipline": disc}
+                      for n in "abc"],
+            "links": [{"src": "a", "dst": "b", "capacity_per_slot": 5.0},
+                      {"src": "b", "dst": "c", "capacity_per_slot": 5.0}],
+            "flows": [{"name": "f", "path": ["a", "b"],
+                       "source": {"kind": "array", "values": [1.0, 2.0, 3.0, 4.0]}}],
+        }
+        idle = run_topology(spec)["ports"]["b->c"]["final_backlog"]
+        assert type(idle) is float and idle == 0.0
+
+
 class TestSpecs:
     def test_unknown_node_in_link_is_rejected(self):
         spec = single_hop_spec([1.0], 10.0, 5.0)

@@ -4,7 +4,8 @@ curves, knee, SMG)."""
 import numpy as np
 import pytest
 
-from repro.simulation.multiplex import multiplex_series, random_lags
+from repro.simulation.admission import max_admissible_sources
+from repro.simulation.multiplex import lagged_arrival_sets, multiplex_series, random_lags
 from repro.simulation.qc import (
     knee_point,
     qc_curve,
@@ -12,7 +13,13 @@ from repro.simulation.qc import (
     required_capacity,
     smg_curve,
 )
-from repro.simulation.queue import max_backlog, simulate_queue
+from repro.simulation.queue import (
+    max_backlog,
+    simulate_queue,
+    smallest_feasible,
+    zero_loss_capacity,
+)
+from repro.simulation.slotfluid import run_drawdown
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +198,132 @@ class TestSMG:
         """The paper's headline: ~72% of the peak-to-mean gain by N=5."""
         result = smg_curve(series, 1 / 24.0, n_values=(5,), target_loss=0.0, rng=rng)
         assert result["gain_fraction"][0] > 0.5
+
+
+def _reference_bisection(feasible, lo, hi, rel_tol, q_max=None):
+    """The loop every requirement search ran before ``smallest_feasible``.
+
+    ``q_max`` given: the buffer searches' fixed width
+    ``rel_tol * max(q_max, 1.0)``; omitted: the capacity searches'
+    ``rel_tol * hi``.
+    """
+    if q_max is None:
+        while (hi - lo) > rel_tol * hi:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+    while (hi - lo) > rel_tol * max(q_max, 1.0):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _step(threshold, points):
+    """A monotone step predicate that records every point it is asked."""
+
+    def feasible(x):
+        points.append(x)
+        return x >= threshold
+
+    return feasible
+
+
+class TestSmallestFeasible:
+    """The one bisection evaluates the parent loops' points, in order."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_points_as_the_reference_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = float(rng.uniform(0.0, 100.0))
+        hi = lo + float(rng.exponential(50.0))
+        # Thresholds inside the bracket, below it (lo already feasible)
+        # and on its ends.
+        threshold = float(rng.choice([rng.uniform(lo, hi), lo - 1.0, lo, hi]))
+        rel_tol = float(rng.choice([1e-2, 1e-3, 1e-4, 5e-3]))
+        q_max = float(rng.choice([hi, 0.5, hi * 3.0]))
+        for scale_args, ref_args in (({}, {}),
+                                     ({"scale": max(q_max, 1.0)}, {"q_max": q_max})):
+            want_points, got_points = [], []
+            want = _reference_bisection(_step(threshold, want_points), lo, hi,
+                                        rel_tol, **ref_args)
+            got = smallest_feasible(_step(threshold, got_points), lo, hi,
+                                    rel_tol, **scale_args)
+            assert got == want
+            assert got_points == want_points
+            assert got_points  # the bracket was wide enough to search
+
+    def test_empty_bracket_evaluates_nothing(self):
+        points = []
+        assert smallest_feasible(_step(0.0, points), 3.0, 3.0, 1e-4) == 3.0
+        assert smallest_feasible(_step(0.0, points), 3.0, 3.0, 1e-4, scale=1.0) == 3.0
+        assert points == []
+
+    @pytest.mark.parametrize("q", [0.0, 20.0, 1e9])
+    def test_zero_loss_capacity_is_the_reference_search(self, q):
+        a = np.random.default_rng(7).uniform(0.0, 10.0, size=3_000)
+        lo, hi = float(np.mean(a)), float(np.max(a))
+
+        def feasible(c):
+            return run_drawdown(a, c) <= q
+
+        want = lo if feasible(lo) else _reference_bisection(feasible, lo, hi, 1e-4)
+        assert zero_loss_capacity(a, q) == want
+
+
+class TestLaggedArrivalSets:
+    """The builder is the inline comprehension it replaced, rng and all."""
+
+    @pytest.mark.parametrize("n_sources,n_draws,min_separation",
+                             [(2, 6, 1000), (5, 3, 100), (20, 6, 200), (3, 1, 0)])
+    def test_matches_the_comprehension(self, series, n_sources, n_draws,
+                                       min_separation):
+        want_rng, got_rng = np.random.default_rng(11), np.random.default_rng(11)
+        want = [
+            multiplex_series(series, random_lags(
+                n_sources, series.size, min_separation=min_separation, rng=want_rng))
+            for _ in range(n_draws)
+        ]
+        got = lagged_arrival_sets(series, n_sources, n_draws, min_separation, got_rng)
+        assert len(got) == n_draws
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_one_source_is_one_unlagged_draw(self, series):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        sets = lagged_arrival_sets(series, 1, 6, 1000, rng)
+        assert len(sets) == 1 and sets[0].tobytes() == series.tobytes()
+        assert rng.bit_generator.state == before
+
+
+class TestZeroLossRule:
+    """``target_loss == 0`` is the drawdown test whatever the metric."""
+
+    # WES drops the trailing partial second, which is where this loses.
+    a = np.array([1.0] * 8 + [1.0, 9.0])
+
+    def test_buffer_and_capacity_agree_across_metrics(self):
+        for search, resource in ((required_buffer, 2.0), (required_capacity, 3.0)):
+            wes = search([self.a], resource, 0, metric="wes", slots_per_second=4)
+            overall = search([self.a], resource, 0, metric="overall",
+                             slots_per_second=4)
+            assert wes == overall
+        assert required_buffer([self.a], 2.0, 0, metric="wes") == max_backlog(self.a, 2.0)
+        capacity = required_capacity([self.a], 3.0, 0, metric="wes", slots_per_second=4)
+        assert capacity == zero_loss_capacity(self.a, 3.0) > 6.0
+
+    def test_admission_uses_the_drawdown_for_wes(self):
+        # 96 bit/s over 0.25 s slots is 3 bytes per slot: one source
+        # needs a 6-byte buffer, so none fits in 2 bytes.
+        counts = [
+            max_admissible_sources(self.a, 0.25, 96.0, 2.0, target_loss=0,
+                                   metric=metric, rng=np.random.default_rng(0))
+            for metric in ("wes", "overall")
+        ]
+        assert counts == [0, 0]
