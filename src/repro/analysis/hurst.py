@@ -293,6 +293,21 @@ def _whittle_objective(d, log_g, intensity):
     return float(np.log(np.mean(ratio)) + np.mean(g_log))
 
 
+def _normalized(arr, normalize):
+    """``arr`` under the spectral estimators' marginal pre-transform."""
+    if normalize == "normal-scores":
+        from repro.core.transform import normal_scores
+
+        return normal_scores(arr)
+    if normalize == "log":
+        if np.any(arr <= 0):
+            raise ValueError("log normalization requires strictly positive data")
+        return np.log(arr)
+    if normalize is not None:
+        raise ValueError(f'normalize must be "normal-scores", "log" or None, got {normalize!r}')
+    return arr
+
+
 def whittle(data, normalize="normal-scores"):
     """Whittle's approximate MLE of H for a fARIMA(0, d, 0) spectrum.
 
@@ -312,16 +327,7 @@ def whittle(data, normalize="normal-scores"):
     one-parameter fARIMA Whittle estimator.
     """
     arr = as_1d_float_array(data, "data", min_length=32)
-    if normalize == "normal-scores":
-        from repro.core.transform import normal_scores
-
-        arr = normal_scores(arr)
-    elif normalize == "log":
-        if np.any(arr <= 0):
-            raise ValueError("log normalization requires strictly positive data")
-        arr = np.log(arr)
-    elif normalize is not None:
-        raise ValueError(f'normalize must be "normal-scores", "log" or None, got {normalize!r}')
+    arr = _normalized(arr, normalize)
     omega, intensity = periodogram(arr)
     # Drop the Nyquist point if n is even and any zero intensities.
     usable = intensity > 0
@@ -377,16 +383,7 @@ def gph(data, bandwidth_exponent=0.5, normalize="normal-scores"):
         raise ValueError(
             f"bandwidth_exponent must lie in (0, 1), got {bandwidth_exponent!r}"
         )
-    if normalize == "normal-scores":
-        from repro.core.transform import normal_scores
-
-        arr = normal_scores(arr)
-    elif normalize == "log":
-        if np.any(arr <= 0):
-            raise ValueError("log normalization requires strictly positive data")
-        arr = np.log(arr)
-    elif normalize is not None:
-        raise ValueError(f'normalize must be "normal-scores", "log" or None, got {normalize!r}')
+    arr = _normalized(arr, normalize)
     omega, intensity = periodogram(arr)
     m = int(arr.size**bandwidth_exponent)
     m = min(max(m, 8), omega.size)

@@ -36,7 +36,6 @@ from repro.core.baselines import (
 )
 from repro.core.arma import ARMAProcess, yule_walker
 from repro.core.composite import CompositeVBRModel
-from repro.core.spectral import SpectralGenerator, spectral_fgn, fgn_spectral_density
 from repro.core.markov_fluid import MarkovFluidModel
 
 __all__ = [
@@ -62,8 +61,5 @@ __all__ = [
     "ARMAProcess",
     "yule_walker",
     "CompositeVBRModel",
-    "SpectralGenerator",
-    "spectral_fgn",
-    "fgn_spectral_density",
     "MarkovFluidModel",
 ]

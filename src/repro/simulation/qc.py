@@ -28,7 +28,7 @@ from repro._validation import (
     require_positive_int,
 )
 from repro.simulation.metrics import worst_errored_second_loss
-from repro.simulation.multiplex import lagged_arrival_sets, multiplex_fgn
+from repro.simulation.multiplex import lagged_arrival_sets
 from repro.simulation.queue import (max_backlog, simulate_queue, smallest_feasible,
                                     zero_loss_capacity)
 
@@ -125,54 +125,6 @@ def required_capacity(
     return smallest_feasible(feasible, lo, hi, rel_tol)
 
 
-def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
-    """Independent-source aggregate arrivals, one per draw (one for N = 1).
-
-    ``fgn_sources`` holds the model parameters (``hurst`` required;
-    ``backend``, ``variance``, ``seed``, and either ``marginal`` or
-    affine ``mean``/``std`` optional); each draw synthesizes
-    ``n_sources`` fresh fGn paths through
-    :func:`repro.simulation.multiplex.multiplex_fgn` under a
-    sha256-derived per-draw seed, so the sets are a pure function of
-    the parameters.
-    """
-    from repro.par.pool import derive_task_seed
-
-    params = dict(fgn_sources)
-    try:
-        hurst = params.pop("hurst")
-    except KeyError:
-        raise ValueError('fgn_sources must name a "hurst"') from None
-    backend = params.pop("backend", "paxson")
-    variance = float(params.pop("variance", 1.0))
-    seed = int(params.pop("seed", 0))
-    marginal = params.pop("marginal", None)
-    if marginal is not None and ("mean" in params or "std" in params):
-        raise ValueError(
-            "fgn_sources takes a marginal or an affine mean/std, not both"
-        )
-    mean = float(params.pop("mean", 0.0))
-    std = float(params.pop("std", 1.0))
-    if params:
-        raise ValueError(f"unknown fgn_sources keys {sorted(params)}")
-    sets = []
-    for draw in range(1 if n_sources == 1 else n_draws):
-        aggregate = multiplex_fgn(
-            n, hurst, n_sources,
-            backend=backend, variance=variance,
-            seed=derive_task_seed(seed, start + draw, label=seed_label),
-            marginal=marginal,
-        )
-        if marginal is None:
-            # Affine per-source scaling commutes with the sum
-            # (sum_i (mean + std x_i) = N mean + std sum_i x_i); the
-            # Gaussian marginal is truncated at zero -- negative bytes
-            # are unphysical and the queue rejects them.
-            aggregate = np.maximum(n_sources * mean + std * aggregate, 0.0)
-        sets.append(aggregate)
-    return sets
-
-
 @dataclass(frozen=True)
 class QCCurve:
     """One Q-C trade-off curve (a single line of Fig. 14 / 16)."""
@@ -216,7 +168,6 @@ def qc_curve(
     min_separation=1000,
     rng=None,
     capacity_span=(1.01, 1.0),
-    fgn_sources=None,
 ):
     """Compute a Q-C curve for ``n_sources`` multiplexed copies.
 
@@ -248,15 +199,6 @@ def qc_curve(
     capacity_span:
         ``(lo_factor, hi_factor)`` of the default grid relative to
         (mean, peak) of the single source.
-    fgn_sources:
-        Replace the paper's lagged-copy multiplexing with ``n_sources``
-        *independent* fGn sources per draw (a dict for
-        :func:`_fgn_arrival_sets`: ``hurst`` required; ``backend``,
-        ``variance``, ``seed``, and either ``marginal`` — e.g. the
-        Gamma/Pareto hybrid — or affine ``mean``/``std`` optional).
-        ``series`` still anchors the capacity grid.  The caller's
-        ``rng`` is not consumed: the draws are seeded from
-        ``fgn_sources["seed"]``.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -265,12 +207,7 @@ def qc_curve(
     if rng is None:
         rng = np.random.default_rng()
     slots_per_second = max(int(round(1.0 / slot_seconds)), 1)
-    if fgn_sources is not None:
-        arrival_sets = _fgn_arrival_sets(
-            fgn_sources, arr.size, n_sources, n_lag_draws, "qc.fgn"
-        )
-    else:
-        arrival_sets = lagged_arrival_sets(arr, n_sources, n_lag_draws, min_separation, rng)
+    arrival_sets = lagged_arrival_sets(arr, n_sources, n_lag_draws, min_separation, rng)
     mean_rate = float(np.mean(arr))
     peak_rate = float(np.max(arr))
     if capacities is None:
@@ -343,11 +280,10 @@ def _smg_capacity(arrival_sets, n, lo, hi, *, slot_seconds, slots_per_second,
 
     if feasible(lo):
         return lo
-    if not feasible(hi):
-        # Peak allocation with a nonzero buffer always suffices for
-        # the overall metric; expand defensively otherwise.
-        while not feasible(hi):
-            hi *= 1.25
+    # Peak allocation with a nonzero buffer always suffices for the
+    # overall metric; expand defensively otherwise.
+    while not feasible(hi):
+        hi *= 1.25
     return smallest_feasible(feasible, lo, hi, rel_tol)
 
 
@@ -362,7 +298,6 @@ def smg_curve(
     min_separation=1000,
     rng=None,
     rel_tol=1e-4,
-    fgn_sources=None,
 ):
     """Statistical-multiplexing-gain curve (Fig. 15).
 
@@ -373,13 +308,6 @@ def smg_curve(
     ``"capacity_per_source_mbps"``, plus scalars ``"mean_rate"`` and
     ``"peak_rate"`` (bytes/slot) and the achieved ``"gain_fraction"``
     per N (share of the peak-to-mean gap recovered).
-
-    ``fgn_sources`` switches from lagged copies of ``series`` to
-    independent fGn sources per draw (same dict as :func:`qc_curve`;
-    ``series`` still anchors the mean/peak capacity bracket).  Draws
-    are seeded ``derive_task_seed(seed, draw_index, label="smg.fgn")``
-    with ``draw_index`` running across the ``N`` values in order, so
-    the curve is a pure function of the dict.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -392,17 +320,9 @@ def smg_curve(
     peak_rate = float(np.max(arr))
     tmax_s = tmax_ms / 1000.0
     capacities = []
-    draw_index = 0
     for n in n_values:
         n = require_positive_int(n, "n_sources")
-        if fgn_sources is not None:
-            arrival_sets = _fgn_arrival_sets(
-                fgn_sources, arr.size, n, n_lag_draws, "smg.fgn",
-                start=draw_index,
-            )
-            draw_index += len(arrival_sets)
-        else:
-            arrival_sets = lagged_arrival_sets(arr, n, n_lag_draws, min_separation, rng)
+        arrival_sets = lagged_arrival_sets(arr, n, n_lag_draws, min_separation, rng)
         capacities.append(_smg_capacity(
             arrival_sets, n, mean_rate, peak_rate,
             slot_seconds=slot_seconds, slots_per_second=slots_per_second,

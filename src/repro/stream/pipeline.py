@@ -388,29 +388,12 @@ class ParallelSources:
             raise ValueError("sources must contain at least one source")
         self.recoveries = []
 
-    def _spawn_children(self, rng, count):
-        """Child generators plus the seed material to rebuild them.
-
-        The seed sequences are spawned exactly the way ``rng.spawn``
-        would, so the emitted values are identical to ``rng.spawn``'s;
-        keeping the sequences is what allows a dead source to be
-        regenerated deterministically mid-stream.
-        """
-        try:
-            seed_seqs = rng.bit_generator.seed_seq.spawn(count)
-        except AttributeError:
-            # Exotic bit generator without a seed sequence: values are
-            # still reproducible, but a dead source cannot be recovered.
-            return rng.spawn(count), None
-        bitgen_type = type(rng.bit_generator)
-        children = [np.random.Generator(bitgen_type(seq)) for seq in seed_seqs]
-        return children, (seed_seqs, bitgen_type)
-
-    def _recovering(self, index, n, chunk_size, rng, seed_material):
+    def _recovering(self, index, n, chunk_size, rng):
         """Source ``index``'s chunks, rebuilt from its seed if it dies.
 
-        On an exception the source is restarted from its recorded child
-        seed, the chunks already delivered are regenerated and
+        On an exception the source is restarted from a fresh generator
+        of the same bit-generator type built from ``rng``'s seed
+        sequence, the chunks already delivered are regenerated and
         discarded (numpy streams are deterministic, so the replay is
         exact), and the chunk the dead source owed is drawn again.
         """
@@ -420,11 +403,10 @@ class ParallelSources:
             try:
                 chunk = next(chunks, _END)
             except Exception as exc:
-                if seed_material is None or restarts >= _MAX_RESTARTS:
+                if restarts >= _MAX_RESTARTS:
                     raise
                 restarts += 1
-                seed_seqs, bitgen_type = seed_material
-                rng = np.random.Generator(bitgen_type(seed_seqs[index]))
+                rng = np.random.Generator(type(rng.bit_generator)(rng.bit_generator.seed_seq))
                 chunks = self.sources[index].chunks(n, chunk_size, rng=rng)
                 for _ in range(delivered):
                     next(chunks)
@@ -462,12 +444,11 @@ class ParallelSources:
         chunk_size = require_positive_int(chunk_size, "chunk_size")
         if rng is None:
             rng = np.random.default_rng()
-        child_rngs, seed_material = self._spawn_children(rng, len(self.sources))
         self.recoveries = []
         return merge_streams(
             [
-                Stream(self._recovering(index, n, chunk_size, child, seed_material), n=n)
-                for index, child in enumerate(child_rngs)
+                Stream(self._recovering(index, n, chunk_size, child), n=n)
+                for index, child in enumerate(rng.spawn(len(self.sources)))
             ],
             chunk_size,
         )

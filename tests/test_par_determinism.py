@@ -26,8 +26,6 @@ def qc_series(small_series):
 
 
 class TestGridSweeps:
-    FGN_SOURCES = {"hurst": 0.8, "seed": 41, "mean": 25_000.0, "std": 6_000.0}
-
     def test_qc_curve_worker_invariance(self, qc_series):
         # The pin was recorded when qc_curve still took workers=, at
         # workers 1, 2 and 5 alike.
@@ -38,34 +36,6 @@ class TestGridSweeps:
         assert sha256(
             curve.capacity_per_source, curve.buffer_bytes, curve.tmax_ms
         ) == "1c519258d4ddee853c42fa1004f6510a7ea3c6cb08e065f12a43c6476ede49e8"
-
-    def test_qc_curve_fgn_sources_batch_and_worker_invariance(self, qc_series):
-        # The pin was recorded when qc_curve still took batch=, at batch
-        # 1, 2 and 7 alike.
-        curve = qc_curve(
-            qc_series, 1.0 / 24.0, n_sources=5, target_loss=1e-3,
-            n_points=4, fgn_sources=dict(self.FGN_SOURCES),
-            rng=np.random.default_rng(1),
-        )
-        assert sha256(
-            curve.capacity_per_source, curve.buffer_bytes, curve.tmax_ms
-        ) == "81825ba7363b3d413e5de693ebf5e6aaa8689e004364a620e303db698091b034"
-
-    def test_smg_curve_fgn_sources_batch_and_worker_invariance(self, qc_series):
-        # Pinned like the Q-C curve above, at every old batch size.
-        result = smg_curve(
-            qc_series, 1.0 / 24.0, n_values=(1, 2, 5), target_loss=1e-3,
-            n_lag_draws=2, fgn_sources=dict(self.FGN_SOURCES), rel_tol=1e-3,
-        )
-        assert sha256(result["capacity_per_source"]) == (
-            "a1723b44911fff5049db407fc91bcc3307175177d281b166e66b8a2fbd629a54"
-        )
-
-    def test_fgn_sources_refuse_marginal_with_mean_or_std(self, qc_series, paper_marginal):
-        for key in ("mean", "std"):
-            sources = {"hurst": 0.8, "marginal": paper_marginal, key: 1.0}
-            with pytest.raises(ValueError, match="not both"):
-                qc_curve(qc_series, 1.0 / 24.0, n_sources=2, fgn_sources=sources)
 
     def test_smg_curve_worker_invariance(self, qc_series):
         # Pinned like the Q-C curve above, at every old worker count.

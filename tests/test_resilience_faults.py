@@ -155,15 +155,20 @@ class TestParallelRecovery:
         ]
         return ParallelSources(sources), ParallelSources(flaky)
 
-    def test_recovers_from_worker_death(self):
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.Philox], ids=lambda bg: bg.__name__
+    )
+    def test_recovers_from_worker_death(self, bit_generator):
+        # The replayed source must be rebuilt with its child's bit
+        # generator type: any other type draws different bytes.
         plain, flaky = self.build_pools()
         baseline = np.concatenate(
-            list(plain.chunks(2048, 256, rng=np.random.default_rng(6)))
+            list(plain.chunks(2048, 256, rng=np.random.Generator(bit_generator(6))))
         )
         plan = FaultPlan().fail_at("src:1", call=4, exc=TransientFault)
         with plan.active():
             recovered = np.concatenate(
-                list(flaky.chunks(2048, 256, rng=np.random.default_rng(6)))
+                list(flaky.chunks(2048, 256, rng=np.random.Generator(bit_generator(6))))
             )
         np.testing.assert_array_equal(recovered, baseline)
         assert len(flaky.recoveries) == 1

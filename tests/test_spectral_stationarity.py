@@ -1,6 +1,6 @@
-"""Tests for the spectral FGN generator and the stationarity check."""
+"""Tests for the stationarity check, and for Paxson's spectral fGn
+synthesis agreeing with the two exact generators on H."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.hurst import variance_time
@@ -8,68 +8,15 @@ from repro.analysis.stationarity import (
     lrd_stationarity_check,
     segment_mean_dispersion,
 )
-from repro.core.spectral import SpectralGenerator, fgn_spectral_density, spectral_fgn
-
-
-class TestSpectralDensity:
-    def test_divergence_at_origin_for_lrd(self):
-        """f(w) ~ w^(1-2H) as w -> 0: diverges for H > 1/2."""
-        f_small = fgn_spectral_density(np.array([0.001]), 0.8)[0]
-        f_large = fgn_spectral_density(np.array([0.1]), 0.8)[0]
-        ratio = f_small / f_large
-        expected = (0.001 / 0.1) ** (1 - 2 * 0.8)
-        assert ratio == pytest.approx(expected, rel=0.15)
-
-    def test_flat_for_white_noise(self):
-        omega = np.linspace(0.1, np.pi, 20)
-        f = fgn_spectral_density(omega, 0.5)
-        assert f.max() / f.min() < 1.2
-
-    def test_total_power_is_variance(self):
-        """Integral of the density over (-pi, pi] equals 1 (unit FGN)."""
-        omega = np.linspace(1e-4, np.pi, 200_000)
-        f = fgn_spectral_density(omega, 0.75)
-        total = 2.0 * np.trapezoid(f, omega)
-        assert total == pytest.approx(1.0, rel=0.02)
-
-    def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError):
-            fgn_spectral_density(np.array([0.0]), 0.8)
-        with pytest.raises(ValueError):
-            fgn_spectral_density(np.array([4.0]), 0.8)
+from repro.core.paxson import PaxsonGenerator
 
 
 class TestSpectralGenerator:
-    def test_unit_variance(self, rng):
-        x = SpectralGenerator(0.8).generate(2**14, rng=rng)
-        assert np.var(x) == pytest.approx(1.0, abs=0.1)
-
-    def test_hurst_recovered(self, rng):
-        x = SpectralGenerator(0.8).generate(2**14, rng=rng)
-        assert variance_time(x).hurst == pytest.approx(0.8, abs=0.07)
-
-    def test_antipersistent(self, rng):
-        x = SpectralGenerator(0.3).generate(2**13, rng=rng)
-        r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
-        assert r1 < -0.05
-
-    def test_requires_even_length(self, rng):
-        with pytest.raises(ValueError):
-            SpectralGenerator(0.8).generate(999, rng=rng)
-
-    def test_density_cache(self, rng):
-        gen = SpectralGenerator(0.8)
-        gen.generate(256, rng=rng)
-        cached = gen._cached_f
-        gen.generate(256, rng=rng)
-        assert gen._cached_f is cached
-
-    def test_wrapper(self, rng):
-        assert spectral_fgn(128, hurst=0.7, rng=rng).shape == (128,)
+    """Paxson's spectral (FFT) synthesis against the two exact generators."""
 
     def test_three_generators_agree(self, rng):
-        """Hosking, Davies-Harte and spectral synthesis recover the
-        same variance-time H."""
+        """Hosking, Davies-Harte and Paxson's spectral synthesis recover
+        the same variance-time H."""
         from repro.core.daviesharte import DaviesHarteGenerator
         from repro.core.hosking import HoskingGenerator
 
@@ -77,7 +24,7 @@ class TestSpectralGenerator:
         estimates = [
             variance_time(HoskingGenerator(hurst=0.8).generate(n, rng=rng)).hurst,
             variance_time(DaviesHarteGenerator(0.8).generate(n, rng=rng)).hurst,
-            variance_time(SpectralGenerator(0.8).generate(n, rng=rng)).hurst,
+            variance_time(PaxsonGenerator(0.8).generate(n, rng=rng)).hurst,
         ]
         assert max(estimates) - min(estimates) < 0.15
 
