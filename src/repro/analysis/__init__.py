@@ -33,8 +33,6 @@ from repro.analysis.hurst import (
 from repro.analysis.confidence import mean_confidence_convergence, lrd_mean_ci
 from repro.analysis.dispersion import IDCResult, index_of_dispersion
 from repro.analysis.wavelet import WaveletResult, haar_detail_energy, wavelet_hurst
-from repro.analysis.scenedetect import SceneAnalysis, analyze_scenes, detect_scene_changes
-from repro.analysis.crosscorr import lagged_copy_correlation, effective_independent_sources
 from repro.analysis.report import TraceReport, analyze_trace
 from repro.analysis.stationarity import (
     StationarityReport,
@@ -69,11 +67,6 @@ __all__ = [
     "index_of_dispersion",
     "TraceReport",
     "analyze_trace",
-    "lagged_copy_correlation",
-    "effective_independent_sources",
-    "SceneAnalysis",
-    "analyze_scenes",
-    "detect_scene_changes",
     "WaveletResult",
     "haar_detail_energy",
     "wavelet_hurst",

@@ -34,8 +34,6 @@ from repro.core.baselines import (
     AR1Model,
     DAR1Model,
 )
-from repro.core.arma import ARMAProcess, yule_walker
-from repro.core.composite import CompositeVBRModel
 from repro.core.markov_fluid import MarkovFluidModel
 
 __all__ = [
@@ -58,8 +56,5 @@ __all__ = [
     "GaussianFarimaModel",
     "AR1Model",
     "DAR1Model",
-    "ARMAProcess",
-    "yule_walker",
-    "CompositeVBRModel",
     "MarkovFluidModel",
 ]

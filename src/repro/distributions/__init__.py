@@ -22,13 +22,6 @@ from repro.distributions.gamma import Gamma
 from repro.distributions.lognormal import Lognormal
 from repro.distributions.pareto import Pareto
 from repro.distributions.hybrid import GammaParetoHybrid
-from repro.distributions.gof import (
-    GoodnessOfFit,
-    ks_statistic,
-    chi_square_statistic,
-    qq_points,
-    score_candidates,
-)
 from repro.distributions.fitting import (
     fit_all_candidates,
     fit_pareto_tail_slope,
@@ -48,9 +41,4 @@ __all__ = [
     "fit_pareto_tail_slope",
     "empirical_ccdf",
     "empirical_cdf",
-    "GoodnessOfFit",
-    "ks_statistic",
-    "chi_square_statistic",
-    "qq_points",
-    "score_candidates",
 ]

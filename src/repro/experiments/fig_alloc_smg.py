@@ -24,7 +24,7 @@ tailored per user), and the shortfall measures the cost of partitioning.
 (:func:`repro.simulation.norros.norros_capacity`) at the aggregate
 traffic's measured mean/variance (and the fleet's most bursty Hurst
 class -- the conservative choice) is reported as the closed-form
-anchor, the same cross-check ``simulation/admission.py`` uses.
+anchor.
 """
 
 from __future__ import annotations

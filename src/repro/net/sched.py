@@ -20,10 +20,9 @@ verified single-queue simulator through
   apportioned by fluid share.
 - :class:`PriorityDiscipline` serves classes in strict priority order
   and, under buffer pressure, pushes out low-priority fluid first: one
-  :func:`~repro.simulation.slotfluid.fold_priority` pass, the
-  strict-priority recursion that
-  :func:`repro.simulation.priority.simulate_priority_queue` also runs
-  (a two-flow port is that queue bit for bit).
+  :func:`~repro.simulation.slotfluid.fold_priority` pass, the one
+  strict-priority recursion (with two flows, the base/enhancement
+  layered-video queue of the paper's Section 5.3).
 - :class:`WFQDiscipline` splits capacity across backlogged classes in
   weight proportion with work-conserving redistribution (fluid
   weighted fair queueing) and drops overflow in proportion to each

@@ -28,8 +28,6 @@ from repro.simulation.queue import (
 from repro.simulation.multiplex import (
     random_lags,
     multiplex_series,
-    multiplex_trace,
-    multiplex_heterogeneous,
 )
 from repro.simulation.metrics import (
     worst_errored_second_loss,
@@ -41,14 +39,12 @@ from repro.simulation.cells import (
     packetize,
     simulate_cell_queue,
 )
-from repro.simulation.admission import max_admissible_sources, norros_admissible_sources
 from repro.simulation.norros import (
     norros_kappa,
     norros_overflow_probability,
     norros_capacity,
     norros_buffer,
 )
-from repro.simulation.priority import PriorityQueueResult, simulate_priority_queue
 from repro.simulation.qc import (
     QCCurve,
     required_capacity,
@@ -63,22 +59,16 @@ __all__ = [
     "cell_arrivals",
     "packetize",
     "simulate_cell_queue",
-    "max_admissible_sources",
-    "norros_admissible_sources",
     "norros_kappa",
     "norros_overflow_probability",
     "norros_capacity",
     "norros_buffer",
-    "PriorityQueueResult",
-    "simulate_priority_queue",
     "QueueResult",
     "simulate_queue",
     "max_backlog",
     "zero_loss_capacity",
     "random_lags",
     "multiplex_series",
-    "multiplex_trace",
-    "multiplex_heterogeneous",
     "worst_errored_second_loss",
     "windowed_loss_rate",
     "QCCurve",

@@ -18,9 +18,6 @@ __all__ = [
     "random_lags",
     "multiplex_series",
     "lagged_arrival_sets",
-    "multiplex_fgn",
-    "multiplex_trace",
-    "multiplex_heterogeneous",
 ]
 
 
@@ -98,79 +95,3 @@ def _add_rolled(out, arr, shift):
     n = arr.size
     out[shift:] += arr[:n - shift]
     out[:shift] += arr[n - shift:]
-
-
-def multiplex_fgn(n, hurst, n_sources, *, backend="paxson", variance=1.0,
-                  seed=0, marginal=None):
-    """Aggregate arrivals from ``n_sources`` *independent* fGn sources.
-
-    The lagged-copy construction above follows the paper exactly; this
-    is the model-driven alternative: each source is a fresh fGn path
-    (one :func:`repro.core.batch.batch_fgn` row), optionally pushed
-    through a marginal distribution (e.g. the paper's Gamma/Pareto
-    hybrid via :func:`repro.core.transform.marginal_transform`), and
-    the sources are summed in source order.  Source ``i`` draws from
-    ``default_rng(derive_task_seed(seed, i, label="batch"))``, so the
-    aggregate is row-for-row the sum of ``batch_fgn(n, hurst,
-    n_sources, seed=seed)``.
-    """
-    from repro.core.batch import batch_fgn, batch_row_seeds
-    from repro.core.transform import marginal_transform
-
-    n = require_positive_int(n, "n")
-    n_sources = require_positive_int(n_sources, "n_sources")
-    out = np.zeros(n)
-    for row_seed in batch_row_seeds(seed, n_sources):
-        row = batch_fgn(n, hurst, 1, backend=backend, variance=variance,
-                        seeds=[row_seed])[0]
-        if marginal is not None:
-            row = marginal_transform(row, marginal)
-        out += row
-    return out
-
-
-def multiplex_heterogeneous(series_list, lags=None, rng=None):
-    """Aggregate arrivals from *different* sources (mixed workloads).
-
-    The paper multiplexes copies of one trace; real links carry a mix
-    -- e.g. several trace-driven sources plus several model-generated
-    ones.  Each series is cyclically shifted by its lag (random by
-    default) and the shifted copies are summed.  All series must share
-    one length (generate model traffic at the trace's length first).
-    """
-    if not series_list:
-        raise ValueError("series_list must contain at least one source")
-    arrays = [as_1d_float_array(s, f"series_list[{i}]") for i, s in enumerate(series_list)]
-    n = arrays[0].size
-    for i, arr in enumerate(arrays):
-        if arr.size != n:
-            raise ValueError(
-                f"all sources must share one length; series_list[{i}] has "
-                f"{arr.size}, expected {n}"
-            )
-    if lags is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        lags = rng.integers(0, n, size=len(arrays))
-    lags = np.asarray(lags, dtype=int)
-    if lags.size != len(arrays):
-        raise ValueError(f"need one lag per source, got {lags.size} for {len(arrays)}")
-    out = np.zeros(n)
-    for arr, lag in zip(arrays, lags):
-        _add_rolled(out, arr, -int(lag) % n)
-    return out
-
-
-def multiplex_trace(trace, lags, unit="frame"):
-    """Aggregate arrivals from a :class:`~repro.video.trace.VBRTrace`.
-
-    Lags are expressed in *frames* regardless of the chosen unit; at
-    slice resolution each lag is multiplied by the trace's
-    slices-per-frame so that sources remain frame-aligned.
-    """
-    lags = np.asarray(lags, dtype=int)
-    if unit == "frame":
-        return multiplex_series(trace.frame_bytes, lags)
-    if unit == "slice":
-        return multiplex_series(trace.slice_bytes, lags * trace.slices_per_frame)
-    raise ValueError(f'unit must be "frame" or "slice", got {unit!r}')

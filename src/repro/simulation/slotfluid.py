@@ -37,10 +37,8 @@ rehearsal of one, is one call rather than one per user.  Each row equals
 
 :func:`fold_priority` is the one strict-priority recursion with
 pushout, over a ``(K, T)`` matrix of per-class arrivals: every
-priority port of the network and the two-layer
-:func:`repro.simulation.priority.simulate_priority_queue` fold through
-it.  Its overflow is :func:`clamp_backlog`'s drop rule on the
-aggregate backlog.
+priority port of the network folds through it.  Its overflow is
+:func:`clamp_backlog`'s drop rule on the aggregate backlog.
 
 The zero-loss analysis needs no fold at all: the infinite-buffer peak
 backlog is the maximum drawdown of the net-input walk.
@@ -223,11 +221,10 @@ def fold_priority(arrivals, capacity, buffer_bytes, priorities, backlog):
     """Strict-priority service with pushout over a ``(K, T)`` arrival matrix.
 
     The one strict-priority recursion: every priority port of
-    :mod:`repro.net.sched` and the two-layer
-    :func:`repro.simulation.priority.simulate_priority_queue` run it.
-    Row ``i`` of ``arrivals`` is class ``i`` (registration order),
-    ``priorities[i]`` its priority (0 is highest) and ``backlog[i]`` the
-    bytes it holds before the first slot.  Per slot:
+    :mod:`repro.net.sched` runs it.  Row ``i`` of ``arrivals`` is class
+    ``i`` (registration order), ``priorities[i]`` its priority (0 is
+    highest) and ``backlog[i]`` the bytes it holds before the first
+    slot.  Per slot:
 
     1. each class adds its arrivals to its backlog;
     2. up to ``capacity`` bytes are served, classes in
@@ -249,8 +246,8 @@ def fold_priority(arrivals, capacity, buffer_bytes, priorities, backlog):
     # With priorities in index order, the service loop meets the classes
     # in index order and its running sum of the backlogs left behind is
     # the aggregate (a fully served class adds an exact 0.0).  Skipping
-    # the second pass there cuts simulate_priority_queue's time on 20,000
-    # two-class slots by about 12% (best of 5, 30 paired rounds, 2 vCPUs).
+    # the second pass there cut a two-class fold of 20,000 slots by about
+    # 12% (best of 5, 30 paired rounds, 2 vCPUs).
     in_order = order == list(range(k))
     held = list(backlog)
     served, lost, level = np.zeros((k, n)), np.zeros((k, n)), np.zeros(n)

@@ -27,26 +27,15 @@ from repro.video.scenes import SceneScript, Scene, generate_scene_script, story_
 from repro.video.starwars import synthesize_starwars_trace, STARWARS_PARAMETERS
 from repro.video.tracefile import save_trace, load_trace
 from repro.video.shaping import ClipResult, clip_peaks, leaky_bucket, cbr_smoothing_delay
-from repro.video.layering import LayeredFrame, LayeredIntraframeCodec, layer_series
 from repro.video.interframe import InterframeCodec, synthesize_mpeg_trace
-from repro.video.ratecontrol import RateControlledCodec
-from repro.video.quality import mse, psnr, blockiness, quality_report
 
 __all__ = [
     "ClipResult",
     "clip_peaks",
     "leaky_bucket",
     "cbr_smoothing_delay",
-    "LayeredFrame",
-    "LayeredIntraframeCodec",
-    "layer_series",
     "InterframeCodec",
     "synthesize_mpeg_trace",
-    "RateControlledCodec",
-    "mse",
-    "psnr",
-    "blockiness",
-    "quality_report",
     "VBRTrace",
     "IntraframeCodec",
     "EncodedFrame",

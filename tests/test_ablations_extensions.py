@@ -149,22 +149,6 @@ class TestAblations:
 
 
 class TestExtensions:
-    def test_composite_model_short_acf(self, sim_trace):
-        """The SRD-augmented model matches the trace's short-lag (1-10)
-        ACF better than the plain model (the paper's anticipated
-        improvement)."""
-        from repro.analysis.correlation import autocorrelation
-        from repro.core.composite import CompositeVBRModel
-        from repro.core.fractional import farima_acf
-        from repro.core.transform import normal_scores
-
-        x = sim_trace.frame_bytes
-        model = CompositeVBRModel.fit(x, ar_order=2)
-        data_acf = autocorrelation(normal_scores(x), max_lag=10)[1:]
-        base_acf = farima_acf(model.base.hurst - 0.5, 10)[1:]
-        comp_acf = model.theoretical_short_acf(10)[1:]
-        assert np.mean(np.abs(comp_acf - data_acf)) < np.mean(np.abs(base_acf - data_acf))
-
     def test_mpeg_trace_properties(self):
         """The interframe (MPEG) extension: periodicity + burstiness + LRD."""
         from repro.analysis.correlation import aggregate, periodogram

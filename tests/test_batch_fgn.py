@@ -5,10 +5,9 @@ pocketfft runs each row with the same 1-D plan a single-trace call
 would use, so every row must equal the corresponding
 ``PaxsonGenerator``/``DaviesHarteGenerator`` sample **bit for bit** --
 not approximately.  These tests pin that per backend, Hurst value,
-batch size and odd/even length, then show that the callers which
-synthesize one trace at a time -- the independent-source multiplexer
-and the streaming block source -- would emit the same bytes with their
-traces stacked B rows per FFT.
+batch size and odd/even length, then show that the streaming block
+source, which synthesizes one trace at a time, would emit the same
+bytes with its traces stacked B rows per FFT.
 """
 
 import numpy as np
@@ -17,8 +16,6 @@ import pytest
 from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
-from repro.core.transform import marginal_transform
-from repro.simulation.multiplex import multiplex_fgn
 from repro.stream.sources import make_source
 from tests.test_fgn_parity import stitch
 
@@ -104,32 +101,6 @@ class TestValidation:
     def test_batch_generate_requires_rows(self):
         with pytest.raises(ValueError, match="at least one row"):
             batch_generate(PaxsonGenerator(0.8), 128, [])
-
-
-class TestMultiplexFGN:
-    """The aggregate equals the stacked rows of ``batch_fgn`` summed in order."""
-
-    @staticmethod
-    def stacked_sum(n, n_sources, seed, batch, marginal=None):
-        seeds = batch_row_seeds(seed, n_sources)
-        out = np.zeros(n)
-        for start in range(0, n_sources, batch):
-            group = seeds[start : start + batch]
-            for row in batch_fgn(n, 0.8, len(group), seeds=group):
-                out += row if marginal is None else marginal_transform(row, marginal)
-        return out
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_aggregate_is_batch_invariant(self, batch):
-        np.testing.assert_array_equal(
-            multiplex_fgn(600, 0.8, 5, seed=3), self.stacked_sum(600, 5, 3, batch)
-        )
-
-    def test_marginal_mode_is_batch_invariant(self, paper_marginal):
-        np.testing.assert_array_equal(
-            multiplex_fgn(400, 0.8, 4, seed=8, marginal=paper_marginal),
-            self.stacked_sum(400, 4, 8, 4, marginal=paper_marginal),
-        )
 
 
 class TestStreamingSourceBatch:

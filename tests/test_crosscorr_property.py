@@ -1,6 +1,6 @@
-"""Cross-correlation tests and a deeper property-based layer.
+"""Property tests: fast implementations against slow references.
 
-The property tests here pit fast implementations against slow
+The tests here pit the production kernels against straight-line
 reference implementations over randomized inputs -- the strongest kind
 of correctness evidence for the queueing and coding kernels.
 """
@@ -9,55 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.analysis.crosscorr import effective_independent_sources, lagged_copy_correlation
-
-
-class TestLaggedCopyCorrelation:
-    def test_lag_zero_is_one(self, small_series):
-        out = lagged_copy_correlation(small_series, [0])
-        assert out[0] == pytest.approx(1.0)
-
-    def test_lrd_trace_correlated_at_long_lags(self, small_series):
-        """The paper's Section 5.1 observation: cross-correlation is
-        *statistically significant* even at 1000+ frame offsets --
-        small in absolute terms, but several null standard errors
-        (1/sqrt(n)) above what independence would allow."""
-        lags = [1000, 2000, 4000]
-        out = lagged_copy_correlation(small_series, lags)
-        null_sigma = 1.0 / np.sqrt(small_series.size)
-        assert np.mean(np.abs(out)) > 2.0 * null_sigma
-
-    def test_iid_control_uncorrelated(self, rng):
-        x = rng.gamma(20.0, 1000.0, size=20_000)
-        out = lagged_copy_correlation(x, [1000, 2000])
-        assert np.all(np.abs(out) < 0.03)
-
-    def test_rejects_empty_lags(self, small_series):
-        with pytest.raises(ValueError):
-            lagged_copy_correlation(small_series, [])
-
-
-class TestEffectiveIndependentSources:
-    def test_iid_copies_fully_independent(self, rng):
-        x = rng.standard_normal(50_000)
-        result = effective_independent_sources(x, [0, 10_000, 20_000, 30_000])
-        assert result["variance_ratio"] == pytest.approx(1.0, abs=0.1)
-        assert result["effective_sources"] == pytest.approx(4.0, rel=0.15)
-
-    def test_identical_copies_fully_dependent(self, rng):
-        x = rng.standard_normal(10_000)
-        result = effective_independent_sources(x, [0, 0, 0])
-        # Var(3X) = 9 Var(X): ratio 3, one effective source.
-        assert result["variance_ratio"] == pytest.approx(3.0, rel=1e-6)
-        assert result["effective_sources"] == pytest.approx(1.0, rel=1e-6)
-
-    def test_lrd_copies_less_than_fully_independent(self, small_series):
-        result = effective_independent_sources(
-            small_series, [0, 2_000, 4_000, 6_000, 8_000]
-        )
-        assert result["variance_ratio"] > 1.02
-        assert result["effective_sources"] < 5.0
 
 
 # ----------------------------------------------------------------------
@@ -92,26 +43,6 @@ def test_queue_matches_reference_property(seed, capacity, buffer_bytes):
     lost_ref, backlog_ref = _reference_queue(arrivals.tolist(), capacity, buffer_bytes)
     assert result.lost_bytes == pytest.approx(lost_ref, abs=1e-9)
     assert result.final_backlog == pytest.approx(backlog_ref, abs=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_priority_queue_refines_fifo_property(seed):
-    """Property: total loss under strict priority + pushout equals the
-    FIFO loss on the merged stream (work conservation), for any input."""
-    from repro.simulation.priority import simulate_priority_queue
-    from repro.simulation.queue import simulate_queue
-
-    rng = np.random.default_rng(seed)
-    h = rng.uniform(0, 10, size=300)
-    low = rng.uniform(0, 10, size=300)
-    c = float(rng.uniform(4, 16))
-    q = float(rng.uniform(0, 60))
-    prio = simulate_priority_queue(h, low, c, q)
-    fifo = simulate_queue(h + low, c, q)
-    assert prio.high_lost + prio.low_lost == pytest.approx(fifo.lost_bytes, abs=1e-6)
-    # And the base layer never does worse than the merged stream.
-    assert prio.high_loss_rate <= fifo.loss_rate + 1e-12
 
 
 @settings(max_examples=20, deadline=None)

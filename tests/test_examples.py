@@ -55,11 +55,6 @@ class TestExamples:
         assert "full model" in out
         assert "Verdict" in out
 
-    def test_layered_transport(self):
-        out = run_example("layered_transport.py")
-        assert "base-layer loss" in out
-        assert "priority" in out
-
     def test_mpeg_analysis(self):
         out = run_example("mpeg_analysis.py", "--frames", "6000")
         assert "GOP spectral line" in out

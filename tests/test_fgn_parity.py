@@ -3,15 +3,15 @@
 Two independent checks per path:
 
 - **sha256 pins.**  The digests below are of the float64 bytes each
-  call returned at commit cbd0d31, where ``multiplex_fgn``,
-  ``BlockFGNSource``, ``qc_curve``/``smg_curve`` (pinned in
+  call returned at commit cbd0d31, where ``BlockFGNSource``,
+  ``qc_curve``/``smg_curve`` (pinned in
   ``tests/test_par_determinism.py``) and ``repro stream`` still took a
   ``batch`` option; every batch size gave these bytes.  They catch any
   change to the synthesized values.
 - **Single-trace oracles.**  ``BlockFGNSource`` is rebuilt here from
   the plain ``PaxsonGenerator``/``DaviesHarteGenerator.generate`` call
-  per block, stitched with :func:`repro.stream.sources.blend_weights`.  They say what the
-  bytes are, not only that they did not move.
+  per block, stitched with :func:`repro.stream.sources.blend_weights`.
+  They say what the bytes are, not only that they did not move.
 """
 
 import hashlib
@@ -22,7 +22,6 @@ import pytest
 from repro.cli import main
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
-from repro.simulation.multiplex import multiplex_fgn
 from repro.stream.sources import BlockFGNSource, blend_weights
 
 GENERATORS = {"paxson": PaxsonGenerator, "davies-harte": DaviesHarteGenerator}
@@ -54,18 +53,6 @@ def stitch(raws, lengths, overlap):
         tail = raw[length:]
         out.append(head)
     return np.concatenate(out)
-
-
-class TestMultiplexFGN:
-    def test_gaussian_aggregate(self):
-        assert sha256(multiplex_fgn(600, 0.8, 5, seed=3)) == (
-            "435502b399263efa61ed17bba5e4662364c839f83fad48a47306ee1d7dc860e3"
-        )
-
-    def test_paper_marginal_aggregate(self, paper_marginal):
-        assert sha256(multiplex_fgn(400, 0.8, 4, seed=8, marginal=paper_marginal)) == (
-            "9293f170f83956a759dc4397262d1f5da584cc0d55b61612a0bd001ce0bfc9b5"
-        )
 
 
 class TestBlockFGNSource:

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.metrics import windowed_loss_rate, worst_errored_second_loss
-from repro.simulation.multiplex import (
-    multiplex_heterogeneous,
-    multiplex_series,
-    multiplex_trace,
-    random_lags,
-)
+from repro.simulation.multiplex import multiplex_series, random_lags
 
 
 class TestRandomLags:
@@ -93,32 +88,6 @@ class TestMultiplexSeries:
             for lag in lags:
                 want += np.roll(x, -int(lag) % n)
             assert multiplex_series(x, lags).tobytes() == want.tobytes()
-            sources = [rng.gamma(0.8, 1_000.0, size=n) for _ in range(3)]
-            source_lags = rng.integers(0, n, size=3)
-            want = np.zeros(n)
-            for source, lag in zip(sources, source_lags):
-                want += np.roll(source, -int(lag) % n)
-            got = multiplex_heterogeneous(sources, source_lags)
-            assert got.tobytes() == want.tobytes()
-
-
-class TestMultiplexTrace:
-    def test_frame_unit(self, small_trace):
-        agg = multiplex_trace(small_trace, [0, 5_000], unit="frame")
-        assert agg.size == small_trace.n_frames
-
-    def test_slice_unit_frame_aligned(self, small_trace):
-        agg = multiplex_trace(small_trace, [0, 5_000], unit="slice")
-        assert agg.size == small_trace.n_frames * small_trace.slices_per_frame
-        # Summing slices per frame equals the frame-level aggregate.
-        frame_agg = multiplex_trace(small_trace, [0, 5_000], unit="frame")
-        np.testing.assert_allclose(
-            agg.reshape(-1, small_trace.slices_per_frame).sum(axis=1), frame_agg
-        )
-
-    def test_rejects_bad_unit(self, small_trace):
-        with pytest.raises(ValueError):
-            multiplex_trace(small_trace, [0], unit="minute")
 
 
 class TestWorstErroredSecond:
@@ -191,58 +160,3 @@ def test_multiplex_conservation_property(n_sources, seed):
     lags = random_lags(n_sources, x.size, min_separation=10, rng=rng)
     agg = multiplex_series(x, lags)
     assert agg.sum() == pytest.approx(n_sources * x.sum(), rel=1e-12)
-
-
-class TestMultiplexHeterogeneous:
-    def test_sum_preserved(self, rng):
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        a = rng.uniform(size=500)
-        b = rng.uniform(size=500)
-        agg = multiplex_heterogeneous([a, b], lags=[0, 100])
-        assert agg.sum() == pytest.approx(a.sum() + b.sum())
-
-    def test_explicit_lags(self):
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 2.0, 0.0])
-        agg = multiplex_heterogeneous([a, b], lags=[0, 1])
-        np.testing.assert_allclose(agg, [1.0 + 2.0, 0.0, 0.0])
-
-    def test_random_lags_drawn(self, rng):
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        a = rng.uniform(size=100)
-        agg = multiplex_heterogeneous([a, a, a], rng=rng)
-        assert agg.shape == (100,)
-
-    def test_mixed_trace_and_model_sources(self, small_series, rng):
-        """The intended use: real trace copies plus model sources."""
-        from repro.core.model import VBRVideoModel
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        model = VBRVideoModel(27_791.0, 6_254.0, 12.0, 0.8)
-        synthetic = model.generate(small_series.size, rng=rng, generator="davies-harte")
-        agg = multiplex_heterogeneous([small_series, synthetic], rng=rng)
-        assert agg.mean() == pytest.approx(
-            small_series.mean() + synthetic.mean(), rel=1e-9
-        )
-
-    def test_rejects_length_mismatch(self, rng):
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        with pytest.raises(ValueError):
-            multiplex_heterogeneous([np.ones(10), np.ones(11)])
-
-    def test_rejects_empty(self):
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        with pytest.raises(ValueError):
-            multiplex_heterogeneous([])
-
-    def test_rejects_wrong_lag_count(self, rng):
-        from repro.simulation.multiplex import multiplex_heterogeneous
-
-        with pytest.raises(ValueError):
-            multiplex_heterogeneous([np.ones(5), np.ones(5)], lags=[0])

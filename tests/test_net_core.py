@@ -1,17 +1,23 @@
 """repro.net core: disciplines, slot-fluid helper."""
 
+from collections import namedtuple
 from functools import reduce
 from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
+    Flow,
     FIFODiscipline,
     PriorityDiscipline,
     WFQDiscipline,
     make_discipline,
 )
+from repro.net.sched import seqsum
+from repro.simulation.queue import simulate_queue
 from repro.simulation.slotfluid import clamp_backlog, fold_slots, slot_step
 
 
@@ -297,3 +303,185 @@ class TestDisciplines:
                 make_discipline(name, bad, 5.0)
             with pytest.raises(ValueError):
                 make_discipline(name, 10.0, bad)
+
+
+_Ledger = namedtuple("_Ledger", "offered served lost held")
+
+
+def _two_class_port(high, low, capacity, buffer_bytes):
+    """A two-flow priority port, high registered first, run over one horizon.
+
+    This is the layered-video queue of the paper's Section 5.3: base
+    layer (high) served first, enhancement (low) pushed out first.
+    Returns the run and one :class:`_Ledger` per class (bytes offered,
+    served, lost and held at the end), each total added slot by slot.
+    """
+    port = PriorityDiscipline(capacity, buffer_bytes)
+    port.register("high", priority=0)
+    port.register("low", priority=1)
+    arrivals = np.array([high, low], dtype=float)
+    run = port.run(arrivals)
+    ledgers = [
+        _Ledger(seqsum(arrivals[i]), seqsum(run.served[i]), seqsum(run.lost[i]),
+                cls.backlog)
+        for i, cls in enumerate(port._classes.values())
+    ]
+    return run, ledgers
+
+
+def _loss_rate(ledger):
+    return ledger.lost / ledger.offered if ledger.offered > 0 else 0.0
+
+
+class TestTwoClassPriorityPort:
+    """Strict priority with pushout, through the net priority port."""
+
+    def test_no_loss_with_ample_capacity(self, rng):
+        h = rng.uniform(0, 3, size=500)
+        low = rng.uniform(0, 3, size=500)
+        _, (high, low_class) = _two_class_port(h, low, 10.0, 10.0)
+        assert high.lost == 0.0
+        assert low_class.lost == 0.0
+
+    def test_low_priority_dropped_first(self, rng):
+        h = rng.uniform(0, 5, size=2000)
+        low = rng.uniform(0, 5, size=2000)
+        _, (high, low_class) = _two_class_port(h, low, 5.2, 5.0)
+        assert _loss_rate(low_class) > 0
+        assert _loss_rate(high) < _loss_rate(low_class)
+
+    def test_base_protected_when_base_fits(self, rng):
+        """If the base layer alone fits the capacity, it loses nothing
+        regardless of enhancement pressure."""
+        h = rng.uniform(0, 2, size=2000)  # mean 1
+        low = rng.uniform(0, 20, size=2000)  # massive overload
+        _, (high, low_class) = _two_class_port(h, low, 3.0, 5.0)
+        assert high.lost == 0.0
+        assert _loss_rate(low_class) > 0.5
+
+    def test_conservation(self, rng):
+        h = rng.uniform(0, 5, size=1000)
+        low = rng.uniform(0, 5, size=1000)
+        run, ledgers = _two_class_port(h, low, 4.0, 15.0)
+        for row, (offered, _, lost, _) in zip(run.lost, ledgers):
+            assert row.sum() == pytest.approx(lost)
+            assert lost <= offered
+
+    def test_total_loss_close_to_fifo(self, rng):
+        """Priorities redistribute loss between classes; the total is
+        close to (never better than) the work-conserving FIFO's."""
+        h = rng.uniform(0, 5, size=5000)
+        low = rng.uniform(0, 5, size=5000)
+        _, (high, low_class) = _two_class_port(h, low, 7.0, 30.0)
+        fifo = simulate_queue(h + low, 7.0, 30.0)
+        assert high.lost + low_class.lost == pytest.approx(fifo.lost_bytes, rel=0.05)
+
+    def test_rejects_arrivals_without_a_row_per_class(self):
+        port = PriorityDiscipline(1.0, 1.0)
+        port.register("high", priority=0)
+        port.register("low", priority=1)
+        with pytest.raises(ValueError, match="one row per registered flow"):
+            port.run([[1.0, 2.0]])
+
+    def test_rejects_negative_volumes(self):
+        with pytest.raises(ValueError, match="invalid volume -1.0"):
+            Flow("high", ["a", "b"], [-1.0]).emissions(1)
+
+    def test_priority_protects_base_layer(self, small_series):
+        """The Section 5.3 scenario: under pressure, priorities keep
+        the base layer nearly loss-free while FIFO punishes both."""
+        x = small_series[:10_000]
+        base = np.rint(0.4 * x)  # 40% of each frame's bytes in the base layer
+        capacity = float(np.mean(x)) * 1.02
+        buffer_bytes = 50_000.0
+        fifo = simulate_queue(x, capacity, buffer_bytes)
+        _, (high, low_class) = _two_class_port(base, x - base, capacity, buffer_bytes)
+        assert fifo.loss_rate > 0
+        assert _loss_rate(high) < 0.1 * fifo.loss_rate
+        assert _loss_rate(low_class) > fifo.loss_rate
+
+    def test_byte_ledger_closes_exactly_for_integer_arrivals(self, rng):
+        """offered == served + lost + final backlog, per class, exactly:
+        integer arrivals with integer capacity keep every intermediate
+        value integral, so float arithmetic is exact."""
+        for capacity, buffer_bytes in ((7.0, 20.0), (3.0, 0.0), (12.0, 5.0)):
+            h = rng.integers(0, 8, size=1_500).astype(float)
+            low = rng.integers(0, 8, size=1_500).astype(float)
+            _, ledgers = _two_class_port(h, low, capacity, buffer_bytes)
+            for offered, served, lost, held in ledgers:
+                assert offered == served + lost + held
+
+    def test_byte_ledger_closes_for_float_arrivals(self, rng):
+        h = rng.uniform(0, 5, size=2_000)
+        low = rng.uniform(0, 5, size=2_000)
+        _, ledgers = _two_class_port(h, low, 4.5, 12.0)
+        for offered, served, lost, held in ledgers:
+            assert offered == pytest.approx(served + lost + held, rel=1e-12)
+
+    def test_high_drops_only_after_low_is_empty(self, rng):
+        """Replay the recursion slot by slot: whenever the port dropped a
+        high-priority byte, the low-priority backlog must have been
+        pushed out completely first."""
+        h = rng.uniform(0, 9, size=3_000)
+        low = rng.uniform(0, 3, size=3_000)
+        capacity, q = 5.0, 8.0
+        run, (high, _) = _two_class_port(h, low, capacity, q)
+        assert high.lost > 0.0  # the scenario actually exercises pushout
+        backlog_hi = backlog_lo = 0.0
+        for t in range(h.size):
+            backlog_hi += h[t]
+            backlog_lo += low[t]
+            served_hi = min(backlog_hi, capacity)
+            backlog_hi -= served_hi
+            backlog_lo -= min(backlog_lo, capacity - served_hi)
+            overflow = backlog_hi + backlog_lo - q
+            if overflow > 0.0:
+                drop_lo = min(backlog_lo, overflow)
+                backlog_lo -= drop_lo
+                drop_hi = overflow - drop_lo
+                backlog_hi -= drop_hi
+                assert run.lost[0, t] == pytest.approx(drop_hi, abs=1e-9)
+                if drop_hi > 0.0:
+                    assert backlog_lo == 0.0
+            else:
+                assert run.lost[0, t] == 0.0
+
+    def test_bufferless_overflow_is_clamped_to_the_high_backlog(self):
+        """A hand-written two-class loop once pushed the leftover overflow
+        out of the high class without clamping it to the high backlog,
+        so a bufferless queue ended with a negative high backlog."""
+        _, (high, low_class) = _two_class_port([0.1], [0.1], 0.05, 0.0)
+        assert high.held == 0.0
+        assert high.lost == 0.05
+        assert low_class.lost == 0.1
+        assert high.served + high.lost <= high.offered
+
+    def test_no_class_goes_negative_or_loses_more_than_offered(self):
+        rng = np.random.default_rng(33)
+        for trial in range(400):
+            n = int(rng.integers(1, 61))
+            h = rng.gamma(0.9, 1.0, size=n) * (rng.random(n) < 0.8)
+            low = rng.gamma(0.9, 1.0, size=n) * (rng.random(n) < 0.8)
+            capacity = float(rng.uniform(0.2, 2.0))
+            buffer_bytes = 0.0 if trial % 2 else float(rng.uniform(0.0, 3.0))
+            _, ledgers = _two_class_port(h, low, capacity, buffer_bytes)
+            for offered, _, lost, held in ledgers:
+                assert held >= 0.0
+                assert lost <= offered
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_priority_port_refines_fifo_property(seed):
+    """Property: total loss under strict priority + pushout equals the
+    FIFO loss on the merged stream (work conservation), for any input."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0, 10, size=300)
+    low = rng.uniform(0, 10, size=300)
+    c = float(rng.uniform(4, 16))
+    q = float(rng.uniform(0, 60))
+    _, (high, low_class) = _two_class_port(h, low, c, q)
+    fifo = simulate_queue(h + low, c, q)
+    assert high.lost + low_class.lost == pytest.approx(fifo.lost_bytes, abs=1e-6)
+    # And the base layer never does worse than the merged stream.
+    assert _loss_rate(high) <= fifo.loss_rate + 1e-12

@@ -4,7 +4,6 @@ curves, knee, SMG)."""
 import numpy as np
 import pytest
 
-from repro.simulation.admission import max_admissible_sources
 from repro.simulation.multiplex import lagged_arrival_sets, multiplex_series, random_lags
 from repro.simulation.qc import (
     knee_point,
@@ -317,13 +316,3 @@ class TestZeroLossRule:
         assert required_buffer([self.a], 2.0, 0, metric="wes") == max_backlog(self.a, 2.0)
         capacity = required_capacity([self.a], 3.0, 0, metric="wes", slots_per_second=4)
         assert capacity == zero_loss_capacity(self.a, 3.0) > 6.0
-
-    def test_admission_uses_the_drawdown_for_wes(self):
-        # 96 bit/s over 0.25 s slots is 3 bytes per slot: one source
-        # needs a 6-byte buffer, so none fits in 2 bytes.
-        counts = [
-            max_admissible_sources(self.a, 0.25, 96.0, 2.0, target_loss=0,
-                                   metric=metric, rng=np.random.default_rng(0))
-            for metric in ("wes", "overall")
-        ]
-        assert counts == [0, 0]

@@ -1,70 +1,9 @@
-"""Tests for quality metrics, the trace report, and the Fig. 13 system."""
+"""Tests for the trace report and the Fig. 13 system."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.report import analyze_trace
 from repro.experiments import fig13_system
-from repro.video.codec import IntraframeCodec
-from repro.video.quality import blockiness, mse, psnr, quality_report
-
-
-class TestQualityMetrics:
-    def test_psnr_identical_is_infinite(self):
-        img = np.full((16, 16), 100.0)
-        assert psnr(img, img) == float("inf")
-
-    def test_psnr_known_value(self):
-        """Uniform error of 1 pel: PSNR = 20 log10(255) ~= 48.13 dB."""
-        a = np.zeros((16, 16))
-        b = np.ones((16, 16))
-        assert psnr(a, b) == pytest.approx(20 * np.log10(255.0), rel=1e-9)
-
-    def test_mse(self):
-        a = np.zeros((8, 8))
-        b = np.full((8, 8), 2.0)
-        assert mse(a, b) == pytest.approx(4.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros((8, 8)), np.zeros((8, 16)))
-
-    def test_blockiness_smooth_image_near_one(self, rng):
-        img = rng.normal(128, 20, size=(64, 64))
-        assert blockiness(img) == pytest.approx(1.0, abs=0.15)
-
-    def test_blockiness_detects_block_structure(self, rng):
-        """An image made of constant 8x8 tiles has all its energy at
-        block boundaries."""
-        tiles = rng.uniform(0, 255, size=(8, 8))
-        img = np.kron(tiles, np.ones((8, 8)))
-        assert blockiness(img) > 10.0
-
-    def test_codec_increases_blockiness(self, rng):
-        """The paper's artifact: coarse quantization makes block
-        boundaries visible."""
-        img = np.clip(
-            128
-            + 40 * np.sin(np.arange(64) / 5.0)[None, :]
-            + rng.normal(0, 12, size=(64, 64)),
-            0, 255,
-        )
-        coarse = IntraframeCodec(quant_step=96.0, slices_per_frame=4)
-        report = quality_report(img, coarse.decode_frame(coarse.encode_frame(img)))
-        assert report["blockiness_increase"] > 1.02
-        assert report["psnr_db"] < 40.0
-
-    def test_fine_quantizer_better_quality(self, rng):
-        img = np.clip(rng.normal(128, 30, size=(48, 48)), 0, 255)
-        fine = IntraframeCodec(quant_step=4.0, slices_per_frame=4)
-        coarse = IntraframeCodec(quant_step=64.0, slices_per_frame=4)
-        q_fine = quality_report(img, fine.decode_frame(fine.encode_frame(img)))
-        q_coarse = quality_report(img, coarse.decode_frame(coarse.encode_frame(img)))
-        assert q_fine["psnr_db"] > q_coarse["psnr_db"]
-
-    def test_blockiness_rejects_tiny_image(self):
-        with pytest.raises(ValueError):
-            blockiness(np.zeros((8, 8)))
 
 
 class TestTraceReport:
