@@ -65,6 +65,10 @@ class TestFleetThroughput:
             best = min(best, result.wall_seconds)
         user_epochs = spec.n_epochs * len(spec.users)
         rate = user_epochs / best
+        assert rate >= 300.0, (
+            f"fleet processed {rate:,.0f} user-epochs/s < 300 "
+            f"({user_epochs} user-epochs in {best:.3f}s)"
+        )
         _ENTRIES.append({
             "name": "alloc_harvest_user_epochs_per_second",
             "value": round(rate, 0),
@@ -75,10 +79,6 @@ class TestFleetThroughput:
                         "epoch_slots": spec.epoch_slots,
                         "best_seconds": round(best, 4)},
         })
-        assert rate >= 300.0, (
-            f"fleet processed {rate:,.0f} user-epochs/s < 300 "
-            f"({user_epochs} user-epochs in {best:.3f}s)"
-        )
 
     def test_decision_overhead_fraction(self):
         """Causal allocator decisions must cost < 5% of wall time.
@@ -97,6 +97,10 @@ class TestFleetThroughput:
             result = simulate_fleet(spec, "trade")
             best_fraction = min(
                 best_fraction, result.decide_seconds / result.wall_seconds)
+        assert best_fraction < 0.05, (
+            f"trade allocator spent {best_fraction:.1%} of wall time "
+            "deciding (budget 5%)"
+        )
         _ENTRIES.append({
             "name": "alloc_trade_decide_overhead_fraction",
             "value": round(best_fraction, 4),
@@ -106,7 +110,3 @@ class TestFleetThroughput:
             "context": {"users": len(spec.users), "epochs": spec.n_epochs,
                         "epoch_slots": spec.epoch_slots},
         })
-        assert best_fraction < 0.05, (
-            f"trade allocator spent {best_fraction:.1%} of wall time "
-            "deciding (budget 5%)"
-        )

@@ -81,6 +81,10 @@ class TestScaling:
         serial_s = _grid_wall(1)
         parallel_s = _grid_wall(8)
         speedup = serial_s / parallel_s
+        assert speedup >= 6.0, (
+            f"8-worker scaling {speedup:.2f}x < 6x "
+            f"({serial_s:.2f}s -> {parallel_s:.2f}s)"
+        )
         _ENTRIES.append({
             "name": "dist_sim_speedup_8w",
             "value": round(speedup, 2),
@@ -92,10 +96,6 @@ class TestScaling:
                         "parallel_s": round(parallel_s, 3),
                         "ideal_x": 8.0},
         })
-        assert speedup >= 6.0, (
-            f"8-worker scaling {speedup:.2f}x < 6x "
-            f"({serial_s:.2f}s -> {parallel_s:.2f}s)"
-        )
 
     def test_coordinator_overhead_under_5_percent(self):
         """ISSUE acceptance: coordinator overhead < 5% on the fig14 grid.
@@ -107,6 +107,10 @@ class TestScaling:
         ideal_s = GRID_CELLS * CELL_S
         wall_s = _grid_wall(1, repeats=3)
         overhead_pct = (wall_s - ideal_s) / ideal_s * 100.0
+        assert overhead_pct < 5.0, (
+            f"coordinator overhead {overhead_pct:.2f}% >= 5% "
+            f"(ideal {ideal_s:.2f}s, measured {wall_s:.2f}s)"
+        )
         _ENTRIES.append({
             "name": "dist_coordinator_overhead_pct",
             "value": round(overhead_pct, 2),
@@ -117,10 +121,6 @@ class TestScaling:
                         "ideal_s": round(ideal_s, 3),
                         "wall_s": round(wall_s, 3)},
         })
-        assert overhead_pct < 5.0, (
-            f"coordinator overhead {overhead_pct:.2f}% >= 5% "
-            f"(ideal {ideal_s:.2f}s, measured {wall_s:.2f}s)"
-        )
 
 
 class TestRecoveryCost:

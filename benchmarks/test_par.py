@@ -93,6 +93,10 @@ class TestGridSpeedup:
         serial_s = min(_sim_grid_sweep(1, tasks) for _ in range(2))
         parallel_s = min(_sim_grid_sweep(8, tasks) for _ in range(2))
         speedup = serial_s / parallel_s
+        assert speedup >= 3.0, (
+            f"8-node fig14 grid speedup {speedup:.2f}x < 3x "
+            f"({serial_s:.2f}s -> {parallel_s:.2f}s)"
+        )
         _ENTRIES.append({
             "name": "fig14_qc_grid_speedup_8w",
             "value": round(speedup, 2),
@@ -104,10 +108,6 @@ class TestGridSpeedup:
                         "serial_s": round(serial_s, 3),
                         "parallel_s": round(parallel_s, 3), "cores": cores},
         })
-        assert speedup >= 3.0, (
-            f"8-node fig14 grid speedup {speedup:.2f}x < 3x "
-            f"({serial_s:.2f}s -> {parallel_s:.2f}s)"
-        )
 
     def test_fig14_qc_grid_serial_seconds(self):
         """Wall time of the fig14-shaped Q-C grid, serial as it runs.
@@ -160,6 +160,10 @@ class TestCacheSpeedup:
                 DaviesHarteGenerator(hurst)._sqrt_eigenvalues(n)
                 warm = min(warm, time.perf_counter() - start)
         speedup = cold / warm
+        assert speedup >= 2.0, (
+            f"warm cache hit only {speedup:.2f}x faster "
+            f"({cold * 1e3:.1f}ms -> {warm * 1e3:.1f}ms)"
+        )
         _ENTRIES.append({
             "name": "daviesharte_eig_cache_speedup",
             "value": round(speedup, 2),
@@ -169,10 +173,6 @@ class TestCacheSpeedup:
             "context": {"n": n, "cold_ms": round(cold * 1e3, 2),
                         "warm_ms": round(warm * 1e3, 2)},
         })
-        assert speedup >= 2.0, (
-            f"warm cache hit only {speedup:.2f}x faster "
-            f"({cold * 1e3:.1f}ms -> {warm * 1e3:.1f}ms)"
-        )
 
 
 class TestDispatchCosts:

@@ -61,6 +61,10 @@ def _record_bench():
 
 
 def _timed_drain(stream, n, name, budget=None):
+    """Drain ``stream``; returns the moments, the seconds and the bench entry.
+
+    The caller appends the entry once its own assertions pass.
+    """
     moments = OnlineMoments()
     start = time.perf_counter()
     stream.drain(moments)
@@ -75,8 +79,7 @@ def _timed_drain(stream, n, name, budget=None):
     }
     if budget is not None:
         entry["budget"] = budget
-    _ENTRIES.append(entry)
-    return moments, elapsed
+    return moments, elapsed, entry
 
 
 class TestBackendThroughput:
@@ -86,9 +89,11 @@ class TestBackendThroughput:
         stream = Stream.from_source(src, n, chunk, rng=np.random.default_rng(0)).transform(
             TARGET, method="table"
         )
-        moments, elapsed = _timed_drain(stream, n, "paxson_transformed_1m", budget=50_000)
+        moments, elapsed, entry = _timed_drain(
+            stream, n, "paxson_transformed_1m", budget=50_000)
         assert moments.mean == pytest.approx(27_791.0, rel=0.05)
         assert n / elapsed > 50_000  # loose floor; records the real rate
+        _ENTRIES.append(entry)
 
     def test_davies_harte_transformed(self):
         n, chunk = 1_000_000, 65_536
@@ -96,8 +101,9 @@ class TestBackendThroughput:
         stream = Stream.from_source(src, n, chunk, rng=np.random.default_rng(1)).transform(
             TARGET, method="table"
         )
-        moments, elapsed = _timed_drain(stream, n, "davies_harte_transformed_1m")
+        moments, _, entry = _timed_drain(stream, n, "davies_harte_transformed_1m")
         assert moments.mean == pytest.approx(27_791.0, rel=0.05)
+        _ENTRIES.append(entry)
 
     def test_hosking_transformed(self):
         """Exact synthesis: O(n^2), so the benchmark stays at 16k."""
@@ -107,9 +113,10 @@ class TestBackendThroughput:
         ).transform(TARGET, method="table")
         # ~28k samples/s on the reference machine; the floor sits well
         # below so only an order-of-magnitude regression trips it.
-        moments, _ = _timed_drain(stream, n, "hosking_transformed_16k",
-                                  budget=8_000)
+        moments, _, entry = _timed_drain(stream, n, "hosking_transformed_16k",
+                                         budget=8_000)
         assert moments.mean == pytest.approx(27_791.0, rel=0.1)
+        _ENTRIES.append(entry)
 
     def test_parallel_sources(self):
         """Four fGn sources summed through merge_streams and transformed,
@@ -130,6 +137,8 @@ class TestBackendThroughput:
             drained.append(stream.drain(OnlineMoments())[0])
 
         seconds = _best_seconds(drain)
+        assert all(moments.count == n for moments in drained)
+        assert drained[-1].mean == pytest.approx(27_791.0, rel=0.05)
         _ENTRIES.append({
             "name": "parallel_4_sources_transformed_1m",
             "value": round(n / seconds),
@@ -137,8 +146,6 @@ class TestBackendThroughput:
             "higher_is_better": True,
             "context": {"samples": n, "seconds": round(seconds, 4), "best_of": 5},
         })
-        assert all(moments.count == n for moments in drained)
-        assert drained[-1].mean == pytest.approx(27_791.0, rel=0.05)
 
 
 def _best_seconds(call, repeats=5):

@@ -20,7 +20,6 @@ __all__ = [
     "require_positive_int",
     "require_nonnegative_int",
     "as_1d_float_array",
-    "require_probability",
 ]
 
 
@@ -76,11 +75,6 @@ def require_nonnegative_int(value, name):
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return int(value)
-
-
-def require_probability(value, name):
-    """Raise unless ``value`` is a number in [0, 1]."""
-    return require_in_closed_interval(value, name, 0.0, 1.0)
 
 
 def as_1d_float_array(data, name="data", min_length=1):

@@ -42,14 +42,13 @@ so "bit-identical" is checkable with a string compare.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._validation import require_positive
-from repro.alloc.allocators import ALLOCATORS, make_allocator
+from repro.alloc.allocators import make_allocator
 from repro.alloc.base import AllocatorBase, EpochObservation
 from repro.core.batch import batch_generate
 from repro.core.fgn import fgn_generator
@@ -229,9 +228,9 @@ def _epoch_arrivals(spec, epoch_index, video):
     """The (n_users, epoch_slots) arrival matrix for one epoch.
 
     A pure function of ``(spec, epoch_index)``: video rows come from one
-    stacked ``batch_generate`` call per Hurst class with explicit
-    per-(user, epoch) seeds -- the rngs ``batch_fgn(seeds=...)`` would
-    build, so the bits are the same -- CBR rows are constants and data
+    stacked ``batch_generate`` call per Hurst class, row ``i`` drawing
+    from ``PCG64(user_epoch_seed(...))`` (bit-identical to
+    ``default_rng`` of the same seed); CBR rows are constants and data
     rows draw from their own per-(user, epoch) generator.
     """
     n, slots = spec.n_users, spec.epoch_slots

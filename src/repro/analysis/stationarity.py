@@ -22,7 +22,7 @@ shows which stationary model explains the data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

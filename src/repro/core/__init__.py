@@ -16,45 +16,31 @@ produced in two steps:
    Hurst parameter) while imposing the heavy-tailed marginal.
 """
 
-from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
+from repro.core.batch import batch_generate
 from repro.core.fractional import (
     d_from_hurst,
-    hurst_from_d,
     farima_acf,
     fgn_acf,
     fractional_binomial_weights,
 )
 from repro.core.hosking import HoskingGenerator, hosking_farima
-from repro.core.daviesharte import DaviesHarteGenerator, davies_harte_fgn
+from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.transform import marginal_transform, normal_scores
 from repro.core.model import VBRVideoModel
-from repro.core.baselines import (
-    IIDGammaParetoModel,
-    GaussianFarimaModel,
-    AR1Model,
-    DAR1Model,
-)
-from repro.core.markov_fluid import MarkovFluidModel
+from repro.core.baselines import IIDGammaParetoModel, GaussianFarimaModel
 
 __all__ = [
-    "batch_fgn",
     "batch_generate",
-    "batch_row_seeds",
     "d_from_hurst",
-    "hurst_from_d",
     "farima_acf",
     "fgn_acf",
     "fractional_binomial_weights",
     "HoskingGenerator",
     "hosking_farima",
     "DaviesHarteGenerator",
-    "davies_harte_fgn",
     "marginal_transform",
     "normal_scores",
     "VBRVideoModel",
     "IIDGammaParetoModel",
     "GaussianFarimaModel",
-    "AR1Model",
-    "DAR1Model",
-    "MarkovFluidModel",
 ]

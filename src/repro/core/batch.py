@@ -13,61 +13,27 @@ amortizing the cached spectral profile, the Gaussian draws, and the
 FFT dispatch overhead over the whole batch (see ``docs/performance.md``
 and the ``batched_synthesis_speedup_b64`` entry of BENCH_stream.json).
 
-Rows are seeded independently: row ``i`` draws from
-``default_rng(derive_task_seed(seed, i, label="batch"))`` -- the
-sha256 per-task scheme of :func:`repro.par.pool.derive_task_seed` -- or
-from explicit per-row seeds given via ``seeds=``.  Callers that own a
-long-lived generator (or want rows drawn one after another from one
-stream) call :func:`batch_generate` with their own per-row rngs;
-``batch_generate(gen, n, [rng] * B)`` reproduces B consecutive
-``gen.generate(n, rng=rng)`` calls bit for bit.
+The caller owns the rows' seeding: :func:`batch_generate` takes one
+rng per row, and ``batch_generate(gen, n, [rng] * B)`` reproduces B
+consecutive ``gen.generate(n, rng=rng)`` calls bit for bit.
 """
 
 from __future__ import annotations
-
-import numbers
 
 import numpy as np
 
 from repro._validation import require_positive_int
 from repro.core.daviesharte import DaviesHarteGenerator
-from repro.core.fgn import fgn_generator
 from repro.core.paxson import PaxsonGenerator
 from repro.obs import metrics, trace
 
-__all__ = ["batch_fgn", "batch_generate", "batch_row_seeds"]
+__all__ = ["batch_generate"]
 
 _ROWS = metrics.registry().counter(
     "repro_batch_fgn_rows_total",
     help="fGn traces synthesized through the batched 2-D FFT path",
     unit="traces",
 )
-
-
-def _require_batch(batch, n):
-    """Validate the batch count, naming the requested shape on failure."""
-    if isinstance(batch, bool) or not isinstance(batch, numbers.Integral):
-        raise ValueError(
-            f"batch must be a positive integer, got {batch!r} "
-            f"(requested shape ({batch!r}, {n}))"
-        )
-    if batch < 1:
-        raise ValueError(
-            f"batch must be >= 1, got {int(batch)} "
-            f"(requested shape ({int(batch)}, {n}))"
-        )
-    return int(batch)
-
-
-def batch_row_seeds(seed, batch):
-    """The per-row seeds of a ``batch_fgn(seed=...)`` call.
-
-    Row ``i`` of the batch is bit-identical to a single-trace
-    ``generate`` under ``default_rng(batch_row_seeds(seed, batch)[i])``.
-    """
-    from repro.par.pool import derive_task_seed
-
-    return [derive_task_seed(seed, i, label="batch") for i in range(batch)]
 
 
 def _batch_paxson(generator, n, rngs):
@@ -148,42 +114,3 @@ def batch_generate(generator, n, rngs):
     _ROWS.inc(len(rngs))
     return x
 
-
-def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
-              seeds=None):
-    """Synthesize ``batch`` independent fGn traces as a ``(batch, n)`` array.
-
-    Parameters
-    ----------
-    n, hurst, variance:
-        Per-trace length and marginal parameters, validated exactly as
-        the single-trace generators validate them.
-    batch:
-        Number of independent rows (a positive integer; ``ValueError``
-        names the offending requested shape otherwise).
-    backend:
-        A blockwise backend of :mod:`repro.core.fgn`: ``"paxson"``
-        (approximate) or ``"davies-harte"`` (exact).
-    seed:
-        Base seed for the default row seeding,
-        ``derive_task_seed(seed, i, label="batch")``.
-    seeds:
-        Explicit per-row integer seeds (length ``batch``), overriding
-        the derivation.
-
-    Every row is bit-identical to the corresponding single-trace
-    ``PaxsonGenerator``/``DaviesHarteGenerator`` call -- the batched FFT
-    runs the same 1-D plan per row -- so batching is a pure execution
-    strategy, never a statistical approximation.
-    """
-    n = require_positive_int(n, "n")
-    batch = _require_batch(batch, n)
-    generator = fgn_generator(backend, hurst, variance, blockwise=True)
-    seeds = batch_row_seeds(seed, batch) if seeds is None else list(seeds)
-    if len(seeds) != batch:
-        raise ValueError(f"need {batch} row seeds, got {len(seeds)}")
-    # Generator(PCG64(s)) draws bit-identically to default_rng(s) at a
-    # third of the construction cost -- the construction is per row, so
-    # it shows up at dispatch-bound batch sizes.
-    rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    return batch_generate(generator, n, rngs)

@@ -23,7 +23,7 @@ from repro.core.fractional import fgn_acf
 from repro.obs import metrics, trace
 from repro.par import cache as _cache
 
-__all__ = ["DaviesHarteGenerator", "davies_harte_fgn"]
+__all__ = ["DaviesHarteGenerator"]
 
 _SAMPLES = metrics.registry().counter(
     "repro_generator_samples_total",
@@ -117,8 +117,3 @@ class DaviesHarteGenerator:
 
     def __repr__(self):
         return f"DaviesHarteGenerator(hurst={self.hurst:.4g}, variance={self.variance:.4g})"
-
-
-def davies_harte_fgn(n, hurst=0.8, variance=1.0, rng=None):
-    """Convenience wrapper: one FGN path of length ``n``."""
-    return DaviesHarteGenerator(hurst, variance=variance).generate(n, rng=rng)

@@ -26,7 +26,6 @@ from repro._validation import require_in_open_interval, require_positive_int
 
 __all__ = [
     "d_from_hurst",
-    "hurst_from_d",
     "farima_acf",
     "fgn_acf",
     "fractional_binomial_weights",
@@ -42,12 +41,6 @@ def d_from_hurst(hurst):
     """
     hurst = require_in_open_interval(hurst, "hurst", 0.0, 1.0)
     return hurst - 0.5
-
-
-def hurst_from_d(d):
-    """Hurst parameter ``H = d + 1/2`` for ``-1/2 < d < 1/2``."""
-    d = require_in_open_interval(d, "d", -0.5, 0.5)
-    return d + 0.5
 
 
 def farima_acf(d, n_lags):

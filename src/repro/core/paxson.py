@@ -32,7 +32,7 @@ from repro._validation import require_in_open_interval, require_positive, requir
 from repro.obs import metrics, trace
 from repro.par import cache as _cache
 
-__all__ = ["PaxsonGenerator", "paxson_fgn", "fgn_spectral_density"]
+__all__ = ["PaxsonGenerator", "fgn_spectral_density"]
 
 _SAMPLES = metrics.registry().counter(
     "repro_generator_samples_total",
@@ -160,8 +160,3 @@ class PaxsonGenerator:
 
     def __repr__(self):
         return f"PaxsonGenerator(hurst={self.hurst:.4g}, variance={self.variance:.4g})"
-
-
-def paxson_fgn(n, hurst=0.8, variance=1.0, rng=None):
-    """Convenience wrapper: one approximate fGn path of length ``n``."""
-    return PaxsonGenerator(hurst, variance=variance).generate(n, rng=rng)

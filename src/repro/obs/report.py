@@ -31,8 +31,7 @@ from pathlib import Path
 
 from repro.obs import _state, metrics, trace
 
-__all__ = ["RUN_SCHEMA", "RunReport", "profile", "git_revision",
-           "git_revision_info"]
+__all__ = ["RUN_SCHEMA", "RunReport", "profile", "git_revision_info"]
 
 RUN_SCHEMA = "repro-run/1"
 """Manifest schema tag; bump when the run.json layout changes."""
@@ -63,11 +62,6 @@ def git_revision_info(cwd=None):
         return rev, None
     stderr = (out.stderr or "").strip().splitlines()
     return None, (stderr[0] if stderr else "not a git checkout")
-
-
-def git_revision(cwd=None):
-    """The repository's short HEAD revision, or ``None`` outside git."""
-    return git_revision_info(cwd)[0]
 
 
 class RunReport:

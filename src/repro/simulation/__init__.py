@@ -33,18 +33,7 @@ from repro.simulation.metrics import (
     worst_errored_second_loss,
     windowed_loss_rate,
 )
-from repro.simulation.cells import (
-    CELL_PAYLOAD_BYTES,
-    cell_arrivals,
-    packetize,
-    simulate_cell_queue,
-)
-from repro.simulation.norros import (
-    norros_kappa,
-    norros_overflow_probability,
-    norros_capacity,
-    norros_buffer,
-)
+from repro.simulation.norros import norros_kappa, norros_capacity
 from repro.simulation.qc import (
     QCCurve,
     required_capacity,
@@ -55,14 +44,8 @@ from repro.simulation.qc import (
 )
 
 __all__ = [
-    "CELL_PAYLOAD_BYTES",
-    "cell_arrivals",
-    "packetize",
-    "simulate_cell_queue",
     "norros_kappa",
-    "norros_overflow_probability",
     "norros_capacity",
-    "norros_buffer",
     "QueueResult",
     "simulate_queue",
     "max_backlog",

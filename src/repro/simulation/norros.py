@@ -28,32 +28,13 @@ import numpy as np
 
 from repro._validation import require_in_open_interval, require_positive
 
-__all__ = ["norros_kappa", "norros_overflow_probability", "norros_capacity", "norros_buffer"]
+__all__ = ["norros_kappa", "norros_capacity"]
 
 
 def norros_kappa(hurst):
     """``kappa(H) = H^H (1 - H)^{1 - H}``."""
     h = require_in_open_interval(hurst, "hurst", 0.0, 1.0)
     return h**h * (1.0 - h) ** (1.0 - h)
-
-
-def norros_overflow_probability(mean_rate, variance_coeff, capacity, buffer_size, hurst):
-    """Asymptotic ``P(V > b)`` for the fBm storage model.
-
-    All rate quantities share one unit system (e.g. bytes/slot with the
-    buffer in bytes).  ``variance_coeff`` is ``a = Var(X_1) / m`` --
-    the slot-scale index of dispersion.
-    """
-    m = require_positive(mean_rate, "mean_rate")
-    a = require_positive(variance_coeff, "variance_coeff")
-    c = require_positive(capacity, "capacity")
-    b = require_positive(buffer_size, "buffer_size")
-    h = require_in_open_interval(hurst, "hurst", 0.0, 1.0)
-    if c <= m:
-        return 1.0
-    kappa = norros_kappa(h)
-    exponent = (c - m) ** (2 * h) * b ** (2 - 2 * h) / (2.0 * kappa**2 * a * m)
-    return float(np.exp(-exponent))
 
 
 def norros_capacity(mean_rate, variance_coeff, buffer_size, overflow_probability, hurst):
@@ -67,17 +48,3 @@ def norros_capacity(mean_rate, variance_coeff, buffer_size, overflow_probability
     kappa = norros_kappa(h)
     burst = (-2.0 * np.log(eps) * kappa**2 * a * m) ** (1.0 / (2.0 * h))
     return float(m + burst * b ** (-(1.0 - h) / h))
-
-
-def norros_buffer(mean_rate, variance_coeff, capacity, overflow_probability, hurst):
-    """Buffer holding ``P(V > b)`` at the target for a given capacity."""
-    m = require_positive(mean_rate, "mean_rate")
-    a = require_positive(variance_coeff, "variance_coeff")
-    c = require_positive(capacity, "capacity")
-    eps = require_in_open_interval(overflow_probability, "overflow_probability", 0.0, 1.0)
-    h = require_in_open_interval(hurst, "hurst", 0.0, 1.0)
-    if c <= m:
-        raise ValueError("capacity must exceed the mean rate for a finite buffer")
-    kappa = norros_kappa(h)
-    exponent = -2.0 * np.log(eps) * kappa**2 * a * m / (c - m) ** (2 * h)
-    return float(exponent ** (1.0 / (2.0 - 2.0 * h)))

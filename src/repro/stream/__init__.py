@@ -16,9 +16,8 @@ validation run) actually needs:
   reproduces :func:`repro.core.transform.marginal_transform` to the
   last bit;
 - :mod:`repro.stream.pipeline` -- the composable :class:`Stream`
-  abstraction (map / scale / merge / lagged multiplexing with a
-  bounded ring buffer) and :class:`ParallelSources`, the seeded sum of
-  independent sources;
+  abstraction (map / scale / merge) and :class:`ParallelSources`, the
+  seeded sum of independent sources;
 - :mod:`repro.stream.queueing` -- online finite-buffer FIFO simulation
   that folds :class:`~repro.simulation.queue.QueueResult` statistics
   over chunks, bit-for-bit equal to
@@ -34,7 +33,6 @@ from repro.stream.pipeline import (
     Stream,
     StreamIntegrityError,
     merge_streams,
-    multiplex_lagged,
 )
 from repro.stream.queueing import StreamingQueue
 from repro.stream.sources import ArraySource, BlockFGNSource, HoskingSource, make_source
@@ -53,5 +51,4 @@ __all__ = [
     "StreamingVarianceTime",
     "make_source",
     "merge_streams",
-    "multiplex_lagged",
 ]

@@ -2,17 +2,9 @@
 
 :class:`Stream` wraps an iterator of 1-D float chunks and supports the
 operations the paper's workflow needs -- elementwise maps (marginal
-transform, scaling), merging independent sources, and the paper's
-lagged-copy statistical multiplexing -- all without materializing the
-series.  A stream is single-use: iterating it consumes it, exactly
-like the underlying generator.
-
-:func:`multiplex_lagged` reproduces the semantics of
-:func:`repro.simulation.multiplex.multiplex_series` (sum of
-cyclically shifted copies of one length-``n`` series) with a bounded
-ring buffer: memory is O(max lag + chunk), independent of ``n``,
-because only the first ``max(lags)`` samples (for the cyclic
-wraparound) and a sliding window of width ``max(lags)`` are retained.
+transform, scaling) and merging independent sources -- all without
+materializing the series.  A stream is single-use: iterating it
+consumes it, exactly like the underlying generator.
 
 :class:`ParallelSources` sums N *independent* sources through
 :func:`merge_streams` -- the aggregate arrival process of N
@@ -37,7 +29,6 @@ __all__ = [
     "Stream",
     "StreamIntegrityError",
     "merge_streams",
-    "multiplex_lagged",
     "ParallelSources",
 ]
 
@@ -291,79 +282,6 @@ def merge_streams(streams, chunk_size=65_536):
             yield total
 
     return Stream(_merged(), n=lengths.pop() if lengths else None)
-
-
-def multiplex_lagged(stream, lags, n=None, chunk_size=None):
-    """Streaming equivalent of :func:`~repro.simulation.multiplex.multiplex_series`.
-
-    The input stream carries one period (``n`` samples) of the source
-    series; the output is the sum of ``len(lags)`` cyclically shifted
-    copies, ``out[t] = sum_i x[(t + lag_i) mod n]``, emitted in chunks.
-    Memory is bounded by O(max lag + chunk): a head buffer of the first
-    ``max(lags)`` samples serves the cyclic wraparound and a sliding
-    window covers the look-ahead ``t + lag_i``.
-
-    ``n`` defaults to ``stream.n`` and must be known.
-    """
-    if n is None:
-        n = stream.n
-    if n is None:
-        raise ValueError("the series period n must be known for cyclic multiplexing")
-    n = require_positive_int(n, "n")
-    lags = np.asarray(lags, dtype=int)
-    if lags.ndim != 1 or lags.size < 1:
-        raise ValueError("lags must be a non-empty 1-D array of integers")
-    lags = lags % n
-    max_lag = int(lags.max())
-
-    def _multiplexed():
-        head = np.empty(max_lag)
-        head_fill = 0
-        buf = np.zeros(0)
-        buf_start = 0  # buf holds x[buf_start : buf_start + buf.size]
-        out_pos = 0
-        read = 0
-        for chunk in stream:
-            chunk = np.asarray(chunk, dtype=float)
-            if head_fill < max_lag:
-                take = min(max_lag - head_fill, chunk.size)
-                head[head_fill : head_fill + take] = chunk[:take]
-                head_fill += take
-            buf = np.concatenate((buf, chunk))
-            read += chunk.size
-            if read > n:
-                raise ValueError(f"stream is longer than the declared period n={n}")
-            emit_hi = read - max_lag
-            if emit_hi > out_pos:
-                out = np.zeros(emit_hi - out_pos)
-                for lag in lags:
-                    lo = out_pos + int(lag) - buf_start
-                    out += buf[lo : lo + out.size]
-                # Drop samples below the next output index; the cyclic
-                # wraparound only ever reads from the head buffer.
-                buf = buf[emit_hi - buf_start :]
-                buf_start = emit_hi
-                out_pos = emit_hi
-                yield out
-        if read != n:
-            raise ValueError(f"stream ended after {read} of n={n} samples")
-        if out_pos < n:
-            out = np.zeros(n - out_pos)
-            for lag in lags:
-                lag = int(lag)
-                split = max(out_pos, min(n - lag, n))
-                if split > out_pos:
-                    lo = out_pos + lag - buf_start
-                    out[: split - out_pos] += buf[lo : lo + (split - out_pos)]
-                if split < n:
-                    wrap_lo = split + lag - n
-                    out[split - out_pos :] += head[wrap_lo : wrap_lo + (n - split)]
-            yield out
-
-    result = Stream(_multiplexed(), n=n)
-    if chunk_size is not None:
-        result = result.rechunk(chunk_size)
-    return result
 
 
 class ParallelSources:

@@ -26,15 +26,9 @@ from repro.video.synthetic import SyntheticMovie
 from repro.video.scenes import SceneScript, Scene, generate_scene_script, story_arc
 from repro.video.starwars import synthesize_starwars_trace, STARWARS_PARAMETERS
 from repro.video.tracefile import save_trace, load_trace
-from repro.video.shaping import ClipResult, clip_peaks, leaky_bucket, cbr_smoothing_delay
-from repro.video.interframe import InterframeCodec, synthesize_mpeg_trace
+from repro.video.interframe import synthesize_mpeg_trace
 
 __all__ = [
-    "ClipResult",
-    "clip_peaks",
-    "leaky_bucket",
-    "cbr_smoothing_delay",
-    "InterframeCodec",
     "synthesize_mpeg_trace",
     "VBRTrace",
     "IntraframeCodec",

@@ -17,7 +17,7 @@ series of Table 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,15 +154,12 @@ class IntraframeCodec:
         groups = np.array_split(block_bits, self.slices_per_frame)
         return np.asarray([int(np.ceil(g.sum() / 8.0)) if g.size else 0 for g in groups])
 
-    def decode_frame(self, encoded, clip=True):
-        """Decode an :class:`EncodedFrame` back to pel values.
+    def decode_frame(self, encoded):
+        """Decode an :class:`EncodedFrame` back to pel values in [0, 255].
 
         Reconstruction is lossy only through quantization; the
         entropy-coding layers are exactly invertible, which the test
-        suite verifies block-for-block.  ``clip=False`` skips the
-        [0, 255] pel clamp -- required when the coded signal is not a
-        picture but a *residual* (the interframe path), whose valid
-        range after the +128 shift is wider than a pel's.
+        suite verifies block-for-block.
         """
         if not isinstance(encoded, EncodedFrame):
             raise TypeError("encoded must be an EncodedFrame")
@@ -190,7 +187,7 @@ class IntraframeCodec:
         image = blockwise_idct(coeffs, matrix=self._dct_matrix) + 128.0
         h, w = encoded.frame_shape
         image = image[:h, :w]
-        return np.clip(image, 0.0, 255.0) if clip else image
+        return np.clip(image, 0.0, 255.0)
 
     # ------------------------------------------------------------------
     # Movie-level coding

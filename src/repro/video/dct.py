@@ -16,8 +16,6 @@ from repro._validation import require_positive_int
 
 __all__ = [
     "dct_matrix",
-    "dct2",
-    "idct2",
     "blockwise_dct",
     "blockwise_idct",
     "block_view",
@@ -39,26 +37,6 @@ def dct_matrix(n=8):
     c *= np.sqrt(2.0 / n)
     c[0, :] = np.sqrt(1.0 / n)
     return c
-
-
-def dct2(block, matrix=None):
-    """2-D DCT of one square block."""
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError(f"block must be square, got shape {block.shape}")
-    if matrix is None:
-        matrix = dct_matrix(block.shape[0])
-    return matrix @ block @ matrix.T
-
-
-def idct2(coeffs, matrix=None):
-    """Inverse 2-D DCT of one square coefficient block."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-        raise ValueError(f"coeffs must be square, got shape {coeffs.shape}")
-    if matrix is None:
-        matrix = dct_matrix(coeffs.shape[0])
-    return matrix.T @ coeffs @ matrix
 
 
 def block_view(image, block_size=8):

@@ -1,22 +1,14 @@
-"""Interframe (MPEG-style) coding: the paper's noted extension.
+"""Interframe (MPEG-style) traffic: the paper's noted extension.
 
 The paper studies an *intraframe* code and remarks that "greater
 compression, burstiness and much stronger dependence on motion result
 from interframe coding" and that its main results "do seem to extend to
-interframe (MPEG) video as well [GARR93a]" (see also [PANC94]).  This
-module builds that extension:
-
-- :class:`InterframeCodec` codes frame *differences* against the
-  previous reconstructed frame (DPCM in the pel domain) with periodic
-  intra refresh -- a GOP structure of one I frame followed by
-  ``gop_size - 1`` P frames.  Static scenes cost almost nothing; scene
-  changes and motion produce large P frames, so the bandwidth process
-  is burstier and more motion-dependent than the intraframe one.
-- :func:`synthesize_mpeg_trace` produces an MPEG-like bandwidth trace:
-  the calibrated scene-level process of
-  :mod:`repro.video.starwars` modulated by a deterministic
-  I/P/B GOP pattern, reproducing the strong frame-rate periodicities
-  and the higher burstiness reported for MPEG VBR video.
+interframe (MPEG) video as well [GARR93a]" (see also [PANC94]).
+:func:`synthesize_mpeg_trace` builds that extension at the bandwidth
+level: the calibrated scene-level process of
+:mod:`repro.video.starwars` modulated by a deterministic I/P/B GOP
+pattern, reproducing the strong frame-rate periodicities and the
+higher burstiness reported for MPEG VBR video.
 """
 
 from __future__ import annotations
@@ -24,104 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro._validation import require_positive, require_positive_int
-from repro.video.codec import IntraframeCodec
 from repro.video.trace import VBRTrace
 
-__all__ = ["InterframeCodec", "synthesize_mpeg_trace", "DEFAULT_GOP_PATTERN"]
+__all__ = ["synthesize_mpeg_trace", "DEFAULT_GOP_PATTERN"]
 
 DEFAULT_GOP_PATTERN = "IBBPBBPBBPBB"
 """The classical MPEG-1 12-frame GOP."""
-
-
-class InterframeCodec:
-    """Differential (interframe) coder with periodic intra refresh.
-
-    Parameters
-    ----------
-    quant_step:
-        Quantizer step for both I and P frames.
-    gop_size:
-        An I frame is coded every ``gop_size`` frames; the rest are P
-        frames coding the difference against the previous
-        reconstruction.
-    block_size, slices_per_frame:
-        As for :class:`~repro.video.codec.IntraframeCodec`.
-
-    The coder is stateful across :meth:`encode_next` calls (it tracks
-    the previous reconstruction); :meth:`reset` or a new instance
-    starts a fresh GOP.
-    """
-
-    def __init__(self, quant_step=16.0, gop_size=12, block_size=8, slices_per_frame=30):
-        self.gop_size = require_positive_int(gop_size, "gop_size")
-        self._intra = IntraframeCodec(
-            quant_step=quant_step, block_size=block_size, slices_per_frame=slices_per_frame
-        )
-        # Difference signals are centered at zero; reuse the intra
-        # machinery with a +128 offset so the "-128 centering" in
-        # encode_frame cancels out.
-        self.quant_step = self._intra.quant_step
-        self.slices_per_frame = self._intra.slices_per_frame
-        self.reset()
-
-    def reset(self):
-        """Forget the prediction state; the next frame is an I frame."""
-        self._previous = None
-        self._index = 0
-
-    def encode_next(self, frame):
-        """Code the next frame of the sequence.
-
-        Returns ``(frame_type, total_bytes, slice_bytes, reconstruction)``
-        where ``frame_type`` is ``"I"`` or ``"P"``.
-        """
-        frame = np.asarray(frame, dtype=float)
-        is_intra = self._previous is None or self._index % self.gop_size == 0
-        if is_intra:
-            encoded = self._intra.encode_frame(frame)
-            recon = self._intra.decode_frame(encoded)
-            frame_type = "I"
-        else:
-            residual = frame - self._previous
-            # Shift the residual so the intra pipeline's -128 centering
-            # yields the residual itself.  Decode WITHOUT pel clamping:
-            # residuals legitimately span +-255, far beyond [0, 255]
-            # after the shift, and clamping would corrupt scene-change
-            # P frames until the next intra refresh.
-            encoded = self._intra.encode_frame(residual + 128.0)
-            decoded = self._intra.decode_frame(encoded, clip=False)
-            recon = np.clip(self._previous + (decoded - 128.0), 0.0, 255.0)
-            frame_type = "P"
-        self._previous = recon
-        self._index += 1
-        return frame_type, encoded.total_bytes, encoded.slice_bytes, recon
-
-    def encode_movie(self, frames, frame_rate=24.0):
-        """Code a movie; returns ``(VBRTrace, frame_types)``."""
-        self.reset()
-        frame_bytes = []
-        slice_bytes = []
-        types = []
-        for frame in frames:
-            frame_type, total, slices, _ = self.encode_next(frame)
-            frame_bytes.append(total)
-            slice_bytes.append(slices)
-            types.append(frame_type)
-        if not frame_bytes:
-            raise ValueError("frames iterable is empty")
-        trace = VBRTrace(
-            np.asarray(frame_bytes, dtype=float),
-            frame_rate=frame_rate,
-            slices_per_frame=self.slices_per_frame,
-            slice_bytes=np.concatenate(slice_bytes).astype(float),
-        )
-        return trace, types
-
-    def __repr__(self):
-        return (
-            f"InterframeCodec(quant_step={self.quant_step:g}, gop_size={self.gop_size}, "
-            f"slices_per_frame={self.slices_per_frame})"
-        )
 
 
 def _gop_multipliers(pattern, i_scale, p_scale, b_scale):

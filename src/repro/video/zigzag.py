@@ -14,7 +14,7 @@ import numpy as np
 
 from repro._validation import require_positive_int
 
-__all__ = ["zigzag_indices", "zigzag_scan", "zigzag_unscan"]
+__all__ = ["zigzag_indices", "zigzag_unscan"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,16 +47,8 @@ def zigzag_indices(n=8):
     return np.asarray(order, dtype=np.intp)
 
 
-def zigzag_scan(block):
-    """Read a square block in zig-zag order; returns a 1-D vector."""
-    block = np.asarray(block)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError(f"block must be square, got shape {block.shape}")
-    return block.reshape(-1)[zigzag_indices(block.shape[0])]
-
-
 def zigzag_unscan(vector, n=8):
-    """Inverse of :func:`zigzag_scan`: rebuild the square block."""
+    """Rebuild the square block from its zig-zag ordered vector."""
     vector = np.asarray(vector)
     n = require_positive_int(n, "n")
     if vector.ndim != 1 or vector.size != n * n:

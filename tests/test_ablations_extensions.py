@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.hurst import variance_time, whittle
-from repro.core.baselines import AR1Model, DAR1Model
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.hosking import HoskingGenerator
 from repro.core.model import VBRVideoModel
@@ -64,23 +63,6 @@ class TestAblations:
         y = marginal_transform(x, paper_model.marginal, source=Normal(0, 1))
         assert abs(variance_time(y).hurst - variance_time(x).hurst) < 0.05
 
-    def test_srd_models_underestimate_buffers(self, sim_trace):
-        """AR(1) and DAR(1) with matched lag-1 correlation need far
-        smaller zero-loss buffers than the trace -- the paper's warning
-        about 'overly optimistic estimates of performance'."""
-        from repro.distributions.hybrid import GammaParetoHybrid
-
-        x = sim_trace.frame_bytes[:20_000]
-        r1 = float(np.corrcoef(x[:-1], x[1:])[0, 1])
-        mean, std = float(np.mean(x)), float(np.std(x))
-        rng = np.random.default_rng(4)
-        c = mean * 1.10
-        ar1 = AR1Model(mean, std, r1).generate(x.size, rng=rng)
-        dar1 = DAR1Model(GammaParetoHybrid.fit(x), r1).generate(x.size, rng=rng)
-        q_trace = max_backlog(x, c)
-        assert q_trace > 3 * max_backlog(ar1, c)
-        assert q_trace > 3 * max_backlog(dar1, c)
-
     def test_hurst_sensitivity_of_buffers(self):
         """Higher H means disproportionately larger zero-loss buffers at
         matched marginals (the paper's conclusions section)."""
@@ -101,18 +83,6 @@ class TestAblations:
         bulk = np.abs(exact - np.median(exact)) < 3 * np.std(exact)
         assert np.max(np.abs(table[bulk] / exact[bulk] - 1.0)) < 0.01
         assert table.max() <= exact.max() + 1e-9
-
-    def test_markov_fluid_baseline(self, sim_trace):
-        """The Maglaris-style Markov-fluid model, fitted the historical
-        way (short-lag ACF), underestimates buffer needs several-fold."""
-        from repro.core.markov_fluid import MarkovFluidModel
-
-        x = sim_trace.frame_bytes
-        fitted = MarkovFluidModel.fit(x, acf_fit_lags=10)
-        y = fitted.generate(x.size, rng=np.random.default_rng(5))
-        c = float(np.mean(x)) * 1.10
-        assert np.isfinite(fitted.mean())
-        assert max_backlog(x, c) > 1.8 * max_backlog(y, c)
 
     def test_norros_formula_vs_simulation(self):
         """Norros' fBm dimensioning formula tracks the simulated capacity
@@ -164,26 +134,6 @@ class TestExtensions:
         assert peak / background > 30
         assert 0.7 < variance_time(aggregate(x, gop)).hurst < 0.95
         assert x.std() / x.mean() > 0.4
-
-    def test_cell_level_validation(self, sim_trace):
-        """Cell-level simulation reproduces the byte-fluid loss rate, and
-        uniform vs random in-frame cell spacing barely matters (the
-        paper's spacing-insensitivity claim)."""
-        from repro.simulation.cells import CELL_PAYLOAD_BYTES, simulate_cell_queue
-        from repro.simulation.queue import simulate_queue
-
-        capacity_bps = sim_trace.mean_rate_bps * 1.05
-        buffer_bytes = 200_000.0
-        fluid = simulate_queue(
-            sim_trace.frame_bytes, capacity_bps / 8.0 / sim_trace.frame_rate, buffer_bytes,
-        ).loss_rate
-        cells = buffer_bytes / CELL_PAYLOAD_BYTES
-        uniform = simulate_cell_queue(sim_trace, capacity_bps, cells, spacing="uniform").loss_rate
-        random_ = simulate_cell_queue(
-            sim_trace, capacity_bps, cells, spacing="random", rng=np.random.default_rng(1),
-        ).loss_rate
-        assert 0.75 * fluid <= uniform <= 1.25 * fluid
-        assert 0.8 * uniform <= random_ <= 1.25 * uniform
 
     def test_idc_hurst(self, full_trace):
         """Index-of-dispersion growth cross-checks Table 3's H."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.baselines import AR1Model, DAR1Model, GaussianFarimaModel, IIDGammaParetoModel
+from repro.core.baselines import GaussianFarimaModel, IIDGammaParetoModel
 from repro.distributions import GammaParetoHybrid
 
 
@@ -63,67 +63,3 @@ class TestGaussianFarima:
     def test_rejects_bad_generator(self):
         with pytest.raises(ValueError):
             GaussianFarimaModel(1.0, 1.0, 0.8, generator="spectral")
-
-
-class TestAR1:
-    def test_theoretical_acf(self):
-        m = AR1Model(100.0, 10.0, 0.9)
-        np.testing.assert_allclose(m.acf(3), [1.0, 0.9, 0.81, 0.729])
-
-    def test_sample_acf_matches(self, rng):
-        m = AR1Model(100.0, 10.0, 0.8)
-        y = m.generate(30_000, rng=rng)
-        r1 = np.corrcoef(y[:-1], y[1:])[0, 1]
-        assert r1 == pytest.approx(0.8, abs=0.03)
-
-    def test_marginal_std(self, rng):
-        m = AR1Model(100.0, 10.0, 0.7)
-        y = m.generate(30_000, rng=rng)
-        assert np.std(y) == pytest.approx(10.0, rel=0.1)
-
-    def test_is_srd(self, rng):
-        from repro.analysis.hurst import variance_time
-
-        y = AR1Model(100.0, 10.0, 0.9).generate(2**15, rng=rng)
-        # Fit the slope well beyond the AR(1) correlation time (~10
-        # slots at phi = 0.9), where SRD aggregation behaves like
-        # white noise and the slope approaches -1.
-        est = variance_time(y, fit_range=(100, 2000))
-        assert est.hurst < 0.65
-
-    def test_rejects_nonstationary_phi(self):
-        with pytest.raises(ValueError):
-            AR1Model(1.0, 1.0, 1.0)
-
-
-class TestDAR1:
-    def test_marginal_preserved_exactly(self, marginal, rng):
-        """DAR(1)'s stationary marginal equals the innovation law."""
-        m = DAR1Model(marginal, rho=0.9)
-        y = m.generate(50_000, rng=rng)
-        for q in (0.25, 0.5, 0.75):
-            assert np.quantile(y, q) == pytest.approx(marginal.ppf(q), rel=0.05)
-
-    def test_acf_geometric(self, marginal, rng):
-        m = DAR1Model(marginal, rho=0.8)
-        y = m.generate(40_000, rng=rng)
-        r1 = np.corrcoef(y[:-1], y[1:])[0, 1]
-        r2 = np.corrcoef(y[:-2], y[2:])[0, 1]
-        assert r1 == pytest.approx(0.8, abs=0.05)
-        assert r2 == pytest.approx(0.64, abs=0.05)
-
-    def test_piecewise_constant_paths(self, marginal, rng):
-        """DAR(1) holds its level between innovations -- runs of equal
-        values occur with the expected geometric length."""
-        m = DAR1Model(marginal, rho=0.9)
-        y = m.generate(10_000, rng=rng)
-        repeats = np.mean(y[1:] == y[:-1])
-        assert repeats == pytest.approx(0.9, abs=0.02)
-
-    def test_theoretical_acf(self, marginal):
-        m = DAR1Model(marginal, rho=0.7)
-        np.testing.assert_allclose(m.acf(2), [1.0, 0.7, 0.49])
-
-    def test_rejects_bad_rho(self, marginal):
-        with pytest.raises(ValueError):
-            DAR1Model(marginal, rho=1.0)

@@ -1,6 +1,6 @@
 """Tier-1 bit-identity wall for the batched fGn synthesis layer.
 
-``batch_fgn`` stacks B Hermitian spectra into one 2-D inverse FFT;
+``batch_generate`` stacks B Hermitian spectra into one 2-D inverse FFT;
 pocketfft runs each row with the same 1-D plan a single-trace call
 would use, so every row must equal the corresponding
 ``PaxsonGenerator``/``DaviesHarteGenerator`` sample **bit for bit** --
@@ -13,7 +13,7 @@ bytes with its traces stacked B rows per FFT.
 import numpy as np
 import pytest
 
-from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
+from repro.core.batch import batch_generate
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
 from repro.stream.sources import make_source
@@ -24,22 +24,28 @@ HURSTS = (0.5, 0.7, 0.9)
 BATCHES = (1, 2, 7)
 
 
+def _row_rngs(seeds):
+    """One rng per row, built the way ``alloc.fleet`` builds them."""
+    return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+
+
 class TestRowBitIdentity:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("hurst", HURSTS)
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("n", (256, 257))  # even and odd lengths
     def test_rows_match_single_trace_calls(self, backend, hurst, batch, n):
-        rows = batch_fgn(n, hurst, batch, backend=backend, seed=11)
+        row_seeds = [11_000 + i for i in range(batch)]
+        rows = batch_generate(BACKENDS[backend](hurst), n, _row_rngs(row_seeds))
         assert rows.shape == (batch, n)
         generator = BACKENDS[backend](hurst)
-        for i, row_seed in enumerate(batch_row_seeds(11, batch)):
+        for i, row_seed in enumerate(row_seeds):
             reference = generator.generate(n, rng=np.random.default_rng(row_seed))
             np.testing.assert_array_equal(rows[i], reference)
 
     def test_explicit_seeds_override_derivation(self):
         seeds = [301, 17, 301]  # repeats allowed: rows 0 and 2 coincide
-        rows = batch_fgn(500, 0.8, 3, seeds=seeds)
+        rows = batch_generate(PaxsonGenerator(0.8), 500, _row_rngs(seeds))
         np.testing.assert_array_equal(rows[0], rows[2])
         assert not np.array_equal(rows[0], rows[1])
         single = PaxsonGenerator(0.8).generate(500, rng=np.random.default_rng(17))
@@ -55,9 +61,9 @@ class TestRowBitIdentity:
             np.testing.assert_array_equal(rows[i], generator.generate(300, rng=rng))
 
     def test_n_equals_one(self):
-        rows = batch_fgn(1, 0.8, 3, seed=5)
+        rows = batch_generate(PaxsonGenerator(0.8), 1, _row_rngs([5, 6, 7]))
         assert rows.shape == (3, 1)
-        for i, row_seed in enumerate(batch_row_seeds(5, 3)):
+        for i, row_seed in enumerate([5, 6, 7]):
             reference = PaxsonGenerator(0.8).generate(
                 1, rng=np.random.default_rng(row_seed)
             )
@@ -74,26 +80,6 @@ class TestRowBitIdentity:
 
 
 class TestValidation:
-    def test_zero_batch_names_requested_shape(self):
-        with pytest.raises(ValueError, match=r"\(0, 128\)"):
-            batch_fgn(128, 0.8, 0)
-
-    def test_non_integer_batch_names_requested_shape(self):
-        with pytest.raises(ValueError, match=r"positive integer.*2\.5"):
-            batch_fgn(128, 0.8, 2.5)
-
-    def test_bool_batch_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            batch_fgn(128, 0.8, True)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            batch_fgn(128, 0.8, 2, backend="hosking")
-
-    def test_seeds_length_mismatch(self):
-        with pytest.raises(ValueError, match="need 3 row seeds, got 2"):
-            batch_fgn(128, 0.8, 3, seeds=[1, 2])
-
     def test_batch_generate_rejects_foreign_generators(self):
         with pytest.raises(TypeError, match="PaxsonGenerator"):
             batch_generate(object(), 128, [np.random.default_rng(0)])

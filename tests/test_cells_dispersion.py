@@ -1,110 +1,9 @@
-"""Tests for cell-level arrivals and the index of dispersion."""
+"""Tests for the index of dispersion."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.dispersion import index_of_dispersion
-from repro.simulation.cells import (
-    CELL_PAYLOAD_BYTES,
-    cell_arrivals,
-    packetize,
-    simulate_cell_queue,
-)
-
-
-class TestPacketize:
-    def test_ceiling_division(self):
-        np.testing.assert_array_equal(packetize([0, 1, 48, 49, 96]), [0, 1, 1, 2, 2])
-
-    def test_custom_payload(self):
-        np.testing.assert_array_equal(packetize([100], cell_payload=50), [2])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            packetize([-1.0])
-
-
-class TestCellArrivals:
-    def test_uniform_conserves_cells(self, small_trace):
-        grid = cell_arrivals(small_trace, unit="frame", subslots=30, spacing="uniform")
-        expected = packetize(small_trace.frame_bytes).sum()
-        assert grid.sum() == expected
-
-    def test_random_conserves_cells(self, small_trace, rng):
-        grid = cell_arrivals(small_trace, unit="frame", subslots=30, spacing="random", rng=rng)
-        expected = packetize(small_trace.frame_bytes).sum()
-        assert grid.sum() == expected
-
-    def test_uniform_spacing_is_even(self):
-        from repro.video.trace import VBRTrace
-
-        trace = VBRTrace(np.array([48.0 * 60]))  # exactly 60 cells
-        grid = cell_arrivals(trace, subslots=30, spacing="uniform")
-        np.testing.assert_array_equal(grid, np.full(30, 2))
-
-    def test_uniform_remainder_spread(self):
-        from repro.video.trace import VBRTrace
-
-        trace = VBRTrace(np.array([48.0 * 31]))  # 31 cells over 30 slots
-        grid = cell_arrivals(trace, subslots=30, spacing="uniform")
-        assert grid.sum() == 31
-        assert grid.max() == 2
-        assert grid.min() == 1
-
-    def test_random_more_variable_than_uniform(self, small_trace, rng):
-        uni = cell_arrivals(small_trace, subslots=30, spacing="uniform")
-        ran = cell_arrivals(small_trace, subslots=30, spacing="random", rng=rng)
-        assert ran.var() > uni.var()
-
-    def test_grid_length(self, small_trace):
-        grid = cell_arrivals(small_trace, unit="frame", subslots=10)
-        assert grid.size == small_trace.n_frames * 10
-
-    def test_slice_unit(self, small_trace):
-        grid = cell_arrivals(small_trace, unit="slice", subslots=2)
-        assert grid.size == small_trace.n_frames * small_trace.slices_per_frame * 2
-
-    def test_rejects_bad_spacing(self, small_trace):
-        with pytest.raises(ValueError):
-            cell_arrivals(small_trace, spacing="bursty")
-
-
-class TestCellQueue:
-    def test_no_loss_with_peak_capacity(self, small_trace):
-        peak_bps = small_trace.peak_rate_bps * 1.2
-        result = simulate_cell_queue(small_trace, peak_bps, buffer_cells=100)
-        assert result.loss_rate == 0.0
-
-    def test_loss_under_pressure(self, small_trace):
-        mean_bps = small_trace.mean_rate_bps
-        result = simulate_cell_queue(small_trace, mean_bps * 1.01, buffer_cells=10)
-        assert result.loss_rate > 0
-
-    def test_agrees_with_fluid_model(self, small_trace):
-        """Cell-level and byte-fluid losses agree closely at matched
-        parameters -- the justification for the fluid Q-C machinery
-        (and the paper's own finding that spacing details barely
-        matter)."""
-        from repro.simulation.queue import simulate_queue
-
-        capacity_bps = small_trace.mean_rate_bps * 1.05
-        buffer_bytes = 200_000.0
-        fluid = simulate_queue(
-            small_trace.frame_bytes,
-            capacity_bps / 8.0 / small_trace.frame_rate,
-            buffer_bytes,
-        )
-        cells = simulate_cell_queue(
-            small_trace, capacity_bps, buffer_cells=buffer_bytes / CELL_PAYLOAD_BYTES
-        )
-        assert cells.loss_rate == pytest.approx(fluid.loss_rate, rel=0.25)
-
-    def test_uniform_vs_random_spacing_minor(self, small_trace, rng):
-        """The paper's observation: spacing choice changes little."""
-        capacity_bps = small_trace.mean_rate_bps * 1.05
-        uni = simulate_cell_queue(small_trace, capacity_bps, 2000, spacing="uniform")
-        ran = simulate_cell_queue(small_trace, capacity_bps, 2000, spacing="random", rng=rng)
-        assert ran.loss_rate == pytest.approx(uni.loss_rate, rel=0.2)
 
 
 class TestIndexOfDispersion:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.daviesharte import DaviesHarteGenerator, davies_harte_fgn
+from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.fractional import fgn_acf
 
 
@@ -104,9 +104,6 @@ class TestCachingAndDeterminism:
         a = DaviesHarteGenerator(0.8).generate(300, rng=np.random.default_rng(8))
         b = DaviesHarteGenerator(0.8).generate(300, rng=np.random.default_rng(8))
         np.testing.assert_array_equal(a, b)
-
-    def test_wrapper(self, rng):
-        assert davies_harte_fgn(100, hurst=0.6, rng=rng).shape == (100,)
 
 
 class TestAgreementWithHosking:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import GaussianFarimaModel
-from repro.core.batch import batch_fgn, batch_row_seeds
-from repro.core.fgn import FGN_BACKENDS, blend_weights, fgn_backend
+from repro.core.batch import batch_generate
+from repro.core.fgn import FGN_BACKENDS, blend_weights, fgn_backend, fgn_generator
 from repro.core.model import VBRVideoModel
 from repro.dist import TaskSpec, execute_task, fgn_tasks
 from repro.net.topology import build_network
@@ -69,12 +69,15 @@ class TestSameSamplesAsTheTable:
         np.testing.assert_array_equal(got, path(name, N, SEED))
 
     def test_batch_fgn(self, name):
+        # Stacked synthesis runs on a blockwise generator from the table.
         if not FGN_BACKENDS[name].blockwise:
             with pytest.raises(ValueError, match="is not blockwise"):
-                batch_fgn(N, H, 2, backend=name, seed=SEED)
+                fgn_generator(name, H, blockwise=True)
             return
-        rows = batch_fgn(N, H, 2, backend=name, seed=SEED)
-        for row, seed in zip(rows, batch_row_seeds(SEED, 2)):
+        seeds = (SEED, SEED + 1)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rows = batch_generate(fgn_generator(name, H, blockwise=True), N, rngs)
+        for row, seed in zip(rows, seeds):
             np.testing.assert_array_equal(row, path(name, N, seed))
 
     def test_make_source(self, name):
@@ -96,7 +99,7 @@ ENTRY_POINTS = {
     "VBRVideoModel": lambda name: VBRVideoModel(1.0, 1.0, 12.0, H).generate_gaussian(
         8, generator=name),
     "GaussianFarimaModel": lambda name: GaussianFarimaModel(1.0, 1.0, H, generator=name),
-    "batch_fgn": lambda name: batch_fgn(8, H, 1, backend=name),
+    "batch_fgn": lambda name: fgn_generator(name, H, blockwise=True),
     "make_source": lambda name: make_source(name),
     "BlockFGNSource": lambda name: BlockFGNSource(H, backend=name),
     "fgn task": lambda name: execute_task(TaskSpec("f", "fgn", {"n": 8, "backend": name}), 0),

@@ -11,7 +11,6 @@ from repro.core.fractional import (
     farima_acf,
     fgn_acf,
     fractional_binomial_weights,
-    hurst_from_d,
 )
 
 
@@ -22,13 +21,13 @@ class TestParameterMaps:
 
     def test_roundtrip(self):
         for h in (0.55, 0.7, 0.9):
-            assert hurst_from_d(d_from_hurst(h)) == pytest.approx(h)
+            assert d_from_hurst(h) + 0.5 == pytest.approx(h)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             d_from_hurst(1.0)
         with pytest.raises(ValueError):
-            hurst_from_d(0.5)
+            d_from_hurst(0.0)
 
 
 class TestFarimaACF:

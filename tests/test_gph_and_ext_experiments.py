@@ -25,15 +25,13 @@ class TestGPH:
         """GPH only uses the lowest frequencies, so adding AR(1) noise
         must not move the estimate much (its selling point over the
         parametric Whittle)."""
-        from repro.core.baselines import AR1Model
+        from scipy.signal import lfilter
+
         from repro.core.daviesharte import DaviesHarteGenerator
 
         lrd = DaviesHarteGenerator(0.8).generate(2**15, rng=rng)
-        # AR(1) with phi 0.7 and unit innovations: marginal variance
-        # 1/(1 - 0.49).  The mean offset keeps AR1Model's clip at zero
-        # out of reach; subtracting it leaves the zero-mean process.
-        ar1 = AR1Model(mean=100.0, std=np.sqrt(1.0 / (1.0 - 0.49)), phi=0.7)
-        srd = ar1.generate(2**15, rng=rng) - 100.0
+        # Zero-mean AR(1), x_k = 0.7 x_{k-1} + e_k with unit innovations.
+        srd = lfilter([1.0], [1.0, -0.7], rng.standard_normal(2**15))
         contaminated = lrd + 0.5 * srd
         est = gph(contaminated, normalize=None)
         assert est.hurst == pytest.approx(0.8, abs=0.15)

@@ -1,94 +1,9 @@
-"""Tests for the interframe (MPEG-style) codec and trace synthesis."""
+"""Tests for the interframe (MPEG-style) trace synthesis."""
 
 import numpy as np
 import pytest
 
-from repro.video.interframe import (
-    DEFAULT_GOP_PATTERN,
-    InterframeCodec,
-    synthesize_mpeg_trace,
-)
-from repro.video.synthetic import SyntheticMovie
-
-
-class TestInterframeCodec:
-    @pytest.fixture(scope="class")
-    def movie_frames(self):
-        movie = SyntheticMovie(14, height=48, width=64, seed=6, min_scene_frames=14)
-        return list(movie)
-
-    def test_gop_structure(self, movie_frames):
-        codec = InterframeCodec(quant_step=16.0, gop_size=6, slices_per_frame=6)
-        _, types = codec.encode_movie(movie_frames)
-        assert types[0] == "I"
-        assert types[6] == "I"
-        assert types[12] == "I"
-        assert all(t == "P" for i, t in enumerate(types) if i % 6 != 0)
-
-    def test_p_frames_cheaper_for_static_content(self):
-        """Static content codes far cheaper differentially: a complex
-        background with one small moving object makes P frames tiny
-        compared to the I frame."""
-        rng = np.random.default_rng(8)
-        background = np.clip(
-            128 + 40 * rng.standard_normal((48, 64)), 0, 255
-        ).astype(np.uint8)
-        frames = []
-        for k in range(8):
-            frame = background.copy()
-            frame[20:28, 8 + 4 * k : 16 + 4 * k] = 255  # moving block
-            frames.append(frame)
-        codec = InterframeCodec(quant_step=16.0, gop_size=8, slices_per_frame=6)
-        trace, types = codec.encode_movie(frames)
-        assert types[0] == "I"
-        i_bytes = trace.frame_bytes[0]
-        p_bytes = np.mean(trace.frame_bytes[1:])
-        assert p_bytes < 0.5 * i_bytes
-
-    def test_reconstruction_quality(self, movie_frames):
-        """Prediction drift stays bounded: every reconstruction is
-        within quantizer error of its source frame."""
-        codec = InterframeCodec(quant_step=16.0, gop_size=6, slices_per_frame=6)
-        codec.reset()
-        for frame in movie_frames[:8]:
-            _, _, _, recon = codec.encode_next(frame)
-            rmse = np.sqrt(np.mean((recon - frame.astype(float)) ** 2))
-            assert rmse < 2.5 * codec.quant_step
-
-    def test_higher_compression_than_intraframe(self, movie_frames):
-        """The paper: 'Greater compression ... result[s] from
-        interframe coding.'"""
-        from repro.video.codec import IntraframeCodec
-
-        inter = InterframeCodec(quant_step=16.0, gop_size=14, slices_per_frame=6)
-        intra = IntraframeCodec(quant_step=16.0, slices_per_frame=6)
-        trace_inter, _ = inter.encode_movie(movie_frames)
-        trace_intra = intra.encode_movie(movie_frames)
-        assert trace_inter.frame_bytes.mean() < trace_intra.frame_bytes.mean()
-
-    def test_burstier_than_intraframe(self, movie_frames):
-        """... and greater burstiness."""
-        from repro.video.codec import IntraframeCodec
-
-        inter = InterframeCodec(quant_step=16.0, gop_size=7, slices_per_frame=6)
-        intra = IntraframeCodec(quant_step=16.0, slices_per_frame=6)
-        trace_inter, _ = inter.encode_movie(movie_frames)
-        trace_intra = intra.encode_movie(movie_frames)
-        cov_inter = trace_inter.frame_bytes.std() / trace_inter.frame_bytes.mean()
-        cov_intra = trace_intra.frame_bytes.std() / trace_intra.frame_bytes.mean()
-        assert cov_inter > cov_intra
-
-    def test_reset(self, movie_frames):
-        codec = InterframeCodec(quant_step=16.0, gop_size=4, slices_per_frame=6)
-        codec.encode_next(movie_frames[0])
-        codec.reset()
-        frame_type, _, _, _ = codec.encode_next(movie_frames[1])
-        assert frame_type == "I"
-
-    def test_empty_movie_rejected(self):
-        codec = InterframeCodec()
-        with pytest.raises(ValueError):
-            codec.encode_movie([])
+from repro.video.interframe import DEFAULT_GOP_PATTERN, synthesize_mpeg_trace
 
 
 class TestMPEGTraceSynthesis:
@@ -143,28 +58,3 @@ class TestMPEGTraceSynthesis:
         with pytest.raises(ValueError):
             synthesize_mpeg_trace(n_frames=100, gop_pattern="IXB")
 
-
-class TestResidualRange:
-    def test_scene_change_p_frame_reconstructs(self):
-        """A full-frame scene change inside a GOP produces residuals
-        spanning +-255; the decode path must not clamp them (the bug
-        this test pins down: pel-clipping the shifted residual would
-        corrupt the reconstruction until the next I frame)."""
-        dark = np.zeros((32, 32), dtype=np.uint8)
-        bright = np.full((32, 32), 250, dtype=np.uint8)
-        codec = InterframeCodec(quant_step=8.0, gop_size=10, slices_per_frame=4)
-        codec.reset()
-        codec.encode_next(dark)            # I frame
-        _, _, _, recon = codec.encode_next(bright)  # P frame, residual ~ +250
-        rmse = np.sqrt(np.mean((recon - bright.astype(float)) ** 2))
-        assert rmse < 2.5 * codec.quant_step
-
-    def test_negative_scene_change(self):
-        bright = np.full((32, 32), 250, dtype=np.uint8)
-        dark = np.full((32, 32), 5, dtype=np.uint8)
-        codec = InterframeCodec(quant_step=8.0, gop_size=10, slices_per_frame=4)
-        codec.reset()
-        codec.encode_next(bright)
-        _, _, _, recon = codec.encode_next(dark)
-        rmse = np.sqrt(np.mean((recon - dark.astype(float)) ** 2))
-        assert rmse < 2.5 * codec.quant_step

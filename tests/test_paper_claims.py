@@ -4,6 +4,14 @@ Each test quotes one claim from Section 6 (Conclusions) of Garrett &
 Willinger and verifies it end-to-end on the library's reproduction.
 This is the repository's contract with the paper: if any of these
 break, the reproduction no longer supports the paper's argument.
+
+These tests stay outside the paper-claim ledger
+(:mod:`repro.experiments.claims`) on purpose.  The Conclusions are
+qualitative, so their bounds (e.g. an SRD foil's H below 0.65, or a
+buffer ratio above 2) are this file's margins, not numbers the paper
+prints.  They also run on their own 30,000-frame trace and seeds, not
+on a campaign experiment's output.  A ledger row must cite a paper
+value, and none exists here to cite.
 """
 
 import numpy as np
@@ -17,6 +25,14 @@ def trace():
     return reference_trace(n_frames=30_000, seed=9, with_slices=False)
 
 
+def _srd_foil(x):
+    """Fig. 16's i.i.d. foil: the trace's fitted Gamma/Pareto marginal, no dependence."""
+    from repro.core.baselines import IIDGammaParetoModel
+    from repro.distributions.hybrid import GammaParetoHybrid
+
+    return IIDGammaParetoModel(GammaParetoHybrid.fit(x))
+
+
 class TestConclusionClaims:
     def test_interesting_characteristics_not_captured_by_common_models(self, trace):
         """'The interesting characteristics, which are not well captured
@@ -24,7 +40,6 @@ class TestConclusionClaims:
         time correlation structure, and a heavy-tailed marginal
         distribution.'"""
         from repro.analysis.hurst import variance_time
-        from repro.core.markov_fluid import MarkovFluidModel
         from repro.distributions.fitting import fit_pareto_tail_slope
 
         x = trace.frame_bytes
@@ -33,23 +48,19 @@ class TestConclusionClaims:
         # ... and a finite-slope power-law tail fits it ...
         a = fit_pareto_tail_slope(x, tail_fraction=0.02)
         assert 5.0 < a < 25.0
-        # ... while the common (Markov-fluid) model is SRD by construction.
-        mmf = MarkovFluidModel.fit(x)
-        y = mmf.generate(2**15, rng=np.random.default_rng(1))
+        # ... while a model with the same marginal but no dependence
+        # (Fig. 16's SRD foil) shows none.
+        y = _srd_foil(x).generate(2**15, rng=np.random.default_rng(1))
         assert variance_time(y, fit_range=(200, 3000)).hurst < 0.65
 
     def test_srd_models_overly_optimistic(self, trace):
         """'The use of SRD models when inappropriate, will result in
         overly optimistic estimates of performance, insufficient
         allocation of resources.'"""
-        from repro.core.baselines import AR1Model
         from repro.simulation.queue import max_backlog
 
         x = trace.frame_bytes
-        r1 = float(np.corrcoef(x[:-1], x[1:])[0, 1])
-        srd = AR1Model(float(np.mean(x)), float(np.std(x)), r1).generate(
-            x.size, rng=np.random.default_rng(2)
-        )
+        srd = _srd_foil(x).generate(x.size, rng=np.random.default_rng(2))
         c = float(np.mean(x)) * 1.1
         assert max_backlog(x, c) > 2 * max_backlog(srd, c)
 
@@ -114,16 +125,12 @@ class TestConclusionClaims:
         """'We recommend that a realistic VBR coder should clip such
         peaks': negligible information loss, real resource savings."""
         from repro.simulation.queue import zero_loss_capacity
-        from repro.video.shaping import clip_peaks
-        from repro.video.trace import VBRTrace
 
-        t = VBRTrace(trace.frame_bytes)
-        clipped = clip_peaks(t, quantile=0.9995)
-        assert clipped.clipped_fraction < 0.005
+        x = trace.frame_bytes
+        clipped = np.minimum(x, np.quantile(x, 0.9995))
+        assert np.sum(x - clipped) / np.sum(x) < 0.005
         q = 100_000.0
-        saved = 1.0 - zero_loss_capacity(clipped.trace.frame_bytes, q) / zero_loss_capacity(
-            t.frame_bytes, q
-        )
+        saved = 1.0 - zero_loss_capacity(clipped, q) / zero_loss_capacity(x, q)
         assert saved > 0.01
 
     def test_smoothness_when_quantile_near_mean(self):

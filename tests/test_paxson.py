@@ -14,7 +14,7 @@ from repro.analysis.correlation import autocorrelation
 from repro.analysis.hurst import variance_time, whittle
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.fractional import fgn_acf
-from repro.core.paxson import PaxsonGenerator, fgn_spectral_density, paxson_fgn
+from repro.core.paxson import PaxsonGenerator, fgn_spectral_density
 from repro.qa import stats as qa
 
 
@@ -145,10 +145,6 @@ class TestPaxsonGenerator:
 
     def test_repr(self):
         assert "PaxsonGenerator" in repr(PaxsonGenerator(0.8))
-
-    def test_wrapper(self):
-        x = paxson_fgn(512, hurst=0.7, variance=2.0, rng=np.random.default_rng(9))
-        assert x.shape == (512,)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

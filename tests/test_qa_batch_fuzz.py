@@ -1,6 +1,6 @@
 """Tier-2 seeded fuzz for the batched-synthesis path and the queue fold.
 
-The stacked 2-D FFT synthesis (:func:`repro.core.batch.batch_fgn`) is
+The stacked 2-D FFT synthesis (:func:`repro.core.batch.batch_generate`) is
 pinned bit-for-bit by tier 1; this module attacks the *rest* of the
 input space with randomized configurations drawn from the rotating
 ``--qa-seed``:
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.hurst import variance_time
-from repro.core.batch import batch_fgn, batch_generate
+from repro.core.batch import batch_generate
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
 from repro.qa import stats as qa
@@ -43,7 +43,8 @@ def _random_workload(rng):
     batch = int(rng.integers(1, 9))
     # Positive arrivals with the drawn H: exponentiate the Gaussian so
     # heavy slots stress the overflow barrier, then scale to bytes.
-    row = batch_fgn(n, hurst, batch, seed=int(rng.integers(2**31)))[batch - 1]
+    row_rngs = [np.random.default_rng(int(rng.integers(2**31))) for _ in range(batch)]
+    row = batch_generate(PaxsonGenerator(hurst), n, row_rngs)[batch - 1]
     arrivals = 10_000.0 * np.exp(0.5 * row)
     mean = float(arrivals.mean())
     capacity = mean * float(rng.uniform(0.9, 1.6))

@@ -21,6 +21,15 @@ code uses the imported name: a re-export earns nothing.  String-keyed
 lazy imports are not followed: a module reached only through one is
 reported as unreached.
 
+Reaching a module is not calling it, so a second gate works on names:
+every public top-level function, class and UPPER-case constant of a
+reached module needs a product caller.  A name counts as called when a
+reached module or a root file refers to it by name or attribute.  The
+module's own ``__all__``, a package ``__init__``'s re-export and the
+name's own definition are not callers, and tests, examples and
+benchmarks are outside the walk.  The exceptions, each with its reason,
+are in :data:`ALLOWED_UNCALLED`.
+
 A last test keeps the experiment suite to one home: every
 ``repro.experiments`` module with a ``run`` function is in the campaign,
 and every campaign experiment carries at least one paper claim.
@@ -31,6 +40,7 @@ from __future__ import annotations
 import ast
 import inspect
 import pathlib
+import re
 import shutil
 
 import pytest
@@ -49,16 +59,36 @@ ROOT_FILES = (PACKAGE_DIR.parents[1] / "perfbench" / "workloads.py",)
 ALLOWED_UNREACHED = {
     "repro.qa.plugin": "test tooling: the pytest plugin",
     "repro.qa.stats": "test tooling: the statistical assertions the plugin serves",
-    "repro.core.markov_fluid": (
-        "backs test_paper_claims.py::"
-        "test_interesting_characteristics_not_captured_by_common_models"
-    ),
-    "repro.video.shaping": "backs test_paper_claims.py::test_clipping_recommendation",
-    "repro.simulation.cells": (
-        "backs test_ablations_extensions.py::TestExtensions::test_cell_level_validation"
-    ),
 }
 """Modules no product path imports, each with the reason it stays."""
+
+ALLOWED_UNCALLED = {
+    "repro.analysis.hurst.rs_statistic": (
+        "test oracle: test_hurst.py::TestRSPoxMatchesPerSegmentOracle"
+    ),
+    "repro.core.fractional.fractional_binomial_weights": (
+        "test oracle: test_fractional.py::TestFractionalWeights::"
+        "test_differencing_whitens_farima"
+    ),
+    "repro.simulation.slotfluid.slot_step": (
+        "test oracle: test_slotfluid.py::TestFifoRun::test_fifo_run_matches_slot_step_loop"
+    ),
+    "repro.video.rle.rle_encode_block": (
+        "test oracle: test_codec_pins.py::TestArrayRLEMatchesOracle"
+    ),
+    "repro.core.hosking.hosking_farima": "a target of perfbench/tracer.py",
+    "repro.resilience.faults.FaultPlan": "fault harness: seeded fault injection",
+    "repro.resilience.faults.FlakyChunkSource": "fault harness: a source that fails on cue",
+    "repro.obs.bench.write_bench": "tooling: the BENCH_*.json writer of benchmarks/",
+    "repro.obs.metrics.parse_prometheus_text": "tooling: reads the Prometheus exposition back",
+    "repro.dist.campaign.fgn_tasks": (
+        "tooling: the dist tests' and examples' task lists; no campaign runs fgn tasks yet"
+    ),
+    "repro.par.cache.using": "tooling: the documented scoped-cache context manager",
+}
+"""Public names no product code calls, each with the reason it stays."""
+
+_UPPER_CASE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
 def _package_modules(package_dir):
@@ -197,8 +227,84 @@ def assert_reachability(package_dir, root_files=ROOT_FILES):
     )
 
 
+def _public_definitions(tree):
+    """``{name: node}`` of a module's public functions, classes and UPPER constants."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _UPPER_CASE.match(target.id):
+                    found[target.id] = node
+    return {name: node for name, node in found.items() if not name.startswith("_")}
+
+
+def _references(tree, skip=()):
+    """Every name and attribute name in ``tree`` outside the ``skip`` nodes."""
+    skipped = {id(node) for root in skip for node in ast.walk(root)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _dunder_all(tree):
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+
+
+def uncalled_names(package_dir, root_files=ROOT_FILES):
+    """``module.name`` of every public name of a reached module without a caller."""
+    modules = _package_modules(package_dir)
+    reached = set(modules) - unreached_modules(package_dir, root_files=root_files)
+    trees = {name: ast.parse(modules[name].read_text()) for name in reached}
+    callers = {name: _references(tree, _dunder_all(tree)) for name, tree in trees.items()}
+    from_roots = set().union(*(_references(ast.parse(p.read_text())) for p in root_files))
+    uncalled = set()
+    for module, tree in trees.items():
+        if modules[module].name == "__init__.py":
+            continue
+        elsewhere = from_roots.union(*(refs for other, refs in callers.items() if other != module))
+        for name, node in _public_definitions(tree).items():
+            if name not in elsewhere and name not in _references(tree, [node, *_dunder_all(tree)]):
+                uncalled.add(f"{module}.{name}")
+    return uncalled
+
+
+def assert_every_name_called(package_dir, root_files=ROOT_FILES):
+    uncalled = uncalled_names(package_dir, root_files=root_files)
+    allowed = set(ALLOWED_UNCALLED)
+    assert uncalled == allowed, (
+        f"public names without a product caller: {sorted(uncalled - allowed)}; "
+        f"allow-listed but called or missing: {sorted(allowed - uncalled)}"
+    )
+
+
 def test_every_module_is_reachable_from_the_cli():
     assert_reachability(PACKAGE_DIR)
+
+
+def test_every_public_name_has_a_product_caller():
+    assert_every_name_called(PACKAGE_DIR)
+
+
+def test_every_perfbench_tracer_target_resolves():
+    """``perfbench/run.py --trace`` wraps each target; a deleted one would raise there."""
+    from perfbench import tracer
+
+    for target in tracer.TARGETS:
+        _, original = tracer._resolve(target.path)
+        assert callable(original), target.path
 
 
 def test_stream_queueing_is_reached_through_the_benchmark_root():
@@ -225,9 +331,31 @@ def test_walker_reports_a_planted_unimported_module(tmp_path):
 def test_an_allowed_module_that_becomes_reached_fails(tmp_path):
     copy = _copy_package(tmp_path)
     with open(copy / "cli.py", "a") as cli:
-        cli.write("\n\ndef _planted():\n    from repro.video.shaping import clip_peaks\n")
-    with pytest.raises(AssertionError, match="reached or missing: \\['repro.video.shaping'\\]"):
+        cli.write("\n\ndef _planted():\n    from repro.qa.stats import require\n")
+    with pytest.raises(AssertionError, match="reached or missing: \\['repro.qa.stats'\\]"):
         assert_reachability(copy)
+
+
+def test_a_planted_callerless_public_function_fails(tmp_path):
+    copy = _copy_package(tmp_path)
+    with open(copy / "core" / "fgn.py", "a") as module:
+        module.write("\n\ndef planted_helper():\n    return FGN_BACKENDS\n")
+    with pytest.raises(AssertionError, match="caller: \\['repro.core.fgn.planted_helper'\\]"):
+        assert_every_name_called(copy)
+
+
+def test_an_allowed_name_that_gains_a_product_caller_fails(tmp_path):
+    copy = _copy_package(tmp_path)
+    with open(copy / "cli.py", "a") as cli:
+        cli.write(
+            "\n\ndef _planted(x):\n"
+            "    from repro.analysis.hurst import rs_statistic\n"
+            "    return rs_statistic(x)\n"
+        )
+    with pytest.raises(
+        AssertionError, match="called or missing: \\['repro.analysis.hurst.rs_statistic'\\]"
+    ):
+        assert_every_name_called(copy)
 
 
 def _plant(root, files):

@@ -22,7 +22,6 @@ from repro.qa import stats as qa
 from tests.qa_budget import CHECK_ALPHA
 from repro.distributions.hybrid import GammaParetoHybrid
 from repro.distributions.normal import Normal
-from repro.simulation.multiplex import multiplex_series, random_lags
 from repro.simulation.queue import simulate_queue
 from repro.stream import (
     BlockFGNSource,
@@ -34,7 +33,6 @@ from repro.stream import (
     StreamingVarianceTime,
     make_source,
     merge_streams,
-    multiplex_lagged,
 )
 
 TARGET = GammaParetoHybrid(27_791.0, 6_254.0, 12.0)
@@ -287,47 +285,6 @@ class TestStreamingQueue:
             StreamingQueue(bad, 1.0)
         with pytest.raises(ValueError):
             StreamingQueue(1.0, bad)
-
-
-class TestMultiplexLagged:
-    @given(
-        seed=st.integers(min_value=0, max_value=1000),
-        chunk=st.integers(min_value=1, max_value=900),
-        n_sources=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_matches_batch_multiplex(self, seed, chunk, n_sources):
-        rng = np.random.default_rng(seed)
-        series = rng.uniform(0, 100, size=800)
-        lags = rng.integers(0, 800, size=n_sources)
-        want = multiplex_series(series, lags)
-        got = multiplex_lagged(Stream.from_array(series, chunk), lags).to_array()
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-
-    def test_paper_lag_constraints(self):
-        """The paper's min-separation lags, streamed vs batch."""
-        rng = np.random.default_rng(2)
-        series = rng.uniform(0, 100, size=12_000)
-        lags = random_lags(6, 12_000, min_separation=1000, rng=rng)
-        want = multiplex_series(series, lags)
-        got = multiplex_lagged(
-            Stream.from_array(series, 1024), lags, chunk_size=2048
-        ).to_array()
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-
-    def test_zero_lag_is_scaling(self):
-        series = np.arange(100.0)
-        got = multiplex_lagged(Stream.from_array(series, 13), [0, 0, 0]).to_array()
-        np.testing.assert_allclose(got, 3.0 * series)
-
-    def test_rejects_short_stream(self):
-        with pytest.raises(ValueError):
-            multiplex_lagged(Stream.from_array(np.arange(50.0), 10), [3], n=60).to_array()
-
-    def test_rejects_unknown_period(self):
-        gen = (np.zeros(4) for _ in range(2))
-        with pytest.raises(ValueError):
-            multiplex_lagged(Stream(gen), [1])
 
 
 class TestMergeAndParallel:

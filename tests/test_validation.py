@@ -10,7 +10,6 @@ from repro._validation import (
     require_nonnegative,
     require_positive,
     require_positive_int,
-    require_probability,
 )
 
 
@@ -78,11 +77,6 @@ class TestIntervals:
     def test_closed_interval_rejects_outside(self):
         with pytest.raises(ValueError):
             require_in_closed_interval(1.0001, "q", 0, 1)
-
-    def test_probability_helper(self):
-        assert require_probability(0.3, "p") == 0.3
-        with pytest.raises(ValueError):
-            require_probability(-0.1, "p")
 
 
 class TestRequirePositiveInt:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.wavelet import haar_detail_energy, wavelet_hurst
-from repro.simulation.norros import (
-    norros_buffer,
-    norros_capacity,
-    norros_kappa,
-    norros_overflow_probability,
-)
+from repro.simulation.norros import norros_capacity, norros_kappa
 
 
 class TestHaarPyramid:
@@ -89,13 +84,14 @@ class TestNorrosFormulas:
         assert norros_kappa(0.99) < 1.0
 
     def test_capacity_buffer_probability_consistency(self):
-        """The three formulas invert each other exactly."""
+        """The dimensioning formula inverts Norros' queue tail exactly:
+        ``P(V > b) = exp(-(C - m)^{2H} b^{2-2H} / (2 kappa^2 a m))``."""
         m, a, h = 1000.0, 50.0, 0.8
         eps = 1e-4
         b = 1e5
         c = norros_capacity(m, a, b, eps, h)
-        assert norros_overflow_probability(m, a, c, b, h) == pytest.approx(eps, rel=1e-9)
-        assert norros_buffer(m, a, c, eps, h) == pytest.approx(b, rel=1e-9)
+        exponent = (c - m) ** (2 * h) * b ** (2 - 2 * h) / (2 * norros_kappa(h) ** 2 * a * m)
+        assert np.exp(-exponent) == pytest.approx(eps, rel=1e-9)
 
     def test_capacity_exceeds_mean(self):
         assert norros_capacity(1000.0, 50.0, 1e5, 1e-3, 0.8) > 1000.0
@@ -115,13 +111,6 @@ class TestNorrosFormulas:
             c1 = norros_capacity(m, a, 1e5, eps, h) - m
             c2 = norros_capacity(m, a, 2e5, eps, h) - m
             assert c2 / c1 == pytest.approx(expected, rel=0.01)
-
-    def test_overflow_is_one_when_unstable(self):
-        assert norros_overflow_probability(1000.0, 50.0, 900.0, 1e5, 0.8) == 1.0
-
-    def test_buffer_rejects_unstable(self):
-        with pytest.raises(ValueError):
-            norros_buffer(1000.0, 50.0, 900.0, 1e-3, 0.8)
 
     def test_formula_against_simulation(self):
         """Theory-vs-simulation: Norros' capacity lands within a factor

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.video.quantize import dequantize, quantize
-from repro.video.zigzag import zigzag_indices, zigzag_scan, zigzag_unscan
+from repro.video.zigzag import zigzag_indices, zigzag_unscan
+
+
+def _scan(block):
+    """Zig-zag order of one square block, as the codec reads it."""
+    return block.reshape(-1)[zigzag_indices(block.shape[0])]
 
 
 class TestZigzag:
@@ -26,13 +31,13 @@ class TestZigzag:
 
     def test_scan_unscan_roundtrip(self, rng):
         block = rng.integers(-100, 100, size=(8, 8))
-        np.testing.assert_array_equal(zigzag_unscan(zigzag_scan(block), 8), block)
+        np.testing.assert_array_equal(zigzag_unscan(_scan(block), 8), block)
 
     def test_scan_groups_frequencies(self):
         """Scanning the frequency-index-sum block yields a
         non-decreasing-diagonal sequence."""
         freq = np.add.outer(np.arange(8), np.arange(8))
-        scanned = zigzag_scan(freq)
+        scanned = _scan(freq)
         assert np.all(np.diff(scanned) >= -1)
         assert scanned[0] == 0
         assert scanned[-1] == 14
@@ -43,9 +48,9 @@ class TestZigzag:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            zigzag_scan(np.ones((4, 8)))
-        with pytest.raises(ValueError):
             zigzag_unscan(np.ones(63), 8)
+        with pytest.raises(ValueError):
+            zigzag_unscan(np.ones((8, 8)), 8)
 
 
 class TestQuantize:
@@ -85,4 +90,4 @@ class TestQuantize:
 def test_zigzag_roundtrip_property(n, seed):
     """Property: unscan(scan(block)) is the identity for any size."""
     block = np.random.default_rng(seed).integers(-50, 50, size=(n, n))
-    np.testing.assert_array_equal(zigzag_unscan(zigzag_scan(block), n), block)
+    np.testing.assert_array_equal(zigzag_unscan(_scan(block), n), block)
