@@ -39,7 +39,7 @@ def main():
     min_sep = min(1000, trace.n_frames // 40)
 
     mean_mbps = trace.mean_rate_bps / 1e6
-    peak_mbps = trace.peak_rate_bps / 1e6
+    peak_mbps = trace.frame_bytes.max() * 8.0 * trace.frame_rate / 1e6
     print(f"Source: {trace.n_frames} frames, mean {mean_mbps:.2f} Mb/s, "
           f"peak {peak_mbps:.2f} Mb/s, loss target {args.loss:g}\n")
 

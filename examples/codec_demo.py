@@ -56,12 +56,12 @@ def main():
         frame_bytes.append(encoded.total_bytes)
         quality.append(psnr(frame, decoded))
         if i < 8:
-            scene = movie.script.scene_at(i)
+            scene = next(s for s in movie.script.scenes if s.start_frame <= i < s.end_frame)
             rows.append([
                 i,
                 f"{scene.level:.2f}",
                 encoded.total_bytes,
-                f"{codec.compression_ratio(frame, encoded):.2f}",
+                f"{frame.size / max(encoded.total_bytes, 1):.2f}",
                 f"{quality[-1]:.1f}",
                 f"{encoded.slice_bytes.min()}-{encoded.slice_bytes.max()}",
             ])

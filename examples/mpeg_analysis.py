@@ -21,7 +21,7 @@ import numpy as np
 from repro.analysis.correlation import aggregate, periodogram
 from repro.analysis.hurst import variance_time
 from repro.experiments.reporting import format_table
-from repro.video.interframe import DEFAULT_GOP_PATTERN, synthesize_mpeg_trace
+from repro.video.interframe import GOP_PATTERN, synthesize_mpeg_trace
 from repro.video.starwars import synthesize_starwars_trace
 
 
@@ -33,7 +33,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    gop = len(DEFAULT_GOP_PATTERN)
+    gop = len(GOP_PATTERN)
     mpeg = synthesize_mpeg_trace(n_frames=args.frames, seed=4)
     intra = synthesize_starwars_trace(n_frames=args.frames, seed=4, with_slices=False)
 
@@ -45,7 +45,7 @@ def main():
         ["peak/mean", f"{y.max() / y.mean():.2f}", f"{x.max() / x.mean():.2f}"],
     ]
     print(format_table(
-        ["statistic", "intraframe", f"MPEG ({DEFAULT_GOP_PATTERN})"],
+        ["statistic", "intraframe", f"MPEG ({GOP_PATTERN})"],
         rows,
         title="Intraframe vs interframe coding of the same content:",
     ))
@@ -53,7 +53,7 @@ def main():
     # Frame-type byte budget.
     per_gop = x[: (x.size // gop) * gop].reshape(-1, gop)
     by_type = {}
-    for pos, ch in enumerate(DEFAULT_GOP_PATTERN):
+    for pos, ch in enumerate(GOP_PATTERN):
         by_type.setdefault(ch, []).append(per_gop[:, pos].mean())
     rows = [[ch, f"{np.mean(v):.0f}"] for ch, v in sorted(by_type.items())]
     print()

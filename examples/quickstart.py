@@ -55,7 +55,7 @@ def main():
     capacity = required_capacity([arrivals], buffer_bytes, target_loss=1e-4)
     per_source_mbps = capacity / n_sources * 8 / slot_seconds / 1e6
     mean_mbps = trace.mean_rate_bps / 1e6
-    peak_mbps = trace.peak_rate_bps / 1e6
+    peak_mbps = trace.frame_bytes.max() * 8.0 * trace.frame_rate / 1e6
     print(
         f"\nCapacity planning for {n_sources} multiplexed sources "
         f"(buffer ~100 ms, loss <= 1e-4):\n"

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+_UTIL_THRESHOLD = 0.9
+"""Utilization a donor keeps its grant at: it keeps demand / 0.9."""
+
+
 def _absorb_residue(values, total, eligible):
     """Settle the float residue into non-violating entries only (in place).
 
@@ -133,20 +137,13 @@ class OracleAllocator(AllocatorBase):
     sizes buffers to the observed zero-clamp peak need, and moves
     capacity from users that would lose nothing (keeping their average
     required rate plus margin) to users that would lose bytes,
-    proportional to their rehearsed losses.  ``refine_rounds`` such
-    passes give a grant no causal policy can match for information --
-    the fleet-total loss lower bound pinned by the dominance property.
+    proportional to their rehearsed losses.  Four such passes give a
+    grant no causal policy can match for information -- the fleet-total
+    loss lower bound pinned by the dominance property.
     """
 
     name = "oracle"
     requires_lookahead = True
-
-    def __init__(self, *args, refine_rounds=4, reclaim_fraction=0.6, **kwargs):
-        super().__init__(*args, **kwargs)
-        if refine_rounds < 0:
-            raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
-        self.refine_rounds = int(refine_rounds)
-        self.reclaim_fraction = float(reclaim_fraction)
 
     def _rehearse(self, arrivals, backlog, capacity, buffer):
         """Simulate every user's next epoch at the candidate grant.
@@ -174,7 +171,7 @@ class OracleAllocator(AllocatorBase):
                                    floor=self.capacity_floor)
         buffer = partition_exact(arrivals.max(axis=1) + backlog,
                                  self.total_buffer)
-        for _ in range(self.refine_rounds):
+        for _ in range(4):
             lost, peak_need = self._rehearse(arrivals, backlog, capacity, buffer)
             buffer = partition_exact(np.maximum(peak_need, 1.0), self.total_buffer)
             if not np.any(lost > 0.0):
@@ -182,7 +179,7 @@ class OracleAllocator(AllocatorBase):
             keep = np.maximum(self.capacity_floor, need_rate)
             headroom = np.maximum(0.0, capacity - keep)
             donors = (lost == 0.0) & (headroom > 0.0)
-            take = np.where(donors, self.reclaim_fraction * headroom, 0.0)
+            take = np.where(donors, 0.6 * headroom, 0.0)
             pot = float(np.sum(take))
             if pot <= 0.0:
                 break
@@ -197,8 +194,8 @@ class HarvestAllocator(AllocatorBase):
 
     Each epoch: users whose loss rate exceeds ``qos_loss`` are
     *violators*; users meeting their target with spare headroom
-    (utilization below ``util_threshold``) are *donors*.  A fraction
-    ``harvest_fraction`` of each donor's headroom above both the floor
+    (utilization below 90%) are *donors*.  A quarter
+    of each donor's headroom above both the floor
     and its own demand is harvested into a pot and granted to violators
     in proportion to their lost bytes; buffers are harvested the same
     way against peak-backlog occupancy.  A violator is never a donor and
@@ -207,15 +204,6 @@ class HarvestAllocator(AllocatorBase):
     """
 
     name = "harvest"
-
-    def __init__(self, *args, harvest_fraction=0.25, util_threshold=0.9, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 < harvest_fraction <= 1.0:
-            raise ValueError(f"harvest_fraction must be in (0, 1], got {harvest_fraction}")
-        if not 0.0 < util_threshold < 1.0:
-            raise ValueError(f"util_threshold must be in (0, 1), got {util_threshold}")
-        self.harvest_fraction = float(harvest_fraction)
-        self.util_threshold = float(util_threshold)
 
     def decide(self, epoch_index, observation, current, epoch_seed):
         slots = float(observation.epoch_slots)
@@ -228,12 +216,12 @@ class HarvestAllocator(AllocatorBase):
         capacity = current.capacity.copy()
         buffer = current.buffer.copy()
 
-        # Capacity: a donor keeps max(floor, demand / util_threshold).
+        # Capacity: a donor keeps max(floor, demand / _UTIL_THRESHOLD).
         demand_rate = observation.offered / slots
-        keep_c = np.maximum(self.capacity_floor, demand_rate / self.util_threshold)
+        keep_c = np.maximum(self.capacity_floor, demand_rate / _UTIL_THRESHOLD)
         headroom_c = np.maximum(0.0, capacity - keep_c)
         donors_c = (~violating) & (headroom_c > 0.0)
-        take_c = np.where(donors_c, self.harvest_fraction * headroom_c, 0.0)
+        take_c = np.where(donors_c, 0.25 * headroom_c, 0.0)
         pot_c = float(np.sum(take_c))
         if pot_c > 0.0:
             capacity -= take_c
@@ -241,10 +229,10 @@ class HarvestAllocator(AllocatorBase):
             _absorb_residue(capacity, self.total_capacity, ~violating)
 
         # Buffer: a donor keeps its observed peak occupancy with margin.
-        keep_q = observation.peak_backlog / self.util_threshold
+        keep_q = observation.peak_backlog / _UTIL_THRESHOLD
         headroom_q = np.maximum(0.0, buffer - keep_q)
         donors_q = (~violating) & (headroom_q > 0.0)
-        take_q = np.where(donors_q, self.harvest_fraction * headroom_q, 0.0)
+        take_q = np.where(donors_q, 0.25 * headroom_q, 0.0)
         pot_q = float(np.sum(take_q))
         if pot_q > 0.0:
             buffer -= take_q
@@ -261,27 +249,15 @@ class TradeAllocator(AllocatorBase):
     ascending for comfort, index-ascending on ties so the matching is a
     pure function of the observation.  The k-th neediest violator is
     paired with the k-th most comfortable non-violator and the pair
-    trades ``trade_fraction`` of the donor's capacity headroom (and
-    buffer headroom) -- but only when the trade improves both sides'
-    projected utility: the donor must retain enough grant to cover its
-    own demand at ``util_threshold``, the receiver must actually be
-    violating.  Up to ``max_trades`` pairs trade per epoch, so relief
-    spreads more slowly than the harvest pot but without any central
-    accounting.
+    trades half the donor's capacity headroom (and buffer headroom) --
+    but only when the trade improves both sides' projected utility: the
+    donor must retain enough grant to cover its own demand at 90%
+    utilization, the receiver must actually be violating.  Up to
+    ``n_users // 2`` pairs trade per epoch, so relief spreads more
+    slowly than the harvest pot but without any central accounting.
     """
 
     name = "trade"
-
-    def __init__(self, *args, trade_fraction=0.5, util_threshold=0.9,
-                 max_trades=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 < trade_fraction <= 1.0:
-            raise ValueError(f"trade_fraction must be in (0, 1], got {trade_fraction}")
-        if not 0.0 < util_threshold < 1.0:
-            raise ValueError(f"util_threshold must be in (0, 1), got {util_threshold}")
-        self.trade_fraction = float(trade_fraction)
-        self.util_threshold = float(util_threshold)
-        self.max_trades = max_trades
 
     def decide(self, epoch_index, observation, current, epoch_seed):
         n = self.n_users
@@ -301,11 +277,10 @@ class TradeAllocator(AllocatorBase):
         comfy = np.lexsort((index, util, loss))
 
         demand_rate = observation.offered / slots
-        keep_c = np.maximum(self.capacity_floor, demand_rate / self.util_threshold)
-        keep_q = observation.peak_backlog / self.util_threshold
+        keep_c = np.maximum(self.capacity_floor, demand_rate / _UTIL_THRESHOLD)
+        keep_q = observation.peak_backlog / _UTIL_THRESHOLD
 
-        limit = n // 2 if self.max_trades is None else int(self.max_trades)
-        receivers, donors = needy[:max(limit, 0)], comfy[:max(limit, 0)]
+        receivers, donors = needy[:n // 2], comfy[:n // 2]
         # Pairs trade up to the first that stops: a receiver that is not
         # violating or a donor that is.  Before it receivers violate and
         # donors do not, so no user is in two pairs and every trade reads
@@ -318,7 +293,7 @@ class TradeAllocator(AllocatorBase):
             receivers, donors = receivers[:stops[0]], donors[:stops[0]]
         traded = False
         for grant, keep in ((capacity, keep_c), (buffer, keep_q)):
-            delta = self.trade_fraction * (grant[donors] - keep[donors])
+            delta = 0.5 * (grant[donors] - keep[donors])
             moves = delta > 0.0
             grant[donors[moves]] -= delta[moves]
             grant[receivers[moves]] += delta[moves]

@@ -215,8 +215,8 @@ class AllocatorBase:
 
     Subclasses implement :meth:`decide`; callers drive :meth:`step`,
     which wraps the decision with the conservation/feasibility check.
-    ``capacity_floor`` is the minimum per-user capacity grant (a
-    fraction of the equal share) -- no policy may starve a user to zero,
+    ``capacity_floor`` is the minimum per-user capacity grant (5% of
+    the equal share) -- no policy may starve a user to zero,
     which would stall its queue forever and break the loss accounting.
     """
 
@@ -224,7 +224,7 @@ class AllocatorBase:
     requires_lookahead = False
 
     def __init__(self, total_capacity, total_buffer, n_users, *,
-                 qos_loss=1e-3, floor_fraction=0.05, weights=None):
+                 qos_loss=1e-3, weights=None):
         self.total_capacity = float(require_positive(total_capacity, "total_capacity"))
         self.total_buffer = float(require_positive(total_buffer, "total_buffer"))
         self.n_users = int(n_users)
@@ -233,9 +233,7 @@ class AllocatorBase:
         self.qos_loss = float(qos_loss)
         if not 0.0 <= self.qos_loss < 1.0:
             raise ValueError(f"qos_loss must be in [0, 1), got {qos_loss}")
-        if not 0.0 <= float(floor_fraction) < 1.0:
-            raise ValueError(f"floor_fraction must be in [0, 1), got {floor_fraction}")
-        self.capacity_floor = float(floor_fraction) * self.total_capacity / self.n_users
+        self.capacity_floor = 0.05 * self.total_capacity / self.n_users
         if weights is None:
             self.weights = np.ones(self.n_users)
         else:

@@ -151,6 +151,12 @@ class FleetSpec:
         return capacity, buffer_bytes
 
 
+def _percentiles(values):
+    """``{"p50", "p90", "p99"}`` of per-user ``values``."""
+    qs = (50.0, 90.0, 99.0)
+    return {f"p{q:g}": float(v) for q, v in zip(qs, np.percentile(values, list(qs)))}
+
+
 def user_epoch_seed(fleet_seed, user_index, epoch_index):
     """The sha256 seed for (user, epoch) -- the root of all fleet randomness."""
     user_seed = derive_task_seed(fleet_seed, user_index, label="alloc.user")
@@ -320,13 +326,11 @@ class FleetResult:
         offered = float(np.sum(self.offered))
         return float(np.sum(self.lost)) / offered if offered > 0.0 else 0.0
 
-    def loss_percentiles(self, qs=(50.0, 90.0, 99.0)):
-        values = np.percentile(self.loss_rate, list(qs))
-        return {f"p{q:g}": float(v) for q, v in zip(qs, values)}
+    def loss_percentiles(self):
+        return _percentiles(self.loss_rate)
 
-    def delay_percentiles(self, qs=(50.0, 90.0, 99.0)):
-        values = np.percentile(self.mean_delay_slots, list(qs))
-        return {f"p{q:g}": float(v) for q, v in zip(qs, values)}
+    def delay_percentiles(self):
+        return _percentiles(self.mean_delay_slots)
 
     def fairness(self):
         """Jain's index over per-user goodput ratios (1 == perfectly fair)."""
@@ -372,8 +376,7 @@ class FleetResult:
         }
 
 
-def simulate_fleet(spec, allocator="static", *, arrivals=None,
-                   record_history=False, allocator_options=None):
+def simulate_fleet(spec, allocator="static", *, arrivals=None, record_history=False):
     """Run one fleet under one allocator; returns a :class:`FleetResult`.
 
     ``allocator`` is a registered name (see
@@ -395,8 +398,7 @@ def simulate_fleet(spec, allocator="static", *, arrivals=None,
             )
     else:
         policy = make_allocator(allocator, capacity, buffer_bytes, n,
-                                qos_loss=spec.qos_loss,
-                                **(allocator_options or {}))
+                                qos_loss=spec.qos_loss)
 
     epochs = (_arrival_epochs(spec) if arrivals is None
               else iter(_check_arrivals(spec, arrivals)))

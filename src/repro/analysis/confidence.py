@@ -24,8 +24,8 @@ from repro._validation import as_1d_float_array, require_in_open_interval
 __all__ = ["MeanConvergence", "lrd_mean_ci", "mean_confidence_convergence"]
 
 
-def lrd_mean_ci(data, hurst, confidence=0.95):
-    """LRD-aware confidence interval for the mean of ``data``.
+def lrd_mean_ci(data, hurst):
+    """LRD-aware 95% confidence interval for the mean of ``data``.
 
     Returns ``(mean, halfwidth)`` with
     ``halfwidth = z * s * n^(H-1)``; for ``hurst=0.5`` this reduces to
@@ -33,11 +33,9 @@ def lrd_mean_ci(data, hurst, confidence=0.95):
     """
     arr = as_1d_float_array(data, "data", min_length=2)
     hurst = require_in_open_interval(hurst, "hurst", 0.0, 1.0)
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     from scipy import special
 
-    z = np.sqrt(2.0) * special.erfinv(confidence)
+    z = np.sqrt(2.0) * special.erfinv(0.95)
     s = float(np.std(arr, ddof=1))
     n = arr.size
     return float(np.mean(arr)), float(z * s * n ** (hurst - 1.0))
@@ -76,8 +74,8 @@ class MeanConvergence:
         return float(np.mean(inside))
 
 
-def mean_confidence_convergence(data, hurst, sample_sizes=None, confidence=0.95):
-    """Reproduce Fig. 9: mean of the first ``n`` observations with CIs.
+def mean_confidence_convergence(data, hurst, sample_sizes=None):
+    """Reproduce Fig. 9: mean of the first ``n`` observations with 95% CIs.
 
     Parameters
     ----------
@@ -101,7 +99,7 @@ def mean_confidence_convergence(data, hurst, sample_sizes=None, confidence=0.95)
         raise ValueError(f"sample sizes must lie in [2, {n}]")
     from scipy import special
 
-    z = np.sqrt(2.0) * special.erfinv(confidence)
+    z = np.sqrt(2.0) * special.erfinv(0.95)
     means = np.empty(sizes.size)
     iid_hw = np.empty(sizes.size)
     lrd_hw = np.empty(sizes.size)

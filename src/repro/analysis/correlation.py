@@ -50,7 +50,7 @@ def autocorrelation(data, max_lag=None):
     return acov / var
 
 
-def periodogram(data, detrend=True):
+def periodogram(data):
     """Periodogram ``I(omega_j)`` at the Fourier frequencies.
 
     Returns ``(omega, intensity)`` with
@@ -64,8 +64,7 @@ def periodogram(data, detrend=True):
     """
     arr = as_1d_float_array(data, "data", min_length=4)
     n = arr.size
-    x = arr - arr.mean() if detrend else arr
-    spec = np.fft.rfft(x)
+    spec = np.fft.rfft(arr - arr.mean())
     j = np.arange(1, n // 2 + 1)
     omega = 2.0 * np.pi * j / n
     intensity = (np.abs(spec[1 : n // 2 + 1]) ** 2) / (2.0 * np.pi * n)

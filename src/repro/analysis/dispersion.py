@@ -45,12 +45,12 @@ class IDCResult:
     """Points used in the slope regression."""
 
 
-def index_of_dispersion(data, m_values=None, fit_range=None, n_points=30, min_blocks=10):
+def index_of_dispersion(data, m_values=None, n_points=30):
     """Compute IDC(m) over a range of scales and fit its growth rate.
 
     Parameters mirror :func:`repro.analysis.hurst.variance_time`; the
-    default fit range starts at m = 10 so short-range structure does
-    not bias the asymptotic slope.
+    fit range runs from m = 10, so short-range structure does not bias
+    the asymptotic slope, to ``max(n // 100, 20)``.
     """
     arr = as_1d_float_array(data, "data", min_length=100)
     if np.any(arr < 0):
@@ -60,7 +60,7 @@ def index_of_dispersion(data, m_values=None, fit_range=None, n_points=30, min_bl
         raise ValueError("series must have positive mean")
     n = arr.size
     if m_values is None:
-        top = max(n // min_blocks, 2)
+        top = max(n // 10, 2)
         m_values = np.unique(np.round(np.geomspace(1, top, n_points)).astype(int))
     m_values = np.asarray(m_values, dtype=int)
     if np.any(m_values < 1):
@@ -69,9 +69,7 @@ def index_of_dispersion(data, m_values=None, fit_range=None, n_points=30, min_bl
     for i, m in enumerate(m_values):
         block_sums = aggregate(arr, int(m)) * m
         idc[i] = float(np.var(block_sums)) / (mean * m)
-    if fit_range is None:
-        fit_range = (10, max(n // 100, 20))
-    lo, hi = fit_range
+    lo, hi = fit_range = (10, max(n // 100, 20))
     mask = (m_values >= lo) & (m_values <= hi) & (idc > 0)
     if mask.sum() < 2:
         raise ValueError(f"fewer than 2 usable scales in fit range {fit_range}")

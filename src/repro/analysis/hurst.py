@@ -238,17 +238,18 @@ def rs_aggregated(data, m=10, **kwargs):
     return rs_pox(aggregate(as_1d_float_array(data, "data"), m), **kwargs)
 
 
-def rs_sensitivity(data, partition_counts=(5, 10, 20), lag_point_counts=(15, 30, 60)):
+def rs_sensitivity(data):
     """Robustness sweep over pox-diagram densities (Table 3's last row).
 
     Re-runs :func:`rs_pox` for every combination of vertical density
-    (``n_partitions``) and horizontal density (``n_lag_points``) and
+    (``n_partitions`` 5, 10, 20) and horizontal density
+    (``n_lag_points`` 15, 30, 60) and
     returns ``(h_min, h_max, estimates)`` where ``estimates`` maps the
     ``(n_partitions, n_lag_points)`` pair to its Hurst estimate.
     """
     estimates = {}
-    for n_part in partition_counts:
-        for n_lagpts in lag_point_counts:
+    for n_part in (5, 10, 20):
+        for n_lagpts in (15, 30, 60):
             result = rs_pox(data, n_partitions=n_part, n_lag_points=n_lagpts)
             estimates[(int(n_part), int(n_lagpts))] = result.hurst
     values = list(estimates.values())
@@ -367,11 +368,11 @@ class GPHResult:
     """Number of low-frequency ordinates used in the regression."""
 
 
-def gph(data, bandwidth_exponent=0.5, normalize="normal-scores"):
+def gph(data, normalize="normal-scores"):
     """Geweke-Porter-Hudak log-periodogram estimator of H.
 
     Regresses ``log I(w_j)`` on ``log(4 sin^2(w_j / 2))`` over the
-    ``m = n**bandwidth_exponent`` lowest Fourier frequencies; the slope
+    ``m = sqrt(n)`` lowest Fourier frequencies; the slope
     is ``-d``.  GPH is the classical semi-parametric alternative to the
     parametric Whittle estimator: it only assumes the ``w^{-2d}``
     divergence at the origin, so it is robust to short-range structure
@@ -379,13 +380,9 @@ def gph(data, bandwidth_exponent=0.5, normalize="normal-scores"):
     (``Var(d) = pi^2 / (24 m)``).
     """
     arr = as_1d_float_array(data, "data", min_length=64)
-    if not 0.0 < bandwidth_exponent < 1.0:
-        raise ValueError(
-            f"bandwidth_exponent must lie in (0, 1), got {bandwidth_exponent!r}"
-        )
     arr = _normalized(arr, normalize)
     omega, intensity = periodogram(arr)
-    m = int(arr.size**bandwidth_exponent)
+    m = int(arr.size**0.5)
     m = min(max(m, 8), omega.size)
     omega_m = omega[:m]
     i_m = intensity[:m]

@@ -8,7 +8,7 @@ which bounds the statistical multiplexing gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class TraceSummary:
     def mean_rate_bps(self):
         """Mean bandwidth expressed in bits per second."""
         return self.mean * 8.0 / (self.time_unit_ms / 1000.0)
-
-    def as_dict(self):
-        """Plain-dict view (for tabulation and JSON export)."""
-        return asdict(self)
 
     def format_rows(self):
         """Human-readable ``(label, value)`` rows mirroring Table 2."""

@@ -78,29 +78,24 @@ def haar_detail_energy(data, max_octaves=None):
     return np.asarray(octaves), np.asarray(energies), np.asarray(counts, dtype=int)
 
 
-def wavelet_hurst(data, octave_range=None, max_octaves=None):
+def wavelet_hurst(data, max_octaves=None):
     """Estimate H from the Haar wavelet energy cascade.
 
     Parameters
     ----------
     data:
         The series (length >= 256 recommended).
-    octave_range:
-        ``(j_lo, j_hi)`` octaves for the weighted regression; defaults
-        to octave 3 (skipping the finest scales, where short-range
-        structure lives) through the coarsest octave with at least 8
-        coefficients.
 
-    The regression of ``log2(energy_j)`` on ``j`` is weighted by the
-    coefficient counts (variance of the log-energy estimate scales like
-    ``1/n_j``).
+    The regression of ``log2(energy_j)`` on ``j`` runs from octave 3
+    (skipping the finest scales, where short-range structure lives)
+    through the coarsest octave with at least 8 coefficients, weighted
+    by the coefficient counts (variance of the log-energy estimate
+    scales like ``1/n_j``).
     """
     arr = as_1d_float_array(data, "data", min_length=256)
     octaves, energies, counts = haar_detail_energy(arr, max_octaves=max_octaves)
-    if octave_range is None:
-        coarse_ok = octaves[counts >= 8]
-        octave_range = (3, int(coarse_ok.max()) if coarse_ok.size else int(octaves.max()))
-    lo, hi = octave_range
+    coarse_ok = octaves[counts >= 8]
+    lo, hi = octave_range = (3, int(coarse_ok.max()) if coarse_ok.size else int(octaves.max()))
     mask = (octaves >= lo) & (octaves <= hi) & (energies > 0)
     if mask.sum() < 2:
         raise ValueError(f"fewer than 2 usable octaves in range {octave_range}")

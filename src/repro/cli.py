@@ -242,9 +242,8 @@ def build_parser():
                             help="shared secret coordinators must present "
                                  "(or $REPRO_DIST_AUTHKEY)")
     p_dist_srv.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="shared content-addressed artifact store; "
-                                 "fGn payloads travel as digest-verified "
-                                 "references instead of over the socket")
+                            help="content cache for the worker's generator "
+                                 "tables and reference trace")
     p_dist_srv.add_argument("--once", action="store_true",
                             help="serve a single coordinator connection, "
                                  "then exit (for tests)")

@@ -95,16 +95,6 @@ class HoskingGenerator:
         self._n_prev = 0.0
         self._d_prev = 1.0
 
-    @property
-    def n_generated(self):
-        """Number of points generated so far."""
-        return self._n
-
-    @property
-    def generated(self):
-        """The realization generated so far, as a numpy array."""
-        return self._hist[: self._n].copy()
-
     def _extend_acf(self, upto):
         if upto < self._rho.size:
             return

@@ -83,11 +83,6 @@ class VBRVideoModel:
         h = float(np.clip(estimators[hurst_estimator](data), 0.01, 0.99))
         return cls(marginal.mu_gamma, marginal.sigma_gamma, marginal.tail_shape, h)
 
-    @property
-    def parameters(self):
-        """``(mu_gamma, sigma_gamma, tail_shape, hurst)`` as a tuple."""
-        return (self.mu_gamma, self.sigma_gamma, self.tail_shape, self.hurst)
-
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------

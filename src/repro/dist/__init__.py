@@ -5,14 +5,13 @@ nodes over stdlib transports, with the robustness machinery a flaky
 fleet needs: per-task leases renewed by heartbeats, node-loss detection
 and work reassignment (same attempt seed, so reruns are bit-identical),
 bounded seed-rotated retry for genuine failures, graceful degradation
-to local serial execution when every node dies, checkpoint/resume
-through the :mod:`repro.resilience` store, and a shared
-content-addressed artifact store with end-to-end digest verification.
+to local serial execution when every node dies, and checkpoint/resume
+through the :mod:`repro.resilience` store.
 
 Layers (each importable on its own):
 
-- :mod:`repro.dist.protocol` -- task model, task-kind registry, wire
-  messages, artifact references;
+- :mod:`repro.dist.protocol` -- task model, the task-kind table and
+  wire messages;
 - :mod:`repro.dist.transport` -- socket channels
   (:mod:`multiprocessing.connection`) and the in-memory simulated
   fabric with injectable latency/partitions/death;
@@ -44,12 +43,8 @@ from repro.dist.campaign import (
 from repro.dist.coordinator import DistError, run_distributed
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
-    ArtifactMiss,
     TaskSpec,
     execute_task,
-    make_artifact_ref,
-    register_task_kind,
-    resolve_payload,
 )
 from repro.dist.simcluster import FaultEvent, FaultScript, SimCluster
 from repro.dist.top import TopView, run_top
@@ -58,7 +53,6 @@ from repro.dist.worker import WorkerLoop, serve
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "ArtifactMiss",
     "ChannelClosed",
     "DistError",
     "FaultEvent",
@@ -73,12 +67,9 @@ __all__ = [
     "fgn_tasks",
     "listen",
     "local_endpoints",
-    "make_artifact_ref",
     "open_endpoints",
     "parse_nodes",
     "probe",
-    "register_task_kind",
-    "resolve_payload",
     "run_distributed",
     "run_top",
     "serve",

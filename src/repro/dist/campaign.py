@@ -6,8 +6,8 @@ workloads the paper reproduction actually distributes:
 - the experiment suite (:func:`experiment_tasks` names each experiment
   as an ``"experiment"`` task rebuilt worker-side against the
   deterministic reference trace),
-- bulk fGn synthesis (:func:`fgn_tasks`), whose payloads travel as
-  digest-verified references into the shared artifact store, and
+- bulk fGn synthesis (:func:`fgn_tasks`), the harness workload of
+  the dist tests and the distributed-campaign example, and
 - network topology sweeps (:func:`repro.net.sweep_topologies` makes
   one ``"topology"`` task per spec).
 

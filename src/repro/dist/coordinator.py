@@ -38,11 +38,6 @@ should matter:
   (atomic, digest-verified on load), so a killed *coordinator* resumes
   digest-identically too -- same files, same tolerances as single-node
   campaigns.
-- **Shared artifact store.**  Results may be
-  :func:`~repro.dist.protocol.make_artifact_ref` references into the
-  shared content-addressed cache; the coordinator re-verifies the
-  payload digest end-to-end on fetch and treats any mismatch as a
-  transient task failure (recompute, never serve).
 """
 
 from __future__ import annotations
@@ -267,13 +262,6 @@ def run_distributed(tasks, endpoints, *, base_seed=0, max_retries=1,
 
     def _complete(task_id, payload, node_name, wall):
         state = states[task_id]
-        try:
-            payload = protocol.resolve_payload(payload)
-        except protocol.ArtifactMiss as exc:
-            _LOGGER.warning("artifact miss for %s: %s", task_id, exc,
-                            extra={"task": task_id})
-            _retry_or_fail(task_id, node_name, exc, wall)
-            return
         state.wall_time += wall
         seed = derive_task_seed(base_seed, state.attempt, label=task_id)
         state.outcome.result = payload
@@ -468,8 +456,7 @@ def run_distributed(tasks, endpoints, *, base_seed=0, max_retries=1,
     def _execute_locally(task_id):
         """Finish one task in-process through the local supervisor."""
         state = states[task_id]
-        spec = ExperimentSpec(task_id, lambda seed: protocol.resolve_payload(
-            protocol.execute_task(state.spec, seed)))
+        spec = ExperimentSpec(task_id, lambda seed: protocol.execute_task(state.spec, seed))
         outcome = _run_spec(
             spec, store=store, resume=False, base_seed=base_seed,
             max_retries=max_retries, timeout_s=timeout_s, sleep=sleep,

@@ -3,26 +3,25 @@
 A distributed campaign is an ordered list of :class:`TaskSpec` entries.
 Unlike the thunks driven by :func:`repro.resilience.runner.run_campaign`
 -- which close over arbitrary local state -- a ``TaskSpec`` must cross a
-process (and possibly a machine) boundary, so it names a registered
-*task kind* plus a JSON-able parameter dict.  Workers execute only
-kinds registered in their own process (:func:`register_task_kind`);
-arbitrary callables are never shipped over the wire.
+process (and possibly a machine) boundary, so it names a *task kind*
+plus a JSON-able parameter dict.  Workers execute only the kinds of
+the literal ``_KINDS`` table; arbitrary callables are never shipped
+over the wire.
 
-Built-in kinds:
+The kinds:
 
 - ``"experiment"`` -- one experiment of the reproduction suite, rebuilt
   worker-side from ``(experiment_id, quick, sim_frames, trace_frames)``
   against the deterministic reference trace;
-- ``"fgn"`` -- one fGn synthesis (``backend``, ``n``, ``hurst``); when
-  a shared :mod:`repro.par.cache` artifact store is active the payload
-  is parked there and only a digest-carrying artifact reference crosses
-  the wire;
+- ``"fgn"`` -- one fGn synthesis (``backend``, ``n``, ``hurst``), the
+  payload of the dist tests and the distributed-campaign example (no
+  campaign sends it);
 - ``"topology"`` -- one :func:`repro.net.run_topology` spec, the unit
   of a :func:`repro.net.sweep_topologies` fan-out;
 - ``"sleep"`` -- a simulated-latency task (sleep ``duration_s``, return
   ``value``), the workload of the scheduler benchmarks: it lets a
   1-CPU host measure coordinator scaling honestly, because sleeping
-  workers genuinely overlap.
+  workers genuinely overlap (a harness kind, like ``"fgn"``).
 
 Seeds follow the campaign discipline of the local supervisor: a task's
 seed is ``derive_task_seed(base_seed, attempt, label=task_id)``
@@ -41,33 +40,18 @@ cluster transport.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "ArtifactMiss",
     "TaskSpec",
     "execute_task",
-    "is_artifact_ref",
-    "make_artifact_ref",
-    "register_task_kind",
-    "resolve_payload",
 ]
 
 PROTOCOL_VERSION = 2
 """Carried in the hello handshake; mismatched peers refuse to pair.
 Version 2: assignments carry the ``timeout_s`` the worker enforces."""
-
-
-class ArtifactMiss(RuntimeError):
-    """A result referenced a shared-store artifact that cannot be served.
-
-    Raised when the entry is absent or was evicted after failing digest
-    re-verification.  Classified as transient: the coordinator's remedy
-    is to re-run the task, never to trust the stored bytes.
-    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,27 +91,6 @@ class TaskSpec:
                    trace=doc.get("trace"))
 
 
-# ----------------------------------------------------------------------
-# Task-kind registry
-# ----------------------------------------------------------------------
-_KINDS = {}
-
-
-def register_task_kind(kind, fn):
-    """Register ``fn(params, seed) -> payload`` as executor for ``kind``.
-
-    Registration is process-local: a socket worker only executes kinds
-    its own process registered (the built-ins plus whatever its
-    embedding application added) -- the coordinator cannot inject code.
-    """
-    if not kind or not isinstance(kind, str):
-        raise ValueError(f"kind must be a non-empty string, got {kind!r}")
-    if not callable(fn):
-        raise TypeError(f"executor for {kind!r} must be callable")
-    _KINDS[kind] = fn
-    return fn
-
-
 def execute_task(task, seed):
     """Run one :class:`TaskSpec` (or wire dict) locally; returns the payload.
 
@@ -143,83 +106,14 @@ def execute_task(task, seed):
     fn = _KINDS.get(task.kind)
     if fn is None:
         raise ValueError(
-            f"unknown task kind {task.kind!r}; this worker registered "
-            f"{sorted(_KINDS)}"
+            f"unknown task kind {task.kind!r}; this worker runs {sorted(_KINDS)}"
         )
     reach(f"dist.task:{task.kind}")
     return fn(dict(task.params), seed)
 
 
 # ----------------------------------------------------------------------
-# Artifact references (shared content-addressed store)
-# ----------------------------------------------------------------------
-_ARTIFACT_KEY = "__dist_artifact__"
-
-
-def _payload_digest(array):
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
-
-
-def make_artifact_ref(algorithm, params, array, cache):
-    """Park ``array`` in ``cache`` and return a digest-carrying reference.
-
-    The reference travels instead of the payload; whoever resolves it
-    re-verifies the array bytes against the digest recorded *here*, so
-    a poisoned store entry can never be served end-to-end even if the
-    store's own digest check were bypassed.
-    """
-    array = np.asarray(array)
-    cache.put(algorithm, params, array)
-    return {
-        _ARTIFACT_KEY: PROTOCOL_VERSION,
-        "algorithm": algorithm,
-        "params": dict(params),
-        "digest": _payload_digest(array),
-        "shape": list(array.shape),
-        "dtype": str(array.dtype),
-    }
-
-
-def is_artifact_ref(payload):
-    return isinstance(payload, dict) and _ARTIFACT_KEY in payload
-
-
-def resolve_payload(payload, cache=None):
-    """Fetch an artifact reference from the shared store; verify digest.
-
-    Non-reference payloads pass through untouched.  A missing entry, a
-    store-evicted (poisoned) entry, or a digest mismatch all raise
-    :class:`ArtifactMiss` -- the caller re-runs the task rather than
-    serving doubtful bytes.
-    """
-    if not is_artifact_ref(payload):
-        return payload
-    if cache is None:
-        from repro.par.cache import active_cache
-
-        cache = active_cache()
-    if cache is None:
-        raise ArtifactMiss(
-            f"result of {payload['algorithm']!r} is an artifact reference but no "
-            f"shared cache is configured on this side"
-        )
-    stored = cache.get(payload["algorithm"], payload["params"])
-    if stored is None:
-        raise ArtifactMiss(
-            f"artifact {payload['algorithm']!r} missing from the shared store "
-            f"(absent or evicted after digest re-verification)"
-        )
-    array = np.asarray(stored)
-    if _payload_digest(array) != payload["digest"]:
-        raise ArtifactMiss(
-            f"artifact {payload['algorithm']!r} failed end-to-end digest "
-            f"verification; refusing to serve it"
-        )
-    return array
-
-
-# ----------------------------------------------------------------------
-# Built-in task kinds
+# Task kinds
 # ----------------------------------------------------------------------
 def _run_experiment_task(params, seed):
     """One experiment of the suite, rebuilt against the reference trace."""
@@ -244,20 +138,13 @@ def _run_experiment_task(params, seed):
 
 
 def _run_fgn_task(params, seed):
-    """One fGn synthesis; parks the trace in the shared store when active."""
+    """One fGn synthesis."""
     from repro.core.fgn import fgn_generator
-    from repro.par.cache import active_cache
 
-    n = int(params["n"])
     hurst = float(params.get("hurst", 0.8))
     backend = params.get("backend", "davies-harte")
     rng = np.random.default_rng(seed)
-    sample = fgn_generator(backend, hurst).generate(n, rng=rng)
-    cache = active_cache()
-    if cache is not None:
-        key_params = {"n": n, "hurst": hurst, "backend": backend, "seed": int(seed)}
-        return make_artifact_ref("dist.fgn", key_params, sample, cache)
-    return sample
+    return fgn_generator(backend, hurst).generate(int(params["n"]), rng=rng)
 
 
 def _run_topology_task(params, seed):
@@ -278,10 +165,14 @@ def _run_sleep_task(params, seed):
     return params.get("value")
 
 
-register_task_kind("experiment", _run_experiment_task)
-register_task_kind("fgn", _run_fgn_task)
-register_task_kind("topology", _run_topology_task)
-register_task_kind("sleep", _run_sleep_task)
+_KINDS = {
+    "experiment": _run_experiment_task,
+    "topology": _run_topology_task,
+    # Harness kinds: the dist tests, benchmarks and the example send
+    # them; no product campaign does.
+    "fgn": _run_fgn_task,
+    "sleep": _run_sleep_task,
+}
 
 
 # ----------------------------------------------------------------------

@@ -198,8 +198,8 @@ def _snapshot(path):
         return TopView()
 
 
-def run_top(path, follow=False, interval=1.0, stream=None):
-    """Render the recording at ``path``; returns the final :class:`TopView`.
+def run_top(path, follow=False, interval=1.0):
+    """Render the recording at ``path`` to stdout; returns the final :class:`TopView`.
 
     One frame by default.  With ``follow`` the file is re-read every
     ``interval`` seconds and a new frame is written whenever it has
@@ -207,17 +207,16 @@ def run_top(path, follow=False, interval=1.0, stream=None):
     arrives (or the caller interrupts).  A file that does not exist yet
     is waited for.
     """
-    stream = sys.stdout if stream is None else stream
     if not follow:
         view = TopView().feed_all(read_events(path))
-        stream.write("\n".join(view.render_lines()) + "\n")
+        sys.stdout.write("\n".join(view.render_lines()) + "\n")
         return view
     shown = None
     while True:
         view = _snapshot(path)
         if view.events != shown:
-            stream.write("\n".join(view.render_lines()) + "\n\n")
-            stream.flush()
+            sys.stdout.write("\n".join(view.render_lines()) + "\n\n")
+            sys.stdout.flush()
             shown = view.events
         if view.finished is not None:
             return view

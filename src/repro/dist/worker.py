@@ -280,18 +280,16 @@ class WorkerLoop:
             ))
 
 
-def serve(address, *, authkey=None, name=None, once=False, cache_dir=None,
-          ready=None):
+def serve(address, *, authkey=None, name=None, once=False, cache_dir=None):
     """Run a socket worker node: accept coordinators, serve campaigns.
 
     Binds ``address`` (``host:port``, ``host:0`` for an ephemeral port,
     or ``unix:/path``) and serves one coordinator connection at a time;
     each disconnect returns the node to accepting (``once=True`` serves
     a single connection, for tests).  ``cache_dir`` configures the
-    process-wide shared artifact store so fGn payloads are exchanged by
-    digest-verified reference instead of over the socket.  ``ready``,
-    when given, is called with the bound Listener address before the
-    first accept.
+    process-wide content cache, which keeps the generator tables and
+    the reference trace the node's experiment tasks build.  The node
+    logs ``serving on <address>`` once its listener is up.
     """
     from repro.dist import transport
 
@@ -305,8 +303,6 @@ def serve(address, *, authkey=None, name=None, once=False, cache_dir=None,
         bound = listener.address
         _LOGGER.info("dist worker %s serving on %s", node, bound,
                      extra={"node": node, "address": str(bound)})
-        if ready is not None:
-            ready(bound)
         while True:
             try:
                 conn = listener.accept()

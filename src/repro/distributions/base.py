@@ -73,16 +73,6 @@ class Distribution(abc.ABC):
         u = rng.uniform(size=size)
         return self.ppf(u)
 
-    def loglike(self, data):
-        """Total log-likelihood of ``data`` under this distribution."""
-        arr = as_1d_float_array(data, "data")
-        dens = np.asarray(self.pdf(arr), dtype=float)
-        with np.errstate(divide="ignore"):
-            logdens = np.log(dens)
-        if np.any(~np.isfinite(logdens)):
-            return -np.inf
-        return float(np.sum(logdens))
-
 
 class TabulatedDistribution(Distribution):
     """Distribution represented by a monotone CDF lookup table.

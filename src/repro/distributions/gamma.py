@@ -85,20 +85,6 @@ class Gamma(Distribution):
     def var(self):
         return self.shape / self.rate**2
 
-    def loglog_ccdf_slope(self, x):
-        """Slope ``d log SF(x) / d log x`` of the survival function.
-
-        On log-log axes (the coordinates of Fig. 4), the Pareto tail is
-        a straight line with slope ``-a`` while the Gamma survival
-        function has the varying slope ``-x f(x) / SF(x)``, which
-        decreases without bound.  The hybrid model splices the two
-        where the slopes coincide.
-        """
-        x = np.asarray(x, dtype=float)
-        sf = self.sf(x)
-        out = np.where(sf > 0, -x * self.pdf(x) / np.where(sf > 0, sf, 1.0), -np.inf)
-        return out if out.ndim else float(out)
-
     def sample(self, size, rng=None):
         if rng is None:
             rng = np.random.default_rng()

@@ -28,7 +28,6 @@ from repro._brent import brentq
 from repro._validation import as_1d_float_array, require_positive
 from repro.distributions.base import Distribution, TabulatedDistribution
 from repro.distributions.gamma import Gamma
-from repro.distributions.pareto import Pareto
 
 __all__ = ["GammaParetoHybrid"]
 
@@ -98,35 +97,23 @@ class GammaParetoHybrid(Distribution):
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def fit(cls, data, tail_fraction=0.03, min_tail_points=50):
+    def fit(cls, data, tail_fraction=0.03):
         """Fit the hybrid model to data with the paper's procedure.
 
         ``mu_gamma`` and ``sigma_gamma`` are the sample mean and
         standard deviation (adequate when the tail carries only a few
         percent of the mass, as for the Star-Wars trace); ``tail_shape``
         is minus the least-squares slope of the log-log empirical CCDF
-        restricted to the top ``tail_fraction`` of the sample.
+        restricted to the top ``tail_fraction`` of the sample, at least
+        50 points.
         """
         from repro.distributions.fitting import fit_pareto_tail_slope
 
-        arr = as_1d_float_array(data, "data", min_length=max(10, min_tail_points))
+        arr = as_1d_float_array(data, "data", min_length=50)
         if np.any(arr <= 0):
             raise ValueError("bandwidth data must be strictly positive")
-        a = fit_pareto_tail_slope(arr, tail_fraction=tail_fraction, min_points=min_tail_points)
+        a = fit_pareto_tail_slope(arr, tail_fraction=tail_fraction, min_points=50)
         return cls(float(np.mean(arr)), float(np.std(arr, ddof=0)), a)
-
-    @property
-    def parameters(self):
-        """``(mu_gamma, sigma_gamma, tail_shape)`` as a tuple."""
-        return (self.mu_gamma, self.sigma_gamma, self.tail_shape)
-
-    def tail_pareto(self):
-        """An equivalent :class:`Pareto` describing the (conditional) tail.
-
-        Conditioned on ``X > x_th``, the tail is exactly Pareto with
-        minimum ``x_th`` and shape ``tail_shape``.
-        """
-        return Pareto(self.x_th, self.tail_shape)
 
     # ------------------------------------------------------------------
     # Distribution interface

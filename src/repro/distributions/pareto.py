@@ -29,21 +29,16 @@ class Pareto(Distribution):
         self.a = require_positive(a, "a")
 
     @classmethod
-    def fit(cls, data, k=None):
+    def fit(cls, data):
         """Maximum-likelihood fit.
 
-        With ``k`` given, the MLE of ``a`` is the Hill estimator
-        ``n / sum(log(x_i / k))``.  When ``k`` is omitted the sample
-        minimum is used (the MLE of ``k``).
+        ``k`` is the sample minimum (its MLE) and ``a`` the Hill
+        estimator ``n / sum(log(x_i / k))``.
         """
         data = np.asarray(data, dtype=float)
         if data.size == 0:
             raise ValueError("cannot fit a Pareto distribution to empty data")
-        if k is None:
-            k = float(np.min(data))
-        k = require_positive(k, "k")
-        if np.any(data < k):
-            raise ValueError("all data must be >= k for a Pareto fit")
+        k = require_positive(float(np.min(data)), "k")
         logs = np.log(data / k)
         total = float(np.sum(logs))
         if total <= 0:

@@ -18,7 +18,7 @@ from repro.experiments.data import reference_trace
 __all__ = ["run"]
 
 
-def run(trace=None, n_plot_points=2000):
+def run(trace=None):
     """Downsampled time series with per-bin mean/min/max envelopes.
 
     Returns a dict with ``"time_minutes"``, ``"mean"``, ``"low"``,
@@ -31,7 +31,7 @@ def run(trace=None, n_plot_points=2000):
         trace = reference_trace()
     x = trace.frame_bytes
     n = x.size
-    block = max(n // int(n_plot_points), 1)
+    block = max(n // 2000, 1)
     n_blocks = n // block
     trimmed = x[: n_blocks * block].reshape(n_blocks, block)
     centers_frames = (np.arange(n_blocks) + 0.5) * block

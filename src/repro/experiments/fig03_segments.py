@@ -17,7 +17,7 @@ from repro.experiments.data import reference_trace
 __all__ = ["run"]
 
 
-def run(trace=None, n_segments=5, segment_minutes=2.0, n_bins=60):
+def run(trace=None, n_segments=5, n_bins=60):
     """Segment and full-trace histograms plus mean-deviation stats.
 
     Returns the dict of
@@ -30,7 +30,7 @@ def run(trace=None, n_segments=5, segment_minutes=2.0, n_bins=60):
     if trace is None:
         trace = reference_trace()
     x = trace.frame_bytes
-    segment_length = min(int(segment_minutes * 60 * trace.frame_rate), max(x.size // 2, 10))
+    segment_length = min(int(2.0 * 60 * trace.frame_rate), max(x.size // 2, 10))
     result = segment_histograms(x, n_segments=n_segments, segment_length=segment_length, n_bins=n_bins)
     means = []
     for start, _, _ in result["segments"]:

@@ -17,7 +17,7 @@ from repro.experiments.data import reference_trace
 __all__ = ["run", "tail_log_deviation"]
 
 
-def tail_log_deviation(result, model_name, tail_probability=0.03):
+def tail_log_deviation(result, model_name):
     """Mean |log10 model SF - log10 empirical SF| over the tail region.
 
     Measures how well ``model_name`` tracks the empirical tail on the
@@ -28,7 +28,7 @@ def tail_log_deviation(result, model_name, tail_probability=0.03):
     emp = result["empirical"]
     model = result[model_name]
     floor = 1.0 / (10 * x.size) if x.size else 0.0
-    mask = (emp <= tail_probability) & (emp > max(floor, 1e-12)) & (model > 1e-300)
+    mask = (emp <= 0.03) & (emp > max(floor, 1e-12)) & (model > 1e-300)
     if not np.any(mask):
         raise ValueError(f"no usable tail points for model {model_name!r}")
     return float(np.mean(np.abs(np.log10(model[mask]) - np.log10(emp[mask]))))

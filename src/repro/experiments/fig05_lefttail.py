@@ -16,13 +16,13 @@ from repro.experiments.data import reference_trace
 __all__ = ["run", "left_tail_log_deviation"]
 
 
-def left_tail_log_deviation(result, model_name, tail_probability=0.05):
+def left_tail_log_deviation(result, model_name):
     """Mean |log10 model CDF - log10 empirical CDF| on the left tail."""
     emp = result["empirical"]
     model = np.asarray(result[model_name], dtype=float)
     x = result["x"]
     floor = 1.0 / (10 * x.size) if x.size else 0.0
-    mask = (emp <= tail_probability) & (emp > max(floor, 1e-12)) & (model > 1e-300)
+    mask = (emp <= 0.05) & (emp > max(floor, 1e-12)) & (model > 1e-300)
     if not np.any(mask):
         raise ValueError(f"no usable left-tail points for model {model_name!r}")
     return float(np.mean(np.abs(np.log10(model[mask]) - np.log10(emp[mask]))))

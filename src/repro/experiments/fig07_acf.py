@@ -16,7 +16,7 @@ from repro.experiments.data import reference_trace
 __all__ = ["run"]
 
 
-def run(trace=None, max_lag=10_000, exp_fit_lags=(1, 100), hyp_fit_lags=(300, 3000)):
+def run(trace=None, max_lag=10_000):
     """ACF with exponential (short-lag) and hyperbolic (long-lag) fits.
 
     Returns ``"lags"``, ``"acf"``, the fitted ``"rho"`` (exponential
@@ -32,10 +32,10 @@ def run(trace=None, max_lag=10_000, exp_fit_lags=(1, 100), hyp_fit_lags=(300, 30
     max_lag = min(int(max_lag), x.size - 2)
     acf = autocorrelation(x, max_lag=max_lag)
     lags = np.arange(max_lag + 1)
-    exp_lo, exp_hi = exp_fit_lags
+    exp_lo, exp_hi = 1, 100
     exp_hi = min(exp_hi, max_lag)
     rho, exp_curve = exponential_acf_fit(acf, np.arange(exp_lo, exp_hi + 1))
-    hyp_lo, hyp_hi = hyp_fit_lags
+    hyp_lo, hyp_hi = 300, 3000
     hyp_hi = min(hyp_hi, max_lag)
     fit_slice = np.arange(hyp_lo, hyp_hi + 1)
     positive = acf[fit_slice] > 0

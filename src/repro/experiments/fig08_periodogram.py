@@ -32,7 +32,7 @@ def _log_bin(omega, intensity, n_bins):
     return np.asarray(out_f), np.asarray(out_i)
 
 
-def run(trace=None, n_bins=60, lowfreq_fraction=0.01):
+def run(trace=None, n_bins=60):
     """Binned periodogram with a low-frequency power-law fit.
 
     Returns ``"omega"`` / ``"intensity"`` (log-binned), the raw lowest
@@ -44,7 +44,7 @@ def run(trace=None, n_bins=60, lowfreq_fraction=0.01):
         trace = reference_trace()
     omega, intensity = periodogram(trace.frame_bytes)
     binned_f, binned_i = _log_bin(omega, intensity, n_bins)
-    n_low = max(int(omega.size * lowfreq_fraction), 10)
+    n_low = max(int(omega.size * 0.01), 10)
     omega_low = omega[:n_low]
     intensity_low = intensity[:n_low]
     usable = intensity_low > 0

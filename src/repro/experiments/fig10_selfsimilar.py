@@ -18,28 +18,33 @@ from repro.experiments.data import reference_trace
 __all__ = ["run"]
 
 
-def run(trace=None, block_sizes=(100, 500, 1000), acf_lags=20):
+BLOCK_SIZES = (100, 500, 1000)
+ACF_LAGS = 20
+
+
+def run(trace=None):
     """Aggregated series plus their short-lag ACFs.
 
     Returns ``{"levels": {m: {"series", "acf", "significant_lags"}},
-    "acf_lags": ...}`` where ``significant_lags`` counts lags whose
-    autocorrelation exceeds the 95% white-noise band ``1.96/sqrt(n)``.
+    "acf_lags": 20}`` for the block sizes ``m`` of :data:`BLOCK_SIZES`,
+    where ``significant_lags`` counts lags whose autocorrelation
+    exceeds the 95% white-noise band ``1.96/sqrt(n)``.
     """
     if trace is None:
         trace = reference_trace()
     x = trace.frame_bytes
     # Keep only block sizes that leave enough points for the ACF --
     # short traces silently drop the largest levels.
-    usable = [int(m) for m in block_sizes if x.size // int(m) >= acf_lags + 2]
+    usable = [m for m in BLOCK_SIZES if x.size // m >= ACF_LAGS + 2]
     if not usable:
         raise ValueError(
-            f"no block size in {tuple(block_sizes)} leaves {acf_lags + 2} points "
+            f"no block size in {BLOCK_SIZES} leaves {ACF_LAGS + 2} points "
             f"for a {x.size}-frame trace"
         )
     levels = {}
     for m in usable:
         agg = aggregate(x, m)
-        acf = autocorrelation(agg, max_lag=acf_lags)
+        acf = autocorrelation(agg, max_lag=ACF_LAGS)
         threshold = 1.96 / np.sqrt(agg.size)
         levels[m] = {
             "series": agg,
@@ -47,4 +52,4 @@ def run(trace=None, block_sizes=(100, 500, 1000), acf_lags=20):
             "white_noise_threshold": threshold,
             "significant_lags": int(np.sum(np.abs(acf[1:]) > threshold)),
         }
-    return {"levels": levels, "acf_lags": int(acf_lags)}
+    return {"levels": levels, "acf_lags": ACF_LAGS}

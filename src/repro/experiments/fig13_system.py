@@ -25,7 +25,7 @@ from repro.simulation.queue import simulate_queue
 __all__ = ["run"]
 
 
-def run(trace=None, n_sources=5, capacity_factor=1.2, buffer_ms=10.0, n_frames=20_000, seed=5):
+def run(trace=None, n_sources=5, n_frames=20_000, seed=5):
     """Assemble Fig. 13's system and verify its composition laws.
 
     Returns a dict describing each stage (sources, multiplexer, queue,
@@ -51,8 +51,8 @@ def run(trace=None, n_sources=5, capacity_factor=1.2, buffer_ms=10.0, n_frames=2
     assert np.allclose(arrivals, direct_sum), "multiplexer is not a plain superposition"
 
     # Stage 3: the finite-buffer FIFO queue.
-    capacity = float(np.mean(arrivals)) * capacity_factor
-    buffer_bytes = buffer_ms / 1000.0 * capacity / slot_seconds
+    capacity = float(np.mean(arrivals)) * 1.2
+    buffer_bytes = 10.0 / 1000.0 * capacity / slot_seconds
     result = simulate_queue(arrivals, capacity, buffer_bytes, return_series=True)
 
     # Stage 4: measurement + conservation laws.

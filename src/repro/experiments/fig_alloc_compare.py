@@ -31,7 +31,6 @@ def run(
     buffer_slots=12.0,
     qos_loss=1e-3,
     seed=2026,
-    allocators=None,
 ):
     """Run every allocator over one seeded fleet; return the comparison.
 
@@ -41,7 +40,7 @@ def run(
     bool, "harvest_beats_static_p99": bool, ...}``.
     """
     del trace
-    names = tuple(allocators) if allocators is not None else tuple(sorted(ALLOCATORS))
+    names = tuple(sorted(ALLOCATORS))
     spec = demo_fleet(
         n_users,
         epoch_slots=epoch_slots,

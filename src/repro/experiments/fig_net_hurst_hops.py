@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._validation import require_positive, require_positive_int
+from repro._validation import require_positive_int
 from repro.analysis.hurst import rs_pox, variance_time
 from repro.experiments.data import reference_trace
 from repro.experiments.fig_net_tandem import tandem_spec
@@ -32,31 +32,21 @@ from repro.net import run_topology
 __all__ = ["run"]
 
 
-def run(
-    trace=None,
-    hops=3,
-    n_frames=8_000,
-    capacity_factor=1.1,
-    buffer_tmax_ms=250.0,
-    unit="frame",
-):
-    """Estimate H of the traffic after each hop of a tandem.
+def run(trace=None, n_frames=8_000, unit="frame"):
+    """Estimate H of the traffic after each hop of a three-hop tandem.
+
+    The hops have equal capacity, 1.1 times the mean rate: the
+    interesting regime is moderate overload of the *same* bottleneck
+    repeated, so no taper here, and slightly above 1 keeps the queues
+    busy without starving the tail.  Each hop's buffer is a 250 ms
+    delay bound (generous, so loss stays a perturbation rather than the
+    dominant effect).
 
     Parameters
     ----------
     trace:
         Source trace; defaults to the reference trace truncated to
         ``n_frames``.
-    hops:
-        Tandem length (equal-capacity hops; the interesting regime is
-        moderate overload of the *same* bottleneck repeated, so no
-        taper here).
-    capacity_factor:
-        Per-hop capacity as a multiple of the mean rate; slightly
-        above 1 keeps the queues busy without starving the tail.
-    buffer_tmax_ms:
-        Per-hop buffer expressed as a delay bound in ms (generous, so
-        loss stays a perturbation rather than the dominant effect).
 
     Returns per-hop arrays (hop 0 = the input series): Hurst estimates
     from both estimators, utilization, marginal statistics, and the
@@ -67,13 +57,11 @@ def run(
     n_frames = require_positive_int(n_frames, "n_frames")
     if trace.n_frames > n_frames:
         trace = trace.segment(0, n_frames)
-    hops = require_positive_int(hops, "hops")
-    capacity_factor = require_positive(capacity_factor, "capacity_factor")
+    hops = 3
     series = trace.series(unit)
     slot_seconds = trace.time_unit_ms(unit) / 1000.0
-    capacity = capacity_factor * float(np.mean(series))
-    buffer_bytes = require_positive(buffer_tmax_ms, "buffer_tmax_ms") / 1e3 \
-        * capacity / slot_seconds
+    capacity = 1.1 * float(np.mean(series))
+    buffer_bytes = 250.0 / 1e3 * capacity / slot_seconds
 
     spec = tandem_spec(series, [capacity] * hops, buffer_bytes, record_series=True)
     result = run_topology(spec)

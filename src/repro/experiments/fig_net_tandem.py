@@ -7,7 +7,7 @@ per-hop buffer ``Q`` keeps the *end-to-end* loss within target, and
 how does the resulting delay bound ``T_max = Q/C`` compare with the
 paper's single-queue answer?
 
-Each downstream link is tapered to ``taper`` times the capacity of the
+Each downstream link is tapered to :data:`TAPER` times the capacity of the
 one before it, so later hops are genuine bottlenecks (an untapered
 tandem is uninteresting: the first queue shapes the flow to its own
 capacity and downstream hops never drop).  Findings checkable from the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._validation import require_positive, require_positive_int
+from repro._validation import require_positive_int
 from repro.experiments.data import reference_trace
 from repro.net import run_topology
 from repro.simulation.queue import max_backlog, smallest_feasible
@@ -108,16 +108,18 @@ def required_tandem_buffer(series, capacities, target_loss, rel_tol=5e-3):
     return smallest_feasible(feasible, 0.0, q_max, rel_tol, scale=max(q_max, 1.0))
 
 
-def run(
-    trace=None,
-    hops=(1, 2, 3),
-    targets=(0.0, 1e-2),
-    n_points=5,
-    n_frames=4_000,
-    taper=0.95,
-    unit="frame",
-    capacity_span=(1.05, 1.0),
-):
+HOPS = (1, 2, 3)
+"""Tandem lengths swept (number of queueing hops)."""
+
+TARGETS = (0.0, 1e-2)
+"""End-to-end loss targets (0 = lossless)."""
+
+TAPER = 0.95
+"""Capacity ratio of each hop to the one before it (< 1 makes
+downstream hops bottlenecks)."""
+
+
+def run(trace=None, n_points=5, n_frames=4_000, unit="frame"):
     """Compute end-to-end Q-C curves for each tandem length.
 
     Parameters
@@ -125,18 +127,9 @@ def run(
     trace:
         Source trace; defaults to the reference trace truncated to
         ``n_frames``.
-    hops:
-        Tandem lengths to sweep (number of queueing hops).
-    targets:
-        End-to-end loss targets (0 = lossless).
     n_points:
-        Ingress-capacity grid size per curve.
-    taper:
-        Capacity ratio of each hop to the one before it (< 1 makes
-        downstream hops bottlenecks).
-    capacity_span:
-        ``(lo_factor, hi_factor)`` of the grid relative to the series
-        (mean, peak).
+        Ingress-capacity grid size per curve, from 1.05 times the
+        series mean to its peak.
 
     Returns ``{"curves": {(hops, target): {...arrays...}},
     "single_queue_buffer_bytes": ..., ...}`` where each curve holds the
@@ -148,28 +141,25 @@ def run(
     n_frames = require_positive_int(n_frames, "n_frames")
     if trace.n_frames > n_frames:
         trace = trace.segment(0, n_frames)
-    taper = require_positive(taper, "taper")
     series = trace.series(unit)
     slot_seconds = trace.time_unit_ms(unit) / 1000.0
     mean = float(np.mean(series))
     peak = float(np.max(series))
-    lo_factor, hi_factor = capacity_span
-    capacities = np.linspace(lo_factor * mean, hi_factor * peak,
+    capacities = np.linspace(1.05 * mean, peak,
                              require_positive_int(n_points, "n_points"))
 
     curves = {}
-    for h in hops:
-        h = int(h)
-        for target in targets:
+    for h in HOPS:
+        for target in TARGETS:
             buffers = np.array([
                 required_tandem_buffer(
                     series,
-                    [c * taper**i for i in range(h)],
+                    [c * TAPER**i for i in range(h)],
                     target,
                 )
                 for c in capacities
             ])
-            bottleneck = capacities * taper ** (h - 1)
+            bottleneck = capacities * TAPER ** (h - 1)
             curves[(h, float(target))] = {
                 "capacity_per_slot": capacities.copy(),
                 "capacity_mbps": capacities * 8.0 / slot_seconds / 1e6,
@@ -182,9 +172,9 @@ def run(
     return {
         "curves": curves,
         "single_queue_buffer_bytes": single_queue,
-        "hops": tuple(int(h) for h in hops),
-        "targets": tuple(float(t) for t in targets),
-        "taper": float(taper),
+        "hops": HOPS,
+        "targets": TARGETS,
+        "taper": TAPER,
         "n_frames": trace.n_frames,
         "unit": unit,
         "mean_bytes_per_slot": mean,

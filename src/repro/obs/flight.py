@@ -43,6 +43,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro._atomic import write_atomic
 from repro.obs import _state
 
 __all__ = ["FlightRecorder", "configure", "recorder"]
@@ -148,9 +149,7 @@ class FlightRecorder:
         with self._lock:
             lines = [json.dumps(event, sort_keys=True) for event in self._events]
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-        os.replace(tmp, path)
+        write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
         return path
 
     def canonical_lines(self):

@@ -149,9 +149,6 @@ class Gauge(_Metric):
             self._min = min(self._min, self._value)
             self._max = max(self._max, self._value)
 
-    def dec(self, amount=1):
-        self.inc(-float(amount))
-
     def _reset(self):
         self._value = 0.0
         self._min = math.inf

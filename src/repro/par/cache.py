@@ -37,13 +37,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from repro._atomic import write_atomic
 from repro.obs import log as obs_log
 from repro.obs import metrics
 
@@ -172,13 +172,6 @@ class ContentCache:
         shard_dir = self.root / key[:2]
         return shard_dir / f"{key}.npz", shard_dir / f"{key}.json"
 
-    @staticmethod
-    def _write_atomic(path, data):
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-
     def _evict(self, payload_path, meta_path, reason):
         for path in (payload_path, meta_path):
             try:
@@ -259,8 +252,8 @@ class ContentCache:
         payload_path, meta_path = self.entry_paths(algorithm, params)
         with self._lock:
             payload_path.parent.mkdir(parents=True, exist_ok=True)
-            self._write_atomic(payload_path, blob)
-            self._write_atomic(
+            write_atomic(payload_path, blob)
+            write_atomic(
                 meta_path, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
             )
         _BYTES["write"].inc(len(blob))

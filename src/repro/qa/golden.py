@@ -22,10 +22,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
+
+from repro._atomic import write_atomic
 
 __all__ = [
     "DIGEST_VERSION",
@@ -190,9 +191,8 @@ class GoldenStore:
         """Write a digest deterministically (sorted keys, fixed layout)."""
         document = {"version": DIGEST_VERSION, "name": name, "digest": digest}
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path(name).with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.path(name))
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        write_atomic(self.path(name), text.encode())
         self.updated.append(name)
 
     def load(self, name):

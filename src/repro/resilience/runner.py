@@ -40,13 +40,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import os
 import pickle
 import threading
 import time
 import traceback as traceback_module
 from pathlib import Path
 
+from repro._atomic import write_atomic
 from repro.obs import flight as obs_flight
 from repro.obs import log as obs_log
 from repro.obs import metrics, trace
@@ -290,18 +290,12 @@ class CheckpointStore:
     def _payload_path(self, experiment_id):
         return self.root / f"{experiment_id}.pkl"
 
-    def _write_atomic(self, path, data):
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-
     # ------------------------------------------------------------------
     # Manifest: guards against resuming with a different configuration
     # ------------------------------------------------------------------
     def write_manifest(self, manifest):
         document = {"version": CHECKPOINT_VERSION, "manifest": manifest}
-        self._write_atomic(
+        write_atomic(
             self.root / "campaign.json",
             (json.dumps(document, indent=2, sort_keys=True) + "\n").encode(),
         )
@@ -334,7 +328,7 @@ class CheckpointStore:
         with trace.span("checkpoint.save", experiment=experiment_id):
             digest = summarize(result)
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            self._write_atomic(self._payload_path(experiment_id), payload)
+            write_atomic(self._payload_path(experiment_id), payload)
             meta = {
                 "version": CHECKPOINT_VERSION,
                 "experiment": experiment_id,
@@ -343,7 +337,7 @@ class CheckpointStore:
                 "wall_time": float(wall_time),
                 "digest": digest,
             }
-            self._write_atomic(
+            write_atomic(
                 self._meta_path(experiment_id),
                 (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
             )

@@ -162,17 +162,15 @@ def qc_curve(
     n_sources,
     target_loss=0.0,
     metric="overall",
-    capacities=None,
     n_points=12,
     n_lag_draws=6,
     min_separation=1000,
     rng=None,
-    capacity_span=(1.01, 1.0),
 ):
     """Compute a Q-C curve for ``n_sources`` multiplexed copies.
 
-    For each per-source capacity in a grid between just above the mean
-    rate and the peak rate, the minimum buffer meeting the loss target
+    For each per-source capacity in a geometric grid from 1.01 times the
+    mean rate to the peak rate, the minimum buffer meeting the loss target
     is found, and reported as ``T_max = Q / (N C)``.  Following the
     paper, ``N > 2`` uses several random lag combinations (at least
     ``min_separation`` frames apart) and averages the loss over them.
@@ -189,16 +187,11 @@ def qc_curve(
         The loss bound (0 for the zero-loss curves).
     metric:
         ``"overall"`` or ``"wes"``.
-    capacities:
-        Optional explicit per-source capacity grid (bytes/slot).
     n_points:
-        Grid size when ``capacities`` is omitted.
+        Capacity grid size.
     n_lag_draws:
         Number of random lag combinations (paper: 6; 1 is used when
         ``n_sources == 1``).
-    capacity_span:
-        ``(lo_factor, hi_factor)`` of the default grid relative to
-        (mean, peak) of the single source.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -210,11 +203,7 @@ def qc_curve(
     arrival_sets = lagged_arrival_sets(arr, n_sources, n_lag_draws, min_separation, rng)
     mean_rate = float(np.mean(arr))
     peak_rate = float(np.max(arr))
-    if capacities is None:
-        lo = mean_rate * capacity_span[0]
-        hi = peak_rate * capacity_span[1]
-        capacities = np.geomspace(lo, hi, n_points)
-    capacities = np.asarray(capacities, dtype=float)
+    capacities = np.geomspace(mean_rate * 1.01, peak_rate, n_points)
     if np.any(capacities <= 0):
         raise ValueError("capacities must be positive")
     c_totals = [float(c) * n_sources for c in capacities]
@@ -236,19 +225,19 @@ def qc_curve(
     )
 
 
-def knee_point(curve, floor_ms=1e-3):
+def knee_point(curve):
     """Index of the knee of a Q-C curve.
 
     The knee is found on normalized (log-delay, linear-capacity)
     coordinates as the point farthest from the chord joining the
     curve's endpoints -- the standard geometric knee criterion.  Points
-    with delay below ``floor_ms`` are clamped to it so the zero-buffer
+    with delay below 1 microsecond are clamped to it so the zero-buffer
     end does not dominate the log scale.
     """
     if not isinstance(curve, QCCurve):
         raise TypeError("curve must be a QCCurve")
     x = np.asarray(curve.capacity_per_source, dtype=float)
-    y = np.log10(np.maximum(curve.tmax_ms, floor_ms))
+    y = np.log10(np.maximum(curve.tmax_ms, 1e-3))
     if x.size < 3:
         raise ValueError("need at least 3 points to locate a knee")
     xn = (x - x.min()) / max(np.ptp(x), 1e-12)

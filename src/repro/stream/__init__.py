@@ -31,21 +31,18 @@ from repro.stream.estimators import OnlineMoments, StreamingVarianceTime
 from repro.stream.pipeline import (
     ParallelSources,
     Stream,
-    StreamIntegrityError,
     merge_streams,
 )
 from repro.stream.queueing import StreamingQueue
-from repro.stream.sources import ArraySource, BlockFGNSource, HoskingSource, make_source
+from repro.stream.sources import BlockFGNSource, HoskingSource, make_source
 from repro.stream.transform import StreamingMarginalTransform
 
 __all__ = [
-    "ArraySource",
     "BlockFGNSource",
     "HoskingSource",
     "OnlineMoments",
     "ParallelSources",
     "Stream",
-    "StreamIntegrityError",
     "StreamingMarginalTransform",
     "StreamingQueue",
     "StreamingVarianceTime",

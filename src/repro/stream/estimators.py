@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._kernel import row_sums
-from repro._validation import require_positive_int
 from repro.analysis.hurst import VarianceTimeResult
 
 __all__ = ["OnlineMoments", "StreamingVarianceTime"]
@@ -126,25 +125,21 @@ def _block_sums(rest, m, n_blocks, halves):
 
 
 class StreamingVarianceTime:
-    """Online variance-time Hurst estimator over dyadic block sizes.
+    """Online variance-time Hurst estimator over dyadic block sizes."""
 
-    Parameters
-    ----------
-    max_level:
-        Largest aggregation level tracked is ``m = 2^max_level``.
-        State is O(max_level); the default covers block sizes up to
-        ~4M samples, enough for multi-hour frame-rate runs.
-    min_blocks:
-        Smallest number of *completed* blocks for a level's variance to
-        enter the regression (mirrors the batch estimator's guard).
-    """
+    MAX_LEVEL = 22
+    """Largest aggregation level tracked is ``m = 2^MAX_LEVEL``.  State is
+    O(MAX_LEVEL); block sizes up to ~4M samples are enough for
+    multi-hour frame-rate runs."""
 
-    def __init__(self, max_level=22, min_blocks=5):
-        self.max_level = require_positive_int(max_level, "max_level")
-        self.min_blocks = require_positive_int(min_blocks, "min_blocks")
-        self._levels = [OnlineMoments() for _ in range(self.max_level + 1)]
-        self._partial_sum = np.zeros(self.max_level + 1)
-        self._partial_count = np.zeros(self.max_level + 1, dtype=int)
+    MIN_BLOCKS = 5
+    """Smallest number of *completed* blocks for a level's variance to
+    enter the regression (mirrors the batch estimator's guard)."""
+
+    def __init__(self):
+        self._levels = [OnlineMoments() for _ in range(self.MAX_LEVEL + 1)]
+        self._partial_sum = np.zeros(self.MAX_LEVEL + 1)
+        self._partial_count = np.zeros(self.MAX_LEVEL + 1, dtype=int)
 
     @property
     def count(self):
@@ -160,7 +155,7 @@ class StreamingVarianceTime:
         # The previous level's full-block sums, the first block starting
         # at arr[start]; level j sums pairs of them from m = 256 on.
         sums, start = arr, 0
-        for j in range(1, self.max_level + 1):
+        for j in range(1, self.MAX_LEVEL + 1):
             m = 1 << j
             stats = self._levels[j]
             rest = arr
@@ -189,12 +184,12 @@ class StreamingVarianceTime:
                 self._partial_count[j] += rest.size
         return self
 
-    def hurst(self, fit_range=None):
+    def hurst(self):
         """Fit H from the variances accumulated so far.
 
         Returns a :class:`~repro.analysis.hurst.VarianceTimeResult`
-        with the dyadic block sizes in ``m_values``.  The default fit
-        range matches the batch estimator: ``[10, max(n / 100, 20)]``.
+        with the dyadic block sizes in ``m_values``.  The fit range is
+        the batch estimator's default: ``[10, max(n / 100, 20)]``.
         """
         n = self.count
         if n < 100:
@@ -205,15 +200,13 @@ class StreamingVarianceTime:
         m_values = []
         normalized = []
         for j, stats in enumerate(self._levels):
-            if j and stats.count < self.min_blocks:
+            if j and stats.count < self.MIN_BLOCKS:
                 continue
             m_values.append(1 << j)
             normalized.append(stats.variance / var0)
         m_values = np.asarray(m_values, dtype=int)
         normalized = np.asarray(normalized)
-        if fit_range is None:
-            fit_range = (10, max(n // 100, 20))
-        lo, hi = fit_range
+        lo, hi = fit_range = (10, max(n // 100, 20))
         mask = (m_values >= lo) & (m_values <= hi) & (normalized > 0)
         if mask.sum() < 2:
             raise ValueError(f"fewer than 2 usable block sizes in fit range {fit_range}")
@@ -228,7 +221,4 @@ class StreamingVarianceTime:
         )
 
     def __repr__(self):
-        return (
-            f"StreamingVarianceTime(count={self.count}, "
-            f"max_level={self.max_level}, min_blocks={self.min_blocks})"
-        )
+        return f"StreamingVarianceTime(count={self.count})"

@@ -22,12 +22,11 @@ from repro._validation import require_positive_int
 from repro.obs import _state
 from repro.obs import log as obs_log
 from repro.obs import metrics
-from repro.stream.sources import ArraySource, _rechunk
+from repro.stream.sources import _rechunk
 from repro.stream.transform import StreamingMarginalTransform
 
 __all__ = [
     "Stream",
-    "StreamIntegrityError",
     "merge_streams",
     "ParallelSources",
 ]
@@ -76,23 +75,6 @@ def _stage_metrics(stage):
     )
 
 
-class StreamIntegrityError(ValueError):
-    """A pipeline chunk failed validation.
-
-    Carries provenance -- which stream (``source`` label), which chunk
-    (``chunk_index``) and which absolute sample (``sample_offset``) --
-    so a non-finite burst deep in a multi-stage pipeline is reported at
-    the stage that produced it instead of surfacing as an unrelated
-    numpy error several consumers later.
-    """
-
-    def __init__(self, message, source=None, chunk_index=None, sample_offset=None):
-        super().__init__(message)
-        self.source = source
-        self.chunk_index = chunk_index
-        self.sample_offset = sample_offset
-
-
 class Stream:
     """A single-use iterator of 1-D float chunks with known total length.
 
@@ -113,12 +95,6 @@ class Stream:
     def from_source(cls, source, n, chunk_size, rng=None):
         """Stream ``n`` samples from a :class:`~repro.stream.sources.ChunkSource`."""
         return cls(source.chunks(n, chunk_size, rng=rng), n=n)
-
-    @classmethod
-    def from_array(cls, data, chunk_size=65_536):
-        """Stream an in-memory series (tests, trace-driven pipelines)."""
-        source = ArraySource(data)
-        return cls.from_source(source, source.size, chunk_size)
 
     # ------------------------------------------------------------------
     # Combinators (lazy)
@@ -181,35 +157,6 @@ class Stream:
 
         return Stream(_metered(self._chunks), n=self.n)
 
-    def guard(self, label="stream"):
-        """Fail fast on non-finite chunks, with provenance.
-
-        Every chunk is checked for NaN/Inf before it continues
-        downstream; a bad chunk raises :class:`StreamIntegrityError`
-        naming the stream (``label``), the chunk index and the absolute
-        offset of the first bad sample.  Put a guard after each
-        generation stage so corruption is attributed to its producer.
-        """
-
-        def _guarded(chunks):
-            offset = 0
-            for index, chunk in enumerate(chunks):
-                chunk = np.asarray(chunk, dtype=float)
-                bad = ~np.isfinite(chunk)
-                if bad.any():
-                    first = int(np.argmax(bad))
-                    raise StreamIntegrityError(
-                        f"{label}: chunk {index} carries {int(bad.sum())} "
-                        f"non-finite sample(s), first at stream offset "
-                        f"{offset + first} (chunk offset {first})",
-                        source=label, chunk_index=index,
-                        sample_offset=offset + first,
-                    )
-                offset += chunk.size
-                yield chunk
-
-        return Stream(_guarded(self._chunks), n=self.n)
-
     def observe(self, *folders):
         """Pass chunks through unchanged, updating online accumulators.
 
@@ -243,13 +190,6 @@ class Stream:
             for update in updates:
                 update(chunk)
         return folders
-
-    def to_array(self):
-        """Materialize the whole stream -- O(n) memory, for tests only."""
-        pieces = list(self._chunks)
-        if not pieces:
-            return np.zeros(0)
-        return np.concatenate(pieces)
 
 
 def merge_streams(streams, chunk_size=65_536):

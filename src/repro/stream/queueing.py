@@ -57,10 +57,6 @@ class StreamingQueue:
         Service capacity in bytes per slot.
     buffer_bytes:
         Buffer size ``Q`` in bytes (0 gives a bufferless multiplexer).
-    record_loss:
-        Also keep per-slot lost bytes.  This grows with the stream
-        (O(n) memory) -- only enable it for bounded runs that need the
-        loss series for windowed metrics.
 
     Feed chunks with :meth:`push` (or via ``Stream.observe`` /
     ``Stream.drain``) and read the folded statistics with
@@ -69,11 +65,9 @@ class StreamingQueue:
     concatenation of every pushed chunk.
     """
 
-    def __init__(self, capacity_per_slot, buffer_bytes, record_loss=False):
+    def __init__(self, capacity_per_slot, buffer_bytes):
         self.capacity_per_slot = require_positive(capacity_per_slot, "capacity_per_slot")
         self.buffer_bytes = require_nonnegative(buffer_bytes, "buffer_bytes")
-        self.record_loss = bool(record_loss)
-        self._loss_chunks = [] if record_loss else None
         self._backlog = 0.0
         self._lost = 0.0
         self._peak = 0.0
@@ -96,7 +90,6 @@ class StreamingQueue:
         if np.any(a < 0):
             raise ValueError("arrivals must be non-negative")
         lost_before = self._lost
-        loss_series = np.zeros(a.size) if self.record_loss else None
         # The shared recursion (repro.simulation.slotfluid) resumed
         # from this queue's folded state -- identical arithmetic to
         # simulate_queue's batch loop for any chunk partition.
@@ -105,10 +98,7 @@ class StreamingQueue:
             self.capacity_per_slot,
             self.buffer_bytes,
             state=(self._backlog, self._lost, self._peak, self._total),
-            loss_series=loss_series,
         )
-        if self.record_loss:
-            self._loss_chunks.append(loss_series)
         self._backlog = backlog
         self._lost = lost
         self._peak = peak
@@ -121,11 +111,6 @@ class StreamingQueue:
 
     def result(self):
         """The folded statistics as a :class:`~repro.simulation.queue.QueueResult`."""
-        loss_series = None
-        if self.record_loss:
-            loss_series = (
-                np.concatenate(self._loss_chunks) if self._loss_chunks else np.zeros(0)
-            )
         return QueueResult(
             capacity_per_slot=self.capacity_per_slot,
             buffer_bytes=self.buffer_bytes,
@@ -133,7 +118,6 @@ class StreamingQueue:
             lost_bytes=self._lost,
             final_backlog=self._backlog,
             peak_backlog=self._peak,
-            loss_series=loss_series,
         )
 
     # Stream.observe / Stream.drain duck-type on update(); push is the

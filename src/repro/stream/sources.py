@@ -1,7 +1,7 @@
 """Chunked Gaussian sample sources for the streaming pipeline.
 
 A *chunk source* emits a zero-mean Gaussian realization as a sequence
-of numpy arrays instead of one big array.  Three sources are provided:
+of numpy arrays instead of one big array.  Two sources are provided:
 
 - :class:`HoskingSource` -- the paper's exact fARIMA(0, d, 0) process,
   resumed chunk-by-chunk through
@@ -19,8 +19,6 @@ of numpy arrays instead of one big array.  Three sources are provided:
   block and approximate across the seam -- the same trade Paxson makes
   globally -- so choose ``block_size`` well above the correlation
   scales that matter.
-- :class:`ArraySource` -- replay of an in-memory array (tests, and
-  trace-driven streaming).
 
 All sources share the :meth:`ChunkSource.chunks` iteration contract,
 which the :class:`repro.stream.pipeline.Stream` abstraction builds on.
@@ -32,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from repro._validation import as_1d_float_array, require_positive_int
+from repro._validation import require_positive_int
 from repro.core.fgn import blend_weights, fgn_backend, fgn_generator, stitch_blocks
 from repro.core.hosking import HoskingGenerator
 
@@ -40,7 +38,6 @@ __all__ = [
     "ChunkSource",
     "HoskingSource",
     "BlockFGNSource",
-    "ArraySource",
     "blend_weights",
     "make_source",
 ]
@@ -175,26 +172,6 @@ class BlockFGNSource(ChunkSource):
             f"block_size={self.block_size}, overlap={self.overlap}, "
             f"backend={self.backend!r})"
         )
-
-
-class ArraySource(ChunkSource):
-    """Replay an in-memory series as chunks (tests, trace-driven runs)."""
-
-    def __init__(self, data):
-        self._data = as_1d_float_array(data, "data")
-
-    @property
-    def size(self):
-        return self._data.size
-
-    def chunks(self, n=None, chunk_size=65_536, rng=None):
-        n = require_positive_int(self._data.size if n is None else n, "n")
-        if n > self._data.size:
-            raise ValueError(f"requested {n} samples but the array holds {self._data.size}")
-        return super().chunks(n, chunk_size, rng)
-
-    def _native_chunks(self, n, chunk_size, rng):
-        yield self._data
 
 
 def make_source(backend, hurst=0.8, variance=1.0, block_size=65_536, overlap=1_024):

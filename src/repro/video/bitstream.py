@@ -53,11 +53,6 @@ class BitReader:
         self._data = bytes(data)
         self._pos = 0
 
-    @property
-    def bits_remaining(self):
-        """Number of unread bits left in the stream."""
-        return len(self._data) * 8 - self._pos
-
     def read_bit(self):
         """Read a single bit; raises ``EOFError`` at end of stream."""
         byte_index, bit_index = divmod(self._pos, 8)

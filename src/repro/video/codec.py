@@ -214,14 +214,6 @@ class IntraframeCodec:
             slice_bytes=np.concatenate(slice_bytes).astype(float),
         )
 
-    def compression_ratio(self, frame, encoded=None):
-        """Raw bytes (8 bit/pel) over coded bytes for one frame."""
-        frame = np.asarray(frame)
-        if encoded is None:
-            encoded = self.encode_frame(frame)
-        raw = frame.shape[0] * frame.shape[1]
-        return raw / max(encoded.total_bytes, 1)
-
     def __repr__(self):
         return (
             f"IntraframeCodec(quant_step={self.quant_step:g}, "

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 
 from repro.video.bitstream import BitReader
 
@@ -46,13 +45,10 @@ def _code_lengths(frequencies):
 class HuffmanCode:
     """Canonical Huffman code over an arbitrary hashable alphabet.
 
-    Build with :meth:`from_frequencies` or :meth:`from_symbols`; then
-    :meth:`codeword` gives the ``(code, length)`` fields an encoder
-    packs with :func:`~repro.video.bitstream.pack_bits`,
-    :meth:`decode_from` reads symbols back from a
-    :class:`~repro.video.bitstream.BitReader`, and
-    :meth:`encoded_bit_length` counts bits without materializing a
-    stream (the fast path used when only byte counts are needed).
+    Build with :meth:`from_frequencies`; then :meth:`codeword` gives
+    the ``(code, length)`` fields an encoder packs with
+    :func:`~repro.video.bitstream.pack_bits`, and :meth:`decode_from`
+    reads symbols back from a :class:`~repro.video.bitstream.BitReader`.
     """
 
     def __init__(self, lengths):
@@ -82,37 +78,14 @@ class HuffmanCode:
         """Build the optimal code for a ``{symbol: count}`` mapping."""
         return cls(_code_lengths(dict(frequencies)))
 
-    @classmethod
-    def from_symbols(cls, symbols):
-        """Build the optimal code for an observed symbol stream."""
-        counts = Counter(symbols)
-        if not counts:
-            raise ValueError("symbol stream is empty")
-        return cls.from_frequencies(counts)
-
     @property
     def alphabet(self):
         """The coded symbols."""
         return set(self._length)
 
-    def code_length(self, symbol):
-        """Codeword length in bits for ``symbol``."""
-        try:
-            return self._length[symbol]
-        except KeyError:
-            raise KeyError(f"symbol {symbol!r} is not in the code alphabet") from None
-
     def codeword(self, symbol):
         """``(code, length)`` pair for ``symbol``."""
         return self._code[symbol], self._length[symbol]
-
-    def encoded_bit_length(self, symbols):
-        """Total bits needed to encode ``symbols`` (no stream built)."""
-        length = self._length
-        try:
-            return sum(length[s] for s in symbols)
-        except KeyError as exc:
-            raise KeyError(f"symbol {exc.args[0]!r} is not in the code alphabet") from None
 
     def decode_from(self, reader, n_symbols):
         """Read ``n_symbols`` symbols from a :class:`BitReader`."""
@@ -133,13 +106,6 @@ class HuffmanCode:
                 if length > self._max_length:
                     raise ValueError("invalid bitstream: no codeword matches")
         return out
-
-    def mean_code_length(self, frequencies):
-        """Expected bits/symbol under a ``{symbol: count}`` usage."""
-        total = sum(frequencies.values())
-        if total <= 0:
-            raise ValueError("frequencies must have positive total")
-        return sum(self._length[s] * f for s, f in frequencies.items()) / total
 
     def __len__(self):
         return len(self._length)

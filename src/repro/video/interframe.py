@@ -18,28 +18,18 @@ import numpy as np
 from repro._validation import require_positive, require_positive_int
 from repro.video.trace import VBRTrace
 
-__all__ = ["synthesize_mpeg_trace", "DEFAULT_GOP_PATTERN"]
+__all__ = ["synthesize_mpeg_trace", "GOP_PATTERN"]
 
-DEFAULT_GOP_PATTERN = "IBBPBBPBBPBB"
+GOP_PATTERN = "IBBPBBPBBPBB"
 """The classical MPEG-1 12-frame GOP."""
 
-
-def _gop_multipliers(pattern, i_scale, p_scale, b_scale):
-    """Per-frame-type byte multipliers for one GOP pattern."""
-    mapping = {"I": i_scale, "P": p_scale, "B": b_scale}
-    try:
-        return np.array([mapping[ch] for ch in pattern], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"GOP pattern may only contain I/P/B, got {exc.args[0]!r}") from None
+_GOP_MULTIPLIERS = np.array([{"I": 5.0, "P": 2.0, "B": 1.0}[ch] for ch in GOP_PATTERN])
+"""Per-frame byte multipliers over one GOP: I 5, P 2, B 1."""
 
 
 def synthesize_mpeg_trace(
     n_frames=20_000,
     seed=0,
-    gop_pattern=DEFAULT_GOP_PATTERN,
-    i_scale=5.0,
-    p_scale=2.0,
-    b_scale=1.0,
     mean=None,
     hurst=0.8,
     frame_rate=24.0,
@@ -50,10 +40,10 @@ def synthesize_mpeg_trace(
     The scene-level intraframe synthesis of
     :func:`repro.video.starwars.synthesize_starwars_trace` provides the
     long-range dependent "activity" process; each frame's bytes are
-    then scaled by its GOP-position multiplier (I >> P > B) and the
-    whole trace rescaled to the requested ``mean`` (default: the
-    intraframe mean divided by the classical interframe compression
-    advantage of ~3, i.e. ~9,260 bytes/frame).
+    then scaled by its :data:`GOP_PATTERN` position multiplier (I 5,
+    P 2, B 1) and the whole trace rescaled to the requested ``mean``
+    (default: the intraframe mean divided by the classical interframe
+    compression advantage of ~3, i.e. ~9,260 bytes/frame).
 
     The result reproduces the published qualitative features of MPEG
     VBR traces: strong GOP-frequency periodicity in the spectrum,
@@ -64,20 +54,12 @@ def synthesize_mpeg_trace(
     from repro.video.starwars import synthesize_starwars_trace
 
     n_frames = require_positive_int(n_frames, "n_frames")
-    if not gop_pattern or not isinstance(gop_pattern, str):
-        raise ValueError("gop_pattern must be a non-empty string of I/P/B")
-    if gop_pattern[0] != "I":
-        raise ValueError("gop_pattern must start with an I frame")
-    i_scale = require_positive(i_scale, "i_scale")
-    p_scale = require_positive(p_scale, "p_scale")
-    b_scale = require_positive(b_scale, "b_scale")
     base = synthesize_starwars_trace(
         n_frames=n_frames, seed=seed, hurst=hurst, frame_rate=frame_rate,
         with_slices=False,
     )
     activity = base.frame_bytes
-    multipliers = _gop_multipliers(gop_pattern, i_scale, p_scale, b_scale)
-    pattern = np.tile(multipliers, n_frames // multipliers.size + 1)[:n_frames]
+    pattern = np.tile(_GOP_MULTIPLIERS, n_frames // _GOP_MULTIPLIERS.size + 1)[:n_frames]
     x = activity * pattern
     if mean is None:
         mean = float(np.mean(activity)) / 3.0

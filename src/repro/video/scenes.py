@@ -106,14 +106,6 @@ class SceneScript:
     def __len__(self):
         return len(self.scenes)
 
-    def scene_at(self, frame_index):
-        """The :class:`Scene` containing ``frame_index`` (binary search)."""
-        if not 0 <= frame_index < self.n_frames:
-            raise IndexError(f"frame index {frame_index} out of range [0, {self.n_frames})")
-        starts = [scene.start_frame for scene in self.scenes]
-        pos = int(np.searchsorted(starts, frame_index, side="right")) - 1
-        return self.scenes[pos]
-
     def frame_levels(self):
         """Per-frame relative complexity level, including alternation.
 
@@ -132,13 +124,6 @@ class SceneScript:
                 out[sl] = levels
             else:
                 out[sl] = scene.level
-        return out
-
-    def frame_activity(self):
-        """Per-frame relative activity (motion) level."""
-        out = np.empty(self.n_frames)
-        for scene in self.scenes:
-            out[scene.start_frame : scene.end_frame] = scene.activity
         return out
 
 

@@ -191,21 +191,27 @@ def _slice_split(frame_bytes, script, slices_per_frame, rng, profile_sd=0.15, fr
     return base.reshape(-1)
 
 
+FGN_WEIGHT = 2.2
+AR1_WEIGHT = 1.6
+"""Strengths of the FGN and within-scene AR(1) components against the
+scene-level process, in log-level standard deviations.  They are
+calibrated so all three Hurst estimators land near the target on the
+full-length trace."""
+
+AR1_PHI = 0.9
+"""AR(1) coefficient of the within-scene fluctuation."""
+
+
 def synthesize_starwars_trace(
     n_frames=None,
     seed=0,
     mean=None,
     std=None,
-    tail_shape=None,
     hurst=None,
     frame_rate=None,
     slices_per_frame=None,
     with_slices=True,
-    fgn_weight=2.2,
-    ar1_weight=1.6,
-    ar1_phi=0.9,
     arc_weight=0.6,
-    landmark_scale=1.0,
 ):
     """Synthesize a calibrated Star-Wars-like VBR video trace.
 
@@ -222,8 +228,6 @@ def synthesize_starwars_trace(
         Seed for the deterministic random generator.
     mean, std:
         Target mean / standard deviation in bytes per frame.
-    tail_shape:
-        Pareto tail shape ``a`` of the marginal.
     hurst:
         Target Hurst parameter; also sets the scene-duration tail via
         ``alpha = 3 - 2 H``.
@@ -232,17 +236,13 @@ def synthesize_starwars_trace(
     with_slices:
         Synthesize genuine slice-level data (set False to save memory
         when only frame-level analysis is needed).
-    fgn_weight, ar1_weight:
-        Relative strengths of the FGN and within-scene AR(1) components
-        against the scene-level process (in log-level standard
-        deviations).  The defaults are calibrated so all three Hurst
-        estimators land near the target on the full-length trace.
-    ar1_phi:
-        AR(1) coefficient of the within-scene fluctuation.
     arc_weight:
         Exponent on the story-arc multiplier (0 disables the arc).
-    landmark_scale:
-        Multiplier on the Fig. 1 landmark boosts (0 disables them).
+
+    The marginal's Pareto tail shape is the paper's.  The FGN and AR(1)
+    components are weighted by :data:`FGN_WEIGHT` and :data:`AR1_WEIGHT`
+    (AR(1) coefficient :data:`AR1_PHI`); the Fig. 1 landmark boosts are
+    added at full strength.
 
     Returns
     -------
@@ -252,7 +252,7 @@ def synthesize_starwars_trace(
     n_frames = require_positive_int(n_frames if n_frames is not None else p["n_frames"], "n_frames")
     mean = require_positive(mean if mean is not None else p["mean_frame_bytes"], "mean")
     std = require_positive(std if std is not None else p["std_frame_bytes"], "std")
-    tail_shape = require_positive(tail_shape if tail_shape is not None else p["tail_shape"], "tail_shape")
+    tail_shape = float(p["tail_shape"])
     hurst = require_in_open_interval(hurst if hurst is not None else p["hurst"], "hurst", 0.5, 1.0)
     frame_rate = require_positive(frame_rate if frame_rate is not None else p["frame_rate"], "frame_rate")
     slices_per_frame = require_positive_int(
@@ -266,13 +266,15 @@ def synthesize_starwars_trace(
     cache = _cache.active_cache()
     cache_params = None
     if cache is not None and seed is not None:
+        # The fixed weights stay in the key, so cache keys (and entries
+        # written before they were fixed) are unchanged.
         cache_params = {
             "n_frames": n_frames, "seed": int(seed), "mean": mean, "std": std,
             "tail_shape": tail_shape, "hurst": hurst, "frame_rate": frame_rate,
             "slices_per_frame": slices_per_frame, "with_slices": bool(with_slices),
-            "fgn_weight": fgn_weight, "ar1_weight": ar1_weight,
-            "ar1_phi": ar1_phi, "arc_weight": arc_weight,
-            "landmark_scale": landmark_scale,
+            "fgn_weight": FGN_WEIGHT, "ar1_weight": AR1_WEIGHT,
+            "ar1_phi": AR1_PHI, "arc_weight": arc_weight,
+            "landmark_scale": 1.0,
         }
         hit = cache.get("starwars.trace", cache_params)
         if hit is not None:
@@ -300,12 +302,12 @@ def synthesize_starwars_trace(
 
         # 2. Long-memory background (FGN) and within-scene AR(1) texture.
         fgn = DaviesHarteGenerator(hurst).generate(n_frames, rng=rng) if n_frames >= 2 else np.zeros(1)
-        ar1 = _ar1_path(n_frames, ar1_phi, rng)
+        ar1 = _ar1_path(n_frames, AR1_PHI, rng)
         z = (
             log_levels
-            + fgn_weight * sigma_scene * fgn
-            + ar1_weight * sigma_scene * ar1
-            + landmark_scale * _landmark_boosts(n_frames, frame_rate)
+            + FGN_WEIGHT * sigma_scene * fgn
+            + AR1_WEIGHT * sigma_scene * ar1
+            + _landmark_boosts(n_frames, frame_rate)
         )
 
         # 3. Impose the exact Gamma/Pareto marginal through the ranks.

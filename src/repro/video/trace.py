@@ -114,11 +114,6 @@ class VBRTrace:
         """Long-run mean bandwidth in bits per second."""
         return float(np.mean(self.frame_bytes)) * 8.0 * self.frame_rate
 
-    @property
-    def peak_rate_bps(self):
-        """Peak (frame-slot) bandwidth in bits per second."""
-        return float(np.max(self.frame_bytes)) * 8.0 * self.frame_rate
-
     def summary(self, unit="frame"):
         """A :class:`~repro.analysis.summary.TraceSummary` (Table 2)."""
         from repro.analysis.summary import summarize
@@ -137,23 +132,6 @@ class VBRTrace:
             s = self._slice_bytes[start_frame * spf : end_frame * spf]
         return VBRTrace(
             self.frame_bytes[start_frame:end_frame],
-            frame_rate=self.frame_rate,
-            slices_per_frame=self.slices_per_frame,
-            slice_bytes=s,
-        )
-
-    def shifted(self, lag_frames):
-        """Trace cyclically shifted by ``lag_frames`` (for multiplexing).
-
-        The paper multiplexes N copies of the trace at random offsets,
-        wrapping around so all 171,000 frames are used once per source.
-        """
-        lag = int(lag_frames) % self.n_frames
-        s = None
-        if self._slice_bytes is not None:
-            s = np.roll(self._slice_bytes, -lag * self.slices_per_frame)
-        return VBRTrace(
-            np.roll(self.frame_bytes, -lag),
             frame_rate=self.frame_rate,
             slices_per_frame=self.slices_per_frame,
             slice_bytes=s,

@@ -122,10 +122,10 @@ class TestExtensions:
     def test_mpeg_trace_properties(self):
         """The interframe (MPEG) extension: periodicity + burstiness + LRD."""
         from repro.analysis.correlation import aggregate, periodogram
-        from repro.video.interframe import DEFAULT_GOP_PATTERN, synthesize_mpeg_trace
+        from repro.video.interframe import GOP_PATTERN, synthesize_mpeg_trace
 
         x = synthesize_mpeg_trace(n_frames=48_000, seed=9).frame_bytes
-        gop = len(DEFAULT_GOP_PATTERN)
+        gop = len(GOP_PATTERN)
         _, intensity = periodogram(x)
         j_gop = x.size // gop
         peak = intensity[j_gop - 2 : j_gop + 1].max()

@@ -227,16 +227,8 @@ class TestAllocatorConstruction:
             StaticAllocator(100.0, 50.0, 0)
         with pytest.raises(ValueError, match="qos_loss"):
             StaticAllocator(100.0, 50.0, 4, qos_loss=1.5)
-        with pytest.raises(ValueError, match="floor_fraction"):
-            StaticAllocator(100.0, 50.0, 4, floor_fraction=1.0)
         with pytest.raises(ValueError, match="one entry per user"):
             StaticAllocator(100.0, 50.0, 4, weights=np.ones(3))
-        with pytest.raises(ValueError, match="refine_rounds"):
-            OracleAllocator(100.0, 50.0, 4, refine_rounds=-1)
-        with pytest.raises(ValueError, match="harvest_fraction"):
-            HarvestAllocator(100.0, 50.0, 4, harvest_fraction=0.0)
-        with pytest.raises(ValueError, match="util_threshold"):
-            TradeAllocator(100.0, 50.0, 4, util_threshold=1.0)
 
     def test_initial_allocation_respects_weights_and_conserves(self):
         policy = StaticAllocator(120.0, 60.0, 3, weights=np.array([1.0, 2.0, 3.0]))

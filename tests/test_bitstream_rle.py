@@ -55,12 +55,6 @@ class TestBitstream:
         with pytest.raises(EOFError):
             r.read_bit()
 
-    def test_bits_remaining(self):
-        r = BitReader(b"\x00\x00")
-        r.read_bits(3)
-        assert r.bits_remaining == 13
-
-
 class TestAmplitudeCoding:
     def test_categories(self):
         assert magnitude_category(0) == 0

@@ -96,7 +96,7 @@ class TestFlightRecorder:
         assert rec.persist() == path
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert [e["i"] for e in lines] == [2, 3]  # only the retained ring
-        assert not path.with_suffix(".jsonl.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["flight.jsonl"]  # no temp file
         rec.close()
 
     def test_persist_without_path_is_noop(self):
@@ -554,18 +554,15 @@ class TestTopView:
         assert "2/3 tasks" in out
         assert view.completed == 2
 
-    def test_run_top_follow_plain_until_finish(self, tmp_path):
-        import io
-
+    def test_run_top_follow_plain_until_finish(self, tmp_path, capsys):
         path = tmp_path / "flight.jsonl"
         events = _demo_events() + [
             {"seq": 10, "t": 2.2, "kind": "campaign_finished"},
         ]
         path.write_text("\n".join(json.dumps(e) for e in events) + "\n")
-        out = io.StringIO()
-        view = run_top(path, follow=True, interval=0.01, stream=out)
+        view = run_top(path, follow=True, interval=0.01)
         assert view.finished == "campaign_finished"
-        assert "campaign_finished" in out.getvalue()
+        assert "campaign_finished" in capsys.readouterr().out
 
 
 class TestCli:

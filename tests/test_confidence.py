@@ -29,16 +29,6 @@ class TestLrdMeanCI:
         expected_ratio = (40_000 / 10_000) ** (0.8 - 1.0)
         assert hw_large / hw_small == pytest.approx(expected_ratio, rel=0.05)
 
-    def test_confidence_level_changes_width(self, rng):
-        x = rng.standard_normal(1_000)
-        _, hw95 = lrd_mean_ci(x, 0.7, confidence=0.95)
-        _, hw99 = lrd_mean_ci(x, 0.7, confidence=0.99)
-        assert hw99 > hw95
-
-    def test_rejects_bad_confidence(self, rng):
-        with pytest.raises(ValueError):
-            lrd_mean_ci(rng.standard_normal(100), 0.7, confidence=1.0)
-
     def test_rejects_bad_hurst(self, rng):
         with pytest.raises(ValueError):
             lrd_mean_ci(rng.standard_normal(100), 1.0)

@@ -1,8 +1,8 @@
 """Tier-1 tests for the distributed campaign layer.
 
-Covers the protocol (task model, seeds, artifact references), the
-transports (address parsing, the simulated fabric's latency/partition/
-death semantics, a real unix-socket worker), the coordinator's
+Covers the protocol (task model, seeds), the transports (address
+parsing, the simulated fabric's latency/partition/death semantics, a
+real unix-socket worker), the coordinator's
 robustness paths (retry, lease expiry and reassignment, stalled-worker
 timeout, local fallback, checkpoint/resume) and the campaign/CLI
 wiring.  The multi-scenario digest-identity wall lives in
@@ -10,6 +10,8 @@ wiring.  The multi-scenario digest-identity wall lives in
 ``benchmarks/test_dist.py``.
 """
 
+import contextlib
+import logging
 import threading
 import time
 
@@ -18,7 +20,6 @@ import pytest
 
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.dist import (
-    ArtifactMiss,
     ChannelClosed,
     DistError,
     FaultEvent,
@@ -28,15 +29,11 @@ from repro.dist import (
     WorkerLoop,
     execute_task,
     fgn_tasks,
-    make_artifact_ref,
     parse_nodes,
-    register_task_kind,
-    resolve_payload,
     run_distributed,
 )
 from repro.dist import protocol, transport
 from repro.dist.transport import sim_pair
-from repro.par.cache import ContentCache
 from repro.par.pool import derive_task_seed
 from repro.resilience.faults import FaultPlan, TransientFault
 from repro.resilience.runner import ExperimentSpec, run_campaign
@@ -70,12 +67,6 @@ class TestProtocol:
         with pytest.raises(ValueError, match="unknown task kind"):
             execute_task(TaskSpec("t", "no-such-kind"), seed=0)
 
-    def test_register_task_kind_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            register_task_kind("", lambda params, seed: None)
-        with pytest.raises(TypeError, match="callable"):
-            register_task_kind("bad", "not-callable")
-
     def test_execute_fires_reach_site(self):
         plan = FaultPlan().fail_at("dist.task:sleep", call=1, exc=TransientFault)
         with plan.active():
@@ -102,52 +93,25 @@ class TestProtocol:
         assert not np.array_equal(a, c)
 
 
-class TestArtifactRefs:
-    def test_round_trip_through_store(self, tmp_path):
-        cache = ContentCache(tmp_path)
-        array = np.arange(64.0)
-        ref = make_artifact_ref("dist.fgn", {"seed": 1}, array, cache)
-        assert protocol.is_artifact_ref(ref)
-        np.testing.assert_array_equal(resolve_payload(ref, cache), array)
+@contextlib.contextmanager
+def _serving():
+    """An event set once a worker logs that its listener is up."""
+    ready = threading.Event()
 
-    def test_plain_payloads_pass_through(self, tmp_path):
-        assert resolve_payload({"knees": 3}, ContentCache(tmp_path)) == {"knees": 3}
-        assert resolve_payload(41, None) == 41
+    class _Serving(logging.Handler):
+        def emit(self, record):
+            if "serving on" in record.getMessage():
+                ready.set()
 
-    def test_missing_entry_raises_artifact_miss(self, tmp_path):
-        cache = ContentCache(tmp_path)
-        ref = make_artifact_ref("dist.fgn", {"seed": 1}, np.arange(8.0), cache)
-        payload_path, meta_path = cache.entry_paths("dist.fgn", {"seed": 1})
-        payload_path.unlink()
-        meta_path.unlink()
-        with pytest.raises(ArtifactMiss, match="missing"):
-            resolve_payload(ref, cache)
-
-    def test_poisoned_entry_never_served(self, tmp_path):
-        cache = ContentCache(tmp_path)
-        ref = make_artifact_ref("dist.fgn", {"seed": 1}, np.arange(8.0), cache)
-        payload_path, _ = cache.entry_paths("dist.fgn", {"seed": 1})
-        blob = bytearray(payload_path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        payload_path.write_bytes(bytes(blob))
-        # The store's own digest check evicts the entry -> miss.
-        with pytest.raises(ArtifactMiss):
-            resolve_payload(ref, cache)
-
-    def test_end_to_end_digest_check_catches_store_bypass(self, tmp_path):
-        # Same key, different bytes: even if the store serves happily,
-        # the reference's own digest refuses the payload.
-        cache = ContentCache(tmp_path)
-        ref = make_artifact_ref("dist.fgn", {"seed": 1}, np.arange(8.0), cache)
-        cache.put("dist.fgn", {"seed": 1}, np.zeros(8))
-        with pytest.raises(ArtifactMiss, match="end-to-end digest"):
-            resolve_payload(ref, cache)
-
-    def test_no_cache_configured_is_a_miss(self, tmp_path):
-        cache = ContentCache(tmp_path)
-        ref = make_artifact_ref("dist.fgn", {"seed": 1}, np.arange(8.0), cache)
-        with pytest.raises(ArtifactMiss, match="no.*shared cache"):
-            resolve_payload(ref, cache=None)
+    logger, handler = logging.getLogger("repro.dist.worker"), _Serving()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield ready
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 class TestTransport:
@@ -192,17 +156,15 @@ class TestTransport:
         from repro.dist.worker import serve
 
         address = f"unix:{tmp_path / 'w.sock'}"
-        ready = threading.Event()
         outcome = {}
 
         def _serve():
-            outcome["result"] = serve(
-                address, name="w-test", once=True, ready=lambda bound: ready.set()
-            )
+            outcome["result"] = serve(address, name="w-test", once=True)
 
-        thread = threading.Thread(target=_serve, daemon=True)
-        thread.start()
-        assert ready.wait(5.0)
+        with _serving() as ready:
+            thread = threading.Thread(target=_serve, daemon=True)
+            thread.start()
+            assert ready.wait(5.0)
         ok, rtt, detail = transport.probe(address)
         assert ok and rtt is not None and detail == "w-test"
         thread.join(5.0)
@@ -429,24 +391,6 @@ class TestCoordinator:
                                 lease_s=2.0, checkpoint_dir=ckpt,
                                 manifest={"v": 2})
 
-    def test_artifact_refs_resolved_through_shared_store(self, tmp_path):
-        from repro.par.cache import using
-
-        tasks = fgn_tasks(4, 512)
-        with SimCluster(1) as cluster:
-            baseline = run_distributed(tasks, cluster.endpoints(), lease_s=2.0,
-                                       base_seed=7)
-        with using(tmp_path / "store"):
-            with SimCluster(2) as cluster:
-                report = run_distributed(tasks, cluster.endpoints(), lease_s=2.0,
-                                         base_seed=7)
-        assert report.ok
-        for task in tasks:
-            # Refs crossed the wire; resolved payloads are the raw arrays.
-            np.testing.assert_array_equal(
-                baseline.results[task.task_id], report.results[task.task_id]
-            )
-
     def test_lease_must_be_positive(self):
         with pytest.raises(ValueError, match="lease_s"):
             run_distributed(_sleep_tasks(1), {}, lease_s=0.0)
@@ -639,14 +583,12 @@ class TestCli:
         from repro.dist.worker import serve
 
         address = f"unix:{tmp_path / 'w.sock'}"
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=lambda: serve(address, name="w-doc", once=True,
-                                 ready=lambda bound: ready.set()),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(5.0)
+        with _serving() as ready:
+            thread = threading.Thread(
+                target=lambda: serve(address, name="w-doc", once=True), daemon=True,
+            )
+            thread.start()
+            assert ready.wait(5.0)
         status = main(["doctor", "--nodes", address])
         thread.join(5.0)
         out = capsys.readouterr().out

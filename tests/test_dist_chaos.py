@@ -234,21 +234,3 @@ class TestFlightDeterminism:
         )
         # Every task reached a terminal outcome exactly once.
         assert len(canonical[1].splitlines()) == N_TASKS
-
-
-class TestSharedStoreUnderChaos:
-    def test_artifact_store_survives_node_loss(self, uninterrupted, tmp_path):
-        """Refs minted by a node that later dies still resolve (the
-        store outlives its writers), and digests stay identical."""
-        from repro.par.cache import using
-
-        script = FaultScript([FaultEvent("n1", "kill", at_task=2,
-                                         phase="finish")])
-        with using(tmp_path / "store"):
-            with SimCluster(3, script=script) as cluster:
-                report = run_distributed(
-                    _tasks(), cluster.endpoints(), base_seed=BASE_SEED,
-                    lease_s=0.3,
-                )
-        assert script.fired
-        _assert_identical(report, uninterrupted)

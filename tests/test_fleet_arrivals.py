@@ -50,13 +50,11 @@ class TestSynthesisCounts:
         fig_alloc_smg.run(n_users=8, total_slots=900)
         assert len(synthesis_count) == 30 + 15 + 7
 
-    @pytest.mark.parametrize("allocators", [("static",), None])
     @pytest.mark.parametrize("n_users,n_epochs,epoch_slots",
                              [(24, 16, 80), (48, 40, 100)])
     def test_compare_synthesizes_once_for_every_allocator(
-            self, synthesis_count, allocators, n_users, n_epochs, epoch_slots):
-        fig_alloc_compare.run(n_users=n_users, n_epochs=n_epochs,
-                              epoch_slots=epoch_slots, allocators=allocators)
+            self, synthesis_count, n_users, n_epochs, epoch_slots):
+        fig_alloc_compare.run(n_users=n_users, n_epochs=n_epochs, epoch_slots=epoch_slots)
         assert len(synthesis_count) == n_epochs
 
 

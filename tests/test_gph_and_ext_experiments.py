@@ -12,8 +12,7 @@ class TestGPH:
         assert est.hurst == pytest.approx(0.8, abs=0.12)
 
     def test_white_noise(self, rng):
-        # Wider bandwidth (m = n^0.6) halves the GPH standard error.
-        est = gph(rng.standard_normal(2**14), bandwidth_exponent=0.6, normalize=None)
+        est = gph(rng.standard_normal(2**14), normalize=None)
         assert est.hurst == pytest.approx(0.5, abs=3 * est.std_error)
 
     def test_robust_to_marginal(self, fgn_path):
@@ -35,16 +34,6 @@ class TestGPH:
         contaminated = lrd + 0.5 * srd
         est = gph(contaminated, normalize=None)
         assert est.hurst == pytest.approx(0.8, abs=0.15)
-
-    def test_bandwidth_controls_variance(self, fgn_path):
-        narrow = gph(fgn_path, bandwidth_exponent=0.4, normalize=None)
-        wide = gph(fgn_path, bandwidth_exponent=0.7, normalize=None)
-        assert narrow.std_error > wide.std_error
-        assert narrow.n_frequencies < wide.n_frequencies
-
-    def test_rejects_bad_bandwidth(self, fgn_path):
-        with pytest.raises(ValueError):
-            gph(fgn_path, bandwidth_exponent=1.0)
 
     def test_reference_trace_in_band(self, small_series):
         est = gph(small_series)

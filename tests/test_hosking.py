@@ -93,7 +93,6 @@ class TestDeterminismAndStreaming:
         g = HoskingGenerator(hurst=0.8)
         g.reset()
         xs = [g.next(rng) for _ in range(600)]
-        assert len(g.generated) == 600
         assert np.var(xs) == pytest.approx(1.0, abs=0.35)
 
     def test_streaming_acf(self):
@@ -107,8 +106,9 @@ class TestDeterminismAndStreaming:
     def test_generate_resets_state(self, rng):
         g = HoskingGenerator(hurst=0.7)
         g.generate(100, rng=rng)
-        g.generate(50, rng=rng)
-        assert len(g.generated) == 50
+        again = g.generate(50, rng=np.random.default_rng(3))
+        fresh = HoskingGenerator(hurst=0.7).generate(50, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(again, fresh)
 
     def test_wrapper_function(self, rng):
         x = hosking_farima(200, hurst=0.8, rng=rng)
@@ -168,9 +168,8 @@ class TestExtend:
         b = g.extend(50, rng=rng)
         assert a.shape == (100,)
         assert b.shape == (50,)
-        assert g.n_generated == 150
-        np.testing.assert_array_equal(g.generated[:100], a)
-        np.testing.assert_array_equal(g.generated[100:], b)
+        whole = HoskingGenerator(hurst=0.8).extend(150, rng=np.random.default_rng(5))
+        np.testing.assert_array_equal(np.concatenate([a, b]), whole)
 
     def test_extend_after_next(self):
         """next() and extend() share the same recursion state."""
@@ -178,10 +177,12 @@ class TestExtend:
         g = HoskingGenerator(hurst=0.8)
         g.reset()
         singles = [g.next(rng) for _ in range(30)]
+        state = rng.bit_generator.state
         more = g.extend(20, rng=rng)
-        assert g.n_generated == 50
-        np.testing.assert_array_equal(g.generated[:30], singles)
-        np.testing.assert_array_equal(g.generated[30:], more)
+        rng.bit_generator.state = state
+        unconditioned = HoskingGenerator(hurst=0.8).extend(20, rng=rng)
+        assert len(singles) == 30 and more.shape == (20,)
+        assert not np.array_equal(more, unconditioned)
 
     def test_wrapper_byte_compatible_with_streaming(self):
         """hosking_farima stays the reference the stream sources hit."""
@@ -195,7 +196,6 @@ class TestExtend:
         g = HoskingGenerator(hurst=0.8)
         g.extend(50, rng=np.random.default_rng(1))
         g.reset()
-        assert g.n_generated == 0
         again = g.extend(50, rng=np.random.default_rng(1))
         g2 = HoskingGenerator(hurst=0.8)
         np.testing.assert_array_equal(again, g2.extend(50, rng=np.random.default_rng(1)))

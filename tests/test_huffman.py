@@ -1,5 +1,7 @@
 """Tests for the canonical Huffman coder."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,18 @@ from hypothesis import strategies as st
 
 from repro.video.bitstream import BitReader, pack_bits
 from repro.video.huffman import HuffmanCode
+
+
+def _code_for(symbols):
+    return HuffmanCode.from_frequencies(Counter(symbols))
+
+
+def _length(code, symbol):
+    return code.codeword(symbol)[1]
+
+
+def _mean_length(code, freqs):
+    return sum(_length(code, s) * f for s, f in freqs.items()) / sum(freqs.values())
 
 
 def _encode(code, symbols):
@@ -18,22 +32,22 @@ def _encode(code, symbols):
 class TestCodeConstruction:
     def test_two_symbols_one_bit_each(self):
         code = HuffmanCode.from_frequencies({"a": 10, "b": 1})
-        assert code.code_length("a") == 1
-        assert code.code_length("b") == 1
+        assert _length(code, "a") == 1
+        assert _length(code, "b") == 1
 
     def test_skewed_frequencies_give_short_codes_to_common(self):
         code = HuffmanCode.from_frequencies({"a": 100, "b": 10, "c": 5, "d": 1})
-        assert code.code_length("a") < code.code_length("d")
+        assert _length(code, "a") < _length(code, "d")
 
     def test_single_symbol_alphabet(self):
         code = HuffmanCode.from_frequencies({"only": 7})
-        assert code.code_length("only") == 1
+        assert _length(code, "only") == 1
 
     def test_kraft_equality_for_optimal_code(self):
         """An optimal prefix code satisfies Kraft with equality."""
         freqs = {s: f for s, f in zip("abcdefg", [50, 30, 10, 5, 3, 1, 1])}
         code = HuffmanCode.from_frequencies(freqs)
-        kraft = sum(2.0 ** -code.code_length(s) for s in freqs)
+        kraft = sum(2.0 ** -_length(code, s) for s in freqs)
         assert kraft == pytest.approx(1.0)
 
     def test_prefix_free(self):
@@ -54,7 +68,7 @@ class TestCodeConstruction:
         freqs = {i: int(p * 10_000) for i, p in enumerate(probs)}
         code = HuffmanCode.from_frequencies(freqs)
         entropy = -np.sum(probs * np.log2(probs))
-        mean_len = code.mean_code_length(freqs)
+        mean_len = _mean_length(code, freqs)
         assert entropy <= mean_len + 1e-9 < entropy + 1.0
 
     def test_deterministic_canonical_assignment(self):
@@ -73,34 +87,33 @@ class TestCodeConstruction:
             HuffmanCode.from_frequencies({"a": 0, "b": 2})
 
     def test_from_symbols(self):
-        code = HuffmanCode.from_symbols(list("aaabbc"))
+        code = _code_for(list("aaabbc"))
         assert code.alphabet == {"a", "b", "c"}
 
 
 class TestEncodeDecode:
     def test_roundtrip(self):
         symbols = list("the quick brown fox jumps over the lazy dog")
-        code = HuffmanCode.from_symbols(symbols)
+        code = _code_for(symbols)
         out = code.decode_from(BitReader(_encode(code, symbols)), len(symbols))
         assert out == symbols
 
     def test_encoded_bit_length_matches_stream(self):
         symbols = list("mississippi")
-        code = HuffmanCode.from_symbols(symbols)
-        lengths = [code.codeword(s)[1] for s in symbols]
-        assert sum(lengths) == code.encoded_bit_length(symbols)
+        code = _code_for(symbols)
+        lengths = [_length(code, s) for s in symbols]
         assert len(_encode(code, symbols)) == -(-sum(lengths) // 8)
 
     def test_tuple_symbols(self):
         """The codec's alphabet is tuples like ('AC', run, size)."""
         symbols = [("AC", 0, 3)] * 5 + [("DC", 4)] * 2 + [("EOB",)]
-        code = HuffmanCode.from_symbols(symbols)
+        code = _code_for(symbols)
         assert code.decode_from(BitReader(_encode(code, symbols)), len(symbols)) == symbols
 
     def test_unknown_symbol_raises(self):
         code = HuffmanCode.from_frequencies({"a": 1, "b": 1})
         with pytest.raises(KeyError):
-            code.encoded_bit_length(["c"])
+            code.codeword("c")
 
     def test_decode_invalid_stream(self):
         code = HuffmanCode.from_frequencies({"a": 3, "b": 2, "c": 1})
@@ -120,7 +133,7 @@ class TestEncodeDecode:
 def test_huffman_roundtrip_property(text):
     """Property: decode(encode(s)) == s for arbitrary symbol streams."""
     symbols = list(text)
-    code = HuffmanCode.from_symbols(symbols)
+    code = _code_for(symbols)
     assert code.decode_from(BitReader(_encode(code, symbols)), len(symbols)) == symbols
 
 
@@ -134,7 +147,7 @@ def test_huffman_optimality_property(freqs):
     """Property: Huffman beats (or ties) the fixed-length code and
     satisfies the Kraft inequality."""
     code = HuffmanCode.from_frequencies(freqs)
-    kraft = sum(2.0 ** -code.code_length(s) for s in freqs)
+    kraft = sum(2.0 ** -_length(code, s) for s in freqs)
     assert kraft <= 1.0 + 1e-9
     fixed = int(np.ceil(np.log2(len(freqs))))
-    assert code.mean_code_length(freqs) <= max(fixed, 1) + 1e-9
+    assert _mean_length(code, freqs) <= max(fixed, 1) + 1e-9

@@ -96,10 +96,8 @@ class TestRSPox:
         assert est.hurst == pytest.approx(0.8, abs=0.1)
 
     def test_sensitivity_range_tight_for_clean_fgn(self, fgn_path):
-        low, high, estimates = rs_sensitivity(
-            fgn_path, partition_counts=(5, 10), lag_point_counts=(20, 40)
-        )
-        assert len(estimates) == 4
+        low, high, estimates = rs_sensitivity(fgn_path)
+        assert len(estimates) == 9
         assert high - low < 0.1
         assert 0.7 < low <= high < 0.92
 

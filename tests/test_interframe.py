@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.video.interframe import DEFAULT_GOP_PATTERN, synthesize_mpeg_trace
+from repro.video.interframe import GOP_PATTERN, synthesize_mpeg_trace
 
 
 class TestMPEGTraceSynthesis:
@@ -17,7 +17,7 @@ class TestMPEGTraceSynthesis:
         from repro.analysis.correlation import periodogram
 
         omega, intensity = periodogram(mpeg.frame_bytes)
-        gop = len(DEFAULT_GOP_PATTERN)
+        gop = len(GOP_PATTERN)
         # Fundamental GOP frequency: omega = 2 pi / gop.
         j_gop = mpeg.n_frames // gop
         peak = intensity[j_gop - 2 : j_gop + 1].max()
@@ -38,7 +38,7 @@ class TestMPEGTraceSynthesis:
         from repro.analysis.correlation import aggregate
         from repro.analysis.hurst import variance_time
 
-        per_gop = aggregate(mpeg.frame_bytes, len(DEFAULT_GOP_PATTERN))
+        per_gop = aggregate(mpeg.frame_bytes, len(GOP_PATTERN))
         est = variance_time(per_gop)
         assert 0.7 < est.hurst < 0.95
 
@@ -47,14 +47,8 @@ class TestMPEGTraceSynthesis:
         assert np.mean(mpeg.frame_bytes) == pytest.approx(27_791.0 / 3.0, rel=0.02)
 
     def test_i_frames_largest_on_average(self, mpeg):
-        gop = len(DEFAULT_GOP_PATTERN)
+        gop = len(GOP_PATTERN)
         x = mpeg.frame_bytes[: (mpeg.n_frames // gop) * gop].reshape(-1, gop)
         by_position = x.mean(axis=0)
         assert by_position[0] == by_position.max()  # the I frame
-
-    def test_rejects_bad_pattern(self):
-        with pytest.raises(ValueError):
-            synthesize_mpeg_trace(n_frames=100, gop_pattern="PBB")
-        with pytest.raises(ValueError):
-            synthesize_mpeg_trace(n_frames=100, gop_pattern="IXB")
 

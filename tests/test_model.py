@@ -13,9 +13,6 @@ def model():
 
 
 class TestConstruction:
-    def test_parameters_property(self, model):
-        assert model.parameters == (27_791.0, 6_254.0, 12.0, 0.8)
-
     def test_marginal_is_hybrid(self, model):
         assert isinstance(model.marginal, GammaParetoHybrid)
 

@@ -30,6 +30,19 @@ name's own definition are not callers, and tests, examples and
 benchmarks are outside the walk.  The exceptions, each with its reason,
 are in :data:`ALLOWED_UNCALLED`.
 
+A third level works inside the reached names.  Every public method and
+property of a public class needs a product reference by name other than
+its own body.  Every defaulted parameter of a public function, a public
+method or a public class's ``__init__`` needs a product call that sets
+it: a call passing a keyword of that name, a call of a callee of that
+name with enough positional arguments to reach it, or a call of that
+callee that splats ``*args``/``**kwargs``.  A value no product call
+sets is a constant, not an option.  Methods go in
+:data:`ALLOWED_UNCALLED` too; parameters in :data:`ALLOWED_UNSET`.  The
+methods and parameters of an allow-listed name are covered by its
+entry.  A reason that names a test (``test_x.py::TestY``) must name one
+that exists.
+
 A last test keeps the experiment suite to one home: every
 ``repro.experiments`` module with a ``run`` function is in the campaign,
 and every campaign experiment carries at least one paper claim.
@@ -85,8 +98,59 @@ ALLOWED_UNCALLED = {
         "tooling: the dist tests' and examples' task lists; no campaign runs fgn tasks yet"
     ),
     "repro.par.cache.using": "tooling: the documented scoped-cache context manager",
+    "repro.obs.flight.FlightRecorder.canonical_lines": (
+        "test oracle: test_dist_chaos.py::TestFlightDeterminism::"
+        "test_canonical_recording_identical_across_worker_counts"
+    ),
+    "repro.video.codec.IntraframeCodec.decode_frame": (
+        "test oracle: test_codec.py::TestEncodeDecode::test_roundtrip_error_bounded_by_quantizer"
+    ),
+    "repro.video.huffman.HuffmanCode.alphabet": (
+        "pinned test: test_codec_pins.py::test_encoded_frames_match_recorded_pins "
+        "hashes every frame's Huffman table through it"
+    ),
 }
-"""Public names no product code calls, each with the reason it stays."""
+"""Public names and methods no product code calls, each with the reason it stays."""
+
+ALLOWED_UNSET = {
+    "repro.alloc.fleet.simulate_fleet.record_history": (
+        "test oracle: test_alloc_properties.py::TestConservation checks every epoch's "
+        "partition through the recorded history"
+    ),
+    "repro.analysis.hurst.gph.normalize": (
+        "test oracle: the raw-series estimator of qa.stats.gph_agreement_check, "
+        "test_gph_and_ext_experiments.py::TestGPH::test_fgn_08"
+    ),
+    "repro.analysis.hurst.whittle.normalize": (
+        "test oracle: the raw-series estimator of qa.stats.hurst_ci_check, "
+        "test_hurst.py::TestWhittle::test_farima_exact_model"
+    ),
+    "repro.experiments.fig_alloc_smg.run.epoch_lengths": (
+        "golden test: test_golden_experiments.py::test_experiment_matches_golden"
+    ),
+    "repro.qa.golden.GoldenStore.update": (
+        "golden test: pytest --update-golden sets it, "
+        "test_qa_golden.py::TestGoldenStore::test_update_then_check_roundtrip"
+    ),
+    "repro.simulation.qc.qc_curve.n_lag_draws": (
+        "pinned test: test_par_determinism.py::TestGridSweeps::test_qc_curve_worker_invariance"
+    ),
+    "repro.simulation.qc.smg_curve.n_lag_draws": (
+        "pinned test: test_par_determinism.py::TestGridSweeps::test_smg_curve_worker_invariance"
+    ),
+    "repro.video.synthetic.SyntheticMovie.effect_probability": (
+        "pinned test: test_codec_pins.py::test_encoded_frames_match_recorded_pins"
+    ),
+    "repro.dist.simcluster.FaultScript.events": "fault harness: test_dist.py::TestFaultScript",
+    "repro.dist.simcluster.FaultScript.random.kinds": "fault harness: seeded chaos scripts",
+    "repro.dist.simcluster.FaultScript.random.max_task": "fault harness: seeded chaos scripts",
+    "repro.dist.simcluster.FaultScript.random.n_events": "fault harness: seeded chaos scripts",
+    "repro.dist.simcluster.FaultScript.random.spare": "fault harness: seeded chaos scripts",
+    "repro.dist.simcluster.SimCluster.script": (
+        "fault harness: test_dist_chaos.py::TestChaosWall injects node faults through it"
+    ),
+}
+"""Defaulted parameters no product call sets, each with the reason it stays."""
 
 _UPPER_CASE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
@@ -283,10 +347,184 @@ def uncalled_names(package_dir, root_files=ROOT_FILES):
 
 def assert_every_name_called(package_dir, root_files=ROOT_FILES):
     uncalled = uncalled_names(package_dir, root_files=root_files)
-    allowed = set(ALLOWED_UNCALLED)
+    allowed = {name for name in ALLOWED_UNCALLED if not _is_method(name)}
     assert uncalled == allowed, (
         f"public names without a product caller: {sorted(uncalled - allowed)}; "
         f"allow-listed but called or missing: {sorted(allowed - uncalled)}"
+    )
+
+
+def _reached_trees(package_dir, root_files):
+    """``(modules, trees of reached modules, trees of root files)``."""
+    modules = _package_modules(package_dir)
+    reached = set(modules) - unreached_modules(package_dir, root_files=root_files)
+    trees = {name: ast.parse(modules[name].read_text()) for name in reached}
+    return modules, trees, [ast.parse(p.read_text()) for p in root_files]
+
+
+def _public_classes(tree):
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+
+
+def _methods(cls):
+    return [
+        node for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def uncalled_methods(package_dir, root_files=ROOT_FILES):
+    """``module.Class.method`` of every public method no product code names.
+
+    Properties count as methods.  A reference from anywhere in a reached
+    module or a root file counts, except from the method's own body.
+    """
+    modules, trees, roots = _reached_trees(package_dir, root_files)
+    elsewhere = {name: _references(tree) for name, tree in trees.items()}
+    from_roots = set().union(*(_references(tree) for tree in roots))
+    uncalled = set()
+    for module, tree in trees.items():
+        others = from_roots.union(*(refs for other, refs in elsewhere.items() if other != module))
+        for cls in _public_classes(tree):
+            for method in _methods(cls):
+                name = method.name
+                if name.startswith("_") or name in others:
+                    continue
+                if name not in _references(tree, [method]):
+                    uncalled.add(f"{module}.{cls.name}.{name}")
+    return uncalled
+
+
+def _defaulted(fn, bound):
+    """``[(name, position or None)]`` of ``fn``'s defaulted parameters.
+
+    ``position`` counts call-site positional arguments, so ``bound``
+    (1 for ``self``/``cls``) is subtracted; keyword-only ones have none.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, index - bound) for index, arg in enumerate(positional) if index >= first]
+    found += [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _settable_callables(tree):
+    """``(qualified name, callee name, def node, bound)`` of each public callable.
+
+    A public function is called by its name, a public class's
+    ``__init__`` by the class name, a public method by the method name.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node, 0
+    for cls in _public_classes(tree):
+        for method in _methods(cls):
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in method.decorator_list
+            )
+            if method.name == "__init__":
+                yield cls.name, cls.name, method, 1
+            elif not method.name.startswith("_"):
+                yield f"{cls.name}.{method.name}", method.name, method, 0 if static else 1
+
+
+def _call_sites(trees):
+    """``(keywords, {callee name: (most positionals, splatted)})`` over ``trees``.
+
+    ``keywords`` holds every keyword any call passes.  The callee name
+    is the called name or attribute; ``from m import f as g`` makes a
+    call of ``g`` a call of ``f`` too.
+    """
+    keywords, sites = set(), {}
+    for tree in trees:
+        aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.asname
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords.update(keyword.arg for keyword in node.keywords if keyword.arg)
+            callee = _name_of(node.func)
+            splat = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                keyword.arg is None for keyword in node.keywords
+            )
+            for name in {callee, aliases.get(callee, callee)} - {None}:
+                positionals, splatted = sites.get(name, (0, False))
+                sites[name] = (max(positionals, len(node.args)), splatted or splat)
+    return keywords, sites
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def parameter_census(package_dir, root_files=ROOT_FILES):
+    """``{module.callable.parameter: set by a product call}`` of every defaulted parameter.
+
+    It covers public functions, public methods and public classes'
+    ``__init__`` in reached modules.
+    """
+    modules, trees, roots = _reached_trees(package_dir, root_files)
+    keywords, sites = _call_sites([*trees.values(), *roots])
+    census = {}
+    for module, tree in trees.items():
+        for qualified, callee, fn, bound in _settable_callables(tree):
+            positionals, splatted = sites.get(callee, (0, False))
+            for name, position in _defaulted(fn, bound):
+                census[f"{module}.{qualified}.{name}"] = (
+                    splatted or name in keywords
+                    or (position is not None and positionals > position)
+                )
+    return census
+
+
+def unset_parameters(package_dir, root_files=ROOT_FILES):
+    return {name for name, is_set in parameter_census(package_dir, root_files).items()
+            if not is_set}
+
+
+def _is_method(qualified):
+    """Whether ``qualified`` names ``module.Class.method`` (module names are lower case)."""
+    return qualified.split(".")[-2][:1].isupper()
+
+
+def _covered(qualified):
+    """Whether ``qualified`` belongs to an allow-listed name (a method or parameter of it)."""
+    return any(qualified.startswith(f"{name}.") for name in ALLOWED_UNCALLED)
+
+
+def assert_every_method_called(package_dir, root_files=ROOT_FILES):
+    uncalled = {
+        name for name in uncalled_methods(package_dir, root_files=root_files)
+        if not _covered(name)
+    }
+    allowed = {name for name in ALLOWED_UNCALLED if _is_method(name)}
+    assert uncalled == allowed, (
+        f"public methods without a product caller: {sorted(uncalled - allowed)}; "
+        f"allow-listed but called or missing: {sorted(allowed - uncalled)}"
+    )
+
+
+def assert_every_parameter_set(package_dir, root_files=ROOT_FILES):
+    unset = {
+        name for name in unset_parameters(package_dir, root_files=root_files)
+        if not _covered(name)
+    }
+    allowed = set(ALLOWED_UNSET)
+    assert unset == allowed, (
+        f"defaulted parameters no product call sets: {sorted(unset - allowed)}; "
+        f"allow-listed but set or missing: {sorted(allowed - unset)}"
     )
 
 
@@ -296,6 +534,45 @@ def test_every_module_is_reachable_from_the_cli():
 
 def test_every_public_name_has_a_product_caller():
     assert_every_name_called(PACKAGE_DIR)
+
+
+def test_every_public_method_has_a_product_caller():
+    assert_every_method_called(PACKAGE_DIR)
+
+
+def test_every_defaulted_parameter_is_set_by_a_product_call():
+    assert_every_parameter_set(PACKAGE_DIR)
+
+
+_TEST_REFERENCE = re.compile(r"(test_\w+\.py)::(\w+)(?:::(\w+))?")
+
+
+def _test_exists(filename, first, second):
+    """Whether ``tests/filename`` defines the test ``first[::second]``."""
+    path = pathlib.Path(__file__).with_name(filename)
+    if not path.exists():
+        return False
+    scope = ast.parse(path.read_text()).body
+    for name in filter(None, (first, second)):
+        found = [
+            node for node in scope
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        ]
+        if not found:
+            return False
+        scope = getattr(found[0], "body", [])
+    return True
+
+
+def test_allow_list_reasons_name_existing_tests():
+    stale = [
+        f"{name}: {filename}::{first}" + (f"::{second}" if second else "")
+        for table in (ALLOWED_UNREACHED, ALLOWED_UNCALLED, ALLOWED_UNSET)
+        for name, reason in table.items()
+        for filename, first, second in _TEST_REFERENCE.findall(reason)
+        if not _test_exists(filename, first, second)
+    ]
+    assert not stale, f"allow-list reasons naming missing tests: {stale}"
 
 
 def test_every_perfbench_tracer_target_resolves():
@@ -356,6 +633,71 @@ def test_an_allowed_name_that_gains_a_product_caller_fails(tmp_path):
         AssertionError, match="called or missing: \\['repro.analysis.hurst.rs_statistic'\\]"
     ):
         assert_every_name_called(copy)
+
+
+def test_a_planted_callerless_public_method_fails(tmp_path):
+    copy = _copy_package(tmp_path)
+    with open(copy / "core" / "fgn.py", "a") as module:
+        module.write(
+            "\n\nclass PlantedSource:\n"
+            "    def planted_method(self):\n"
+            "        return FGN_BACKENDS\n"
+        )
+    with pytest.raises(
+        AssertionError, match="caller: \\['repro.core.fgn.PlantedSource.planted_method'\\]"
+    ):
+        assert_every_method_called(copy)
+
+
+def test_a_planted_unset_parameter_fails(tmp_path):
+    copy = _copy_package(tmp_path)
+    with open(copy / "core" / "fgn.py", "a") as module:
+        module.write("\n\ndef planted_tool(x, planted_knob=3):\n    return x * planted_knob\n")
+    with open(copy / "cli.py", "a") as cli:
+        cli.write("\n\ndef _planted():\n    from repro.core.fgn import planted_tool\n"
+                  "    return planted_tool(1)\n")
+    with pytest.raises(
+        AssertionError, match="sets: \\['repro.core.fgn.planted_tool.planted_knob'\\]"
+    ):
+        assert_every_parameter_set(copy)
+
+
+def test_an_allowed_method_that_gains_a_product_caller_fails(tmp_path):
+    copy = _copy_package(tmp_path)
+    with open(copy / "cli.py", "a") as cli:
+        cli.write("\n\ndef _planted(codec, encoded):\n    return codec.decode_frame(encoded)\n")
+    with pytest.raises(
+        AssertionError,
+        match="called or missing: \\['repro.video.codec.IntraframeCodec.decode_frame'\\]",
+    ):
+        assert_every_method_called(copy)
+
+
+def test_an_allowed_parameter_that_gains_a_product_setter_fails(tmp_path):
+    copy = _copy_package(tmp_path)
+    with open(copy / "cli.py", "a") as cli:
+        cli.write(
+            "\n\ndef _planted():\n"
+            "    from repro.video.synthetic import SyntheticMovie\n"
+            "    return SyntheticMovie(1, effect_probability=0.0)\n"
+        )
+    with pytest.raises(
+        AssertionError,
+        match="set or missing: \\['repro.video.synthetic.SyntheticMovie.effect_probability'\\]",
+    ):
+        assert_every_parameter_set(copy)
+
+
+def test_call_sites_count_keywords_positions_and_splats():
+    tree = ast.parse(
+        "f(1, 2)\nobj.f(1, 2, 3)\ng(*args)\nh(**options)\nk(x, knob=1)\n"
+        "from m import f as alias\nalias(1, 2, 3, 4)\n"
+    )
+    keywords, sites = _call_sites([tree])
+    assert keywords == {"knob"}
+    assert sites["f"] == (4, False)
+    assert sites["g"][1] and sites["h"][1]
+    assert sites["k"] == (1, False)
 
 
 def _plant(root, files):

@@ -10,8 +10,8 @@ from repro.resilience.faults import (
     active_plan,
     reach,
 )
-from repro.stream.pipeline import ParallelSources, Stream, StreamIntegrityError
-from repro.stream.sources import ArraySource, BlockFGNSource
+from repro.stream.pipeline import ParallelSources
+from repro.stream.sources import BlockFGNSource, ChunkSource
 
 
 class TestFaultPlan:
@@ -110,38 +110,6 @@ class TestCorruptChunks:
         assert plan.injected == []
 
 
-class TestStreamGuard:
-    def test_clean_stream_passes_through(self):
-        data = np.arange(100.0)
-        out = Stream.from_array(data, chunk_size=16).guard("gen").to_array()
-        np.testing.assert_array_equal(out, data)
-
-    def test_reports_provenance(self):
-        data = np.arange(100.0)
-        data[37] = np.nan
-        chunks = (data[i : i + 16] for i in range(0, 100, 16))
-        stream = Stream(chunks, n=100).guard("paxson-0")
-        with pytest.raises(StreamIntegrityError) as excinfo:
-            stream.to_array()
-        err = excinfo.value
-        assert err.source == "paxson-0"
-        assert err.chunk_index == 2
-        assert err.sample_offset == 37
-        assert "paxson-0" in str(err)
-        assert "offset 37" in str(err)
-
-    def test_guard_catches_injected_corruption(self):
-        plan = FaultPlan(seed=9)
-        corrupted = plan.corrupt_chunks(
-            (np.ones(32) for _ in range(8)), nan_rate=1.0
-        )
-        with pytest.raises(StreamIntegrityError):
-            Stream(corrupted).guard("injected").to_array()
-
-    def test_guard_is_a_valueerror(self):
-        assert issubclass(StreamIntegrityError, ValueError)
-
-
 class TestParallelRecovery:
     def build_pools(self):
         sources = [
@@ -190,7 +158,11 @@ class TestParallelRecovery:
 
     def test_values_unchanged_without_faults(self):
         # The seed-recording spawn must be byte-identical to rng.spawn.
-        sources = [ArraySource(np.arange(90.0)) for _ in range(2)]
+        class _Replay(ChunkSource):
+            def _native_chunks(self, n, chunk_size, rng):
+                yield np.arange(90.0)
+
+        sources = [_Replay() for _ in range(2)]
         pool = ParallelSources(sources)
         out = np.concatenate(list(pool.chunks(90, 30, rng=np.random.default_rng(0))))
         np.testing.assert_array_equal(out, 2 * np.arange(90.0))

@@ -63,14 +63,6 @@ class TestSceneScript:
             s.n_frames for s in short_tail.scenes
         )
 
-    def test_scene_at_lookup(self, rng):
-        script = generate_scene_script(5_000, rng=rng)
-        for idx in (0, 1234, 4999):
-            scene = script.scene_at(idx)
-            assert scene.start_frame <= idx < scene.end_frame
-        with pytest.raises(IndexError):
-            script.scene_at(5_000)
-
     def test_frame_levels_shape_and_positivity(self, rng):
         script = generate_scene_script(3_000, rng=rng)
         levels = script.frame_levels()
@@ -86,12 +78,6 @@ class TestSceneScript:
         assert levels[0] == 2.0
         assert levels[10] == 1.0
         assert levels[20] == 2.0
-
-    def test_activity_per_frame(self, rng):
-        script = generate_scene_script(2_000, rng=rng)
-        act = script.frame_activity()
-        assert act.shape == (2_000,)
-        assert np.all(act > 0)
 
     def test_validation_rejects_gaps(self):
         s1 = Scene(0, 10, 1.0, 1.0)

@@ -102,15 +102,6 @@ class TestStructure:
         t = synthesize_starwars_trace(n_frames=1_000, seed=3, with_slices=False)
         assert not t.has_slice_data
 
-    def test_landmark_scale_zero_removes_spikes(self):
-        """Disabling landmarks flattens the center of the movie."""
-        with_marks = synthesize_starwars_trace(n_frames=20_000, seed=4, with_slices=False)
-        without = synthesize_starwars_trace(
-            n_frames=20_000, seed=4, with_slices=False, landmark_scale=0.0
-        )
-        mid = slice(int(0.45 * 20_000), int(0.55 * 20_000))
-        assert np.max(with_marks.frame_bytes[mid]) >= np.max(without.frame_bytes[mid])
-
     def test_rejects_bad_hurst(self):
         with pytest.raises(ValueError):
             synthesize_starwars_trace(n_frames=100, hurst=0.5)

@@ -38,51 +38,63 @@ from repro.stream import (
 TARGET = GammaParetoHybrid(27_791.0, 6_254.0, 12.0)
 
 
+def _from_array(x, chunk_size=65_536):
+    """An in-memory series replayed as a stream of ``chunk_size`` chunks."""
+    x = np.asarray(x, dtype=float)
+    return Stream((x[i : i + chunk_size] for i in range(0, x.size, chunk_size)), n=x.size)
+
+
+def _to_array(stream):
+    """The whole stream in memory."""
+    pieces = list(stream)
+    return np.concatenate(pieces) if pieces else np.zeros(0)
+
+
 class TestStreamBasics:
     def test_from_array_roundtrip(self):
         x = np.arange(1000.0)
-        assert np.array_equal(Stream.from_array(x, 64).to_array(), x)
+        assert np.array_equal(_to_array(_from_array(x, 64)), x)
 
     def test_rechunk_sizes(self):
-        chunks = list(Stream.from_array(np.arange(1000.0), 64).rechunk(300))
+        chunks = list(_from_array(np.arange(1000.0), 64).rechunk(300))
         assert [c.size for c in chunks] == [300, 300, 300, 100]
 
     def test_scale_shift(self):
         x = np.arange(100.0)
-        out = Stream.from_array(x, 7).scale(2.0).shift(1.0).to_array()
+        out = _to_array(_from_array(x, 7).scale(2.0).shift(1.0))
         np.testing.assert_array_equal(out, 2.0 * x + 1.0)
 
     def test_single_use(self):
-        s = Stream.from_array(np.arange(10.0), 4)
-        s.to_array()
-        assert s.to_array().size == 0
+        s = _from_array(np.arange(10.0), 4)
+        _to_array(s)
+        assert _to_array(s).size == 0
 
     def test_observe_and_drain(self):
         x = np.arange(500.0)
         om = OnlineMoments()
-        passed = Stream.from_array(x, 33).observe(om).to_array()
+        passed = _to_array(_from_array(x, 33).observe(om))
         assert np.array_equal(passed, x)
         assert om.count == 500
         om2 = OnlineMoments()
-        Stream.from_array(x, 33).drain(om2)
+        _from_array(x, 33).drain(om2)
         assert om2.count == 500
 
 
 class TestHoskingSource:
     def test_matches_batch_exactly(self):
         ref = hosking_farima(800, hurst=0.8, rng=np.random.default_rng(5))
-        out = Stream.from_source(
+        out = _to_array(Stream.from_source(
             HoskingSource(hurst=0.8), 800, 129, rng=np.random.default_rng(5)
-        ).to_array()
+        ))
         np.testing.assert_array_equal(out, ref)
 
     @given(chunk=st.integers(min_value=1, max_value=400))
     @settings(max_examples=10, deadline=None)
     def test_chunking_invariant(self, chunk):
         ref = hosking_farima(300, hurst=0.7, rng=np.random.default_rng(11))
-        out = Stream.from_source(
+        out = _to_array(Stream.from_source(
             HoskingSource(hurst=0.7), 300, chunk, rng=np.random.default_rng(11)
-        ).to_array()
+        ))
         np.testing.assert_array_equal(out, ref)
 
     def test_fresh_realization_per_call(self):
@@ -100,7 +112,7 @@ class TestBlockFGNSource:
         squares (the process mean is 0, so E[mean(x^2)] = 1 exactly)."""
         n = 60_000
         src = BlockFGNSource(0.8, block_size=8192, overlap=256, backend=backend)
-        x = Stream.from_source(src, n, 8192, rng=np.random.default_rng(3)).to_array()
+        x = _to_array(Stream.from_source(src, n, 8192, rng=np.random.default_rng(3)))
         mean_squares = [float(np.mean(seg**2)) for seg in np.array_split(x, 8)]
         qa.require(
             qa.z_test(
@@ -118,7 +130,7 @@ class TestBlockFGNSource:
         TOST over per-seam mean squares (E[mean(x^2)] = 1 exactly when
         the fade preserves variance) replaces the old rel=0.15 band."""
         src = BlockFGNSource(0.8, block_size=2048, overlap=128, backend="paxson")
-        x = Stream.from_source(src, 2048 * 40, 2048, rng=np.random.default_rng(8)).to_array()
+        x = _to_array(Stream.from_source(src, 2048 * 40, 2048, rng=np.random.default_rng(8)))
         seam_mean_squares = [
             float(np.mean(x[k * 2048 : k * 2048 + 128] ** 2)) for k in range(1, 40)
         ]
@@ -144,7 +156,7 @@ class TestBlockFGNSource:
         from repro.analysis.hurst import variance_time
 
         src = BlockFGNSource(0.8, block_size=16_384, overlap=512, backend="paxson")
-        x = Stream.from_source(src, 2**17, 16_384, rng=np.random.default_rng(7)).to_array()
+        x = _to_array(Stream.from_source(src, 2**17, 16_384, rng=np.random.default_rng(7)))
         h = variance_time(x).hurst
         assert 0.68 < h < 0.92
 
@@ -170,13 +182,13 @@ class TestStreamingTransform:
     def test_exact_method_bitwise_equal(self, chunk):
         x = np.random.default_rng(0).standard_normal(600)
         batch = marginal_transform(x, TARGET, source=Normal(0.0, 1.0))
-        streamed = Stream.from_array(x, chunk).transform(TARGET).to_array()
+        streamed = _to_array(_from_array(x, chunk).transform(TARGET))
         np.testing.assert_array_equal(streamed, batch)
 
     def test_table_method_bitwise_equal(self):
         x = np.random.default_rng(1).standard_normal(2000)
         batch = marginal_transform(x, TARGET, source=Normal(0.0, 1.0), method="table")
-        streamed = Stream.from_array(x, 313).transform(TARGET, method="table").to_array()
+        streamed = _to_array(_from_array(x, 313).transform(TARGET, method="table"))
         np.testing.assert_array_equal(streamed, batch)
 
     def test_full_pipeline_matches_model_generate(self):
@@ -186,11 +198,10 @@ class TestStreamingTransform:
         model = VBRVideoModel(27_791.0, 6_254.0, 12.0, 0.8)
         ref = model.generate(500, rng=np.random.default_rng(21), generator="hosking")
         streamed = (
-            Stream.from_source(
+            _to_array(Stream.from_source(
                 HoskingSource(hurst=0.8), 500, 123, rng=np.random.default_rng(21)
             )
-            .transform(model.marginal)
-            .to_array()
+            .transform(model.marginal))
         )
         np.testing.assert_array_equal(streamed, ref)
 
@@ -229,22 +240,13 @@ class TestStreamingQueue:
         a = np.random.default_rng(seed).uniform(0, 25, size=2000)
         batch = simulate_queue(a, capacity, buffer)
         queue = StreamingQueue(capacity, buffer)
-        for piece in Stream.from_array(a, chunk):
+        for piece in _from_array(a, chunk):
             queue.push(piece)
         streamed = queue.result()
         assert streamed.total_bytes == batch.total_bytes
         assert streamed.lost_bytes == batch.lost_bytes
         assert streamed.final_backlog == batch.final_backlog
         assert streamed.peak_backlog == batch.peak_backlog
-
-    def test_loss_series_bitwise_equal(self):
-        a = np.random.default_rng(4).uniform(0, 25, size=3000)
-        batch = simulate_queue(a, 9.0, 30.0, return_series=True)
-        queue = StreamingQueue(9.0, 30.0, record_loss=True)
-        for piece in Stream.from_array(a, 271):
-            queue.push(piece)
-        streamed = queue.result()
-        np.testing.assert_array_equal(streamed.loss_series, batch.loss_series)
 
     def test_seed_trace_exact(self, small_series):
         """Acceptance: the chunked queue reproduces the seed-trace stats."""
@@ -254,7 +256,7 @@ class TestStreamingQueue:
         batch = simulate_queue(small_series, capacity, buffer)
         assert batch.lost_bytes > 0  # a lossy operating point
         queue = StreamingQueue(capacity, buffer)
-        for piece in Stream.from_array(small_series, 4096):
+        for piece in _from_array(small_series, 4096):
             queue.push(piece)
         streamed = queue.result()
         assert streamed == batch
@@ -291,15 +293,15 @@ class TestMergeAndParallel:
     def test_merge_equals_sum(self):
         rng = np.random.default_rng(3)
         a, b = rng.uniform(0, 10, size=(2, 5000))
-        merged = merge_streams(
-            [Stream.from_array(a, 123), Stream.from_array(b, 777)], chunk_size=500
-        ).to_array()
+        merged = _to_array(merge_streams(
+            [_from_array(a, 123), _from_array(b, 777)], chunk_size=500
+        ))
         np.testing.assert_allclose(merged, a + b)
 
     def test_merge_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             merge_streams(
-                [Stream.from_array(np.zeros(10), 4), Stream.from_array(np.zeros(12), 4)]
+                [_from_array(np.zeros(10), 4), _from_array(np.zeros(12), 4)]
             )
 
     def test_merge_length_ignores_unknown_lengths(self):
@@ -310,20 +312,20 @@ class TestMergeAndParallel:
             return Stream(iter([np.ones(8)]))
 
         for streams in (
-            [unknown(), Stream.from_array(x)],
-            [Stream.from_array(x), unknown()],
+            [unknown(), _from_array(x)],
+            [_from_array(x), unknown()],
         ):
             merged = merge_streams(streams)
             assert merged.n == 8
-            np.testing.assert_array_equal(merged.to_array(), x + 1.0)
+            np.testing.assert_array_equal(_to_array(merged), x + 1.0)
         assert merge_streams([unknown(), unknown()]).n is None
 
     def test_parallel_matches_sequential(self):
         """The summed sources == the sum of per-source streams, bit for bit."""
         sources = [BlockFGNSource(0.8, block_size=2048, overlap=64) for _ in range(3)]
-        agg = ParallelSources(sources).stream(
+        agg = _to_array(ParallelSources(sources).stream(
             10_000, 2048, rng=np.random.default_rng(6)
-        ).to_array()
+        ))
         children = np.random.default_rng(6).spawn(3)
         expected = np.zeros(10_000)
         for child in children:
@@ -342,7 +344,7 @@ class TestOnlineMoments:
     def test_matches_numpy(self, chunk):
         x = np.random.default_rng(12).uniform(-5, 5, size=2500)
         om = OnlineMoments()
-        Stream.from_array(x, chunk).drain(om)
+        _from_array(x, chunk).drain(om)
         assert om.count == x.size
         assert om.mean == pytest.approx(np.mean(x), rel=1e-12)
         assert om.variance == pytest.approx(np.var(x), rel=1e-10)
@@ -372,7 +374,7 @@ class TestStreamingVarianceTime:
         from repro.analysis.hurst import variance_time
 
         svt = StreamingVarianceTime()
-        Stream.from_array(fgn_path, 1777).drain(svt)
+        _from_array(fgn_path, 1777).drain(svt)
         result = svt.hurst()
         m_batch = [m for m in result.m_values[result.fit_mask]]
         batch = variance_time(fgn_path, m_values=m_batch, fit_range=(min(m_batch), max(m_batch)))
@@ -385,13 +387,13 @@ class TestStreamingVarianceTime:
 
     def test_recovers_hurst(self, fgn_path):
         svt = StreamingVarianceTime()
-        Stream.from_array(fgn_path, 4096).drain(svt)
+        _from_array(fgn_path, 4096).drain(svt)
         assert 0.7 < svt.hurst().hurst < 0.9
 
     def test_chunking_invariant(self, fgn_path):
         a, b = StreamingVarianceTime(), StreamingVarianceTime()
-        Stream.from_array(fgn_path, 100).drain(a)
-        Stream.from_array(fgn_path, 9999).drain(b)
+        _from_array(fgn_path, 100).drain(a)
+        _from_array(fgn_path, 9999).drain(b)
         assert a.hurst().hurst == pytest.approx(b.hurst().hurst, rel=1e-9)
 
     def test_needs_data(self):
@@ -407,7 +409,7 @@ class _ReshapeMeanVarianceTime(StreamingVarianceTime):
         if arr.size == 0:
             return self
         self._levels[0].update(arr)
-        for j in range(1, self.max_level + 1):
+        for j in range(1, self.MAX_LEVEL + 1):
             m = 1 << j
             stats = self._levels[j]
             rest = arr
@@ -526,7 +528,7 @@ class TestStreamingBatchEquivalence:
     def test_svt_matches_variance_time_on_dyadic_grid(self, seeded_rng):
         x = DaviesHarteGenerator(0.8).generate(2**15, rng=seeded_rng)
         svt = StreamingVarianceTime()
-        Stream.from_array(x, 1023).drain(svt)
+        _from_array(x, 1023).drain(svt)
         from repro.analysis.hurst import variance_time
 
         streamed = svt.hurst()
@@ -539,12 +541,12 @@ class TestStreamingBatchEquivalence:
     def test_svt_fit_subrange_matches_batch(self, seeded_rng):
         x = seeded_rng.standard_normal(2**14)
         svt = StreamingVarianceTime()
-        Stream.from_array(x, 777).drain(svt)
+        _from_array(x, 777).drain(svt)
         from repro.analysis.hurst import variance_time
 
-        streamed = svt.hurst(fit_range=(8, 128))
+        streamed = svt.hurst()
         grid = [int(m) for m in streamed.m_values]
-        batch = variance_time(x, m_values=grid, fit_range=(8, 128))
+        batch = variance_time(x, m_values=grid)
         assert streamed.hurst == pytest.approx(batch.hurst, rel=1e-9)
         assert streamed.beta == pytest.approx(batch.beta, rel=1e-9)
 

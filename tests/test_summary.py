@@ -32,12 +32,6 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([1.0, 2.0], time_unit_ms=0.0)
 
-    def test_as_dict_roundtrip(self):
-        s = summarize([5.0, 15.0], time_unit_ms=2.0)
-        d = s.as_dict()
-        assert d["mean"] == s.mean
-        assert d["time_unit_ms"] == 2.0
-
     def test_format_rows_structure(self):
         s = summarize([5.0, 15.0], time_unit_ms=2.0)
         rows = s.format_rows()

@@ -68,7 +68,6 @@ class TestViews:
     def test_rates(self, trace):
         expected = trace.frame_bytes.mean() * 8 * 24
         assert trace.mean_rate_bps == pytest.approx(expected)
-        assert trace.peak_rate_bps == pytest.approx(trace.frame_bytes.max() * 8 * 24)
 
     def test_summary_matches_series(self, trace):
         s = trace.summary("frame")
@@ -87,21 +86,6 @@ class TestViews:
             trace.segment(50, 40)
         with pytest.raises(ValueError):
             trace.segment(0, 61)
-
-    def test_shifted_wraps_around(self, trace_with_slices):
-        shifted = trace_with_slices.shifted(10)
-        np.testing.assert_array_equal(
-            shifted.frame_bytes, np.roll(trace_with_slices.frame_bytes, -10)
-        )
-        # Slices shift in lockstep with frames.
-        np.testing.assert_array_equal(
-            shifted.slice_bytes.reshape(60, 4).sum(axis=1), shifted.frame_bytes
-        )
-
-    def test_shifted_by_more_than_length(self, trace):
-        shifted = trace.shifted(70)
-        np.testing.assert_array_equal(shifted.frame_bytes, np.roll(trace.frame_bytes, -10))
-
 
 class TestTraceFile:
     def test_frame_roundtrip(self, trace, tmp_path):

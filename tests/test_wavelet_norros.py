@@ -66,15 +66,6 @@ class TestWaveletHurst:
         assert h_wav > 0.7
         assert h_wav == pytest.approx(h_vt, abs=0.25)
 
-    def test_custom_octave_range(self, fgn_path):
-        est = wavelet_hurst(fgn_path, octave_range=(4, 10))
-        assert np.all(est.octaves[est.fit_mask] >= 4)
-
-    def test_rejects_empty_range(self, fgn_path):
-        with pytest.raises(ValueError):
-            wavelet_hurst(fgn_path, octave_range=(40, 50))
-
-
 class TestNorrosFormulas:
     def test_kappa_symmetric_minimum(self):
         """kappa(1/2) = 1/2 is the minimum; kappa is symmetric in H."""
