@@ -146,6 +146,11 @@ def rs_statistic(segment):
     return r / s
 
 
+_RS_GATHER_VALUES = 1 << 17
+"""Most values one :func:`_rs_segments` gather of :func:`rs_pox` holds
+(a segment longer than this is gathered alone)."""
+
+
 def _rs_segments(arr, lag, starts):
     """:func:`rs_statistic` of every segment ``arr[start : start + lag]``.
 
@@ -209,7 +214,12 @@ def rs_pox(data, lags=None, n_partitions=10, n_lag_points=30, fit_range=None):
     for lag in lags:
         lag = int(lag)
         starts = np.unique(np.linspace(0, n - lag, n_partitions).astype(int))
-        values = _rs_segments(arr, lag, starts)
+        # Rows are independent, so gathering a group of starts at a time
+        # bounds the temporaries without changing a bit.
+        group = max(1, _RS_GATHER_VALUES // lag)
+        values = np.concatenate([
+            _rs_segments(arr, lag, starts[i : i + group]) for i in range(0, starts.size, group)
+        ])
         values = values[np.isfinite(values) & (values > 0)]
         pox_lags.append(np.full(values.size, lag, dtype=float))
         pox_values.append(values)

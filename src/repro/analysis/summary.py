@@ -77,17 +77,42 @@ def summarize(data, time_unit_ms):
     """
     arr = as_1d_float_array(data, "data")
     time_unit_ms = require_positive(time_unit_ms, "time_unit_ms")
-    mean = float(np.mean(arr))
+    mean = np.add.reduce(arr) / arr.size
     if mean <= 0:
         raise ValueError("bandwidth series must have a positive mean")
-    std = float(np.std(arr, ddof=0))
+    std = float(np.sqrt(_squared_deviation_sum(arr, mean) / arr.size))
+    mean = float(mean)
+    maximum = float(np.max(arr))
     return TraceSummary(
         time_unit_ms=time_unit_ms,
         n_observations=int(arr.size),
         mean=mean,
         std=std,
         coefficient_of_variation=std / mean,
-        maximum=float(np.max(arr)),
+        maximum=maximum,
         minimum=float(np.min(arr)),
-        peak_to_mean=float(np.max(arr)) / mean,
+        peak_to_mean=maximum / mean,
     )
+
+
+_PAIRWISE_LEAF = 65_536
+"""Largest run of :func:`_squared_deviation_sum` summed in one call."""
+
+
+def _squared_deviation_sum(arr, mean):
+    """``np.add.reduce(np.square(arr - mean))`` without the whole temporary.
+
+    numpy's pairwise sum of ``n > 128`` values adds the sums of its
+    first ``n2`` and last ``n - n2`` values, ``n2`` being ``n // 2``
+    rounded down to a multiple of 8.  Splitting the same way down to
+    runs of at most :data:`_PAIRWISE_LEAF` values and reducing each run
+    with numpy therefore adds the same numbers in the same order: the
+    result equals ``np.std``'s sum bit for bit, while only one run's
+    deviations exist at a time.
+    """
+    n = arr.size
+    if n <= _PAIRWISE_LEAF:
+        return np.add.reduce(np.square(arr - mean))
+    half = n // 2
+    half -= half % 8
+    return _squared_deviation_sum(arr[:half], mean) + _squared_deviation_sum(arr[half:], mean)

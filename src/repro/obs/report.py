@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -75,14 +76,20 @@ class RunReport:
         self.started_at = time.time()
         self.finished_at = None
         self.error = None
+        self.peak_rss_mb = None
         self.spans = []
         self.span_totals = {}
         self.metrics = {}
 
     def finish(self, error=None):
-        """Freeze the report: snapshot spans and metrics, stamp the end."""
+        """Freeze the report: snapshot spans and metrics, stamp the end.
+
+        ``peak_rss_mb`` is the process's ``ru_maxrss`` so far: the peak
+        of the whole process, set-up included, not of this block alone.
+        """
         self.finished_at = time.time()
         self.error = error
+        self.peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
         self.spans = trace.snapshot()
         self.span_totals = trace.aggregate(self.spans)
         self.metrics = metrics.registry().to_dict()
@@ -110,6 +117,7 @@ class RunReport:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "wall_s": round(self.wall_s, 4) if self.wall_s is not None else None,
+            "peak_rss_mb": self.peak_rss_mb,
             "error": self.error,
             "span_totals": self.span_totals,
             "spans": self.spans,
@@ -151,10 +159,12 @@ class RunReport:
             lines.append(f"  seed: {doc['seed']}")
         wall = doc.get("wall_s")
         status = f"FAILED ({doc['error']})" if doc.get("error") else "ok"
-        lines.append(
-            f"  wall: {wall:.2f}s  status: {status}" if wall is not None
-            else f"  status: {status}"
-        )
+        peak = doc.get("peak_rss_mb")
+        parts = [f"wall: {wall:.2f}s"] if wall is not None else []
+        if peak is not None:
+            parts.append(f"peak RSS: {peak:.1f} MB")
+        parts.append(f"status: {status}")
+        lines.append("  " + "  ".join(parts))
         totals = doc.get("span_totals") or {}
         if totals:
             lines.append("span totals (by wall time):")

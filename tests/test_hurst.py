@@ -20,7 +20,7 @@ from repro.analysis.hurst import (
     variance_time,
     whittle,
 )
-from repro.analysis.hurst import _log_spaced_ints
+from repro.analysis.hurst import _RS_GATHER_VALUES, _log_spaced_ints
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.qa import stats as qa
 from tests.qa_budget import CHECK_ALPHA
@@ -161,6 +161,15 @@ class TestRSPoxMatchesPerSegmentOracle:
             _assert_pox_equal(data, fit_range=(2, n),
                               n_partitions=int(rng.integers(1, 25)),
                               n_lag_points=int(rng.integers(2, 40)))
+
+    def test_row_groups_split_the_starts(self, rng):
+        # Each gather holds at most _RS_GATHER_VALUES values, so these
+        # lags' 20 starts run in several groups (a lag longer than the
+        # bound alone per group); the pox points must not change.
+        data = rng.gamma(0.8, 1_000.0, size=140_000)
+        lags = [13_107, 20_000, 40_001, 69_999, 135_000]
+        assert all(_RS_GATHER_VALUES // lag < 20 for lag in lags)
+        _assert_pox_equal(data, lags=lags, n_partitions=20)
 
     def test_constant_segments_are_dropped(self):
         data = np.concatenate([np.ones(500), np.arange(500.0)])

@@ -282,6 +282,18 @@ class TestRunReport:
         assert doc["metrics"]["repro_test_run_total"]["value"] == 10.0
         assert not obs.is_enabled()  # restored on exit
 
+    def test_manifest_reports_peak_rss(self, tmp_path):
+        path = tmp_path / "run.json"
+        with profile("unit-test", path=path):
+            with trace.span("work"):
+                np.ones(1_000)
+        doc = RunReport.load(path)
+        assert doc["peak_rss_mb"] > 0.0
+        assert f"peak RSS: {doc['peak_rss_mb']:.1f} MB" in "\n".join(RunReport.format_lines(doc))
+        # A manifest written before the field existed still prints.
+        del doc["peak_rss_mb"]
+        assert "peak RSS" not in "\n".join(RunReport.format_lines(doc))
+
     def test_profile_records_failure_and_reraises(self, tmp_path):
         path = tmp_path / "run.json"
         with pytest.raises(RuntimeError):

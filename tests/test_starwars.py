@@ -7,7 +7,14 @@ import pytest
 from scipy import signal
 
 from repro.experiments.data import reference_trace
-from repro.video.starwars import STARWARS_PARAMETERS, _ar1_path, synthesize_starwars_trace
+from repro.video.scenes import generate_scene_script
+from repro.video.starwars import (
+    _SPLIT_BLOCK,
+    STARWARS_PARAMETERS,
+    _ar1_path,
+    _slice_split,
+    synthesize_starwars_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +146,76 @@ class TestAR1Path:
         assert hashlib.sha256(t.slice_bytes.tobytes()).hexdigest() == (
             "be4d916b764aa3c63b3a41559c3e6df052ff78e749aede6647b6f4c59943e134"
         )
+
+
+def one_shot_slice_split(frame_bytes, script, slices_per_frame, rng, profile_sd=0.15, frame_sd=0.15):
+    """The former ``_slice_split``: every statement over the whole trace at once."""
+    n_frames = frame_bytes.size
+    spf = slices_per_frame
+    n_scenes = len(script.scenes)
+    raw = rng.normal(0.0, 1.0, size=(n_scenes, spf))
+    for _ in range(2):
+        raw = (
+            0.5 * raw
+            + 0.25 * np.roll(raw, 1, axis=1)
+            + 0.25 * np.roll(raw, -1, axis=1)
+        )
+    profiles = 1.0 + profile_sd * raw / max(raw.std(), 1e-12)
+    profiles = np.clip(profiles, 0.05, None)
+    scene_of_frame = np.empty(n_frames, dtype=np.intp)
+    for index, scene in enumerate(script.scenes):
+        scene_of_frame[scene.start_frame : scene.end_frame] = index
+    weights = profiles[scene_of_frame]
+    weights = weights * np.clip(1.0 + frame_sd * rng.normal(0.0, 1.0, size=(n_frames, spf)), 0.05, None)
+    weights /= weights.sum(axis=1, keepdims=True)
+    raw_slices = frame_bytes[:, None] * weights
+    base = np.floor(raw_slices)
+    shortfall = np.rint(frame_bytes - base.sum(axis=1)).astype(np.intp)
+    frac = raw_slices - base
+    rank = np.argsort(np.argsort(-frac, axis=1, kind="stable"), axis=1)
+    base += rank < shortfall[:, None]
+    return base.reshape(-1)
+
+
+def _split_inputs(n_frames, seed):
+    """A scene script, integer frame bytes and the generator that follows them."""
+    rng = np.random.default_rng(seed)
+    script = generate_scene_script(n_frames, rng=rng, duration_tail_shape=1.4, arc_weight=0.6)
+    frame_bytes = np.rint(rng.gamma(20.0, 1_400.0, size=n_frames))
+    return frame_bytes, script, rng
+
+
+def _assert_split_matches_oracle(n_frames, seed, slices_per_frame):
+    frame_bytes, script, rng = _split_inputs(n_frames, seed)
+    oracle_rng = np.random.default_rng()
+    oracle_rng.bit_generator.state = rng.bit_generator.state
+    got = _slice_split(frame_bytes, script, slices_per_frame, rng)
+    want = one_shot_slice_split(frame_bytes, script, slices_per_frame, oracle_rng)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestBlockedSliceSplit:
+    """The split runs in frame blocks, byte for byte the one-shot split."""
+
+    @pytest.mark.parametrize("slices_per_frame", [1, 7, 30])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    @pytest.mark.parametrize("n_frames", [1, _SPLIT_BLOCK - 1, _SPLIT_BLOCK, _SPLIT_BLOCK + 1, 40_000])
+    def test_matches_one_shot(self, n_frames, seed, slices_per_frame):
+        _assert_split_matches_oracle(n_frames, seed, slices_per_frame)
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_matches_one_shot_at_paper_length(self, seed):
+        _assert_split_matches_oracle(171_000, seed, 30)
+
+    def test_does_not_depend_on_block_size(self, monkeypatch):
+        from repro.video import starwars
+
+        frame_bytes, script, rng = _split_inputs(5_000, 3)
+        state = rng.bit_generator.state
+        want = _slice_split(frame_bytes, script, 30, rng)
+        for block in (1, 7, 4_999, 5_000, 100_000):
+            monkeypatch.setattr(starwars, "_SPLIT_BLOCK", block)
+            rng.bit_generator.state = state
+            assert _slice_split(frame_bytes, script, 30, rng).tobytes() == want.tobytes()
